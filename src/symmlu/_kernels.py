@@ -2,8 +2,9 @@
 
 The numba path is used when numba imports successfully and the environment
 variable SYMMLU_DISABLE_NUMBA is unset/falsy; setting SYMMLU_DISABLE_NUMBA=1
-selects the pure-numpy fallback.  Both paths compute identical values (same
-formulas, same float64/complex128 arithmetic); benchmarks/bench_kernels.py
+selects the pure-numpy fallback.  The paths agree to about 1e-12, not bit for
+bit: _polish_roots_nb stops a root at its first non-improving Newton step,
+_polish_roots_numpy keeps stepping for all iters.  benchmarks/bench_kernels.py
 compares their speed.
 
 Kernels:
@@ -24,6 +25,7 @@ __all__ = [
     "USING_NUMBA",
     "euler_su2",
     "euler_su2_batch",
+    "horner",
     "conj_distance_batch",
     "conj_distance_single",
     "polish_roots",
@@ -114,18 +116,19 @@ def _conj_distance_single_numpy(alpha, beta, gamma, rho, target, n):
     return float(np.linalg.norm(moved - target))
 
 
+def horner(coeffs, z):
+    """Values at z of the polynomial with descending coefficients."""
+    acc = np.full_like(np.asarray(z, dtype=np.complex128), coeffs[0])
+    for c in coeffs[1:]:
+        acc = acc * z + c
+    return acc
+
+
 def _polish_roots_numpy(coeffs, roots, iters=5):
     """Newton steps on each root; keep a step only if |P| decreases."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     deriv = coeffs[:-1] * np.arange(len(coeffs) - 1, 0, -1)
     z = np.array(roots, dtype=np.complex128)
-
-    def horner(cs, x):
-        acc = np.full_like(x, cs[0])
-        for c in cs[1:]:
-            acc = acc * x + c
-        return acc
-
     best = np.abs(horner(coeffs, z))
     for _ in range(iters):
         pz = horner(coeffs, z)

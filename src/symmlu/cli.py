@@ -20,6 +20,13 @@ from .errors import SymmluError
 DEFAULT_SEED = 7
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _add_mode(p, csv_ok=False):
     g = p.add_mutually_exclusive_group()
     g.add_argument("--json", dest="mode", action="store_const", const="json")
@@ -53,23 +60,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     mj = sub.add_parser("majorana", help="point configuration of a state")
     mj.add_argument("path")
-    mj.add_argument("--tol", type=float, default=None, help="cluster radius")
+    mj.add_argument("--tol", type=_positive_float, default=None, help="cluster radius")
     _add_mode(mj, csv_ok=True)
 
     sy = sub.add_parser("symmetry", help="rotational symmetry group of a state")
     sy.add_argument("path")
-    sy.add_argument("--tol", type=float, default=None)
+    sy.add_argument("--tol", type=_positive_float, default=None)
     _add_mode(sy, csv_ok=True)
 
     cl = sub.add_parser("classify", help="stabilizer class of a state")
     cl.add_argument("path")
-    cl.add_argument("--tol", type=float, default=None)
+    cl.add_argument("--tol", type=_positive_float, default=None)
     _add_mode(cl)
 
     eq = sub.add_parser("equiv", help="pure-state LU equivalence")
     eq.add_argument("a")
     eq.add_argument("b")
-    eq.add_argument("--tol", type=float, default=None)
+    eq.add_argument("--tol", type=_positive_float, default=None)
     _add_mode(eq)
 
     em = sub.add_parser("equiv-mixed", help="mixed-state LU equivalence")
@@ -233,7 +240,7 @@ def _run_equiv_mixed(args) -> int:
         res = mixed.two_factor_search(rho, sigma, cfg)
     else:
         res = mixed.lu_equivalent_mixed(rho, sigma, cfg)
-    thr = cfg.threshold if cfg.threshold is not None else mixed.default_threshold(rho.n)
+    thr = cfg.threshold_for(rho.n)
     if args.mode == "human":
         print(f"status: {res.status}")
         if res.distance is not None:

@@ -175,19 +175,12 @@ def find_roots(coeffs, residual_tol: float | None = None) -> np.ndarray:
     absz = np.abs(roots)
     powers = np.vstack([absz ** (len(a) - 1 - i) for i in range(len(a))])
     cond = np.abs(a) @ powers
-    resid = np.abs(_horner(a, roots))
+    resid = np.abs(_kernels.horner(a, roots))
     bound = residual_tol * np.maximum(scale, cond)
     if np.any(resid > bound):
         worst = float(np.max(resid / np.maximum(bound, 1e-300)))
         raise SymmluError(f"root residual check failed (worst ratio {worst:.3g})")
     return roots
-
-
-def _horner(coeffs, z):
-    acc = np.full_like(np.asarray(z, dtype=np.complex128), coeffs[0])
-    for c in coeffs[1:]:
-        acc = acc * z + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +307,8 @@ def _refine_multiple_roots(coeffs, pts, ms, eps):
             continue
         z = complex(_kernels.polish_roots(d, np.array([z0]), 8)[0])
         moved = np.linalg.norm(bloch_from_root(z) - p)
-        if moved <= 10 * eps + 1e-2 and abs(_horner(d, np.array([z]))[0]) <= abs(
-            _horner(d, np.array([z0]))[0]
+        if moved <= 10 * eps + 1e-2 and abs(_kernels.horner(d, np.array([z]))[0]) <= abs(
+            _kernels.horner(d, np.array([z0]))[0]
         ):
             out[i] = bloch_from_root(z)
     return out, ms

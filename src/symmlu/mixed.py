@@ -6,11 +6,12 @@ single 2x2 unitary, so the decision becomes a three-angle optimization of
 
     D(g) = || g^{(x)n} rho g^{(x)n +} - sigma ||_F
 
-over ZYZ Euler angles: a coarse lattice scan, simplex refinement from the
-most promising well-separated starts, and a few seeded random restarts.
-Cheap LU invariants (global and 1-qubit
-reduced spectra) run first and give certified negatives; a failed search is
-reported as undecided, never as a proof of inequivalence.
+over ZYZ Euler angles with the lattice search of the search module: a coarse
+lattice scan, refinement from the most promising well-separated starts, and
+a few seeded random restarts.  Cheap LU invariants (global and 1-qubit
+reduced spectra, computed by spectra_report) run first and give certified
+negatives; a failed search is reported as undecided, never as a proof of
+inequivalence.
 """
 from __future__ import annotations
 
@@ -19,14 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, states
+from . import _kernels, search, states
 from .errors import DomainError, NotGhzFormError
+# re-exported: perfbench/spans.py traces refine_minimum as mixed.refine_minimum
+from .search import refine_minimum  # noqa: F401
 from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "GhzForm",
     "EquivalenceSearchConfig",
     "MixedEquivalenceResult",
+    "SpectraReport",
     "SupportCheckResult",
     "lu_equivalent_mixed",
     "two_factor_search",
@@ -34,6 +38,7 @@ __all__ = [
     "ghz_form_density",
     "two_qubit_support_check",
     "default_threshold",
+    "spectra_report",
 ]
 
 _SPECTRUM_TOL = 1e-8
@@ -63,6 +68,10 @@ class EquivalenceSearchConfig:
         if self.maxfev < 100:
             raise DomainError("refinement cap must be at least 100 evaluations")
 
+    def threshold_for(self, n: int) -> float:
+        """The acceptance threshold on D: the configured one or default_threshold(n)."""
+        return self.threshold if self.threshold is not None else default_threshold(n)
+
 
 @dataclass(frozen=True)
 class MixedEquivalenceResult:
@@ -84,91 +93,49 @@ class MixedEquivalenceResult:
         return self.status == "equivalent"
 
 
-def _check_perm_invariant(rho: states.DensityMatrix, name: str, tol: float):
-    for k in range(rho.n - 1):
-        perm = list(range(rho.n))
-        perm[k], perm[k + 1] = perm[k + 1], perm[k]
-        dev = float(np.max(np.abs(states.permute_qubits(rho, perm).mat - rho.mat)))
-        if dev > tol:
-            raise DomainError(
-                f"{name} is not permutation invariant: swapping qubits "
-                f"{k} and {k + 1} moves it by {dev:.3g}"
-            )
+@dataclass(frozen=True)
+class SpectraReport:
+    """Sorted LU-invariant spectra used by the mixed-equivalence prefilter."""
+
+    global_spectrum: tuple
+    reduced_spectrum: tuple
+
+    def to_dict(self):
+        return {
+            "global_spectrum": list(self.global_spectrum),
+            "reduced_1qubit_spectrum": list(self.reduced_spectrum),
+        }
 
 
-def _euler_lattice(grid: int) -> np.ndarray:
-    alphas = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
-    betas = np.linspace(0.0, math.pi, grid)
-    gammas = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
-    return np.array([[a, b, g] for a in alphas for b in betas for g in gammas])
+def spectra_report(rho: states.DensityMatrix) -> SpectraReport:
+    glob = np.sort(np.linalg.eigvalsh(rho.mat))[::-1]
+    red = np.sort(np.linalg.eigvalsh(states.reduced_1qubit(rho, 0)))[::-1]
+    return SpectraReport(tuple(float(v) for v in glob), tuple(float(v) for v in red))
 
 
-def refine_minimum(objective, x0, maxfev: int = 4000):
-    """Derivative-free local minimization (chained Nelder-Mead runs).
-
-    The second run rebuilds the simplex at the first run's solution, which
-    reliably pushes smooth near-zero minima down to the arithmetic floor.
-    Distance-like objectives should be passed squared so the minimum is
-    smooth rather than conical.
-    """
-    from scipy.optimize import minimize
-
-    res = minimize(
-        objective,
-        np.asarray(x0, dtype=float),
-        method="Nelder-Mead",
-        options={"fatol": 1e-26, "xatol": 1e-12, "maxfev": maxfev},
-    )
-    res2 = minimize(
-        objective,
-        res.x,
-        method="Nelder-Mead",
-        options={"fatol": 1e-28, "xatol": 1e-13, "maxfev": maxfev},
-    )
-    if res2.fun <= res.fun:
-        return res2.x, float(res2.fun)
-    return res.x, float(res.fun)
+def _spectrum_mismatch(rho, sigma, reduced=True) -> MixedEquivalenceResult | None:
+    """The certified negative when an LU-invariant spectrum differs, else None."""
+    a, b = spectra_report(rho), spectra_report(sigma)
+    checks = [(a.global_spectrum, b.global_spectrum, "global eigenvalue multisets differ")]
+    if reduced:
+        checks.append((a.reduced_spectrum, b.reduced_spectrum, "1-qubit reduced spectra differ"))
+    for ea, eb, detail in checks:
+        if float(np.max(np.abs(np.subtract(ea, eb)))) > _SPECTRUM_TOL:
+            return MixedEquivalenceResult("inequivalent_spectrum", None, None, detail)
+    return None
 
 
-def _separated_starts(lattice, dists, count, min_gap=0.8):
-    """Best lattice points, kept pairwise at least min_gap apart."""
-    order = np.argsort(dists, kind="stable")
-    starts = []
-    for idx in order:
-        if len(starts) >= count:
-            break
-        if all(np.linalg.norm(lattice[idx] - s) > min_gap for s in starts):
-            starts.append(lattice[idx])
-    return starts
-
-
-def _identical_power_search(rho_mat, sigma_mat, n, cfg):
+def _identical_power_search(rho_mat, sigma_mat, n, cfg, thresh):
     """Minimize D over g^{(x)n}; returns (best_angles, best_distance)."""
-    lattice = _euler_lattice(cfg.grid)
-    dists = _kernels.conj_distance_batch(lattice, rho_mat, sigma_mat, n)
-    thresh = cfg.threshold if cfg.threshold is not None else default_threshold(n)
-
-    def objective2(angles):
-        d = _kernels.conj_distance_single(
-            angles[0], angles[1], angles[2], rho_mat, sigma_mat, n
-        )
-        return d * d
-
-    best_x, best_f2 = None, math.inf
-    for start in _separated_starts(lattice, dists, max(1, cfg.restarts)):
-        x, f2 = refine_minimum(objective2, start, cfg.maxfev)
-        if f2 < best_f2:
-            best_x, best_f2 = x, f2
-        if best_f2 <= (0.25 * thresh) ** 2:
-            break
-    if best_f2 > thresh * thresh and cfg.restarts:
+    lattice, dists, objective2 = search.euler_scan(rho_mat, sigma_mat, n, cfg.grid)
+    stop = (0.25 * thresh) ** 2
+    starts = search.separated_starts(lattice, dists, max(1, cfg.restarts))
+    results = search.descend(objective2, starts, cfg.maxfev, stop)
+    if search.best(results)[1] > thresh * thresh and cfg.restarts:
         rng = np.random.default_rng(cfg.seed)
-        for _ in range(cfg.restarts):
-            x, f2 = refine_minimum(objective2, rng.uniform(0, 2 * math.pi, size=3), cfg.maxfev)
-            if f2 < best_f2:
-                best_x, best_f2 = x, f2
-            if best_f2 <= (0.25 * thresh) ** 2:
-                break
+        randoms = (rng.uniform(0, 2 * math.pi, size=3) for _ in range(cfg.restarts))
+        results += search.descend(objective2, randoms, cfg.maxfev, stop)
+    best_x, best_f2 = search.best(results)
     return best_x, math.sqrt(max(best_f2, 0.0))
 
 
@@ -189,24 +156,16 @@ def lu_equivalent_mixed(
             "use two_factor_search for n = 2 (explicitly heuristic)"
         )
     tol = DEFAULT_TOLERANCES.hermiticity * 10
-    _check_perm_invariant(rho, "first state", tol)
-    _check_perm_invariant(sigma, "second state", tol)
+    for name, state in (("first state", rho), ("second state", sigma)):
+        if (defect := states.permutation_defect(state, tol)) is not None:
+            k, dev = defect
+            swap = f"swapping qubits {k} and {k + 1} moves it by {dev:.3g}"
+            raise DomainError(f"{name} is not permutation invariant: {swap}")
+    if (mismatch := _spectrum_mismatch(rho, sigma)) is not None:
+        return mismatch
 
-    ev_r = np.sort(np.linalg.eigvalsh(rho.mat))
-    ev_s = np.sort(np.linalg.eigvalsh(sigma.mat))
-    if float(np.max(np.abs(ev_r - ev_s))) > _SPECTRUM_TOL:
-        return MixedEquivalenceResult(
-            "inequivalent_spectrum", None, None, "global eigenvalue multisets differ"
-        )
-    red_r = np.sort(np.linalg.eigvalsh(states.reduced_1qubit(rho, 0)))
-    red_s = np.sort(np.linalg.eigvalsh(states.reduced_1qubit(sigma, 0)))
-    if float(np.max(np.abs(red_r - red_s))) > _SPECTRUM_TOL:
-        return MixedEquivalenceResult(
-            "inequivalent_spectrum", None, None, "1-qubit reduced spectra differ"
-        )
-
-    angles, dist = _identical_power_search(rho.mat, sigma.mat, n, cfg)
-    thresh = cfg.threshold if cfg.threshold is not None else default_threshold(n)
+    thresh = cfg.threshold_for(n)
+    angles, dist = _identical_power_search(rho.mat, sigma.mat, n, cfg, thresh)
     if dist <= thresh:
         g = _kernels.euler_su2(*angles)
         # soundness: re-verify through the plain matrix route before reporting
@@ -234,12 +193,8 @@ def two_factor_search(
         cfg = EquivalenceSearchConfig(grid=8)
     if rho.n != 2 or sigma.n != 2:
         raise DomainError("two_factor_search is for n = 2 only")
-    ev_r = np.sort(np.linalg.eigvalsh(rho.mat))
-    ev_s = np.sort(np.linalg.eigvalsh(sigma.mat))
-    if float(np.max(np.abs(ev_r - ev_s))) > _SPECTRUM_TOL:
-        return MixedEquivalenceResult(
-            "inequivalent_spectrum", None, None, "global eigenvalue multisets differ"
-        )
+    if (mismatch := _spectrum_mismatch(rho, sigma, reduced=False)) is not None:
+        return mismatch
 
     def objective2(x):
         g1 = _kernels.euler_su2(x[0], x[1], x[2])
@@ -248,24 +203,13 @@ def two_factor_search(
         d = float(np.linalg.norm(big @ rho.mat @ big.conj().T - sigma.mat))
         return d * d
 
-    grid = np.linspace(0, 2 * math.pi, cfg.grid, endpoint=False)
-    bgrid = np.linspace(0, math.pi, max(3, cfg.grid // 2))
-    coarse = []
-    for a1 in grid:
-        for b1 in bgrid:
-            for a2 in grid:
-                for b2 in bgrid:
-                    x = np.array([a1, b1, 0.0, a2, b2, 0.0])
-                    coarse.append((objective2(x), x))
-    coarse.sort(key=lambda p: p[0])
-    best_x, best_f2 = None, math.inf
-    thresh = cfg.threshold if cfg.threshold is not None else default_threshold(2)
-    for _, start in coarse[: max(1, cfg.restarts)]:
-        x, f2 = refine_minimum(objective2, start, cfg.maxfev)
-        if f2 < best_f2:
-            best_x, best_f2 = x, f2
-        if best_f2 <= (0.25 * thresh) ** 2:
-            break
+    turn = np.linspace(0, 2 * math.pi, cfg.grid, endpoint=False)
+    tilt = np.linspace(0, math.pi, max(3, cfg.grid // 2))
+    points = search.lattice(turn, tilt, [0.0], turn, tilt, [0.0])
+    vals = np.array([objective2(x) for x in points])
+    starts = points[np.argsort(vals, kind="stable")[: max(1, cfg.restarts)]]
+    thresh = cfg.threshold_for(2)
+    best_x, best_f2 = search.best(search.descend(objective2, starts, cfg.maxfev, (0.25 * thresh) ** 2))
     best_f = math.sqrt(max(best_f2, 0.0))
     if best_f <= thresh:
         g1 = _kernels.euler_su2(best_x[0], best_x[1], best_x[2])
@@ -330,9 +274,7 @@ def canonical_ghz_form(tau: states.DensityMatrix, tol: float | None = None) -> G
     d = 1 << n
     hi = d - 1
     mask = np.ones((d, d), dtype=bool)
-    for i in (0, hi):
-        for j in (0, hi):
-            mask[i, j] = False
+    mask[np.ix_((0, hi), (0, hi))] = False
     bad = np.argwhere(np.abs(tau.mat) * mask > tol)
     if bad.size:
         offending = [(int(i), int(j), complex(tau.mat[i, j])) for i, j in bad[:8]]
@@ -388,25 +330,16 @@ def two_qubit_support_check(
     if abs(math.sin(t)) < 1e-12:
         raise DomainError("t must not be a multiple of pi (phase would be trivial)")
     dphase = np.array([np.exp(1j * t), np.exp(-1j * t)])
-    factors = []
-    for q in range(n):
-        if q == k:
-            factors.append(np.diag(dphase))
-        elif q == l:
-            factors.append(np.diag(dphase.conj()))
-        else:
-            factors.append(np.eye(2, dtype=np.complex128))
+    factors = [np.eye(2, dtype=np.complex128)] * n
+    factors[k], factors[l] = np.diag(dphase), np.diag(dphase.conj())
     u = states.LocalUnitary(tuple(factors))
     residual = float(np.linalg.norm(states.apply_lu(u, tau).mat - tau.mat))
     applicable = residual <= tol
     if not applicable:
         return SupportCheckResult(False, residual, None, None)
-    d = 1 << n
-    for i in range(d):
-        comp = states.complement(i, n)
-        for j in range(d):
-            if j == i or j == comp:
-                continue
-            if abs(tau.mat[i, j]) > tol:
-                return SupportCheckResult(True, residual, False, (i, j))
+    idx = np.arange(1 << n)[:, None]
+    coupled = (idx == idx.T) | (idx == idx.T ^ ((1 << n) - 1))
+    bad = np.argwhere((np.abs(tau.mat) > tol) & ~coupled)
+    if bad.size:
+        return SupportCheckResult(True, residual, False, (int(bad[0, 0]), int(bad[0, 1])))
     return SupportCheckResult(True, residual, True, None)

@@ -50,6 +50,7 @@ __all__ = [
     "apply_lu",
     "permute_qubits",
     "is_permutation_invariant",
+    "permutation_defect",
     "reduced_1qubit",
     "random_su2",
     "random_local_unitary",
@@ -428,17 +429,23 @@ def permute_qubits(rho: DensityMatrix, perm) -> DensityMatrix:
     return DensityMatrix(n, out)
 
 
-def is_permutation_invariant(rho: DensityMatrix, tol: float | None = None) -> bool:
-    """Check invariance under all adjacent transpositions (they generate S_n)."""
+def permutation_defect(rho: DensityMatrix, tol: float | None = None) -> tuple | None:
+    """(k, deviation) of the first swap of qubits k, k + 1 moving rho by more than tol, or None."""
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
     n = rho.n
     for k in range(n - 1):
         perm = list(range(n))
         perm[k], perm[k + 1] = perm[k + 1], perm[k]
-        if np.max(np.abs(permute_qubits(rho, perm).mat - rho.mat)) > tol:
-            return False
-    return True
+        dev = float(np.max(np.abs(permute_qubits(rho, perm).mat - rho.mat)))
+        if dev > tol:
+            return k, dev
+    return None
+
+
+def is_permutation_invariant(rho: DensityMatrix, tol: float | None = None) -> bool:
+    """Check invariance under all adjacent transpositions (they generate S_n)."""
+    return permutation_defect(rho, tol) is None
 
 
 def reduced_1qubit(rho: DensityMatrix, k: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Everything here validates the structured modules independently: residuals are
 computed by dense conjugation, stabilizer elements are found by lattice
-searches that know nothing about the classification, and equivalence is
-re-decided by direct optimization.  Dense work is capped at n <= 10.
+searches (the search module) that know nothing about the classification, and
+equivalence is re-decided by direct optimization.  Dense work is capped at
+n <= 10.
 
 sample_stabilizer searches two families:
   * identical tuples g^{(x)n} over a ZYZ Euler lattice with descent, and
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, classify, states
+from . import _kernels, classify, search, states
 from .errors import DomainError
-from .mixed import _euler_lattice, default_threshold, refine_minimum
+from .mixed import SpectraReport, default_threshold, spectra_report
 from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
@@ -70,6 +71,15 @@ class StabilizerSearchConfig:
     membership_tol: float = 1e-5
     maxfev: int = 4000
 
+    def __post_init__(self):
+        if self.grid < 4:
+            raise DomainError("Euler lattice needs at least 4 points per angle")
+        if self.diag_grid is not None and self.diag_grid < 3:
+            raise DomainError("phase lattice needs at least 3 points per qubit")
+        positive = min(self.tol, self.dedupe, self.membership_tol) > 0
+        if not positive or self.max_descents < 1 or self.maxfev < 100:
+            raise DomainError("need tol, dedupe, membership_tol > 0; max_descents >= 1; maxfev >= 100")
+
 
 def check_stabilizes(
     u: states.LocalUnitary,
@@ -90,22 +100,6 @@ def check_stabilizes(
 # ---------------------------------------------------------------------------
 
 
-def _local_minima(vals: np.ndarray, wrap: tuple) -> np.ndarray:
-    """Indices (flat) of lattice points no larger than any axis neighbor."""
-    mask = np.ones(vals.shape, dtype=bool)
-    for ax in range(vals.ndim):
-        if ax in wrap:
-            mask &= vals <= np.roll(vals, 1, axis=ax)
-            mask &= vals <= np.roll(vals, -1, axis=ax)
-        else:
-            pad = np.full(vals.shape[:ax] + (1,) + vals.shape[ax + 1 :], np.inf)
-            up = np.concatenate([pad, vals], axis=ax)
-            down = np.concatenate([vals, pad], axis=ax)
-            mask &= vals <= np.take(up, range(vals.shape[ax]), axis=ax)
-            mask &= vals <= np.take(down, range(1, vals.shape[ax] + 1), axis=ax)
-    return np.flatnonzero(mask.ravel())
-
-
 def _projective_key(u: states.LocalUnitary, resolution: float):
     parts = []
     for f in u.factors:
@@ -118,26 +112,20 @@ def _projective_key(u: states.LocalUnitary, resolution: float):
     return tuple(parts)
 
 
+def _accepted_descents(points, vals, wrap, objective2, cfg):
+    """x of the descents from the local minima (the max_descents lowest) ending within cfg.tol."""
+    minima = search.local_minima(vals, wrap)
+    if minima.size > cfg.max_descents:
+        minima = minima[np.argsort(vals.ravel()[minima], kind="stable")[: cfg.max_descents]]
+    results = search.descend(objective2, points[minima], cfg.maxfev)
+    return [x for x, f2 in results if math.sqrt(max(f2, 0.0)) <= cfg.tol]
+
+
 def _identical_witnesses(rho, cfg):
     n = rho.n
-    lattice = _euler_lattice(cfg.grid)
-    dists = _kernels.conj_distance_batch(lattice, rho.mat, rho.mat, n)
-    shape = (cfg.grid, cfg.grid, cfg.grid)
-    minima = _local_minima(dists.reshape(shape), wrap=(0, 2))
-    if minima.size > cfg.max_descents:
-        minima = minima[np.argsort(dists[minima], kind="stable")[: cfg.max_descents]]
-
-    def objective2(x):
-        d = _kernels.conj_distance_single(x[0], x[1], x[2], rho.mat, rho.mat, n)
-        return d * d
-
-    out = []
-    for idx in minima:
-        x, f2 = refine_minimum(objective2, lattice[idx], cfg.maxfev)
-        if math.sqrt(max(f2, 0.0)) <= cfg.tol:
-            g = _kernels.euler_su2(*x)
-            out.append(states.LocalUnitary.uniform(g, n))
-    return out
+    lattice, dists, objective2 = search.euler_scan(rho.mat, rho.mat, n, cfg.grid)
+    xs = _accepted_descents(lattice, dists.reshape((cfg.grid,) * 3), (0, 2), objective2, cfg)
+    return [states.LocalUnitary.uniform(_kernels.euler_su2(*x), n) for x in xs]
 
 
 def _entry_table(rho):
@@ -161,27 +149,15 @@ def _diag_witnesses(rho, cfg):
         p = 12
         while p > 3 and p**n * vals.size > 2e8:
             p -= 1
-    axis = np.linspace(0.0, 2 * math.pi, p, endpoint=False)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    phis = np.stack([g.ravel() for g in grids], axis=1)
+    phis = search.lattice(*([np.linspace(0.0, 2 * math.pi, p, endpoint=False)] * n))
     res = _kernels.diag_phase_residual(phis, vals, diffs)
-    minima = _local_minima(res.reshape((p,) * n), wrap=tuple(range(n)))
-    if minima.size > cfg.max_descents:
-        minima = minima[np.argsort(res[minima], kind="stable")[: cfg.max_descents]]
 
     def objective2(x):
         d = float(_kernels.diag_phase_residual(x[None, :], vals, diffs)[0])
         return d * d
 
-    out = []
-    for idx in minima:
-        x, f2 = refine_minimum(objective2, phis[idx], cfg.maxfev)
-        if math.sqrt(max(f2, 0.0)) <= cfg.tol:
-            factors = tuple(
-                np.array([[1.0, 0.0], [0.0, np.exp(1j * t)]], dtype=np.complex128) for t in x
-            )
-            out.append(states.LocalUnitary(factors))
-    return out
+    xs = _accepted_descents(phis, res.reshape((p,) * n), tuple(range(n)), objective2, cfg)
+    return [states.LocalUnitary(tuple(np.diag([1.0, np.exp(1j * t)]) for t in x)) for x in xs]
 
 
 def sample_stabilizer(
@@ -229,35 +205,25 @@ def class_membership_distance(
             for idx in range(len(sampler.sclass.group.elements))
         )
     if tag == "iii":
-
-        def objective2(x):
-            d = u.projective_distance(sampler.unit((_kernels.euler_su2(*x),)))
-            return d * d
-
-        lattice = _euler_lattice(grid)
-        vals = np.array([objective2(x) for x in lattice])
-        start = lattice[int(np.argmin(vals))]
-        _, best = refine_minimum(objective2, start, maxfev)
-        return math.sqrt(max(float(best), 0.0))
-
-    dim = sampler.continuous_dim
-    p = grid
-    while p > 4 and p**dim > 70000:
-        p -= 1
-    axis = np.linspace(0.0, 2 * math.pi, p, endpoint=False)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    flips = (False, True) if sampler.has_flip else (False,)
+        points = search.euler_lattice(grid)
+        members = [lambda x: sampler.unit((_kernels.euler_su2(*x),))]
+    else:
+        dim = sampler.continuous_dim
+        p = grid
+        while p > 4 and p**dim > 70000:
+            p -= 1
+        points = search.lattice(*([np.linspace(0.0, 2 * math.pi, p, endpoint=False)] * dim))
+        flips = (False, True) if sampler.has_flip else (False,)
+        members = [lambda x, flip=flip: sampler.unit(tuple(x), flip) for flip in flips]
     best2 = math.inf
-    for flip in flips:
+    for member in members:
 
-        def objective2(x, flip=flip):
-            d = u.projective_distance(sampler.unit(tuple(x), flip))
+        def objective2(x, member=member):
+            d = u.projective_distance(member(x))
             return d * d
 
         vals = np.array([objective2(x) for x in points])
-        start = points[int(np.argmin(vals))]
-        _, f2 = refine_minimum(objective2, start, maxfev)
+        _, f2 = search.refine_minimum(objective2, points[int(np.argmin(vals))], maxfev)
         best2 = min(best2, float(f2))
     return math.sqrt(max(best2, 0.0))
 
@@ -288,28 +254,8 @@ def stabilizer_anomalies(
 
 
 # ---------------------------------------------------------------------------
-# spectra and brute-force equivalence
+# brute-force equivalence
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectraReport:
-    """Sorted LU-invariant spectra used by the mixed-equivalence prefilter."""
-
-    global_spectrum: tuple
-    reduced_spectrum: tuple
-
-    def to_dict(self):
-        return {
-            "global_spectrum": list(self.global_spectrum),
-            "reduced_1qubit_spectrum": list(self.reduced_spectrum),
-        }
-
-
-def spectra_report(rho: states.DensityMatrix) -> SpectraReport:
-    glob = np.sort(np.linalg.eigvalsh(rho.mat))[::-1]
-    red = np.sort(np.linalg.eigvalsh(states.reduced_1qubit(rho, 0)))[::-1]
-    return SpectraReport(tuple(float(v) for v in glob), tuple(float(v) for v in red))
 
 
 def lu_equivalent_pure_bruteforce(
@@ -331,24 +277,11 @@ def lu_equivalent_pure_bruteforce(
         threshold = default_threshold(n)
     rho = states.to_density(psi).mat
     sigma = states.to_density(phi).mat
-    lattice = _euler_lattice(grid)
-    dists = _kernels.conj_distance_batch(lattice, rho, sigma, n)
-    shape = (grid, grid, grid)
-    minima = _local_minima(dists.reshape(shape), wrap=(0, 2))
+    lattice, dists, objective2 = search.euler_scan(rho, sigma, n, grid)
+    minima = search.local_minima(dists.reshape((grid,) * 3), wrap=(0, 2))
     minima = minima[np.argsort(dists[minima], kind="stable")[:40]]
-
-    def objective2(x):
-        d = _kernels.conj_distance_single(x[0], x[1], x[2], rho, sigma, n)
-        return d * d
-
-    best_g, best_f = None, math.inf
-    for idx in minima:
-        x, f2 = refine_minimum(objective2, lattice[idx])
-        fv = math.sqrt(max(f2, 0.0))
-        if fv < best_f:
-            best_g, best_f = _kernels.euler_su2(*x), fv
-        if best_f <= 0.01 * threshold:
-            break
-    if best_f <= threshold:
-        return best_g
+    results = search.descend(objective2, lattice[minima], stop_f2=(0.01 * threshold) ** 2)
+    best_x, best_f2 = search.best(results)
+    if math.sqrt(max(best_f2, 0.0)) <= threshold:
+        return _kernels.euler_su2(*best_x)
     return None

@@ -277,3 +277,34 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, monkeypatch, capsys)
     _, first = run_cli(["classify", str(p)], monkeypatch, capsys)
     _, second = run_cli(["classify", str(p)], monkeypatch, capsys)
     assert first == second
+
+
+def _ghz3_file(tmp_path):
+    p = tmp_path / "g3.json"
+    p.write_text(io.dumps(io.state_to_dict(states.ghz(3))))
+    return str(p)
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize("cmd", ["majorana", "symmetry", "classify", "equiv"])
+def test_non_positive_tol_is_a_usage_error(tmp_path, monkeypatch, capsys, cmd, tol):
+    g3 = _ghz3_file(tmp_path)
+    paths = [g3, g3] if cmd == "equiv" else [g3]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd, *paths, "--tol", tol])
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_positive_tol_is_still_accepted(tmp_path, monkeypatch, capsys):
+    g3 = _ghz3_file(tmp_path)
+    code, out = run_cli(["equiv", g3, g3, "--tol", "1e-6"], monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out)["equivalent"] is True
+
+
+@pytest.mark.parametrize("grid", ["-3", "0", "3"])
+def test_verify_rejects_a_degenerate_search_grid_with_exit_3(tmp_path, monkeypatch, capsys, grid):
+    code, out = run_cli(["verify", _ghz3_file(tmp_path), "--search-grid", grid], monkeypatch, capsys)
+    assert code == 3
+    assert "at least 4 points" in json.loads(out)["error"]

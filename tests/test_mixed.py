@@ -6,6 +6,7 @@ import pytest
 
 from symmlu import mixed, states
 from symmlu.errors import DomainError, NotGhzFormError
+from symmlu.tolerances import DEFAULT_TOLERANCES
 
 
 def phase_layer(phi, n):
@@ -274,6 +275,34 @@ def test_support_check_flags_injected_coherence():
     assert res.ok is False
     assert res.witness == (0, 1)
     assert not bool(res)
+
+
+def _first_off_support_entry(mat, n, tol):
+    """Reference: row-major scan for an entry coupling a string to neither itself nor its complement."""
+    for i in range(1 << n):
+        for j in range(1 << n):
+            if j not in (i, states.complement(i, n)) and abs(mat[i, j]) > tol:
+                return (i, j)
+    return None
+
+
+def test_support_check_witness_matches_the_row_major_scan():
+    rng = np.random.default_rng(64)
+    for n, k, l in [(3, 0, 1), (3, 2, 0), (4, 1, 3)]:
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        label = bits[:, k] - bits[:, l]  # the phase leaves an entry alone iff its labels agree
+        for _ in range(4):
+            m = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+            for value in (-1, 0, 1):
+                support = (label == value) & (rng.random(1 << n) < 0.5)
+                v = np.where(support, rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n), 0)
+                m += np.outer(v, v.conj())
+            tau = states.DensityMatrix(n, m / np.trace(m).real)
+            res = mixed.two_qubit_support_check(tau, k, l, 0.3)
+            assert res.applicable
+            want = _first_off_support_entry(tau.mat, n, DEFAULT_TOLERANCES.equality)
+            assert res.witness == want
+            assert res.ok is (want is None)
 
 
 def test_support_check_argument_validation():

@@ -14,6 +14,24 @@ def tetrahedron_state():
     return majorana.points_to_state(pts)
 
 
+def test_stabilizer_search_config_rejects_degenerate_settings():
+    verify.StabilizerSearchConfig(grid=4, max_descents=2)  # the smallest useful search
+    verify.StabilizerSearchConfig(diag_grid=3)
+    bad = [
+        {"grid": 3},
+        {"grid": 0},
+        {"diag_grid": 2},
+        {"tol": 0.0},
+        {"dedupe": -1e-6},
+        {"membership_tol": 0.0},
+        {"max_descents": 0},
+        {"maxfev": 99},
+    ]
+    for kwargs in bad:
+        with pytest.raises(DomainError):
+            verify.StabilizerSearchConfig(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # residual checks
 # ---------------------------------------------------------------------------
