@@ -8,7 +8,6 @@ permutation-invariant mixed states, classifies stabilizer subgroups into the
 continuous families and finite rotation groups, and cross-checks everything
 against dense brute-force oracles at small n.
 """
-from ._kernels import HAS_NUMBA, USING_NUMBA
 from .classify import (
     ClassCensus,
     ClassificationResult,
@@ -85,9 +84,10 @@ from .verify import (
 
 __version__ = "0.1.0"
 
+# Benchmark reports record this; the kernels have one numpy implementation each.
+USING_NUMBA = False
+
 __all__ = [
-    "HAS_NUMBA",
-    "USING_NUMBA",
     "Tolerances",
     "DEFAULT_TOLERANCES",
     "SymmluError",

@@ -27,6 +27,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
 def _add_mode(p, csv_ok=False):
     g = p.add_mutually_exclusive_group()
     g.add_argument("--json", dest="mode", action="store_const", const="json")
@@ -56,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("path")
     r = mks.add_parser("random", help="Haar-like random symmetric state")
     r.add_argument("n", type=int)
-    r.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    r.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED)
 
     mj = sub.add_parser("majorana", help="point configuration of a state")
     mj.add_argument("path")
@@ -84,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     em.add_argument("b")
     em.add_argument("--grid", type=int, default=12)
     em.add_argument("--restarts", type=int, default=8)
-    em.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    em.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED)
     em.add_argument("--threshold", type=float, default=None)
     _add_mode(em)
 

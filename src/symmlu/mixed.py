@@ -65,6 +65,8 @@ class EquivalenceSearchConfig:
             raise DomainError("threshold must be positive")
         if self.restarts < 0:
             raise DomainError("restarts must be >= 0")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if self.maxfev < 100:
             raise DomainError("refinement cap must be at least 100 evaluations")
 

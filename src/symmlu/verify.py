@@ -46,6 +46,11 @@ def _cap(n: int):
         raise DomainError(f"dense oracles are capped at n <= {DENSE_ORACLE_CAP}, got {n}")
 
 
+def _check_grid(grid: int):
+    if grid < 4:
+        raise DomainError("Euler lattice needs at least 4 points per angle")
+
+
 @dataclass(frozen=True)
 class StabilizerWitness:
     """A local unitary together with how far it moves the state."""
@@ -72,8 +77,7 @@ class StabilizerSearchConfig:
     maxfev: int = 4000
 
     def __post_init__(self):
-        if self.grid < 4:
-            raise DomainError("Euler lattice needs at least 4 points per angle")
+        _check_grid(self.grid)
         if self.diag_grid is not None and self.diag_grid < 3:
             raise DomainError("phase lattice needs at least 3 points per qubit")
         positive = min(self.tol, self.dedupe, self.membership_tol) > 0
@@ -198,6 +202,7 @@ def class_membership_distance(
     maxfev: int = 4000,
 ) -> float:
     """Projective distance from u to the sampled class family."""
+    _check_grid(grid)
     tag = sampler.sclass.tag
     if tag == "finite":
         return min(
@@ -272,6 +277,7 @@ def lu_equivalent_pure_bruteforce(
     if psi.n != phi.n:
         raise DomainError(f"qubit counts differ: {psi.n} vs {phi.n}")
     _cap(psi.n)
+    _check_grid(grid)
     n = psi.n
     if threshold is None:
         threshold = default_threshold(n)

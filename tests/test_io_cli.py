@@ -303,6 +303,16 @@ def test_positive_tol_is_still_accepted(tmp_path, monkeypatch, capsys):
     assert json.loads(out)["equivalent"] is True
 
 
+@pytest.mark.parametrize("cmd", ["mkstate", "equiv-mixed"])
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, cmd):
+    g3 = _ghz3_file(tmp_path)
+    argv = ["mkstate", "random", "4"] if cmd == "mkstate" else ["equiv-mixed", g3, g3]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", ["-3", "0", "3"])
 def test_verify_rejects_a_degenerate_search_grid_with_exit_3(tmp_path, monkeypatch, capsys, grid):
     code, out = run_cli(["verify", _ghz3_file(tmp_path), "--search-grid", grid], monkeypatch, capsys)

@@ -1,4 +1,4 @@
-"""Numeric kernels against dense oracles, and numba/numpy path agreement."""
+"""Numeric kernels against dense oracles."""
 import math
 
 import numpy as np
@@ -62,6 +62,16 @@ def test_conj_distance_single_matches_batch():
         assert abs(d - single) < 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_conj_distance_single_matches_dense_oracle(n):
+    rng = np.random.default_rng(28 + n)
+    rho = states.random_symmetric_mixed(n, rng).mat
+    target = states.random_symmetric_mixed(n, rng).mat
+    for row in rng.uniform(0, 2 * math.pi, size=(5, 3)):
+        single = _kernels.conj_distance_single(row[0], row[1], row[2], rho, target, n)
+        assert abs(single - dense_conj_distance(row, rho, target, n)) < 1e-10
+
+
 def test_polish_roots_recovers_perturbed_roots():
     rng = np.random.default_rng(24)
     roots = rng.normal(size=6) + 1j * rng.normal(size=6)
@@ -100,34 +110,3 @@ def test_diag_phase_residual_matches_dense_conjugation():
         u = states.LocalUnitary(factors)
         want = float(np.linalg.norm(states.apply_lu(u, rho).mat - rho.mat))
         assert abs(got - want) < 1e-10
-
-
-@pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba path not active")
-def test_numba_and_numpy_paths_agree():
-    rng = np.random.default_rng(27)
-    n = 3
-    rho = states.random_symmetric_mixed(n, rng).mat
-    target = states.random_symmetric_mixed(n, rng).mat
-    angles = rng.uniform(0, 2 * math.pi, size=(20, 3))
-    nb = _kernels._conj_distance_batch_nb(
-        np.ascontiguousarray(angles), np.ascontiguousarray(rho), np.ascontiguousarray(target), n
-    )
-    npy = _kernels._conj_distance_batch_numpy(angles, rho, target, n)
-    assert np.max(np.abs(nb - npy)) < 1e-12
-
-    coeffs = rng.normal(size=7) + 1j * rng.normal(size=7)
-    start = rng.normal(size=6) + 1j * rng.normal(size=6)
-    pn = _kernels._polish_roots_nb(np.ascontiguousarray(coeffs), np.ascontiguousarray(start), 5)
-    pp = _kernels._polish_roots_numpy(coeffs, start, 5)
-    assert np.max(np.abs(pn - pp)) < 1e-12
-
-    rows, cols = np.nonzero(np.abs(rho) > 1e-14)
-    vals = np.abs(rho[rows, cols]) ** 2
-    bits = ((np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1).astype(np.float64)
-    diffs = bits[rows] - bits[cols]
-    phis = rng.uniform(0, 2 * math.pi, size=(15, 3))
-    dn = _kernels._diag_phase_residual_nb(
-        np.ascontiguousarray(phis), np.ascontiguousarray(vals), np.ascontiguousarray(diffs)
-    )
-    dp = _kernels._diag_phase_residual_numpy(phis, vals, diffs)
-    assert np.max(np.abs(dn - dp)) < 1e-12

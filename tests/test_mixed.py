@@ -34,6 +34,8 @@ def test_search_config_validation():
         mixed.EquivalenceSearchConfig(restarts=-1)
     with pytest.raises(DomainError):
         mixed.EquivalenceSearchConfig(maxfev=10)
+    with pytest.raises(DomainError, match="seed"):
+        mixed.EquivalenceSearchConfig(seed=-1)
 
 
 def test_constructed_pairs_are_recovered():

@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import symmlu
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -27,3 +29,8 @@ def test_every_traced_name_resolves_on_the_library():
             missing += [f"{mod}.{fn}" for fn in names if not callable(getattr(module, fn, None))]
     assert missing == []
     assert spans.SPANNED["mixed"] == ("lu_equivalent_mixed", "refine_minimum")
+
+
+def test_the_numpy_kernels_are_the_only_backend():
+    # perfbench/run.py records this flag in every benchmark report
+    assert symmlu.USING_NUMBA is False

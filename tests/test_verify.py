@@ -32,6 +32,18 @@ def test_stabilizer_search_config_rejects_degenerate_settings():
             verify.StabilizerSearchConfig(**kwargs)
 
 
+@pytest.mark.parametrize("grid", [0, 3])
+def test_oracles_reject_a_degenerate_grid(grid):
+    # grid=0 used to give an empty lattice: "no g found" for identical
+    # states, and numpy's empty-argmin ValueError in the membership search
+    ghz3 = states.ghz(3)
+    with pytest.raises(DomainError, match="at least 4 points"):
+        verify.lu_equivalent_pure_bruteforce(ghz3, ghz3, grid=grid)
+    sampler = classify.classify_state(ghz3).sampler
+    with pytest.raises(DomainError, match="at least 4 points"):
+        verify.class_membership_distance(sampler, sampler.unit((0.3, 0.5)), grid=grid)
+
+
 # ---------------------------------------------------------------------------
 # residual checks
 # ---------------------------------------------------------------------------
