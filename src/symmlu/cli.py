@@ -22,8 +22,8 @@ DEFAULT_SEED = 7
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     em.add_argument("--grid", type=int, default=12)
     em.add_argument("--restarts", type=int, default=8)
     em.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED)
-    em.add_argument("--threshold", type=float, default=None)
+    em.add_argument("--threshold", type=_positive_float, default=None)
     _add_mode(em)
 
     vf = sub.add_parser("verify", help="brute-force stabilizer search")

@@ -103,8 +103,8 @@ class MajoranaConfiguration:
         if int(mults.sum()) != self.n:
             raise DomainError(f"multiplicities sum to {int(mults.sum())}, expected n={self.n}")
         norms = np.linalg.norm(pts, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
-            raise DomainError("points must be unit vectors")
+        if not np.max(np.abs(norms - 1.0)) <= 1e-9:  # NaN fails too
+            raise DomainError("points must be finite unit vectors")
         pts = pts / norms[:, None]
         pts.setflags(write=False)
         mults.setflags(write=False)
@@ -191,48 +191,29 @@ def find_roots(coeffs, residual_tol: float | None = None) -> np.ndarray:
 def cluster_points(points, mults, eps: float):
     """Single-linkage merge of points within chordal distance eps.
 
-    Representatives are multiplicity-weighted means renormalized to the
-    sphere; iterated to a fixed point so the operation is idempotent.
+    Clusters are the connected components of the graph "chordal distance <=
+    eps", numbered by their first point.  Each becomes its multiplicity-
+    weighted mean renormalized to the sphere (its first point if the mean
+    vanishes), repeated to a fixed point so the operation is idempotent.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     ms = np.asarray(mults, dtype=int).ravel()
-    while True:
-        m = pts.shape[0]
-        if m <= 1:
-            return pts, ms
-        parent = list(range(m))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        merged = False
-        for i in range(m):
-            for j in range(i + 1, m):
-                if np.linalg.norm(pts[i] - pts[j]) <= eps:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[rj] = ri
-                        merged = True
-        if not merged:
-            return pts, ms
-        groups = {}
-        for i in range(m):
-            groups.setdefault(find(i), []).append(i)
-        new_pts, new_ms = [], []
-        for idxs in groups.values():
-            w = ms[idxs].astype(float)
-            mean = (pts[idxs] * w[:, None]).sum(axis=0)
-            nrm = np.linalg.norm(mean)
-            if nrm == 0:
-                mean = pts[idxs[0]]
-                nrm = 1.0
-            new_pts.append(mean / nrm)
-            new_ms.append(int(w.sum()))
-        pts = np.asarray(new_pts)
-        ms = np.asarray(new_ms, dtype=int)
+    while (m := pts.shape[0]) > 1:
+        reach = (np.linalg.norm(pts[:, None] - pts[None, :], axis=2) <= eps) | np.eye(m, dtype=bool)
+        for _ in range(m.bit_length()):  # each squaring doubles the path length reached
+            reach = (reach.astype(float) @ reach) > 0
+        first, labels = np.unique(reach.argmax(axis=1), return_inverse=True)
+        if first.size == m:
+            break
+        sums = np.full((first.size, 3), -0.0)  # -0.0 + x is x, signed zeros included
+        np.add.at(sums, labels, pts * ms[:, None])
+        # one 1-D norm per row: a norm over axis=1 rounds differently in the last bit
+        nrm = np.array([np.linalg.norm(v) for v in sums])
+        flat = nrm == 0
+        sums[flat], nrm[flat] = pts[first[flat]], 1.0
+        pts = sums / nrm[:, None]
+        ms = np.bincount(labels, weights=ms).astype(int)
+    return pts, ms
 
 
 # ---------------------------------------------------------------------------

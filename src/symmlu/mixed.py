@@ -61,8 +61,8 @@ class EquivalenceSearchConfig:
     def __post_init__(self):
         if self.grid < 4:
             raise DomainError("lattice needs at least 4 points per angle")
-        if self.threshold is not None and self.threshold <= 0:
-            raise DomainError("threshold must be positive")
+        if self.threshold is not None and not (0 < self.threshold < math.inf):
+            raise DomainError("threshold must be positive and finite")
         if self.restarts < 0:
             raise DomainError("restarts must be >= 0")
         if self.seed < 0:

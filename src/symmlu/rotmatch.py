@@ -276,7 +276,7 @@ def all_matching_rotations(a: MajoranaConfiguration, b: MajoranaConfiguration, t
                     found.append(r)
     unique = []
     for r in found:
-        if all(np.max(np.abs(r - s)) > 1e-8 for s in unique):
+        if not _contains(unique, r, 1e-8):
             unique.append(r)
     unique.sort(key=_rotation_key)
     return unique
@@ -340,27 +340,27 @@ class PointGroup:
         return self.order is not None
 
 
+def _contains(rotations, r, tol: float) -> bool:
+    """Whether some rotation of a list or (k, 3, 3) stack lies within tol of r, entrywise."""
+    stack = np.asarray(rotations, dtype=float).reshape(-1, 3, 3)
+    return bool(np.any(np.max(np.abs(stack - r), axis=(1, 2)) <= tol))
+
+
 def closure(mats, tol: float = 1e-6, cap: int = 200):
-    """All products generated by the given rotations (tolerance dedupe)."""
+    """The group generated by the given rotations (tolerance dedupe).
+
+    Breadth-first orbit of the identity under right multiplication by the
+    generators; in a finite group that orbit holds every product.
+    """
+    gens = [np.asarray(g, dtype=float) for g in mats]
     elems = [np.eye(3)]
-
-    def known(r):
-        return any(np.max(np.abs(r - e)) <= tol for e in elems)
-
-    for g in mats:
-        if not known(np.asarray(g, dtype=float)):
-            elems.append(np.asarray(g, dtype=float))
-    grew = True
-    while grew:
-        grew = False
-        for g in list(elems):
-            for h in list(elems):
-                p = g @ h
-                if not known(p):
-                    elems.append(p)
-                    grew = True
-                    if len(elems) > cap:
-                        raise SymmluError(f"closure exceeded {cap} elements; not a small finite group")
+    for e in elems:  # elems grows while it is scanned
+        for g in gens:
+            p = e @ g
+            if not _contains(elems, p, tol):
+                if len(elems) == cap:
+                    raise SymmluError(f"closure exceeded {cap} elements; not a small finite group")
+                elems.append(p)
     return elems
 
 
@@ -390,7 +390,7 @@ def _pick_generators(elements, order):
     gens: list = []
     generated = [np.eye(3)]
     for e in ranked:
-        if any(np.max(np.abs(e - s)) <= 1e-6 for s in generated):
+        if _contains(generated, e, 1e-6):
             continue
         gens.append(e)
         generated = closure(gens)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NormalizationError
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "SymmetricPureState",
@@ -76,6 +76,12 @@ def complement(index: int, n: int) -> int:
     if not 0 <= index < (1 << n):
         raise DomainError(f"index {index} out of range for {n} qubits")
     return ((1 << n) - 1) ^ index
+
+
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    # NaN passes every "abs(x - 1) > tol" check below, so it is refused first
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} has non-finite entries")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -149,6 +155,7 @@ class SymmetricPureState:
             raise DomainError(
                 f"expected {self.n + 1} coefficients for n={self.n}, got shape {c.shape}"
             )
+        _check_finite(c, "coefficient vector")
         norm = np.linalg.norm(c)
         if abs(norm - 1.0) > 1e-9:
             raise NormalizationError(f"coefficient norm {norm} is not 1")
@@ -158,6 +165,7 @@ class SymmetricPureState:
     @classmethod
     def from_unnormalized(cls, coeffs) -> "SymmetricPureState":
         c = np.asarray(coeffs, dtype=np.complex128)
+        _check_finite(c, "coefficient vector")
         norm = np.linalg.norm(c)
         if norm == 0:
             raise NormalizationError("zero coefficient vector")
@@ -184,6 +192,7 @@ class PureState:
         a = np.asarray(self.amps, dtype=np.complex128)
         if self.n < 1 or a.shape != (1 << self.n,):
             raise DomainError(f"amplitude vector shape {a.shape} wrong for n={self.n}")
+        _check_finite(a, "amplitude vector")
         norm = np.linalg.norm(a)
         if abs(norm - 1.0) > 1e-9:
             raise NormalizationError(f"state norm {norm} is not 1")
@@ -207,6 +216,7 @@ class DensityMatrix:
         d = 1 << self.n
         if self.n < 1 or m.shape != (d, d):
             raise DomainError(f"matrix shape {m.shape} wrong for n={self.n}")
+        _check_finite(m, "density matrix")
         tol = DEFAULT_TOLERANCES
         herm = np.max(np.abs(m - m.conj().T))
         if herm > tol.hermiticity:
@@ -234,7 +244,8 @@ class LocalUnitary:
         for k, f in enumerate(fs):
             if not is_unitary(f, 1e-9):
                 raise DomainError(f"factor {k} is not a 2x2 unitary")
-        object.__setattr__(self, "factors", tuple(_freeze(f) for f in fs))
+        frozen = {id(f): _freeze(f) for f in fs}  # a factor repeated n times is stored once
+        object.__setattr__(self, "factors", tuple(frozen[id(f)] for f in fs))
 
     @classmethod
     def uniform(cls, g: np.ndarray, n: int) -> "LocalUnitary":
@@ -302,6 +313,7 @@ def ghz(n: int, a: complex = None, b: complex = None) -> SymmetricPureState:
         a = b = 1.0 / math.sqrt(2.0)
     elif a is None or b is None:
         raise DomainError("give both amplitudes or neither")
+    _check_finite(np.array([a, b], dtype=np.complex128), "amplitude pair")
     if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
         raise NormalizationError(f"|a|^2+|b|^2 = {abs(a)**2 + abs(b)**2} is not 1")
     c = np.zeros(n + 1, dtype=np.complex128)
@@ -373,27 +385,19 @@ def to_density(state, cap: int = DENSE_QUBIT_CAP) -> DensityMatrix:
 def symmetric_power(g: np.ndarray, n: int) -> np.ndarray:
     """(n+1)x(n+1) action of g^{(x)n} on the symmetrized-weight basis.
 
-    Entry [j, k] = sqrt(C(n,k)/C(n,j)) *
-        sum_i C(k,i) C(n-k, j-i) g11^i g01^{k-i} g10^{j-i} g00^{n-k-j+i}.
+    Column k holds the coefficients of (g00 + g10 z)^{n-k} (g01 + g11 z)^k, the
+    image under g of basis vector k's form z^k, entry j scaled by sqrt(C(n,k)/C(n,j)).
     """
     g = np.asarray(g, dtype=np.complex128)
     if g.shape != (2, 2):
         raise DomainError(f"expected a 2x2 matrix, got {g.shape}")
-    s = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    for k in range(n + 1):
-        for j in range(n + 1):
-            acc = 0.0 + 0.0j
-            for i in range(max(0, j - (n - k)), min(k, j) + 1):
-                acc += (
-                    math.comb(k, i)
-                    * math.comb(n - k, j - i)
-                    * g[1, 1] ** i
-                    * g[0, 1] ** (k - i)
-                    * g[1, 0] ** (j - i)
-                    * g[0, 0] ** (n - k - j + i)
-                )
-            s[j, k] = acc * math.sqrt(math.comb(n, k) / math.comb(n, j))
-    return s
+    a, b = [np.ones(1, dtype=np.complex128)], [np.ones(1, dtype=np.complex128)]
+    for _ in range(n):
+        a.append(np.convolve(a[-1], g[:, 0]))
+        b.append(np.convolve(b[-1], g[:, 1]))
+    s = np.column_stack([np.convolve(a[n - k], b[k]) for k in range(n + 1)])
+    binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    return s * np.sqrt(binom[None, :] / binom[:, None])
 
 
 def apply_diag_symmetric(g: np.ndarray, state: SymmetricPureState) -> SymmetricPureState:

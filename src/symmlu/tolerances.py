@@ -1,7 +1,9 @@
 """Centralized numerical tolerances.
 
-Every comparing operation takes a Tolerances record (or a single float where
-the public signature calls for one) so that thresholds are set in one place.
+DEFAULT_TOLERANCES holds the package's default thresholds in one place.  No
+operation takes a Tolerances record: a comparing operation takes a single
+float where its signature offers one, and left at None that falls back to the
+matching field of DEFAULT_TOLERANCES.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ class Tolerances:
     """Bundle of comparison thresholds.
 
     hermiticity   max |M - M^dagger| entry allowed in density-matrix checks
-    norm          allowed deviation of state norms / trace from 1
     equality      generic state / matrix equality threshold
     cluster       chordal distance below which Majorana points merge
     match         chordal tolerance for point-configuration matching
@@ -25,7 +26,6 @@ class Tolerances:
     """
 
     hermiticity: float = 1e-10
-    norm: float = 1e-12
     equality: float = 1e-8
     cluster: float = 1e-6
     match: float = 1e-6

@@ -168,7 +168,12 @@ def sample_stabilizer(
     rho: states.DensityMatrix,
     cfg: StabilizerSearchConfig | None = None,
 ) -> tuple[StabilizerWitness, ...]:
-    """Search for stabilizer elements of a permutation-invariant state."""
+    """Search for stabilizer elements of a permutation-invariant state.
+
+    The witnesses are a lattice sample, deduplicated at cfg.dedupe, not the
+    stabilizer: for a continuous stabilizer family their number follows
+    last-bit roundoff of the search.  Decisions rest on stabilizer_anomalies.
+    """
     if cfg is None:
         cfg = StabilizerSearchConfig()
     _cap(rho.n)

@@ -285,15 +285,35 @@ def _ghz3_file(tmp_path):
     return str(p)
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-@pytest.mark.parametrize("cmd", ["majorana", "symmetry", "classify", "equiv"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("cmd", ["majorana", "symmetry", "classify", "equiv", "equiv-mixed"])
 def test_non_positive_tol_is_a_usage_error(tmp_path, monkeypatch, capsys, cmd, tol):
     g3 = _ghz3_file(tmp_path)
-    paths = [g3, g3] if cmd == "equiv" else [g3]
+    paths = [g3, g3] if cmd.startswith("equiv") else [g3]
+    flag = "--threshold" if cmd == "equiv-mixed" else "--tol"
     with pytest.raises(SystemExit) as exc:
-        cli.main([cmd, *paths, "--tol", tol])
+        cli.main([cmd, *paths, flag, tol])
     assert exc.value.code == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3, "basis": "dicke", "coeffs": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}',
+        '{"n": 3, "basis": "dicke", "coeffs": [[1, 0], [0, Infinity], [0, 0], [1, 0]]}',
+        '{"basis": "majorana", "points": [[NaN, 0, 1], [1.0, 0.5, 1], [2.0, 1.0, 1]]}',
+    ],
+    ids=["nan-coeff", "inf-coeff", "nan-angle"],
+)
+@pytest.mark.parametrize("cmd", ["classify", "majorana", "equiv"])
+def test_non_finite_state_file_is_a_domain_error(tmp_path, monkeypatch, capsys, cmd, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)  # Python's json reads NaN and Infinity
+    paths = [str(bad), _ghz3_file(tmp_path)] if cmd == "equiv" else [str(bad)]
+    code, out = run_cli([cmd, *paths], monkeypatch, capsys)
+    assert code == 3
+    assert "finite" in json.loads(out)["error"]
 
 
 def test_positive_tol_is_still_accepted(tmp_path, monkeypatch, capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symmlu import majorana, states
 from symmlu.errors import DomainError
@@ -135,6 +137,42 @@ def test_cluster_points_chain_merges_to_fixpoint():
     merged_pts, merged_mults = majorana.cluster_points(pts3, np.array([1, 1, 1]), 1e-6)
     assert merged_pts.shape[0] == 1
     assert merged_mults[0] == 3
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_cluster_points_is_order_free_and_idempotent(k, seed):
+    # k well-separated clusters of 1-3 points, each scattered by ~1e-8 around its centre
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(size=(k, 3))
+    sizes = rng.integers(1, 4, size=k)
+    pts = np.repeat(centres / np.linalg.norm(centres, axis=1, keepdims=True), sizes, axis=0)
+    pts += 1e-8 * rng.normal(size=pts.shape)
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    mults = rng.integers(1, 3, size=len(pts))
+    once_pts, once_mults = majorana.cluster_points(pts, mults, 1e-6)
+    perm = rng.permutation(len(pts))
+    perm_pts, perm_mults = majorana.cluster_points(pts[perm], mults[perm], 1e-6)
+    assert len(once_pts) == len(perm_pts)
+    dist = np.linalg.norm(once_pts[:, None] - perm_pts[None, :], axis=2)
+    match = dist.argmin(axis=1)
+    assert sorted(match.tolist()) == list(range(len(once_pts)))
+    assert np.max(dist[np.arange(len(once_pts)), match]) < 1e-12
+    assert np.array_equal(perm_mults[match], once_mults)
+    twice_pts, twice_mults = majorana.cluster_points(once_pts, once_mults, 1e-6)
+    assert np.array_equal(twice_pts, once_pts)
+    assert np.array_equal(twice_mults, once_mults)
+
+
+def test_cluster_points_keeps_the_first_point_when_the_mean_vanishes():
+    # six equatorial points 60 degrees apart chain into one cluster whose mean is exactly 0;
+    # a pair at the north pole comes first, so the ring is cluster 1 but starts at point 2
+    s = math.sqrt(3) / 2
+    ring = [[1, 0, 0], [0.5, s, 0], [-0.5, s, 0], [-1, 0, 0], [-0.5, -s, 0], [0.5, -s, 0]]
+    pts = np.array([[0, 0, 1.0], [0, 1e-9, 1.0], *ring])
+    merged_pts, merged_mults = majorana.cluster_points(pts, np.ones(8, dtype=int), 1.01)
+    assert merged_mults.tolist() == [2, 6]
+    assert np.array_equal(merged_pts[1], [1.0, 0.0, 0.0])
 
 
 def test_multiple_root_recovery_is_tight():

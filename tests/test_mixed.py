@@ -28,8 +28,9 @@ def test_default_threshold_scales_with_dimension():
 def test_search_config_validation():
     with pytest.raises(DomainError):
         mixed.EquivalenceSearchConfig(grid=3)
-    with pytest.raises(DomainError):
-        mixed.EquivalenceSearchConfig(threshold=0.0)
+    for threshold in (0.0, -1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="threshold"):
+            mixed.EquivalenceSearchConfig(threshold=threshold)
     with pytest.raises(DomainError):
         mixed.EquivalenceSearchConfig(restarts=-1)
     with pytest.raises(DomainError):

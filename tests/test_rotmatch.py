@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from symmlu import majorana, rotmatch, states
@@ -374,6 +376,30 @@ def test_closure_generates_dihedral_three():
     elems = rotmatch.closure((turn, flip))
     assert len(elems) == 6
     group_axioms(list(elems))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(m=st.integers(1, 12), dihedral=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_closure_of_cyclic_and_dihedral_generators(m, dihedral, seed):
+    frame = Rotation.random(rng=np.random.default_rng(seed)).as_matrix()
+    gens = [rotmatch.rotation_about([0, 0, 1], 2 * math.pi / m)]
+    if dihedral:
+        gens.append(rotmatch.rotation_about([1, 0, 0], math.pi))
+    elems = rotmatch.closure([frame @ g @ frame.T for g in gens])
+    assert len(elems) == (2 * m if dihedral else m)
+    group_axioms(elems)
+
+
+@pytest.mark.parametrize("angle", [1.0, math.sqrt(2), math.pi * (math.sqrt(5) - 1)])
+def test_closure_of_an_irrational_rotation_stops_at_the_cap(angle):
+    axis = [0.3, -0.5, 0.8]
+    turn = rotmatch.rotation_about(axis, angle)
+    with pytest.raises(SymmluError, match="closure exceeded 200 elements"):
+        rotmatch.closure([turn])
+    with pytest.raises(SymmluError, match="closure exceeded 40 elements"):
+        rotmatch.closure([turn], cap=40)
+    # a group of exactly cap elements still closes
+    assert len(rotmatch.closure([rotmatch.rotation_about(axis, 2 * math.pi / 40)], cap=40)) == 40
 
 
 def test_size_mismatch_raises():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symmlu import states
 from symmlu.errors import DomainError, NormalizationError
@@ -124,17 +126,40 @@ def test_rotation_gates_are_unitary_and_match_exponentials():
             assert np.max(np.abs(g - want)) < 1e-12
 
 
-def test_symmetric_power_agrees_with_dense_conjugation():
-    rng = np.random.default_rng(12)
-    for n in (1, 2, 3, 5):
-        g = states.random_su2(rng)
-        psi = states.random_symmetric(n, rng)
-        moved = states.apply_diag_symmetric(g, psi)
-        big = np.ones((1, 1), dtype=np.complex128)
-        for _ in range(n):
-            big = np.kron(big, g)
-        want = big @ states.expand(psi).amps
-        assert states.phase_distance(states.expand(moved).amps, want) < 1e-12
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_symmetric_power_agrees_with_dense_conjugation(n, seed):
+    rng = np.random.default_rng(seed)
+    g = states.random_su2(rng) * np.exp(1j * rng.uniform(0, 2 * math.pi))  # U(2), not only SU(2)
+    psi = states.random_symmetric(n, rng)
+    moved = states.apply_diag_symmetric(g, psi)
+    big = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(n):
+        big = np.kron(big, g)
+    want = big @ states.expand(psi).amps
+    assert states.phase_distance(states.expand(moved).amps, want) < 1e-12
+    # the whole matrix: g^{(x)n} restricted to the symmetric subspace, and unitary
+    s = states.symmetric_power(g, n)
+    basis = np.column_stack([states.expand(states.dicke(n, k)).amps for k in range(n + 1)])
+    assert np.max(np.abs(basis @ s - big @ basis)) < 1e-12
+    assert np.max(np.abs(s.conj().T @ s - np.eye(n + 1))) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+def test_states_reject_non_finite_entries(bad):
+    coeffs = np.array([0.6, 0.0, bad], dtype=np.complex128)
+    with pytest.raises(DomainError, match="non-finite"):
+        states.SymmetricPureState(2, coeffs)
+    with pytest.raises(DomainError, match="non-finite"):
+        states.SymmetricPureState.from_unnormalized(coeffs)
+    with pytest.raises(DomainError, match="non-finite"):
+        states.PureState(2, np.array([0.6, 0.0, 0.0, bad]))
+    with pytest.raises(DomainError, match="non-finite"):
+        states.DensityMatrix(1, np.array([[1.0, 0.0], [0.0, bad]]))
+    with pytest.raises(DomainError, match="non-finite"):
+        states.ghz(3, bad, 0.8)
+    with pytest.raises(DomainError, match="non-finite"):
+        states.ghz(3, 0.6, bad)
 
 
 def test_apply_lu_matches_kron_oracle():
@@ -159,6 +184,15 @@ def test_local_unitary_validation_and_compose():
         assert np.max(np.abs(fw - fu @ fv)) < 1e-12
     with pytest.raises(DomainError):
         states.LocalUnitary((np.array([[1.0, 1.0], [0.0, 1.0]]),))
+
+
+def test_uniform_local_unitary_stores_one_read_only_copy():
+    g = states.random_su2(np.random.default_rng(16))
+    u = states.LocalUnitary.uniform(g, 5)
+    assert all(f is u.factors[0] for f in u.factors)
+    assert not u.factors[0].flags.writeable
+    g[0, 0] = 7.0  # the caller's array was copied, not shared
+    assert u.factors[0][0, 0] != 7.0
 
 
 def test_projective_distance_ignores_per_factor_phase():
