@@ -4,7 +4,8 @@ Subcommands: mkstate (dicke | ghz | from-points | random), majorana,
 symmetry, classify, equiv, equiv-mixed, verify.  '-' reads JSON from stdin,
 so subcommands compose into pipelines.  Output is deterministic for a fixed
 argv and seed; exit codes: 0 success/equivalent, 1 not-equivalent or
-anomalies found, 2 usage errors, 3 domain errors (with {"error": ...} JSON).
+anomalies found, 2 usage errors, 3 domain errors (with {"error": ...} JSON),
+4 undecided (equiv-mixed searched and missed; not a proof either way).
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from . import classify, io, majorana, mixed, rotmatch, states, verify
 from .errors import SymmluError
 
 DEFAULT_SEED = 7
+EXIT_UNDECIDED = 4  # a search miss, kept apart from the certified "not equivalent" (1)
 
 
 def _positive_float(text: str) -> float:
@@ -268,7 +270,9 @@ def _run_equiv_mixed(args) -> int:
             mats = res.unitary if res.unitary.ndim == 3 else res.unitary[None, :, :]
             out["unitaries"] = [io.matrix_pairs(m) for m in mats]
         print(io.dumps(out))
-    return 0 if res else 1
+    if res:
+        return 0
+    return EXIT_UNDECIDED if res.status == "undecided" else 1
 
 
 def _run_verify(args) -> int:

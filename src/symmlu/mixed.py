@@ -8,8 +8,17 @@ single 2x2 unitary, so the decision becomes a three-angle optimization of
 
 over ZYZ Euler angles with the lattice search of the search module: a coarse
 lattice scan, refinement from the most promising well-separated starts, and
-a few seeded random restarts.  Cheap LU invariants (global and 1-qubit
-reduced spectra, computed by spectra_report) run first and give certified
+a few seeded random restarts.  The search runs on the spin blocks of the
+states (states.spin_blocks): a permutation-invariant rho is the direct sum
+of rho_j (x) 1_{m_j} and g^{(x)n} that of D^j(g) (x) 1, so
+
+    D(g)^2 = sum_j m_j || D^j(g) rho_j D^j(g)^+ - sigma_j ||^2,
+
+which costs d x d products, d = sum_j (2j + 1) (20 at n = 7), in place of
+2^n x 2^n ones.  An equivalence is reported only after the found g passes a
+dense re-check through states.apply_lu; the dense conjugation distance is
+left to verify's oracles.  Cheap LU invariants (global and 1-qubit reduced
+spectra, computed by spectra_report) run first and give certified
 negatives; a failed search is reported as undecided, never as a proof of
 inequivalence.
 """
@@ -127,9 +136,11 @@ def _spectrum_mismatch(rho, sigma, reduced=True) -> MixedEquivalenceResult | Non
     return None
 
 
-def _identical_power_search(rho_mat, sigma_mat, n, cfg, thresh):
-    """Minimize D over g^{(x)n}; returns (best_angles, best_distance)."""
-    lattice, dists, objective2 = search.euler_scan(rho_mat, sigma_mat, n, cfg.grid)
+def _identical_power_search(rho, sigma, cfg, thresh):
+    """Minimize D over g^{(x)n} on the spin blocks; returns (best_angles, best_distance)."""
+    blocks = states.spin_blocks(rho.n)
+    rho_b, sigma_b = blocks.compress(rho), blocks.compress(sigma)
+    lattice, dists, objective2 = search.spin_scan(rho_b, sigma_b, blocks, cfg.grid)
     stop = (0.25 * thresh) ** 2
     starts = search.separated_starts(lattice, dists, max(1, cfg.restarts))
     results = search.descend(objective2, starts, cfg.maxfev, stop)
@@ -167,7 +178,7 @@ def lu_equivalent_mixed(
         return mismatch
 
     thresh = cfg.threshold_for(n)
-    angles, dist = _identical_power_search(rho.mat, sigma.mat, n, cfg, thresh)
+    angles, dist = _identical_power_search(rho, sigma, cfg, thresh)
     if dist <= thresh:
         g = _kernels.euler_su2(*angles)
         # soundness: re-verify through the plain matrix route before reporting

@@ -17,6 +17,7 @@ __all__ = [
     "lattice",
     "euler_lattice",
     "euler_scan",
+    "spin_scan",
     "local_minima",
     "separated_starts",
     "refine_minimum",
@@ -37,15 +38,36 @@ def euler_lattice(grid: int) -> np.ndarray:
     return lattice(turn, np.linspace(0.0, math.pi, grid), turn)
 
 
-def euler_scan(rho, target, n: int, grid: int):
-    """Euler lattice, D on it, and D^2 of one triple; D = || g^{(x)n} rho g^{(x)n +} - target ||."""
+def _scan(grid: int, batch, single):
+    """Euler lattice, batch(lattice), and the objective x -> single(*x)^2."""
     points = euler_lattice(grid)
 
     def objective2(x):
-        d = _kernels.conj_distance_single(x[0], x[1], x[2], rho, target, n)
+        d = single(x[0], x[1], x[2])
         return d * d
 
-    return points, _kernels.conj_distance_batch(points, rho, target, n), objective2
+    return points, batch(points), objective2
+
+
+def euler_scan(rho, target, n: int, grid: int):
+    """Euler lattice, D on it, and D^2 of one triple; D = || g^{(x)n} rho g^{(x)n +} - target ||.
+
+    Dense 2^n conjugation: the oracles' form of the scan.
+    """
+    return _scan(
+        grid,
+        lambda points: _kernels.conj_distance_batch(points, rho, target, n),
+        lambda a, b, c: _kernels.conj_distance_single(a, b, c, rho, target, n),
+    )
+
+
+def spin_scan(rho, target, blocks, grid: int):
+    """euler_scan on the spin-block forms rho, target (blocks.compress of the states)."""
+    return _scan(
+        grid,
+        lambda points: _kernels.spin_distance_batch(points, rho, target, blocks),
+        lambda a, b, c: _kernels.spin_distance_single(a, b, c, rho, target, blocks),
+    )
 
 
 def local_minima(vals: np.ndarray, wrap: tuple) -> np.ndarray:

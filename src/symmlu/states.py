@@ -14,6 +14,7 @@ Conventions used across the package:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +52,8 @@ __all__ = [
     "permute_qubits",
     "is_permutation_invariant",
     "permutation_defect",
+    "SpinBlocks",
+    "spin_blocks",
     "reduced_1qubit",
     "random_su2",
     "random_local_unitary",
@@ -427,10 +430,13 @@ def permute_qubits(rho: DensityMatrix, perm) -> DensityMatrix:
     perm = list(perm)
     if sorted(perm) != list(range(n)):
         raise DomainError(f"{perm} is not a permutation of 0..{n - 1}")
-    t = rho.mat.reshape((2,) * (2 * n))
+    return DensityMatrix(n, _permuted(rho.mat, n, perm))
+
+
+def _permuted(mat: np.ndarray, n: int, perm: list) -> np.ndarray:
+    t = mat.reshape((2,) * (2 * n))
     axes = perm + [n + p for p in perm]
-    out = np.transpose(t, axes).reshape(1 << n, 1 << n)
-    return DensityMatrix(n, out)
+    return np.transpose(t, axes).reshape(1 << n, 1 << n)
 
 
 def permutation_defect(rho: DensityMatrix, tol: float | None = None) -> tuple | None:
@@ -441,7 +447,8 @@ def permutation_defect(rho: DensityMatrix, tol: float | None = None) -> tuple | 
     for k in range(n - 1):
         perm = list(range(n))
         perm[k], perm[k + 1] = perm[k + 1], perm[k]
-        dev = float(np.max(np.abs(permute_qubits(rho, perm).mat - rho.mat)))
+        # the raw relabelled matrix: a DensityMatrix would re-check PSD by an eigensolve per swap
+        dev = float(np.max(np.abs(_permuted(rho.mat, n, perm) - rho.mat)))
         if dev > tol:
             return k, dev
     return None
@@ -450,6 +457,86 @@ def permutation_defect(rho: DensityMatrix, tol: float | None = None) -> tuple | 
 def is_permutation_invariant(rho: DensityMatrix, tol: float | None = None) -> bool:
     """Check invariance under all adjacent transpositions (they generate S_n)."""
     return permutation_defect(rho, tol) is None
+
+
+@dataclass(frozen=True, eq=False)
+class SpinBlocks:
+    """One irreducible copy of every spin j in n qubits (Schur-Weyl duality).
+
+    A permutation-invariant rho is the direct sum of rho_j (x) 1_{m_j} over
+    j = n/2, n/2 - 1, ..., and g^{(x)n} is the direct sum of D^j(g) (x) 1,
+    so || g^{(x)n} rho g^{(x)n +} - sigma ||^2 = sum_j m_j || D^j rho_j D^j+ - sigma_j ||^2.
+    Block k has spin j = n/2 - k and multiplicity m_j = C(n, k) - C(n, k - 1);
+    its columns are |j, m> for m = j, j - 1, ..., -j.  The d = sum_j (2j + 1)
+    columns of basis span the copies.  On them Jz is diagonal and Jy is
+    jy_vecs diag(L) jy_vecs^+, so rates = (diag Jz, L, diag Jz) gives the
+    ZYZ rotation as e^{-i a rates[0]} jy_vecs e^{-i b rates[1]} jy_vecs^+
+    e^{-i c rates[2]}.  weight[a, b] is m_j when columns a and b both lie in
+    block j and 0 otherwise.
+    """
+
+    n: int
+    spins: tuple
+    mults: tuple
+    basis: np.ndarray
+    rates: np.ndarray
+    jy_vecs: np.ndarray
+    weight: np.ndarray
+
+    def compress(self, rho: DensityMatrix) -> np.ndarray:
+        """The d x d block form basis^+ rho basis, whose blocks are the rho_j."""
+        if rho.n != self.n:
+            raise DomainError(f"arity mismatch: blocks of {self.n} qubits, state on {rho.n}")
+        return self.basis.T @ rho.mat @ self.basis
+
+
+def _lower(v: np.ndarray, n: int) -> np.ndarray:
+    """J_- v for a 2^n vector, J_- = sum over qubits of |1><0|."""
+    t = v.reshape((2,) * n)
+    out = np.zeros_like(t)
+    for q in range(n):
+        out[(slice(None),) * q + (1,)] += t[(slice(None),) * q + (0,)]
+    return out.ravel()
+
+
+@functools.lru_cache(maxsize=None)
+def spin_blocks(n: int) -> SpinBlocks:
+    """The SpinBlocks of n qubits, built once per n.
+
+    The highest weight of block k is k singlets (|01> - |10>)/sqrt(2) on
+    qubit pairs (0, 1), ..., (2k - 2, 2k - 1) times |0...0> on the rest,
+    which J_+ annihilates; J_- |j, m> = sqrt((j + m)(j - m + 1)) |j, m - 1>
+    gives the rest of the copy.
+    """
+    if not 1 <= n <= DENSE_QUBIT_CAP:
+        raise DomainError(f"spin blocks need 1 <= n <= {DENSE_QUBIT_CAP}, got {n}")
+    singlet_amps, up = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0), np.array([1.0, 0.0])
+    cols, lower, sizes = [], [], []
+    for k in range(n // 2 + 1):
+        j, size = n / 2 - k, n - 2 * k + 1
+        v = functools.reduce(np.kron, [singlet_amps] * k + [up] * (n - 2 * k), np.ones(1))
+        for m in j - np.arange(size):
+            if m < j:
+                v = _lower(v, n) / lower[-1]
+            cols.append(v)
+            lower.append(math.sqrt((j + m) * (j - m + 1)))  # <j, m - 1| J_- |j, m>, 0 at m = -j
+        sizes.append(size)
+    spins = tuple(n / 2 - k for k in range(len(sizes)))
+    mults = tuple(math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(len(sizes)))
+    jz = np.concatenate([j - np.arange(size) for j, size in zip(spins, sizes)])
+    j_minus = np.diag(lower[:-1], -1)
+    vals, vecs = np.linalg.eigh((j_minus.T - j_minus) / 2j)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    weight = np.where(block[:, None] == block[None, :], np.array(mults, dtype=float)[block][:, None], 0.0)
+    return SpinBlocks(
+        n,
+        spins,
+        mults,
+        _freeze(np.column_stack(cols)),
+        _freeze(np.stack((jz, vals, jz))),
+        _freeze(vecs),
+        _freeze(weight),
+    )
 
 
 def reduced_1qubit(rho: DensityMatrix, k: int) -> np.ndarray:

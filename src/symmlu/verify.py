@@ -80,9 +80,12 @@ class StabilizerSearchConfig:
         _check_grid(self.grid)
         if self.diag_grid is not None and self.diag_grid < 3:
             raise DomainError("phase lattice needs at least 3 points per qubit")
-        positive = min(self.tol, self.dedupe, self.membership_tol) > 0
-        if not positive or self.max_descents < 1 or self.maxfev < 100:
-            raise DomainError("need tol, dedupe, membership_tol > 0; max_descents >= 1; maxfev >= 100")
+        # each field on its own: min() drops a NaN that is not its first argument
+        for name in ("tol", "dedupe", "membership_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite")
+        if self.max_descents < 1 or self.maxfev < 100:
+            raise DomainError("need max_descents >= 1 and maxfev >= 100")
 
 
 def check_stabilizes(

@@ -197,6 +197,22 @@ def test_equiv_mixed_command(tmp_path, monkeypatch, capsys):
     assert rep["status"] == "inequivalent_spectrum"
 
 
+def test_equiv_mixed_undecided_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    # same global and 1-qubit spectra, inequivalent classes: no certificate,
+    # and a 4-point lattice without restarts misses
+    pa = tmp_path / "ghz4.json"
+    pb = tmp_path / "dicke4.json"
+    pa.write_text(io.dumps(io.density_to_dict(states.to_density(states.ghz(4)))))
+    pb.write_text(io.dumps(io.density_to_dict(states.to_density(states.dicke(4, 2)))))
+    argv = ["equiv-mixed", str(pa), str(pb), "--restarts", "0", "--grid", "4"]
+    code, out = run_cli(argv, monkeypatch, capsys)
+    rep = json.loads(out)
+    assert code == cli.EXIT_UNDECIDED == 4
+    assert rep["status"] == "undecided"
+    assert rep["equivalent"] is False
+    assert rep["distance"] > rep["threshold"]
+
+
 def test_equiv_mixed_two_qubit_note(tmp_path, monkeypatch, capsys):
     rho = states.to_density(states.ghz(2))
     p = tmp_path / "bell.json"

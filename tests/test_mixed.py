@@ -1,10 +1,13 @@
 """Mixed-state equivalence decisions and the two-pole canonical form."""
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symmlu import mixed, states
+from symmlu import _kernels, mixed, states
 from symmlu.errors import DomainError, NotGhzFormError
 from symmlu.tolerances import DEFAULT_TOLERANCES
 
@@ -52,6 +55,58 @@ def test_constructed_pairs_are_recovered():
         # the reported unitary itself certifies the equivalence
         check = states.apply_lu(states.LocalUnitary.uniform(res.unitary, 3), rho)
         assert np.linalg.norm(check.mat - sigma.mat) <= 1e-9
+
+
+def full_rank_invariant(n, rng):
+    """p tau^{(x)n} + (1 - p) rho_sym: permutation invariant, every spin block filled."""
+    tau = states.random_symmetric_mixed(1, rng, rank=2).mat
+    power = functools.reduce(np.kron, [tau] * n)
+    p = rng.uniform(0.2, 0.8)
+    return states.DensityMatrix(n, p * power + (1 - p) * states.random_symmetric_mixed(n, rng).mat)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1))
+def test_spin_block_distance_equals_the_dense_kernel(n, seed):
+    rng = np.random.default_rng(seed)
+    rho, sigma = full_rank_invariant(n, rng), full_rank_invariant(n, rng)
+    if rng.uniform() < 0.3:
+        # a rotated copy puts the distance near zero, where cancellation is worst
+        g = states.random_su2(rng)
+        sigma = states.apply_lu(states.LocalUnitary.uniform(g, n), rho)
+    blocks = states.spin_blocks(n)
+    rb, sb = blocks.compress(rho), blocks.compress(sigma)
+    angles = rng.uniform(0, 2 * math.pi, size=(4, 3))
+    dense = _kernels.conj_distance_batch(angles, rho.mat, sigma.mat, n)
+    block = _kernels.spin_distance_batch(angles, rb, sb, blocks)
+    assert np.max(np.abs(block - dense)) < 1e-12
+    for row, d in zip(angles, block):
+        assert abs(_kernels.spin_distance_single(*row, rb, sb, blocks) - d) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rotated_full_rank_pairs_are_recovered(n):
+    # weight off the symmetric subspace: the block multiplicities m_j > 1 count
+    rng = np.random.default_rng(140 + n)
+    for _ in range(2):
+        rho = full_rank_invariant(n, rng)
+        assert np.linalg.eigvalsh(rho.mat)[0] > 1e-6
+        g = states.random_su2(rng)
+        sigma = states.apply_lu(states.LocalUnitary.uniform(g, n), rho)
+        res = mixed.lu_equivalent_mixed(rho, sigma)
+        assert res.status == "equivalent"
+        check = states.apply_lu(states.LocalUnitary.uniform(res.unitary, n), rho)
+        assert np.linalg.norm(check.mat - sigma.mat) <= mixed.default_threshold(n)
+
+
+def test_rotated_pair_at_eight_qubits_is_recovered():
+    rng = np.random.default_rng(148)
+    rho = states.random_symmetric_mixed(8, rng)
+    g = states.random_su2(rng)
+    sigma = states.apply_lu(states.LocalUnitary.uniform(g, 8), rho)
+    res = mixed.lu_equivalent_mixed(rho, sigma)
+    assert res.status == "equivalent"
+    assert res.distance <= mixed.default_threshold(8)
 
 
 def test_self_equivalence_returns_stabilizer_element():

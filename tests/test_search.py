@@ -119,3 +119,16 @@ def test_euler_scan_objective_matches_the_lattice_values():
     assert np.array_equal(points, search.euler_lattice(4))
     for i in (0, 17, 63):
         assert math.sqrt(objective2(points[i])) == pytest.approx(dists[i], abs=1e-12)
+
+
+def test_spin_scan_matches_the_dense_scan():
+    rng = np.random.default_rng(6)
+    rho = states.random_symmetric_mixed(4, rng)
+    target = states.random_symmetric_mixed(4, rng)
+    blocks = states.spin_blocks(4)
+    points, dists, objective2 = search.spin_scan(blocks.compress(rho), blocks.compress(target), blocks, 4)
+    dense_points, dense, dense_objective2 = search.euler_scan(rho.mat, target.mat, 4, 4)
+    assert np.array_equal(points, dense_points)
+    assert np.max(np.abs(dists - dense)) < 1e-12
+    for i in (0, 17, 63):
+        assert objective2(points[i]) == pytest.approx(dense_objective2(points[i]), abs=1e-12)

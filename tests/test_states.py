@@ -1,5 +1,6 @@
 """State containers and operations against explicit full-space oracles."""
 import itertools
+import functools
 import math
 
 import numpy as np
@@ -271,3 +272,48 @@ def test_random_symmetric_mixed_is_valid_and_invariant():
 def test_dense_cap_enforced():
     with pytest.raises(DomainError):
         states.expand(states.dicke(13, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
+def test_spin_blocks_span_one_copy_of_each_spin(n):
+    blocks = states.spin_blocks(n)
+    assert states.spin_blocks(n) is blocks  # built once per n
+    sizes = [round(2 * j) + 1 for j in blocks.spins]
+    assert blocks.spins[0] == n / 2 and blocks.spins[-1] == (n % 2) / 2
+    assert sum(m * s for m, s in zip(blocks.mults, sizes)) == 2**n
+    d = sum(sizes)
+    assert blocks.basis.shape == (2**n, d)
+    assert np.max(np.abs(blocks.basis.T @ blocks.basis - np.eye(d))) < 1e-13
+    # Jz is diagonal on the columns, and Jy = V diag(L) V^+ is the compressed Jy
+    jz = sum(np.kron(np.kron(np.eye(2**q), states.PAULI_Z), np.eye(2 ** (n - q - 1))) for q in range(n)) / 2
+    jy = sum(np.kron(np.kron(np.eye(2**q), states.PAULI_Y), np.eye(2 ** (n - q - 1))) for q in range(n)) / 2
+    b = blocks.basis
+    assert np.max(np.abs(b.T @ jz @ b - np.diag(blocks.rates[0]))) < 1e-13
+    assert np.array_equal(blocks.rates[0], blocks.rates[2])
+    v = blocks.jy_vecs
+    assert np.max(np.abs(b.T @ jy @ b - v @ np.diag(blocks.rates[1]) @ v.conj().T)) < 1e-13
+    # the columns are invariant: Jy maps their span to itself
+    assert np.max(np.abs(jy @ b - b @ (b.T @ jy @ b))) < 1e-13
+    for k, m in enumerate(blocks.mults):
+        assert m == math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+
+
+def test_spin_block_form_keeps_the_trace_with_weights():
+    rng = np.random.default_rng(47)
+    n = 5
+    tau = states.random_symmetric_mixed(1, rng, rank=2).mat
+    power = functools.reduce(np.kron, [tau] * n)
+    rho = states.DensityMatrix(n, 0.5 * power + 0.5 * states.random_symmetric_mixed(n, rng).mat)
+    blocks = states.spin_blocks(n)
+    form = blocks.compress(rho)
+    # sum_j m_j tr rho_j = tr rho, and nothing couples different spins
+    assert abs(np.sum(blocks.weight * np.eye(len(form)) * form) - 1.0) < 1e-13
+    assert np.max(np.abs(form[blocks.weight == 0])) < 1e-13
+    with pytest.raises(DomainError):
+        blocks.compress(states.random_symmetric_mixed(4, rng))
+
+
+@pytest.mark.parametrize("n", [0, 13])
+def test_spin_blocks_reject_sizes_outside_the_dense_range(n):
+    with pytest.raises(DomainError):
+        states.spin_blocks(n)

@@ -30,6 +30,11 @@ def test_stabilizer_search_config_rejects_degenerate_settings():
     for kwargs in bad:
         with pytest.raises(DomainError):
             verify.StabilizerSearchConfig(**kwargs)
+    # a NaN membership_tol made every witness a class member (d > nan is never true)
+    for name in ("tol", "dedupe", "membership_tol"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=name):
+                verify.StabilizerSearchConfig(**{name: value})
 
 
 @pytest.mark.parametrize("grid", [0, 3])
