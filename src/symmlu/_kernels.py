@@ -2,21 +2,14 @@
 
 Kernels:
   euler_su2_batch        SU(2) elements of a batch of ZYZ Euler triples
-  spin_rep_batch         g^{(x)n} of a batch of ZYZ Euler triples on the spin
-                         blocks of n qubits (states.SpinBlocks)
   conj_distance_batch    Frobenius distance || g^{(x)n} rho g^{(x)n +} - target ||
                          for a batch of ZYZ Euler triples, on dense 2^n
                          matrices: the oracle form, used by verify
-  spin_distance_batch    the same distance on the spin-block forms of the
-                         states, used by the mixed-state search
   polish_roots           guarded Newton refinement of polynomial roots
   diag_phase_residual    stabilization residual of per-qubit diagonal phases
 
-Both distances run one body, sqrt(sum w |R rho R^+ - target|^2) over a batch
-of representation matrices R with entry weight w (1 for the dense form, the
-block multiplicities m_j for the spin-block form).  euler_su2,
-conj_distance_single and spin_distance_single are the one-point forms,
-computed by the batch bodies on a one-row array.
+euler_su2 and conj_distance_single are the one-point forms, computed by the
+batch bodies on a one-row array.
 """
 from __future__ import annotations
 
@@ -28,9 +21,6 @@ __all__ = [
     "horner",
     "conj_distance_batch",
     "conj_distance_single",
-    "spin_rep_batch",
-    "spin_distance_batch",
-    "spin_distance_single",
     "polish_roots",
     "diag_phase_residual",
 ]
@@ -72,45 +62,27 @@ def _tensor_power_batch(gs: np.ndarray, n: int) -> np.ndarray:
     return big
 
 
-def spin_rep_batch(angles: np.ndarray, blocks) -> np.ndarray:
-    """D(a, b, c) = e^{-i a Jz} V e^{-i b L} V^+ e^{-i c Jz} for (B, 3) Euler rows; (B, d, d).
-
-    blocks (a states.SpinBlocks) gives rates = (diag Jz, L, diag Jz) and
-    V = jy_vecs, where Jy = V diag(L) V^+; D is g^{(x)n} on its spin blocks.
-    """
-    phases = np.exp(-1j * angles[:, :, None] * blocks.rates)
-    vecs = blocks.jy_vecs
-    left = phases[:, 0, :, None] * vecs * phases[:, 1, None, :]
-    return left @ (vecs.conj().T * phases[:, 2, None, :])
-
-
-def _distance(reps: np.ndarray, rho: np.ndarray, target: np.ndarray, weight) -> np.ndarray:
-    """The one distance body: sqrt(sum weight |R rho R^+ - target|^2) for each R of the batch."""
+def _distance(reps: np.ndarray, rho: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """|| R rho R^+ - target ||_F for each R of one chunk; its buffers die when it returns."""
     moved = reps @ rho @ np.conj(np.swapaxes(reps, 1, 2))
     sq = np.abs(moved - target[None, :, :])
     sq *= sq
-    sq *= weight
     return np.sqrt(np.sum(sq, axis=(1, 2)))
 
 
-def _chunked(angles: np.ndarray, reps_of, rho, target, weight) -> np.ndarray:
-    """_distance of reps_of(rows) for the Euler rows, _CHUNK rows at a time."""
-    out = np.empty(angles.shape[0], dtype=np.float64)
-    for start in range(0, angles.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        out[sl] = _distance(reps_of(angles[sl]), rho, target, weight)
-    return out
-
-
 def _conj_distance(angles: np.ndarray, rho, target, n: int) -> np.ndarray:
-    """D on the dense 2^n matrices, behind both public names.
+    """D on the dense 2^n matrices, _CHUNK Euler rows at a time, behind both public names.
 
     Kept apart from them so a one-point call is not also counted as a batch
     call by wrappers installed on the public names.
     """
     rho = np.ascontiguousarray(rho, dtype=np.complex128)
     target = np.ascontiguousarray(target, dtype=np.complex128)
-    return _chunked(angles, lambda a: _tensor_power_batch(euler_su2_batch(a), n), rho, target, 1.0)
+    out = np.empty(angles.shape[0], dtype=np.float64)
+    for start in range(0, angles.shape[0], _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        out[sl] = _distance(_tensor_power_batch(euler_su2_batch(angles[sl]), n), rho, target)
+    return out
 
 
 def conj_distance_batch(angles, rho, target, n):
@@ -122,22 +94,6 @@ def conj_distance_single(alpha, beta, gamma, rho, target, n):
     """conj_distance_batch of the single Euler triple (alpha, beta, gamma)."""
     angles = np.array([[alpha, beta, gamma]], dtype=np.float64)
     return float(_conj_distance(angles, rho, target, n)[0])
-
-
-def spin_distance_batch(angles, rho, target, blocks):
-    """conj_distance_batch computed on spin-block forms rho, target of d x d.
-
-    blocks is a states.SpinBlocks; rho and target are blocks.compress of
-    permutation-invariant states, and their block-j entries count m_j times.
-    """
-    angles = np.asarray(angles, dtype=np.float64)
-    return _chunked(angles, lambda a: spin_rep_batch(a, blocks), rho, target, blocks.weight)
-
-
-def spin_distance_single(alpha, beta, gamma, rho, target, blocks):
-    """spin_distance_batch of the single Euler triple (alpha, beta, gamma)."""
-    angles = np.array([[alpha, beta, gamma]], dtype=np.float64)
-    return float(_distance(spin_rep_batch(angles, blocks), rho, target, blocks.weight)[0])
 
 
 def horner(coeffs, z):

@@ -5,7 +5,7 @@ symmetry, classify, equiv, equiv-mixed, verify.  '-' reads JSON from stdin,
 so subcommands compose into pipelines.  Output is deterministic for a fixed
 argv and seed; exit codes: 0 success/equivalent, 1 not-equivalent or
 anomalies found, 2 usage errors, 3 domain errors (with {"error": ...} JSON),
-4 undecided (equiv-mixed searched and missed; not a proof either way).
+4 undecided (equiv-mixed found no equivalence and no certificate against it).
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from . import classify, io, majorana, mixed, rotmatch, states, verify
 from .errors import SymmluError
 
 DEFAULT_SEED = 7
-EXIT_UNDECIDED = 4  # a search miss, kept apart from the certified "not equivalent" (1)
+EXIT_UNDECIDED = 4  # a miss without a certificate, kept apart from the certified "not equivalent" (1)
 
 
 def _positive_float(text: str) -> float:
@@ -91,9 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     em = sub.add_parser("equiv-mixed", help="mixed-state LU equivalence")
     em.add_argument("a")
     em.add_argument("b")
-    em.add_argument("--grid", type=int, default=12)
-    em.add_argument("--restarts", type=int, default=8)
-    em.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED)
     em.add_argument("--threshold", type=_positive_float, default=None)
     _add_mode(em)
 
@@ -237,9 +234,7 @@ def _run_equiv(args) -> int:
 def _run_equiv_mixed(args) -> int:
     rho = io.density_from_dict(io.load_json(args.a))
     sigma = io.density_from_dict(io.load_json(args.b))
-    cfg = mixed.EquivalenceSearchConfig(
-        grid=args.grid, restarts=args.restarts, seed=args.seed, threshold=args.threshold
-    )
+    cfg = mixed.EquivalenceSearchConfig(threshold=args.threshold)
     note = ""
     if rho.n == 2 and sigma.n == 2:
         note = (

@@ -95,8 +95,31 @@ def matrix_pairs(m: np.ndarray) -> list:
     return [[pair(v) for v in row] for row in np.asarray(m)]
 
 
-def _pairs_to_array(rows) -> np.ndarray:
-    return np.array([[complex(v[0], v[1]) for v in row] for row in rows], dtype=np.complex128)
+def _numbers(value, what: str, shape: tuple) -> np.ndarray:
+    """value as a float array of the given shape (-1: any length), or a DomainError naming what.
+
+    Every list read from JSON is parsed here, never by a bare index or cast.
+    """
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged rows
+        arr = np.zeros(0, dtype=object)
+    if arr.dtype.kind not in "iuf" or arr.ndim != len(shape) or any(
+        want not in (-1, got) for want, got in zip(shape, arr.shape)
+    ):
+        raise DomainError(f"{what} must be numbers of shape {shape} (-1: any), got {json.dumps(value)[:80]}")
+    return arr.astype(np.float64)
+
+
+def _whole(x: float) -> bool:
+    return bool(np.isfinite(x) and x >= 1 and x == int(x))
+
+
+def _qubit_count(obj: dict, default: int) -> int:
+    n = _numbers(obj.get("n", default), "n", ())
+    if not _whole(n):
+        raise DomainError(f"n must be a positive integer, got {float(n):g}")
+    return int(n)
 
 
 def state_to_dict(psi: states.SymmetricPureState) -> dict:
@@ -109,14 +132,15 @@ def state_to_dict(psi: states.SymmetricPureState) -> dict:
 
 def _state_from_angle_rows(rows) -> states.SymmetricPureState:
     pts = []
-    for row in rows:
+    for row in rows if isinstance(rows, list) else [rows]:  # a non-list fails as a row
+        row = _numbers(row, "a point row [theta, phi(, multiplicity)]", (-1,))
         if len(row) not in (2, 3):
             raise DomainError("each point row must be [theta, phi] or [theta, phi, multiplicity]")
-        theta, phi = float(row[0]), float(row[1])
-        mult = int(row[2]) if len(row) == 3 else 1
-        if mult < 1:
-            raise DomainError("multiplicities must be positive")
-        pts.extend([majorana.bloch_from_angles(theta, phi)] * mult)
+        theta, phi = row[0], row[1]
+        mult = row[2] if len(row) == 3 else 1
+        if not _whole(mult):
+            raise DomainError("multiplicities must be positive integers")
+        pts.extend([majorana.bloch_from_angles(theta, phi)] * int(mult))
     cfg = majorana.config_from_points(np.array(pts))
     return majorana.points_to_state(cfg)
 
@@ -131,12 +155,11 @@ def state_from_dict(obj) -> states.SymmetricPureState:
     if basis == "dicke" or ("coeffs" in obj and basis is None):
         if "coeffs" not in obj:
             raise DomainError("dicke-basis state needs a coeffs list")
-        coeffs = obj["coeffs"]
-        n = int(obj.get("n", len(coeffs) - 1))
+        coeffs = _numbers(obj["coeffs"], "coeffs", (-1, 2)).view(np.complex128)[:, 0]
+        n = _qubit_count(obj, len(coeffs) - 1)
         if len(coeffs) != n + 1:
             raise DomainError(f"expected {n + 1} coefficients, got {len(coeffs)}")
-        vec = np.array([complex(c[0], c[1]) for c in coeffs], dtype=np.complex128)
-        return states.SymmetricPureState.from_unnormalized(vec)
+        return states.SymmetricPureState.from_unnormalized(coeffs)
     if basis == "majorana" or "points" in obj:
         return _state_from_angle_rows(obj["points"])
     raise DomainError("unrecognized state format (need dicke coeffs or majorana points)")
@@ -155,8 +178,8 @@ def density_from_dict(obj) -> states.DensityMatrix:
     if not isinstance(obj, dict):
         raise DomainError("density JSON must be an object")
     if "matrix" in obj:
-        mat = _pairs_to_array(obj["matrix"])
-        n = int(obj.get("n", round(math.log2(mat.shape[0]))))
+        mat = _numbers(obj["matrix"], "matrix", (-1, -1, 2)).view(np.complex128)[..., 0]
+        n = _qubit_count(obj, round(math.log2(max(mat.shape[0], 1))))
         if mat.shape != (1 << n, 1 << n):
             raise DomainError(f"matrix shape {mat.shape} does not match n={n}")
         return states.DensityMatrix(n, mat)

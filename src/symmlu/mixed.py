@@ -1,26 +1,21 @@
 """LU equivalence of permutation-invariant mixed states.
 
 For permutation-invariant density matrices of n >= 3 qubits, local-unitary
-equivalence reduces to conjugation by an identical tensor power g^{(x)n} of a
-single 2x2 unitary, so the decision becomes a three-angle optimization of
+equivalence reduces to conjugation by g^{(x)n} for one 2x2 unitary g, that
+is to one rotation R.  On the spin blocks of the states (states.spin_blocks)
+the rank-k multipole of a block moves as a 2k-qubit symmetric state, so it
+pins R down (Serrano-Ensastiga and Braun, PRA 101, 022332 (2020)).  The
+first multipole of rho above a relative cutoff (rank 1 first, top spin
+first) gives the candidates: when it is axial, the families
+g = g_sigma^+ rz(phi) [X] g_rho, each solved exactly in phi; otherwise the
+rotations carrying its Majorana constellation onto sigma's; with none above
+the cutoff, the identity.
 
-    D(g) = || g^{(x)n} rho g^{(x)n +} - sigma ||_F
-
-over ZYZ Euler angles with the lattice search of the search module: a coarse
-lattice scan, refinement from the most promising well-separated starts, and
-a few seeded random restarts.  The search runs on the spin blocks of the
-states (states.spin_blocks): a permutation-invariant rho is the direct sum
-of rho_j (x) 1_{m_j} and g^{(x)n} that of D^j(g) (x) 1, so
-
-    D(g)^2 = sum_j m_j || D^j(g) rho_j D^j(g)^+ - sigma_j ||^2,
-
-which costs d x d products, d = sum_j (2j + 1) (20 at n = 7), in place of
-2^n x 2^n ones.  An equivalence is reported only after the found g passes a
-dense re-check through states.apply_lu; the dense conjugation distance is
-left to verify's oracles.  Cheap LU invariants (global and 1-qubit reduced
-spectra, computed by spectra_report) run first and give certified
-negatives; a failed search is reported as undecided, never as a proof of
-inequivalence.
+The candidate with the least block distance is reported as equivalent only
+after a dense re-check of || g^{(x)n} rho g^{(x)n +} - sigma ||_F.  Cheap LU
+invariants (global and 1-qubit reduced spectra, computed by spectra_report)
+run first and give certified negatives; any other miss is undecided, never
+a proof of inequivalence.
 """
 from __future__ import annotations
 
@@ -29,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, search, states
+from . import _kernels, majorana, rotmatch, search, states
 from .errors import DomainError, NotGhzFormError
 # re-exported: perfbench/spans.py traces refine_minimum as mixed.refine_minimum
 from .search import refine_minimum  # noqa: F401
@@ -57,27 +52,21 @@ def default_threshold(n: int) -> float:
     return 1e-7 * 2 ** (n / 2)
 
 
+_TWO_FACTOR_GRID, _TWO_FACTOR_STARTS, _TWO_FACTOR_MAXFEV = 8, 8, 4000  # the n = 2 lattice search
+_MULTIPOLE_CUTOFF = 1e-6  # multipole norm, relative to the block form's, that counts as zero
+_EZ = np.array([0.0, 0.0, 1.0])
+_FLIP = states.rx(math.pi)  # -iX, which turns the north pole to the south pole
+
+
 @dataclass(frozen=True)
 class EquivalenceSearchConfig:
-    """Knobs of the Euler-lattice search."""
+    """Acceptance threshold of the mixed-state decision."""
 
-    grid: int = 12
-    restarts: int = 8
-    seed: int = 7
     threshold: float | None = None  # None: 1e-7 * 2^(n/2)
-    maxfev: int = 4000  # refinement evaluation cap per start
 
     def __post_init__(self):
-        if self.grid < 4:
-            raise DomainError("lattice needs at least 4 points per angle")
         if self.threshold is not None and not (0 < self.threshold < math.inf):
             raise DomainError("threshold must be positive and finite")
-        if self.restarts < 0:
-            raise DomainError("restarts must be >= 0")
-        if self.seed < 0:
-            raise DomainError("seed must be >= 0")
-        if self.maxfev < 100:
-            raise DomainError("refinement cap must be at least 100 evaluations")
 
     def threshold_for(self, n: int) -> float:
         """The acceptance threshold on D: the configured one or default_threshold(n)."""
@@ -91,8 +80,8 @@ class MixedEquivalenceResult:
     status is one of:
       equivalent             a unitary achieving D <= threshold was found
       inequivalent_spectrum  an LU-invariant spectrum differs (certified no)
-      undecided              invariants match but the search stayed above
-                             threshold; carries the best distance found
+      undecided              invariants match but no candidate rotation reached
+                             the threshold; carries the best distance, if any
     """
 
     status: str
@@ -136,20 +125,76 @@ def _spectrum_mismatch(rho, sigma, reduced=True) -> MixedEquivalenceResult | Non
     return None
 
 
-def _identical_power_search(rho, sigma, cfg, thresh):
-    """Minimize D over g^{(x)n} on the spin blocks; returns (best_angles, best_distance)."""
-    blocks = states.spin_blocks(rho.n)
-    rho_b, sigma_b = blocks.compress(rho), blocks.compress(sigma)
-    lattice, dists, objective2 = search.spin_scan(rho_b, sigma_b, blocks, cfg.grid)
-    stop = (0.25 * thresh) ** 2
-    starts = search.separated_starts(lattice, dists, max(1, cfg.restarts))
-    results = search.descend(objective2, starts, cfg.maxfev, stop)
-    if search.best(results)[1] > thresh * thresh and cfg.restarts:
-        rng = np.random.default_rng(cfg.seed)
-        randoms = (rng.uniform(0, 2 * math.pi, size=3) for _ in range(cfg.restarts))
-        results += search.descend(objective2, randoms, cfg.maxfev, stop)
-    best_x, best_f2 = search.best(results)
-    return best_x, math.sqrt(max(best_f2, 0.0))
+def _conjugate(g: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
+    """g^{(x)n} mat g^{(x)n +}, g applied to each of the 2n axes of the (2,)*2n tensor."""
+    t = mat.reshape((2,) * (2 * n))
+    for ax in range(2 * n):
+        t = np.moveaxis(np.tensordot(g if ax < n else g.conj(), t, axes=(1, ax)), 0, ax)
+    return t.reshape(mat.shape)
+
+
+def _axis_frame(v: np.ndarray):
+    """(g, m, constellation) of a multipole; g turns its axis to the pole, m is None unless axial.
+
+    The axis is the top eigenvector of the constellation's moment matrix; the
+    multipole is axial when one coefficient m is all that is left after g.
+    """
+    psi = states.SymmetricPureState.from_unnormalized(v)
+    cfg = majorana.majorana_points(psi)
+    moment = np.einsum("i,ij,ik->jk", cfg.multiplicities.astype(float), cfg.points, cfg.points)
+    g = rotmatch.so3_to_su2(rotmatch.rotation_between(np.linalg.eigh(moment)[1][:, -1], _EZ))
+    mags = np.abs(states.apply_diag_symmetric(g, psi).coeffs)
+    m = int(np.argmax(mags))
+    return g, (m if np.delete(mags, m).max() <= DEFAULT_TOLERANCES.equality else None), cfg
+
+
+def _best_turn(rho_t: np.ndarray, sigma_t: np.ndarray, blocks) -> float:
+    """The phi maximizing the weighted overlap of D(rz(phi)) rho_t D(rz(phi))^+ with sigma_t.
+
+    Entry (a, b) turns by e^{-i q phi}, q = m_a - m_b, so the overlap is
+    sum_{|q| <= n} c_q e^{-i q phi}; its critical points are roots of a
+    polynomial of degree 2n in z = e^{-i phi}, and the best is kept.
+    """
+    n = blocks.n
+    mz = np.concatenate([j - np.arange(sl.stop - sl.start) for j, sl in zip(blocks.spins, blocks.slices)])
+    q = np.rint(mz[:, None] - mz[None, :]).astype(int) + n
+    c = np.zeros(2 * n + 1, dtype=np.complex128)
+    np.add.at(c, q.ravel(), (blocks.weight * rho_t * sigma_t.conj()).ravel())
+    orders = np.arange(-n, n + 1)
+    deriv = -1j * orders * c
+    # roundoff-sized terms would throw the companion matrix off the unit circle
+    deriv[np.abs(deriv) <= 1e-12 * np.abs(deriv).max(initial=0.0)] = 0.0
+    roots = np.roots(deriv[::-1])
+    phis = np.concatenate([[0.0], -np.angle(roots)])
+    return float(phis[np.argmax(np.real(np.exp(-1j * np.outer(phis, orders)) @ c))])
+
+
+def _candidates(rho_b, sigma_b, blocks) -> tuple:
+    """(candidate unitaries, the frame they come from) from rho's first multipole above the cutoff.
+
+    The scan is rank-major, top spin first: a Hermitian operator's rank-k
+    constellation is antipodal, so none of its points is more than k-fold.
+    """
+    cut = _MULTIPOLE_CUTOFF * np.linalg.norm(rho_b)
+    ranks = ((b, k) for k in range(1, blocks.n + 1) for b, j in enumerate(blocks.spins) if 2 * j >= k)
+    b, k = next(((b, k) for b, k in ranks if np.linalg.norm(blocks.multipole(rho_b, b, k)) > cut), (0, 0))
+    if k == 0:
+        return [np.eye(2, dtype=np.complex128)], "no multipole above the cutoff"
+    frame = f"frame: rank-{k} multipole of spin {blocks.spins[b]:g}"
+    v_sigma = blocks.multipole(sigma_b, b, k)
+    if np.linalg.norm(v_sigma) <= _MULTIPOLE_CUTOFF * np.linalg.norm(sigma_b):
+        return [], frame
+    g_rho, m_rho, c_rho = _axis_frame(blocks.multipole(rho_b, b, k))
+    g_sigma, m_sigma, c_sigma = _axis_frame(v_sigma)
+    if m_rho is None or m_sigma is None:
+        return [rotmatch.so3_to_su2(r) for r in rotmatch.all_matching_rotations(c_rho, c_sigma)], frame
+    sigma_t = blocks.rotate(g_sigma, sigma_b)
+    out = []
+    for flip, ok in ((np.eye(2), m_rho == m_sigma), (_FLIP, 2 * k - m_rho == m_sigma)):
+        if ok:
+            phi = _best_turn(blocks.rotate(flip @ g_rho, rho_b), sigma_t, blocks)
+            out.append(g_sigma.conj().T @ states.rz(phi) @ flip @ g_rho)
+    return out, f"{frame}, axial"
 
 
 def lu_equivalent_mixed(
@@ -158,8 +203,7 @@ def lu_equivalent_mixed(
     cfg: EquivalenceSearchConfig | None = None,
 ) -> MixedEquivalenceResult:
     """Decide LU equivalence of two permutation-invariant mixed states (n >= 3)."""
-    if cfg is None:
-        cfg = EquivalenceSearchConfig()
+    cfg = cfg or EquivalenceSearchConfig()
     if rho.n != sigma.n:
         raise DomainError(f"qubit counts differ: {rho.n} vs {sigma.n}")
     n = rho.n
@@ -178,21 +222,19 @@ def lu_equivalent_mixed(
         return mismatch
 
     thresh = cfg.threshold_for(n)
-    angles, dist = _identical_power_search(rho, sigma, cfg, thresh)
+    blocks = states.spin_blocks(n)
+    rho_b, sigma_b = blocks.compress(rho), blocks.compress(sigma)
+    candidates, frame = _candidates(rho_b, sigma_b, blocks)
+    if not candidates:
+        return MixedEquivalenceResult("undecided", None, None, f"no candidate rotation, {frame}")
+    dist, g = min(((blocks.distance(g, rho_b, sigma_b), g) for g in candidates), key=lambda c: c[0])
     if dist <= thresh:
-        g = _kernels.euler_su2(*angles)
-        # soundness: re-verify through the plain matrix route before reporting
-        check = states.apply_lu(states.LocalUnitary.uniform(g, n), rho)
-        recomputed = float(np.linalg.norm(check.mat - sigma.mat))
-        if recomputed <= thresh:
-            return MixedEquivalenceResult("equivalent", g, recomputed, "")
-        dist = recomputed
-    return MixedEquivalenceResult(
-        "undecided",
-        None,
-        float(dist),
-        f"best distance {dist:.3e} above threshold {thresh:.3e} at grid {cfg.grid}",
-    )
+        # soundness: re-check densely, sharing nothing with the block forms
+        dist = float(np.linalg.norm(_conjugate(g, rho.mat, n) - sigma.mat))
+        if dist <= thresh:
+            return MixedEquivalenceResult("equivalent", g, dist, "")
+    detail = f"best distance {dist:.3e} above threshold {thresh:.3e}; {len(candidates)} candidates, {frame}"
+    return MixedEquivalenceResult("undecided", None, dist, detail)
 
 
 def two_factor_search(
@@ -202,32 +244,28 @@ def two_factor_search(
 ) -> MixedEquivalenceResult:
     """Heuristic (g1, g2) search for 2-qubit states; not covered by the
     identical-tensor-power reduction, so a miss stays 'undecided'."""
-    if cfg is None:
-        cfg = EquivalenceSearchConfig(grid=8)
+    cfg = cfg or EquivalenceSearchConfig()
     if rho.n != 2 or sigma.n != 2:
         raise DomainError("two_factor_search is for n = 2 only")
     if (mismatch := _spectrum_mismatch(rho, sigma, reduced=False)) is not None:
         return mismatch
 
     def objective2(x):
-        g1 = _kernels.euler_su2(x[0], x[1], x[2])
-        g2 = _kernels.euler_su2(x[3], x[4], x[5])
-        big = np.kron(g1, g2)
+        big = np.kron(*_kernels.euler_su2_batch(np.reshape(x, (2, 3))))
         d = float(np.linalg.norm(big @ rho.mat @ big.conj().T - sigma.mat))
         return d * d
 
-    turn = np.linspace(0, 2 * math.pi, cfg.grid, endpoint=False)
-    tilt = np.linspace(0, math.pi, max(3, cfg.grid // 2))
+    turn = np.linspace(0, 2 * math.pi, _TWO_FACTOR_GRID, endpoint=False)
+    tilt = np.linspace(0, math.pi, _TWO_FACTOR_GRID // 2)
     points = search.lattice(turn, tilt, [0.0], turn, tilt, [0.0])
     vals = np.array([objective2(x) for x in points])
-    starts = points[np.argsort(vals, kind="stable")[: max(1, cfg.restarts)]]
+    starts = points[np.argsort(vals, kind="stable")[:_TWO_FACTOR_STARTS]]
     thresh = cfg.threshold_for(2)
-    best_x, best_f2 = search.best(search.descend(objective2, starts, cfg.maxfev, (0.25 * thresh) ** 2))
+    best_x, best_f2 = search.best(search.descend(objective2, starts, _TWO_FACTOR_MAXFEV, thresh**2 / 16))
     best_f = math.sqrt(max(best_f2, 0.0))
     if best_f <= thresh:
-        g1 = _kernels.euler_su2(best_x[0], best_x[1], best_x[2])
-        g2 = _kernels.euler_su2(best_x[3], best_x[4], best_x[5])
-        return MixedEquivalenceResult("equivalent", np.stack([g1, g2]), float(best_f), "two-factor heuristic")
+        g12 = _kernels.euler_su2_batch(np.reshape(best_x, (2, 3)))
+        return MixedEquivalenceResult("equivalent", g12, float(best_f), "two-factor heuristic")
     return MixedEquivalenceResult("undecided", None, float(best_f), "two-factor heuristic miss")
 
 

@@ -1,9 +1,9 @@
 """Lattice search: scan an objective on a product lattice, pick starts, descend.
 
-Mixed-state equivalence, blind stabilizer sampling, brute-force pure
-equivalence and class membership all search this way; they differ only in
-how they pick starts from the lattice and when they stop.  Objectives are
-passed squared so that their zeros are smooth minima.
+Blind stabilizer sampling, brute-force pure equivalence, class membership
+and the n = 2 two-factor mixed heuristic all search this way; they differ
+only in how they pick starts from the lattice and when they stop.
+Objectives are passed squared so that their zeros are smooth minima.
 """
 from __future__ import annotations
 
@@ -17,9 +17,7 @@ __all__ = [
     "lattice",
     "euler_lattice",
     "euler_scan",
-    "spin_scan",
     "local_minima",
-    "separated_starts",
     "refine_minimum",
     "descend",
     "best",
@@ -38,36 +36,18 @@ def euler_lattice(grid: int) -> np.ndarray:
     return lattice(turn, np.linspace(0.0, math.pi, grid), turn)
 
 
-def _scan(grid: int, batch, single):
-    """Euler lattice, batch(lattice), and the objective x -> single(*x)^2."""
-    points = euler_lattice(grid)
-
-    def objective2(x):
-        d = single(x[0], x[1], x[2])
-        return d * d
-
-    return points, batch(points), objective2
-
-
 def euler_scan(rho, target, n: int, grid: int):
     """Euler lattice, D on it, and D^2 of one triple; D = || g^{(x)n} rho g^{(x)n +} - target ||.
 
     Dense 2^n conjugation: the oracles' form of the scan.
     """
-    return _scan(
-        grid,
-        lambda points: _kernels.conj_distance_batch(points, rho, target, n),
-        lambda a, b, c: _kernels.conj_distance_single(a, b, c, rho, target, n),
-    )
+    points = euler_lattice(grid)
 
+    def objective2(x):
+        d = _kernels.conj_distance_single(x[0], x[1], x[2], rho, target, n)
+        return d * d
 
-def spin_scan(rho, target, blocks, grid: int):
-    """euler_scan on the spin-block forms rho, target (blocks.compress of the states)."""
-    return _scan(
-        grid,
-        lambda points: _kernels.spin_distance_batch(points, rho, target, blocks),
-        lambda a, b, c: _kernels.spin_distance_single(a, b, c, rho, target, blocks),
-    )
+    return points, _kernels.conj_distance_batch(points, rho, target, n), objective2
 
 
 def local_minima(vals: np.ndarray, wrap: tuple) -> np.ndarray:
@@ -88,18 +68,6 @@ def local_minima(vals: np.ndarray, wrap: tuple) -> np.ndarray:
             mask &= vals <= np.take(up, range(vals.shape[ax]), axis=ax)
             mask &= vals <= np.take(down, range(1, vals.shape[ax] + 1), axis=ax)
     return np.flatnonzero(mask.ravel())
-
-
-def separated_starts(points, vals, count, min_gap=0.8):
-    """Lowest-valued points, kept pairwise at least min_gap apart."""
-    order = np.argsort(vals, kind="stable")
-    starts = []
-    for idx in order:
-        if len(starts) >= count:
-            break
-        if all(np.linalg.norm(points[idx] - s) > min_gap for s in starts):
-            starts.append(points[idx])
-    return starts
 
 
 def refine_minimum(objective, x0, maxfev: int = 4000):

@@ -467,11 +467,10 @@ class SpinBlocks:
     j = n/2, n/2 - 1, ..., and g^{(x)n} is the direct sum of D^j(g) (x) 1,
     so || g^{(x)n} rho g^{(x)n +} - sigma ||^2 = sum_j m_j || D^j rho_j D^j+ - sigma_j ||^2.
     Block k has spin j = n/2 - k and multiplicity m_j = C(n, k) - C(n, k - 1);
-    its columns are |j, m> for m = j, j - 1, ..., -j.  The d = sum_j (2j + 1)
-    columns of basis span the copies.  On them Jz is diagonal and Jy is
-    jy_vecs diag(L) jy_vecs^+, so rates = (diag Jz, L, diag Jz) gives the
-    ZYZ rotation as e^{-i a rates[0]} jy_vecs e^{-i b rates[1]} jy_vecs^+
-    e^{-i c rates[2]}.  weight[a, b] is m_j when columns a and b both lie in
+    its columns are |j, m> for m = j, j - 1, ..., -j, the Dicke basis of 2j
+    qubits, so D^j(g) = symmetric_power(g, 2j).  The d = sum_j (2j + 1)
+    columns of basis span the copies, slices[k] indexes block k in the
+    d x d form, and weight[a, b] is m_j when columns a and b both lie in
     block j and 0 otherwise.
     """
 
@@ -479,8 +478,7 @@ class SpinBlocks:
     spins: tuple
     mults: tuple
     basis: np.ndarray
-    rates: np.ndarray
-    jy_vecs: np.ndarray
+    slices: tuple
     weight: np.ndarray
 
     def compress(self, rho: DensityMatrix) -> np.ndarray:
@@ -489,54 +487,73 @@ class SpinBlocks:
             raise DomainError(f"arity mismatch: blocks of {self.n} qubits, state on {rho.n}")
         return self.basis.T @ rho.mat @ self.basis
 
+    def rep(self, g: np.ndarray) -> np.ndarray:
+        """g^{(x)n} on the blocks: the sum of symmetric_power(g, 2j), exact on SU(2), else up to phases."""
+        out = np.zeros(self.weight.shape, dtype=np.complex128)
+        for sl in self.slices:
+            out[sl, sl] = symmetric_power(g, sl.stop - sl.start - 1)
+        return out
 
-def _lower(v: np.ndarray, n: int) -> np.ndarray:
-    """J_- v for a 2^n vector, J_- = sum over qubits of |1><0|."""
-    t = v.reshape((2,) * n)
-    out = np.zeros_like(t)
-    for q in range(n):
-        out[(slice(None),) * q + (1,)] += t[(slice(None),) * q + (0,)]
-    return out.ravel()
+    def rotate(self, g: np.ndarray, form: np.ndarray) -> np.ndarray:
+        """The block form of g^{(x)n} rho g^{(x)n +} from that of rho."""
+        rep = self.rep(g)
+        return rep @ form @ rep.conj().T
+
+    def distance(self, g: np.ndarray, form: np.ndarray, target: np.ndarray) -> float:
+        """|| g^{(x)n} rho g^{(x)n +} - sigma ||_F from the block forms of rho and sigma."""
+        diff = np.abs(self.rotate(g, form) - target)
+        return float(np.sqrt(np.sum(self.weight * diff * diff)))
+
+    def multipole(self, form: np.ndarray, block: int, k: int) -> np.ndarray:
+        """Rank-k multipole v_q = tr(T_kq^+ rho_j), q = k..-k, of one block of a form.
+
+        Conjugating the state by g^{(x)n} moves it as a 2k-qubit symmetric state:
+        v -> symmetric_power(g, 2k) v.
+        """
+        sl = self.slices[block]
+        ops = _tensor_operators(sl.stop - sl.start - 1, k)
+        return np.einsum("qab,ab->q", ops.conj(), form[sl, sl])
+
+
+@functools.lru_cache(maxsize=None)
+def _tensor_operators(two_j: int, k: int) -> np.ndarray:
+    """Spherical tensor operators T_kq, q = k..-k, of spin j = two_j / 2; (2k + 1, 2j + 1, 2j + 1).
+
+    T_kk is J_+^k normalized and [J_-, T_kq] = sqrt((k + q)(k - q + 1)) T_k,q-1:
+    orthonormal in the trace inner product, they move as the |k, q> of symmetric_power.
+    """
+    m = two_j / 2 - np.arange(1, two_j + 1)
+    j_plus = np.diag(np.sqrt((two_j / 2 - m) * (two_j / 2 + m + 1)), 1)  # <m + 1| J_+ |m>
+    top = np.linalg.matrix_power(j_plus, k)
+    ops = [top / np.linalg.norm(top)]
+    for q in range(k, -k, -1):
+        ops.append((j_plus.T @ ops[-1] - ops[-1] @ j_plus.T) / math.sqrt((k + q) * (k - q + 1)))
+    return _freeze(ops)
 
 
 @functools.lru_cache(maxsize=None)
 def spin_blocks(n: int) -> SpinBlocks:
     """The SpinBlocks of n qubits, built once per n.
 
-    The highest weight of block k is k singlets (|01> - |10>)/sqrt(2) on
-    qubit pairs (0, 1), ..., (2k - 2, 2k - 1) times |0...0> on the rest,
-    which J_+ annihilates; J_- |j, m> = sqrt((j + m)(j - m + 1)) |j, m - 1>
-    gives the rest of the copy.
+    Block k is k singlets (|01> - |10>)/sqrt(2) on qubit pairs (0, 1), ...,
+    (2k - 2, 2k - 1) times the Dicke states of the other 2j = n - 2k qubits:
+    g^{(x)n} fixes the singlets (for g in SU(2)) and moves the Dicke states
+    by symmetric_power(g, 2j).
     """
     if not 1 <= n <= DENSE_QUBIT_CAP:
         raise DomainError(f"spin blocks need 1 <= n <= {DENSE_QUBIT_CAP}, got {n}")
-    singlet_amps, up = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0), np.array([1.0, 0.0])
-    cols, lower, sizes = [], [], []
-    for k in range(n // 2 + 1):
-        j, size = n / 2 - k, n - 2 * k + 1
-        v = functools.reduce(np.kron, [singlet_amps] * k + [up] * (n - 2 * k), np.ones(1))
-        for m in j - np.arange(size):
-            if m < j:
-                v = _lower(v, n) / lower[-1]
-            cols.append(v)
-            lower.append(math.sqrt((j + m) * (j - m + 1)))  # <j, m - 1| J_- |j, m>, 0 at m = -j
-        sizes.append(size)
-    spins = tuple(n / 2 - k for k in range(len(sizes)))
+    cols, sizes = [], list(range(n + 1, 0, -2))
+    for k, size in enumerate(sizes):
+        pairs = functools.reduce(np.kron, [singlet().amps.real] * k, np.ones(1))
+        ones = np.array([weight(x) for x in range(1 << (size - 1))])
+        cols += [np.kron(pairs, (ones == i) / math.sqrt(math.comb(size - 1, i))) for i in range(size)]
+    spins = tuple((size - 1) / 2 for size in sizes)
     mults = tuple(math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(len(sizes)))
-    jz = np.concatenate([j - np.arange(size) for j, size in zip(spins, sizes)])
-    j_minus = np.diag(lower[:-1], -1)
-    vals, vecs = np.linalg.eigh((j_minus.T - j_minus) / 2j)
+    ends = np.cumsum(sizes)
+    slices = tuple(slice(int(end - size), int(end)) for end, size in zip(ends, sizes))
     block = np.repeat(np.arange(len(sizes)), sizes)
-    weight = np.where(block[:, None] == block[None, :], np.array(mults, dtype=float)[block][:, None], 0.0)
-    return SpinBlocks(
-        n,
-        spins,
-        mults,
-        _freeze(np.column_stack(cols)),
-        _freeze(np.stack((jz, vals, jz))),
-        _freeze(vecs),
-        _freeze(weight),
-    )
+    block_weight = np.where(block[:, None] == block[None, :], np.array(mults, float)[block][:, None], 0.0)
+    return SpinBlocks(n, spins, mults, _freeze(np.column_stack(cols)), slices, _freeze(block_weight))
 
 
 def reduced_1qubit(rho: DensityMatrix, k: int) -> np.ndarray:

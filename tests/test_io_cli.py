@@ -199,12 +199,12 @@ def test_equiv_mixed_command(tmp_path, monkeypatch, capsys):
 
 def test_equiv_mixed_undecided_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
     # same global and 1-qubit spectra, inequivalent classes: no certificate,
-    # and a 4-point lattice without restarts misses
+    # and no candidate rotation reaches the threshold
     pa = tmp_path / "ghz4.json"
     pb = tmp_path / "dicke4.json"
     pa.write_text(io.dumps(io.density_to_dict(states.to_density(states.ghz(4)))))
     pb.write_text(io.dumps(io.density_to_dict(states.to_density(states.dicke(4, 2)))))
-    argv = ["equiv-mixed", str(pa), str(pb), "--restarts", "0", "--grid", "4"]
+    argv = ["equiv-mixed", str(pa), str(pb)]
     code, out = run_cli(argv, monkeypatch, capsys)
     rep = json.loads(out)
     assert code == cli.EXIT_UNDECIDED == 4
@@ -339,14 +339,43 @@ def test_positive_tol_is_still_accepted(tmp_path, monkeypatch, capsys):
     assert json.loads(out)["equivalent"] is True
 
 
-@pytest.mark.parametrize("cmd", ["mkstate", "equiv-mixed"])
+@pytest.mark.parametrize("cmd", ["mkstate"])
 def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, cmd):
-    g3 = _ghz3_file(tmp_path)
-    argv = ["mkstate", "random", "4"] if cmd == "mkstate" else ["equiv-mixed", g3, g3]
     with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--seed", "-1"])
+        cli.main([cmd, "random", "4", "--seed", "-1"])
     assert exc.value.code == 2
     assert "must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--grid", "--restarts", "--seed"])
+def test_equiv_mixed_has_no_search_flags(tmp_path, monkeypatch, capsys, flag):
+    g3 = _ghz3_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["equiv-mixed", g3, g3, flag, "4"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"matrix": []}',
+        '{"n": -1, "matrix": [[[1, 0]]]}',
+        '{"n": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}',
+        '{"n": 1, "coeffs": [["a", 0], [1, 0]]}',
+        '{"n": 1, "coeffs": [[1], [0, 0]]}',
+        '{"n": 1, "coeffs": 5}',
+        '{"points": [["x", 0]]}',
+    ],
+    ids=["empty-matrix", "negative-n", "ragged-rows", "string-entry", "short-pair", "scalar-coeffs", "string-angle"],
+)
+@pytest.mark.parametrize("cmd", ["classify", "equiv-mixed"])
+def test_malformed_json_is_a_domain_error(tmp_path, monkeypatch, capsys, cmd, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    paths = [str(bad), str(bad)] if cmd == "equiv-mixed" else [str(bad)]
+    code, out = run_cli([cmd, *paths], monkeypatch, capsys)
+    assert code == 3
+    assert "error" in json.loads(out)
 
 
 @pytest.mark.parametrize("grid", ["-3", "0", "3"])

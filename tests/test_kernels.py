@@ -72,17 +72,6 @@ def test_conj_distance_single_matches_dense_oracle(n):
         assert abs(single - dense_conj_distance(row, rho, target, n)) < 1e-10
 
 
-def test_spin_rep_batch_is_the_tensor_power_on_the_blocks():
-    rng = np.random.default_rng(27)
-    for n in (1, 2, 5, 6):
-        blocks = states.spin_blocks(n)
-        angles = rng.uniform(0, 2 * math.pi, size=(3, 3))
-        for row, rep in zip(angles, _kernels.spin_rep_batch(angles, blocks)):
-            g = _kernels.euler_su2(*row)
-            big = states.LocalUnitary.uniform(g, n).matrix()
-            assert np.max(np.abs(big @ blocks.basis - blocks.basis @ rep)) < 1e-13
-
-
 def test_polish_roots_recovers_perturbed_roots():
     rng = np.random.default_rng(24)
     roots = rng.normal(size=6) + 1j * rng.normal(size=6)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmlu import _kernels, mixed, states
+from symmlu import _kernels, majorana, mixed, search, states
 from symmlu.errors import DomainError, NotGhzFormError
 from symmlu.tolerances import DEFAULT_TOLERANCES
 
@@ -29,17 +29,9 @@ def test_default_threshold_scales_with_dimension():
 
 
 def test_search_config_validation():
-    with pytest.raises(DomainError):
-        mixed.EquivalenceSearchConfig(grid=3)
     for threshold in (0.0, -1e-3, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="threshold"):
             mixed.EquivalenceSearchConfig(threshold=threshold)
-    with pytest.raises(DomainError):
-        mixed.EquivalenceSearchConfig(restarts=-1)
-    with pytest.raises(DomainError):
-        mixed.EquivalenceSearchConfig(maxfev=10)
-    with pytest.raises(DomainError, match="seed"):
-        mixed.EquivalenceSearchConfig(seed=-1)
 
 
 def test_constructed_pairs_are_recovered():
@@ -78,10 +70,135 @@ def test_spin_block_distance_equals_the_dense_kernel(n, seed):
     rb, sb = blocks.compress(rho), blocks.compress(sigma)
     angles = rng.uniform(0, 2 * math.pi, size=(4, 3))
     dense = _kernels.conj_distance_batch(angles, rho.mat, sigma.mat, n)
-    block = _kernels.spin_distance_batch(angles, rb, sb, blocks)
-    assert np.max(np.abs(block - dense)) < 1e-12
-    for row, d in zip(angles, block):
-        assert abs(_kernels.spin_distance_single(*row, rb, sb, blocks) - d) < 1e-12
+    block = [blocks.distance(_kernels.euler_su2(*row), rb, sb) for row in angles]
+    assert np.max(np.abs(np.array(block) - dense)) < 1e-12
+    # a unitary outside SU(2) differs by a phase per block, which conjugation cancels
+    flip = states.PAULI_X @ _kernels.euler_su2(*angles[0])
+    kron = states.LocalUnitary.uniform(flip, n).matrix()
+    want = np.linalg.norm(kron @ rho.mat @ kron.conj().T - sigma.mat)
+    assert abs(blocks.distance(flip, rb, sb) - want) < 1e-12
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1))
+def test_multipoles_move_as_symmetric_states(n, seed):
+    rng = np.random.default_rng(seed)
+    rho = full_rank_invariant(n, rng)
+    g = states.random_su2(rng)
+    sigma = states.apply_lu(states.LocalUnitary.uniform(g, n), rho)
+    blocks = states.spin_blocks(n)
+    rb, sb = blocks.compress(rho), blocks.compress(sigma)
+    for b, j in enumerate(blocks.spins):
+        for k in range(round(2 * j) + 1):
+            v, w = blocks.multipole(rb, b, k), blocks.multipole(sb, b, k)
+            assert np.max(np.abs(states.symmetric_power(g, 2 * k) @ v - w)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_turn_about_the_pole_is_solved_exactly(n):
+    rng = np.random.default_rng(150 + n)
+    rho = full_rank_invariant(n, rng)
+    blocks = states.spin_blocks(n)
+    rb = blocks.compress(rho)
+    for phi in rng.uniform(-math.pi, math.pi, size=3):
+        sigma = states.apply_lu(states.LocalUnitary.uniform(states.rz(phi), n), rho)
+        sb = blocks.compress(sigma)
+        # the trigonometric polynomial's best critical point is the turn itself
+        assert blocks.distance(states.rz(mixed._best_turn(rb, sb, blocks)), rb, sb) < 1e-12
+        res = mixed.lu_equivalent_mixed(rho, sigma)
+        assert res.status == "equivalent"
+        assert res.distance <= mixed.default_threshold(n)
+
+
+def _points_projector(points, mults=None):
+    return states.to_density(majorana.points_to_state(np.array(points, dtype=float), mults))
+
+
+_CUBE = [[x, y, z] for x in (1, -1) for y in (1, -1) for z in (1, -1)]
+_OCTAHEDRON = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+_TETRAHEDRON = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+
+
+def _dicke_mixture(n, rng):
+    weights = rng.dirichlet(np.ones(n + 1))
+    return states.DensityMatrix(n, sum(w * states.to_density(states.dicke(n, k)).mat for k, w in enumerate(weights)))
+
+
+def _ghz_form(n, rng):
+    a = rng.uniform(0.3, 0.9)
+    b = rng.uniform(0, 1) * math.sqrt(a * (1 - a)) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+    return mixed.ghz_form_density(mixed.GhzForm(n, a, b))
+
+
+def _multiset(mults, rng):
+    points = rng.normal(size=(len(mults), 3))
+    return _points_projector(points / np.linalg.norm(points, axis=1)[:, None], mults)
+
+
+def _c3_symmetric(n, rng):
+    """Projector of n points invariant under turns by 2 pi / 3 about z: orbits of three, the rest at poles."""
+    points = [[0.0, 0.0, rng.choice([-1.0, 1.0])] for _ in range(n % 3)]
+    for theta, phi in rng.uniform(0, math.pi, size=(n // 3, 2)):
+        points += [majorana.bloch_from_angles(theta, 2 * phi + 2 * math.pi * i / 3) for i in range(3)]
+    return _points_projector(points)
+
+
+_FAMILIES = {
+    "c3_symmetric": lambda n, rng: _c3_symmetric(n, rng),
+    "dicke_mixture": lambda n, rng: _dicke_mixture(n, rng),
+    "ghz_form": lambda n, rng: _ghz_form(n, rng),
+    "full_rank": lambda n, rng: full_rank_invariant(n, rng),
+    "multiset_3_3": lambda n, rng: _multiset((3, 3), rng),
+    "multiset_2_2_2": lambda n, rng: _multiset((2, 2, 2), rng),
+    "multiset_4_1_1": lambda n, rng: _multiset((4, 1, 1), rng),
+    "multiset_6_2": lambda n, rng: _multiset((6, 2), rng),
+    "tetrahedron": lambda n, rng: _points_projector(_TETRAHEDRON),
+    "octahedron": lambda n, rng: _points_projector(_OCTAHEDRON),
+    "cube": lambda n, rng: _points_projector(_CUBE),
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(family=st.sampled_from(sorted(_FAMILIES)), n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1))
+def test_rotated_pairs_are_decided_from_multipole_frames(family, n, seed):
+    rng = np.random.default_rng(seed)
+    rho = _FAMILIES[family](n, rng)
+    g = states.random_su2(rng)
+    sigma = states.apply_lu(states.LocalUnitary.uniform(g, rho.n), rho)
+    res = mixed.lu_equivalent_mixed(rho, sigma)
+    assert res.status == "equivalent", res.detail
+    check = states.apply_lu(states.LocalUnitary.uniform(res.unitary, rho.n), rho)
+    assert np.linalg.norm(check.mat - sigma.mat) <= mixed.default_threshold(rho.n)
+
+
+def test_dense_recheck_gates_every_equivalent(monkeypatch):
+    # a block distance that reads 0 for every candidate must not turn into "equivalent"
+    monkeypatch.setattr(states.SpinBlocks, "distance", lambda self, g, form, target: 0.0)
+    ghz4 = states.to_density(states.ghz(4))
+    res = mixed.lu_equivalent_mixed(ghz4, states.to_density(states.dicke(4, 2)))
+    assert res.status == "undecided"
+    assert res.distance > mixed.default_threshold(4)
+
+
+def test_decisions_run_no_descent(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the n >= 3 decision must not descend")
+
+    for name in ("descend", "refine_minimum"):
+        monkeypatch.setattr(search, name, refuse)
+    monkeypatch.setattr(mixed, "refine_minimum", refuse)
+    rng = np.random.default_rng(160)
+    for family in ("full_rank", "ghz_form", "multiset_3_3", "tetrahedron"):
+        rho = _FAMILIES[family](4, rng)
+        sigma = states.apply_lu(states.LocalUnitary.uniform(states.random_su2(rng), rho.n), rho)
+        assert mixed.lu_equivalent_mixed(rho, sigma).status == "equivalent"
+    ghz4 = states.to_density(states.ghz(4))
+    dicke42 = states.to_density(states.dicke(4, 2))
+    assert mixed.lu_equivalent_mixed(ghz4, dicke42).status == "undecided"
+    blurred = states.DensityMatrix(4, 0.9 * ghz4.mat + 0.1 * np.eye(16) / 16)
+    assert mixed.lu_equivalent_mixed(ghz4, blurred).status == "inequivalent_spectrum"
+    with pytest.raises(AssertionError, match="descend"):
+        mixed.two_factor_search(states.to_density(states.ghz(2)), states.to_density(states.ghz(2)))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from symmlu import search, states
+from symmlu import _kernels, search, states
 
 
 # ---------------------------------------------------------------------------
@@ -73,13 +73,6 @@ def test_local_minima_mix_wrapped_and_unwrapped_axes_in_flat_order():
 # ---------------------------------------------------------------------------
 
 
-def test_separated_starts_skip_points_too_close_to_a_better_one():
-    points = np.array([[0.0], [0.1], [2.0], [4.0]])
-    vals = np.array([0.0, 0.1, 0.5, 0.2])
-    got = search.separated_starts(points, vals, count=2, min_gap=0.8)
-    assert [float(s[0]) for s in got] == [0.0, 4.0]
-
-
 def test_descend_refines_in_order_and_stops_at_the_threshold():
     calls = []
 
@@ -121,14 +114,12 @@ def test_euler_scan_objective_matches_the_lattice_values():
         assert math.sqrt(objective2(points[i])) == pytest.approx(dists[i], abs=1e-12)
 
 
-def test_spin_scan_matches_the_dense_scan():
+def test_block_distance_matches_the_dense_scan():
     rng = np.random.default_rng(6)
     rho = states.random_symmetric_mixed(4, rng)
     target = states.random_symmetric_mixed(4, rng)
     blocks = states.spin_blocks(4)
-    points, dists, objective2 = search.spin_scan(blocks.compress(rho), blocks.compress(target), blocks, 4)
-    dense_points, dense, dense_objective2 = search.euler_scan(rho.mat, target.mat, 4, 4)
-    assert np.array_equal(points, dense_points)
-    assert np.max(np.abs(dists - dense)) < 1e-12
-    for i in (0, 17, 63):
-        assert objective2(points[i]) == pytest.approx(dense_objective2(points[i]), abs=1e-12)
+    rho_b, target_b = blocks.compress(rho), blocks.compress(target)
+    points, dense, _ = search.euler_scan(rho.mat, target.mat, 4, 4)
+    block = [blocks.distance(_kernels.euler_su2(*x), rho_b, target_b) for x in points]
+    assert np.max(np.abs(np.array(block) - dense)) < 1e-12

@@ -284,18 +284,29 @@ def test_spin_blocks_span_one_copy_of_each_spin(n):
     d = sum(sizes)
     assert blocks.basis.shape == (2**n, d)
     assert np.max(np.abs(blocks.basis.T @ blocks.basis - np.eye(d))) < 1e-13
-    # Jz is diagonal on the columns, and Jy = V diag(L) V^+ is the compressed Jy
+    # Jz is diagonal on the columns, with m = j, j - 1, ..., -j in each block
     jz = sum(np.kron(np.kron(np.eye(2**q), states.PAULI_Z), np.eye(2 ** (n - q - 1))) for q in range(n)) / 2
     jy = sum(np.kron(np.kron(np.eye(2**q), states.PAULI_Y), np.eye(2 ** (n - q - 1))) for q in range(n)) / 2
     b = blocks.basis
-    assert np.max(np.abs(b.T @ jz @ b - np.diag(blocks.rates[0]))) < 1e-13
-    assert np.array_equal(blocks.rates[0], blocks.rates[2])
-    v = blocks.jy_vecs
-    assert np.max(np.abs(b.T @ jy @ b - v @ np.diag(blocks.rates[1]) @ v.conj().T)) < 1e-13
+    m = np.concatenate([j - np.arange(round(2 * j) + 1) for j in blocks.spins])
+    assert np.max(np.abs(b.T @ jz @ b - np.diag(m))) < 1e-13
+    assert [sl.stop - sl.start for sl in blocks.slices] == sizes and blocks.slices[-1].stop == d
+    # the block representation is g^{(x)n} on the columns
+    g = states.random_su2(np.random.default_rng(n))
+    assert np.max(np.abs(states.LocalUnitary.uniform(g, n).matrix() @ b - b @ blocks.rep(g))) < 1e-12
     # the columns are invariant: Jy maps their span to itself
     assert np.max(np.abs(jy @ b - b @ (b.T @ jy @ b))) < 1e-13
     for k, m in enumerate(blocks.mults):
         assert m == math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+
+
+def test_spin_block_rep_is_the_tensor_power_on_the_blocks():
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 5, 6, 8):
+        blocks = states.spin_blocks(n)
+        for g in [states.random_su2(rng) for _ in range(3)] + [states.rx(math.pi)]:
+            big = states.LocalUnitary.uniform(g, n).matrix()
+            assert np.max(np.abs(big @ blocks.basis - blocks.basis @ blocks.rep(g))) < 1e-12
 
 
 def test_spin_block_form_keeps_the_trace_with_weights():
