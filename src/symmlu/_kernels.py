@@ -25,7 +25,17 @@ __all__ = [
     "diag_phase_residual",
 ]
 
-_CHUNK = 256  # Euler rows per batch: at most 256 * 4^n complex entries at once on the dense path
+_CHUNK_ROWS, _CHUNK_ENTRIES = 256, 1 << 22  # dense path: rows per chunk, complex entries per temporary
+
+
+def _chunk_rows(n: int) -> int:
+    """Euler rows per chunk of the dense path at n qubits.
+
+    At most 256, and at least 1; otherwise few enough that each (rows, 2^n,
+    2^n) temporary of a chunk holds at most 2^22 complex entries (64 MiB):
+    256 rows up to n = 7, 4 at n = 10.
+    """
+    return max(1, min(_CHUNK_ROWS, _CHUNK_ENTRIES >> (2 * n)))
 
 
 def euler_su2_batch(angles: np.ndarray) -> np.ndarray:
@@ -71,7 +81,7 @@ def _distance(reps: np.ndarray, rho: np.ndarray, target: np.ndarray) -> np.ndarr
 
 
 def _conj_distance(angles: np.ndarray, rho, target, n: int) -> np.ndarray:
-    """D on the dense 2^n matrices, _CHUNK Euler rows at a time, behind both public names.
+    """D on the dense 2^n matrices, _chunk_rows(n) Euler rows at a time, behind both public names.
 
     Kept apart from them so a one-point call is not also counted as a batch
     call by wrappers installed on the public names.
@@ -79,8 +89,9 @@ def _conj_distance(angles: np.ndarray, rho, target, n: int) -> np.ndarray:
     rho = np.ascontiguousarray(rho, dtype=np.complex128)
     target = np.ascontiguousarray(target, dtype=np.complex128)
     out = np.empty(angles.shape[0], dtype=np.float64)
-    for start in range(0, angles.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
+    rows = _chunk_rows(n)
+    for start in range(0, angles.shape[0], rows):
+        sl = slice(start, start + rows)
         out[sl] = _distance(_tensor_power_batch(euler_su2_batch(angles[sl]), n), rho, target)
     return out
 

@@ -13,9 +13,10 @@ the cutoff, the identity.
 
 The candidate with the least block distance is reported as equivalent only
 after a dense re-check of || g^{(x)n} rho g^{(x)n +} - sigma ||_F.  Cheap LU
-invariants (global and 1-qubit reduced spectra, computed by spectra_report)
-run first and give certified negatives; any other miss is undecided, never
-a proof of inequivalence.
+invariants run first and give certified negatives: the global and 1-qubit
+reduced spectra (spectra_report) and the 2-qubit reduced spectrum, which
+tells GHZ_4 ({1/2, 1/2, 0, 0}) from Dicke_4,2 ({2/3, 1/6, 1/6, 0}).  Any
+other miss is undecided, never a proof of inequivalence.
 """
 from __future__ import annotations
 
@@ -113,13 +114,30 @@ def spectra_report(rho: states.DensityMatrix) -> SpectraReport:
     return SpectraReport(tuple(float(v) for v in glob), tuple(float(v) for v in red))
 
 
+def _two_qubit_spectrum(rho: states.DensityMatrix) -> np.ndarray:
+    """Spectrum of the reduced state of qubits 0 and 1, traced down from the (2,)*2n tensor."""
+    n = rho.n
+    rows = list(range(n))
+    cols = [n, n + 1] + rows[2:]
+    red = np.einsum(rho.mat.reshape((2,) * (2 * n)), rows + cols, [0, 1, n, n + 1])
+    return np.sort(np.linalg.eigvalsh(red.reshape(4, 4)))[::-1]
+
+
 def _spectrum_mismatch(rho, sigma, reduced=True) -> MixedEquivalenceResult | None:
-    """The certified negative when an LU-invariant spectrum differs, else None."""
+    """The certified negative when an LU-invariant spectrum differs, else None.
+
+    reduced adds the 1- and 2-qubit reduced spectra (n >= 3) to the global
+    one; the 2-qubit spectra are computed only when the others agree.
+    """
     a, b = spectra_report(rho), spectra_report(sigma)
-    checks = [(a.global_spectrum, b.global_spectrum, "global eigenvalue multisets differ")]
-    if reduced:
-        checks.append((a.reduced_spectrum, b.reduced_spectrum, "1-qubit reduced spectra differ"))
-    for ea, eb, detail in checks:
+
+    def checks():
+        yield a.global_spectrum, b.global_spectrum, "global eigenvalue multisets differ"
+        if reduced:
+            yield a.reduced_spectrum, b.reduced_spectrum, "1-qubit reduced spectra differ"
+            yield _two_qubit_spectrum(rho), _two_qubit_spectrum(sigma), "2-qubit reduced spectra differ"
+
+    for ea, eb, detail in checks():
         if float(np.max(np.abs(np.subtract(ea, eb)))) > _SPECTRUM_TOL:
             return MixedEquivalenceResult("inequivalent_spectrum", None, None, detail)
     return None

@@ -4,6 +4,12 @@ Blind stabilizer sampling, brute-force pure equivalence, class membership
 and the n = 2 two-factor mixed heuristic all search this way; they differ
 only in how they pick starts from the lattice and when they stop.
 Objectives are passed squared so that their zeros are smooth minima.
+
+Descent is chained Nelder-Mead (refine_minimum).  The sampling searches,
+which refine every start, run all starts in lockstep (refine_all): the same
+steps as scipy's, with one batched objective call per phase of a step.  The
+early-stopping searches (descend with stop_f2) refine one start at a time,
+so that they can stop after the first start that is good enough.
 """
 from __future__ import annotations
 
@@ -19,6 +25,7 @@ __all__ = [
     "euler_scan",
     "local_minima",
     "refine_minimum",
+    "refine_all",
     "descend",
     "best",
 ]
@@ -70,6 +77,14 @@ def local_minima(vals: np.ndarray, wrap: tuple) -> np.ndarray:
     return np.flatnonzero(mask.ravel())
 
 
+_CHAIN = ((1e-26, 1e-12), (1e-28, 1e-13))  # (fatol, xatol) of the chained runs
+
+# scipy's Nelder-Mead: initial simplex offsets and reflection, expansion,
+# contraction and shrink coefficients (non-adaptive)
+_NONZDELT, _ZDELT = 0.05, 0.00025
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+
+
 def refine_minimum(objective, x0, maxfev: int = 4000):
     """Derivative-free local minimization (chained Nelder-Mead runs).
 
@@ -81,13 +96,133 @@ def refine_minimum(objective, x0, maxfev: int = 4000):
     from scipy.optimize import minimize
 
     x, best = np.asarray(x0, dtype=float), None
-    for fatol, xatol in ((1e-26, 1e-12), (1e-28, 1e-13)):
+    for fatol, xatol in _CHAIN:
         opts = {"fatol": fatol, "xatol": xatol, "maxfev": maxfev}
         res = minimize(objective, x, method="Nelder-Mead", options=opts)
         if best is None or res.fun <= best.fun:
             best = res
         x = res.x
     return best.x, float(best.fun)
+
+
+def _sorted(sim: np.ndarray, fsim: np.ndarray):
+    """Each simplex ordered by its values, lowest first, by scipy's sort.
+
+    That is numpy's default argsort, which is not stable on ties of four or
+    more entries where it has a SIMD sort; row by row it orders a batch as
+    it orders each row alone.
+    """
+    ind = np.argsort(fsim, axis=1)
+    return np.take_along_axis(sim, ind[:, :, None], axis=1), np.take_along_axis(fsim, ind, axis=1)
+
+
+def _nelder_mead_all(objective2_batch, x0: np.ndarray, fatol: float, xatol: float, maxfev: int):
+    """scipy's Nelder-Mead from every row of x0 at once; (x, f) of each row.
+
+    Row by row this is scipy.optimize.minimize(method="Nelder-Mead") with the
+    same fatol, xatol and maxfev: the same simplex, arithmetic, sort and
+    stopping test, and at the maxfev cap the same state scipy leaves (the
+    step that asks for one call too many is abandoned where it stands).
+    A step calls objective2_batch once for the reflections of all live
+    simplices, once for their expansion or contraction points and once for
+    any shrink points.
+    """
+    rows, dim = x0.shape
+    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    for k in range(dim):
+        y = sim[:, k + 1, k]
+        sim[:, k + 1, k] = np.where(y != 0, (1 + _NONZDELT) * y, _ZDELT)
+    first = min(dim + 1, maxfev)
+    fsim = np.full((rows, dim + 1), np.inf)
+    fsim[:, :first] = objective2_batch(sim[:, :first].reshape(-1, dim)).reshape(rows, first)
+    sim, fsim = _sorted(*_sorted(sim, fsim))  # scipy sorts the first simplex twice
+    calls = np.full(rows, first)
+    live = np.arange(rows)
+    x_out, f_out = np.empty_like(x0), np.empty(rows)
+
+    def retire(done):
+        nonlocal live, sim, fsim, calls
+        x_out[live[done]] = sim[done, 0]
+        f_out[live[done]] = fsim[done].min(axis=1)
+        keep = ~done
+        live, sim, fsim, calls = live[keep], sim[keep], fsim[keep], calls[keep]
+
+    while True:
+        retire(calls >= maxfev)
+        flat = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
+        retire(flat & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
+        if live.size == 0:
+            return x_out, f_out
+
+        xbar = np.add.reduce(sim[:, :-1], axis=1) / dim
+        worst = sim[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = objective2_batch(xr)
+        calls += 1
+
+        expand = fxr < fsim[:, 0]
+        take_r = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~take_r & (fxr < fsim[:, -1])
+        probe = ~take_r & (calls < maxfev)  # the rest abandon the step at the cap
+        pts = np.where(
+            expand[:, None],
+            (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+            np.where(
+                outside[:, None],
+                (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
+                (1 - _PSI) * xbar + _PSI * worst,
+            ),
+        )
+        fpt = np.full(live.size, np.nan)  # compares false: unprobed rows keep what they have
+        if probe.any():
+            fpt[probe] = objective2_batch(pts[probe])
+            calls += probe
+
+        use_pt = probe & np.where(expand, fpt < fxr, np.where(outside, fpt <= fxr, fpt < fsim[:, -1]))
+        use_r = take_r | (probe & expand & ~use_pt)
+        sim[:, -1] = np.where(use_pt[:, None], pts, np.where(use_r[:, None], xr, worst))
+        fsim[:, -1] = np.where(use_pt, fpt, np.where(use_r, fxr, fsim[:, -1]))
+
+        shrink = np.flatnonzero(probe & ~expand & ~use_pt)
+        if shrink.size:
+            left = maxfev - calls[shrink]
+            j = np.arange(1, dim + 1)
+            # vertex j moves before it is evaluated: at the cap one vertex moves unevaluated
+            moved = j[None, :] <= left[:, None] + 1
+            evaluated = j[None, :] <= left[:, None]
+            best, rest = sim[shrink, :1], sim[shrink, 1:]
+            sim[shrink, 1:] = np.where(moved[:, :, None], best + _SIGMA * (rest - best), rest)
+            if evaluated.any():
+                vals = fsim[shrink, 1:]
+                vals[evaluated] = objective2_batch(sim[shrink, 1:][evaluated])
+                fsim[shrink, 1:] = vals
+                calls[shrink] += evaluated.sum(axis=1)
+        sim, fsim = _sorted(sim, fsim)
+
+
+def refine_all(objective2_batch, starts, maxfev: int = 4000) -> list:
+    """refine_minimum from every start at once; (x, f2) of each start, in order.
+
+    objective2_batch maps (m, d) points to their m values.  Each result is
+    the one refine_minimum(objective2, start, maxfev) returns, bit for bit,
+    when objective2 is objective2_batch on one row and objective2_batch
+    gives a row the value it gives that row alone.  A matrix product over
+    the batch (diag_phase_residual's) can round a row differently by batch
+    size, and the descent then agrees only to roundoff.
+    """
+    x = np.asarray(starts, dtype=float)
+    if x.shape[0] == 0:
+        return []
+    best_x = best_f = None
+    for fatol, xatol in _CHAIN:
+        x, f = _nelder_mead_all(objective2_batch, x, fatol, xatol, maxfev)
+        if best_x is None:
+            best_x, best_f = x, f
+        else:
+            better = f <= best_f
+            best_x = np.where(better[:, None], x, best_x)
+            best_f = np.where(better, f, best_f)
+    return list(zip(best_x, best_f.tolist()))
 
 
 def descend(objective2, starts, maxfev: int = 4000, stop_f2: float = -math.inf) -> list:

@@ -11,7 +11,11 @@ sample_stabilizer searches two families:
   * independent per-qubit diagonal phases diag(1, e^{i phi_k}).
 It reports every accepted witness (projectively deduplicated) at the stated
 lattice resolution; it cannot certify the absence of stabilizer elements
-between lattice points.
+between lattice points.  It refines every start, so it refines all of them
+in lockstep (search.refine_all, one batched kernel call per phase of a
+Nelder-Mead step).  The searches that stop at the first good start
+(class_membership_distance, lu_equivalent_pure_bruteforce) refine one start
+at a time (search.refine_minimum, search.descend).
 """
 from __future__ import annotations
 
@@ -119,19 +123,23 @@ def _projective_key(u: states.LocalUnitary, resolution: float):
     return tuple(parts)
 
 
-def _accepted_descents(points, vals, wrap, objective2, cfg):
+def _accepted_descents(points, vals, wrap, objective2_batch, cfg):
     """x of the descents from the local minima (the max_descents lowest) ending within cfg.tol."""
     minima = search.local_minima(vals, wrap)
     if minima.size > cfg.max_descents:
         minima = minima[np.argsort(vals.ravel()[minima], kind="stable")[: cfg.max_descents]]
-    results = search.descend(objective2, points[minima], cfg.maxfev)
+    results = search.refine_all(objective2_batch, points[minima], cfg.maxfev)
     return [x for x, f2 in results if math.sqrt(max(f2, 0.0)) <= cfg.tol]
 
 
 def _identical_witnesses(rho, cfg):
     n = rho.n
-    lattice, dists, objective2 = search.euler_scan(rho.mat, rho.mat, n, cfg.grid)
-    xs = _accepted_descents(lattice, dists.reshape((cfg.grid,) * 3), (0, 2), objective2, cfg)
+    lattice, dists, _ = search.euler_scan(rho.mat, rho.mat, n, cfg.grid)
+
+    def objective2_batch(xs):
+        return _kernels.conj_distance_batch(xs, rho.mat, rho.mat, n) ** 2
+
+    xs = _accepted_descents(lattice, dists.reshape((cfg.grid,) * 3), (0, 2), objective2_batch, cfg)
     return [states.LocalUnitary.uniform(_kernels.euler_su2(*x), n) for x in xs]
 
 
@@ -159,11 +167,10 @@ def _diag_witnesses(rho, cfg):
     phis = search.lattice(*([np.linspace(0.0, 2 * math.pi, p, endpoint=False)] * n))
     res = _kernels.diag_phase_residual(phis, vals, diffs)
 
-    def objective2(x):
-        d = float(_kernels.diag_phase_residual(x[None, :], vals, diffs)[0])
-        return d * d
+    def objective2_batch(xs):
+        return _kernels.diag_phase_residual(xs, vals, diffs) ** 2
 
-    xs = _accepted_descents(phis, res.reshape((p,) * n), tuple(range(n)), objective2, cfg)
+    xs = _accepted_descents(phis, res.reshape((p,) * n), tuple(range(n)), objective2_batch, cfg)
     return [states.LocalUnitary(tuple(np.diag([1.0, np.exp(1j * t)]) for t in x)) for x in xs]
 
 

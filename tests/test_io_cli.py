@@ -198,12 +198,14 @@ def test_equiv_mixed_command(tmp_path, monkeypatch, capsys):
 
 
 def test_equiv_mixed_undecided_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
-    # same global and 1-qubit spectra, inequivalent classes: no certificate,
-    # and no candidate rotation reaches the threshold
-    pa = tmp_path / "ghz4.json"
-    pb = tmp_path / "dicke4.json"
-    pa.write_text(io.dumps(io.density_to_dict(states.to_density(states.ghz(4)))))
-    pb.write_text(io.dumps(io.density_to_dict(states.to_density(states.dicke(4, 2)))))
+    # a state and its complex conjugate (the mirror image of its Majorana
+    # points): every spectrum agrees, so there is no certificate, and no
+    # candidate rotation reaches the threshold
+    rho = states.to_density(states.random_symmetric(4, np.random.default_rng(7)))
+    pa = tmp_path / "psi.json"
+    pb = tmp_path / "mirror.json"
+    pa.write_text(io.dumps(io.density_to_dict(rho)))
+    pb.write_text(io.dumps(io.density_to_dict(states.DensityMatrix(4, rho.mat.conj()))))
     argv = ["equiv-mixed", str(pa), str(pb)]
     code, out = run_cli(argv, monkeypatch, capsys)
     rep = json.loads(out)

@@ -110,3 +110,21 @@ def test_diag_phase_residual_matches_dense_conjugation():
         u = states.LocalUnitary(factors)
         want = float(np.linalg.norm(states.apply_lu(u, rho).mat - rho.mat))
         assert abs(got - want) < 1e-10
+
+
+def test_dense_chunks_hold_at_most_2_22_entries():
+    # 256 rows up to n = 7, then as many 4^n matrices as fit in 2^22 entries
+    assert [_kernels._chunk_rows(n) for n in (1, 4, 6, 7, 8, 9, 10, 11, 12)] == [256] * 4 + [64, 16, 4, 1, 1]
+    for n in range(1, 13):
+        assert _kernels._chunk_rows(n) * 4**n <= max(1 << 22, 4**n)
+
+
+def test_chunk_seams_do_not_change_the_dense_distance(monkeypatch):
+    rng = np.random.default_rng(24)
+    rho = states.random_symmetric_mixed(4, rng).mat
+    target = states.random_symmetric_mixed(4, rng).mat
+    angles = rng.uniform(0, 2 * math.pi, size=(10, 3))
+    whole = _kernels.conj_distance_batch(angles, rho, target, 4)
+    monkeypatch.setattr(_kernels, "_CHUNK_ENTRIES", 3 * 4**4)  # 3 rows a chunk
+    assert _kernels._chunk_rows(4) == 3
+    assert np.array_equal(_kernels.conj_distance_batch(angles, rho, target, 4), whole)

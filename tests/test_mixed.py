@@ -171,11 +171,19 @@ def test_rotated_pairs_are_decided_from_multipole_frames(family, n, seed):
     assert np.linalg.norm(check.mat - sigma.mat) <= mixed.default_threshold(rho.n)
 
 
+def _mirror_pair(n, seed):
+    """A random pure projector and its complex conjugate: the reduced states
+    on every set of qubits are conjugate, so every spectrum agrees, but the
+    conjugate's Majorana points are the mirror image, which no rotation
+    reaches for a generic state."""
+    rho = states.to_density(states.random_symmetric(n, np.random.default_rng(seed)))
+    return rho, states.DensityMatrix(n, rho.mat.conj())
+
+
 def test_dense_recheck_gates_every_equivalent(monkeypatch):
     # a block distance that reads 0 for every candidate must not turn into "equivalent"
     monkeypatch.setattr(states.SpinBlocks, "distance", lambda self, g, form, target: 0.0)
-    ghz4 = states.to_density(states.ghz(4))
-    res = mixed.lu_equivalent_mixed(ghz4, states.to_density(states.dicke(4, 2)))
+    res = mixed.lu_equivalent_mixed(*_mirror_pair(4, 7))
     assert res.status == "undecided"
     assert res.distance > mixed.default_threshold(4)
 
@@ -192,9 +200,10 @@ def test_decisions_run_no_descent(monkeypatch):
         rho = _FAMILIES[family](4, rng)
         sigma = states.apply_lu(states.LocalUnitary.uniform(states.random_su2(rng), rho.n), rho)
         assert mixed.lu_equivalent_mixed(rho, sigma).status == "equivalent"
+    assert mixed.lu_equivalent_mixed(*_mirror_pair(4, 7)).status == "undecided"
     ghz4 = states.to_density(states.ghz(4))
     dicke42 = states.to_density(states.dicke(4, 2))
-    assert mixed.lu_equivalent_mixed(ghz4, dicke42).status == "undecided"
+    assert mixed.lu_equivalent_mixed(ghz4, dicke42).status == "inequivalent_spectrum"
     blurred = states.DensityMatrix(4, 0.9 * ghz4.mat + 0.1 * np.eye(16) / 16)
     assert mixed.lu_equivalent_mixed(ghz4, blurred).status == "inequivalent_spectrum"
     with pytest.raises(AssertionError, match="descend"):
@@ -256,6 +265,28 @@ def test_reduced_spectrum_prefilter():
     res = mixed.lu_equivalent_mixed(rho, sig)
     assert res.status == "inequivalent_spectrum"
     assert "reduced" in res.detail
+
+
+def test_two_qubit_spectra_certify_ghz4_against_dicke4():
+    # same global {1, 0, ...} and 1-qubit {1/2, 1/2} spectra; the 2-qubit
+    # reductions are {1/2, 1/2, 0, 0} and {2/3, 1/6, 1/6, 0}
+    ghz4 = states.to_density(states.ghz(4))
+    g = states.random_su2(np.random.default_rng(44))
+    dicke42 = states.apply_lu(states.LocalUnitary.uniform(g, 4), states.to_density(states.dicke(4, 2)))
+    assert mixed.spectra_report(ghz4).reduced_spectrum == pytest.approx(
+        mixed.spectra_report(dicke42).reduced_spectrum, abs=1e-12
+    )
+    res = mixed.lu_equivalent_mixed(ghz4, dicke42)
+    assert res.status == "inequivalent_spectrum"
+    assert res.detail == "2-qubit reduced spectra differ"
+    assert mixed.lu_equivalent_mixed(dicke42, ghz4).status == "inequivalent_spectrum"
+
+
+def test_mirror_pairs_pass_every_spectrum_and_stay_undecided():
+    for n in (3, 4, 5):
+        res = mixed.lu_equivalent_mixed(*_mirror_pair(n, 8))
+        assert res.status == "undecided"
+        assert res.distance > mixed.default_threshold(n)
 
 
 def test_non_identical_diagonal_stabilizer_is_shadowed():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from symmlu import _kernels, search, states
+from symmlu import _kernels, majorana, search, states
 
 
 # ---------------------------------------------------------------------------
@@ -123,3 +123,117 @@ def test_block_distance_matches_the_dense_scan():
     points, dense, _ = search.euler_scan(rho.mat, target.mat, 4, 4)
     block = [blocks.distance(_kernels.euler_su2(*x), rho_b, target_b) for x in points]
     assert np.max(np.abs(np.array(block) - dense)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# lockstep refinement
+# ---------------------------------------------------------------------------
+
+
+def _rosenbrock(xs):
+    xs = np.atleast_2d(xs)
+    return np.sum(100.0 * (xs[:, 1:] - xs[:, :-1] ** 2) ** 2 + (1.0 - xs[:, :-1]) ** 2, axis=1)
+
+
+def _wavy(xs):
+    # a ripple along one direction makes Nelder-Mead shrink often; row-wise
+    # sums, not a matrix product, so that a row's value does not depend on
+    # the batch it comes in
+    xs = np.atleast_2d(xs)
+    return np.sum(xs**2, axis=1) + 0.5 * np.sin(40.0 * np.sum(xs * [1.0, 1.7, 2.3], axis=1)) ** 2
+
+
+def _one_at_a_time(objective2_batch, starts, maxfev):
+    calls = [0]
+
+    def objective2(x):
+        calls[0] += 1
+        return float(objective2_batch(x[None, :])[0])
+
+    return [search.refine_minimum(objective2, s, maxfev) for s in starts], calls[0]
+
+
+def _lockstep(objective2_batch, starts, maxfev):
+    points = [0]
+
+    def counted(xs):
+        points[0] += len(xs)
+        return objective2_batch(xs)
+
+    return search.refine_all(counted, starts, maxfev), points[0]
+
+
+def _assert_same_results(got, want):
+    assert len(got) == len(want)
+    for (x, f2), (x_ref, f2_ref) in zip(got, want):
+        assert np.array_equal(x, x_ref) and f2 == f2_ref  # bit for bit
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_refine_all_is_refine_minimum_start_by_start(dim):
+    rng = np.random.default_rng(30 + dim)
+    starts = rng.uniform(-2.0, 2.0, size=(6, dim))
+    starts[1, 0] = 0.0  # zero coordinates get scipy's absolute offset, not 5 %
+    starts[2] = 0.0
+    want, calls = _one_at_a_time(_rosenbrock, starts, 4000)
+    got, points = _lockstep(_rosenbrock, starts, 4000)
+    _assert_same_results(got, want)
+    assert points == calls
+
+
+def test_refine_all_shrinks_as_scipy_does():
+    starts = np.random.default_rng(32).uniform(-2.0, 2.0, size=(8, 3))
+    want, calls = _one_at_a_time(_wavy, starts, 4000)
+    got, points = _lockstep(_wavy, starts, 4000)
+    _assert_same_results(got, want)
+    assert points == calls
+
+
+def test_refine_all_on_the_tetrahedron_lattice_minima():
+    psi = majorana.points_to_state(
+        np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+    )
+    rho = states.to_density(psi).mat
+    points, dists, objective2 = search.euler_scan(rho, rho, 4, 12)
+    starts = points[search.local_minima(dists.reshape((12,) * 3), wrap=(0, 2))]
+    assert len(starts) > 40
+    got = search.refine_all(lambda xs: _kernels.conj_distance_batch(xs, rho, rho, 4) ** 2, starts)
+    _assert_same_results(got, [search.refine_minimum(objective2, s) for s in starts])
+    assert max(f2 for _, f2 in got) < 1e-20  # every start reaches a stabilizer element
+
+
+def test_refine_all_stops_at_maxfev_where_scipy_does():
+    from scipy.optimize import minimize
+
+    # each start's first run reaches the cap of 100 calls in a shrink step,
+    # which scipy abandons with one vertex moved and not evaluated
+    capped = np.array(
+        [
+            [1.5251981891104611, 1.665996542521364, -1.974859571079557],
+            [1.5058685202226583, -1.950060275550375, 1.2430739280225969],
+        ]
+    )
+    for x0 in capped:
+        res = minimize(
+            lambda x: float(_wavy(x)[0]),
+            x0,
+            method="Nelder-Mead",
+            options={"fatol": 1e-26, "xatol": 1e-12, "maxfev": 100},
+        )
+        sim, fsim = res.final_simplex
+        assert res.nfev == 100 and not res.success
+        assert any(_wavy(v)[0] != f for v, f in zip(sim, fsim))
+    starts = np.vstack([capped, np.random.default_rng(33).uniform(-2.0, 2.0, size=(6, 3))])
+    want, calls = _one_at_a_time(_wavy, starts, 100)
+    for i, start in enumerate(starts):
+        # two chained runs of at most 100 calls each
+        one, points = _lockstep(_wavy, start[None, :], 100)
+        _assert_same_results(one, want[i : i + 1])
+        assert points <= 200
+    got, points = _lockstep(_wavy, starts, 100)
+    _assert_same_results(got, want)
+    assert points == calls
+
+
+def test_refine_all_of_no_starts_is_empty():
+    assert search.refine_all(_rosenbrock, np.empty((0, 2))) == []
