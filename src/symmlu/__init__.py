@@ -80,6 +80,7 @@ from .verify import (
     sample_stabilizer,
     spectra_report,
     stabilizer_anomalies,
+    witness_anomalies,
 )
 
 __version__ = "0.1.0"
@@ -146,6 +147,7 @@ __all__ = [
     "check_stabilizes",
     "sample_stabilizer",
     "stabilizer_anomalies",
+    "witness_anomalies",
     "spectra_report",
     "lu_equivalent_pure_bruteforce",
 ]

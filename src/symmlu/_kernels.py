@@ -144,9 +144,14 @@ def diag_phase_residual(phis, vals, diffs):
     vals are squared moduli of the density matrix's nonzero entries and
     diffs the per-entry bit differences (row bits minus column bits), so the
     returned value equals the Frobenius distance moved by the conjugation.
+    The angles are summed qubit by qubit in a fixed order, so a row's value
+    does not depend on the other rows of the batch.
     """
     phis = np.atleast_2d(np.asarray(phis, dtype=np.float64))
     vals = np.asarray(vals, dtype=np.float64)
-    theta = phis @ np.asarray(diffs, dtype=np.float64).T
+    diffs = np.asarray(diffs, dtype=np.float64)
+    theta = phis[:, :1] * diffs[None, :, 0]
+    for k in range(1, phis.shape[1]):
+        theta += phis[:, k : k + 1] * diffs[None, :, k]
     res2 = (vals[None, :] * (2.0 - 2.0 * np.cos(theta))).sum(axis=1)
     return np.sqrt(np.maximum(res2, 0.0))

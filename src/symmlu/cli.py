@@ -286,7 +286,7 @@ def _run_verify(args) -> int:
     code = 0
     if args.class_check:
         res = classify.classify_state(psi)
-        anomalies = verify.stabilizer_anomalies(psi, res, cfg)
+        anomalies = verify.witness_anomalies(witnesses, res, cfg)
         out["class"] = _class_label(res.sclass)
         out["anomalies"] = [
             {

@@ -1,8 +1,8 @@
 """Lattice search: scan an objective on a product lattice, pick starts, descend.
 
-Blind stabilizer sampling, brute-force pure equivalence, class membership
-and the n = 2 two-factor mixed heuristic all search this way; they differ
-only in how they pick starts from the lattice and when they stop.
+Blind stabilizer sampling, brute-force pure equivalence and the n = 2
+two-factor mixed heuristic all search this way; they differ only in how
+they pick starts from the lattice and when they stop.
 Objectives are passed squared so that their zeros are smooth minima.
 
 Descent is chained Nelder-Mead (refine_minimum).  The sampling searches,

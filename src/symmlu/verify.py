@@ -13,9 +13,14 @@ It reports every accepted witness (projectively deduplicated) at the stated
 lattice resolution; it cannot certify the absence of stabilizer elements
 between lattice points.  It refines every start, so it refines all of them
 in lockstep (search.refine_all, one batched kernel call per phase of a
-Nelder-Mead step).  The searches that stop at the first good start
-(class_membership_distance, lu_equivalent_pure_bruteforce) refine one start
-at a time (search.refine_minimum, search.descend).
+Nelder-Mead step).  lu_equivalent_pure_bruteforce stops at the first good
+start, so it refines one start at a time (search.descend).
+
+class_membership_distance needs no search: it finds the nearest element of
+a classified family exactly (per-qubit phase fits with a bisection on the
+common overlap for the constrained diagonal classes, a geodesic midpoint for
+class iii, enumeration for a finite group).  stabilizer_anomalies and
+witness_anomalies check the sampled witnesses against it.
 """
 from __future__ import annotations
 
@@ -38,6 +43,7 @@ __all__ = [
     "sample_stabilizer",
     "class_membership_distance",
     "stabilizer_anomalies",
+    "witness_anomalies",
     "spectra_report",
     "lu_equivalent_pure_bruteforce",
 ]
@@ -210,42 +216,144 @@ def _conjugated(u: states.LocalUnitary, g: np.ndarray) -> states.LocalUnitary:
     return states.LocalUnitary(tuple(g @ f @ g.conj().T for f in u.factors))
 
 
+def _wrap(t):
+    """Angles taken into [-pi, pi)."""
+    return (t + math.pi) % (2 * math.pi) - math.pi
+
+
+def _half_widths(level: float, a, b) -> np.ndarray:
+    """Largest |t - t*_k| at which qubit k keeps its squared overlap >= level.
+
+    pi where the overlap never drops below level, 0 at its peak; a qubit with
+    b_k = 0 has a flat overlap and is pi for every level <= a_k.
+    """
+    cos_w = np.divide(level - a, b, out=np.full_like(a, -1.0), where=b > 0)
+    return np.arccos(np.clip(cos_w, -1.0, 1.0))
+
+
+def _highest_level(feasible, top: float) -> float:
+    """Largest level in [0, top] that feasible accepts, bisected to the last bit."""
+    if feasible(top):
+        return top
+    lo, hi = 0.0, top
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _common_arc_midpoint(centres, widths):
+    """Midpoint of a part of the intersection of the arcs |t - centre_k| <= width_k, or None.
+
+    A part of a nonempty intersection starts at the left end of some arc, so
+    testing the n left ends decides emptiness.
+    """
+    left = centres - widths
+    off = _wrap(left[:, None] - centres[None, :])  # left end i seen from centre k
+    inside = np.abs(off) <= widths[None, :]
+    np.fill_diagonal(inside, True)  # each left end lies on its own arc
+    hits = np.flatnonzero(inside.all(axis=1))
+    if hits.size == 0:
+        return None
+    i = hits[0]
+    return left[i] + 0.5 * float(np.min(widths - off[i]))
+
+
+def _fit_phases(tag: str, c: np.ndarray) -> np.ndarray:
+    """Class parameters of the diagonal family member nearest factors c (n, 2, 2).
+
+    Along qubit k, |tr(rz(t)^+ c_k)|^2 = a_k + b_k cos(t - t*_k), and the
+    projective distance of that qubit falls as this overlap rises, so the
+    nearest member maximises the smallest overlap.  Class i takes each t*_k;
+    the constrained classes bisect on the common overlap level.
+    """
+    m00, m11 = np.abs(c[:, 0, 0]), np.abs(c[:, 1, 1])
+    a, b = m00 * m00 + m11 * m11, 2.0 * m00 * m11
+    peaks = np.angle(c[:, 1, 1]) - np.angle(c[:, 0, 0])
+    if tag == "i":
+        return peaks
+    top = float(np.min(a + b))
+    if tag in ("iia", "iib"):
+        # phases summing to 0 mod 2 pi: the offsets e_k = t_k - t*_k sum to r
+        r = float(_wrap(-np.sum(peaks)))
+        level = _highest_level(lambda q: np.sum(_half_widths(q, a, b)) >= abs(r), top)
+        w = _half_widths(level, a, b)
+        total = float(np.sum(w))
+        offsets = r * w / total if total > 0 else np.zeros_like(w)
+        return (peaks + offsets)[:-1]  # the last phase follows from the others
+    # iva, ivb: one phase on every qubit
+    level = _highest_level(
+        lambda q: _common_arc_midpoint(peaks, _half_widths(q, a, b)) is not None, top
+    )
+    return np.array([_common_arc_midpoint(peaks, _half_widths(level, a, b))])
+
+
+def _pair_midpoint(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """Geodesic midpoint a0 m^{1/2} of a0 and a1 projectively, m = a0^+ a1 in SU(2) with tr m >= 0."""
+    m = a0.conj().T @ a1
+    m = m / np.sqrt(np.linalg.det(m))
+    if np.trace(m).real < 0:
+        m = -m
+    # for m in SU(2), (m + 1)^2 = (tr m + 2) m
+    root = (m + np.eye(2)) / math.sqrt(np.trace(m).real + 2.0)
+    return a0 @ root
+
+
 def class_membership_distance(
     sampler: classify.StabilizerSampler,
     u: states.LocalUnitary,
-    grid: int = 16,
-    maxfev: int = 4000,
 ) -> float:
-    """Projective distance from u to the sampled class family."""
-    _check_grid(grid)
+    """Projective distance from u to the sampled class family.
+
+    Exact for every class: the finite group is enumerated, class iii takes
+    the geodesic midpoint of its two factors, and the diagonal classes fit
+    their phases in closed form on each flip layer (_fit_phases).  The
+    distance is the entrywise LocalUnitary.projective_distance to the member
+    found, so a member scores at roundoff.
+    """
+    if u.n != sampler.n:
+        raise DomainError(f"arity mismatch: unitary on {u.n} qubits, family on {sampler.n}")
     tag = sampler.sclass.tag
     if tag == "finite":
         return min(
             u.projective_distance(sampler.unit((idx,)))
             for idx in range(len(sampler.sclass.group.elements))
         )
+    factors = np.array(u.factors)
     if tag == "iii":
-        points = search.euler_lattice(grid)
-        members = [lambda x: sampler.unit((_kernels.euler_su2(*x),))]
-    else:
-        dim = sampler.continuous_dim
-        p = grid
-        while p > 4 and p**dim > 70000:
-            p -= 1
-        points = search.lattice(*([np.linspace(0.0, 2 * math.pi, p, endpoint=False)] * dim))
-        flips = (False, True) if sampler.has_flip else (False,)
-        members = [lambda x, flip=flip: sampler.unit(tuple(x), flip) for flip in flips]
-    best2 = math.inf
-    for member in members:
+        return u.projective_distance(sampler.unit((_pair_midpoint(factors[0], factors[1]),)))
+    flips = (False, True) if sampler.has_flip else (False,)
+    return min(
+        u.projective_distance(
+            sampler.unit(tuple(_fit_phases(tag, factors @ states.PAULI_X if flip else factors)), flip)
+        )
+        for flip in flips
+    )
 
-        def objective2(x, member=member):
-            d = u.projective_distance(member(x))
-            return d * d
 
-        vals = np.array([objective2(x) for x in points])
-        _, f2 = search.refine_minimum(objective2, points[int(np.argmin(vals))], maxfev)
-        best2 = min(best2, float(f2))
-    return math.sqrt(max(best2, 0.0))
+def witness_anomalies(
+    witnesses,
+    result: classify.ClassificationResult,
+    cfg: StabilizerSearchConfig | None = None,
+) -> tuple:
+    """The witnesses lying outside the classified family, as (witness, membership distance).
+
+    Each witness is moved into the frame of the class sampler by the
+    classification's transform before its distance is taken.
+    """
+    if cfg is None:
+        cfg = StabilizerSearchConfig()
+    anomalies = []
+    for w in witnesses:
+        moved = _conjugated(w.unitary, result.transform)
+        d = class_membership_distance(result.sampler, moved)
+        if d > cfg.membership_tol:
+            anomalies.append((w, d))
+    return tuple(anomalies)
 
 
 def stabilizer_anomalies(
@@ -263,14 +371,7 @@ def stabilizer_anomalies(
         cfg = StabilizerSearchConfig()
     if result is None:
         result = classify.classify_state(psi)
-    rho = states.to_density(psi)
-    anomalies = []
-    for w in sample_stabilizer(rho, cfg):
-        moved = _conjugated(w.unitary, result.transform)
-        d = class_membership_distance(result.sampler, moved)
-        if d > cfg.membership_tol:
-            anomalies.append((w, d))
-    return tuple(anomalies)
+    return witness_anomalies(sample_stabilizer(states.to_density(psi), cfg), result, cfg)
 
 
 # ---------------------------------------------------------------------------

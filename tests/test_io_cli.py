@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from symmlu import cli, io, states
+from symmlu import cli, io, states, verify
 from symmlu.errors import DomainError
 
 
@@ -240,6 +240,27 @@ def test_verify_command(tmp_path, monkeypatch, capsys):
     assert rep["anomalies"] == []
     assert rep["ok"] is True
     assert rep["spectra"]["global_spectrum"][0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_verify_class_check_samples_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    sample = verify.sample_stabilizer
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "sample_stabilizer", counted)
+    p = tmp_path / "ghz3.json"
+    p.write_text(io.dumps(io.state_to_dict(states.ghz(3))))
+    code, out = run_cli(
+        ["verify", str(p), "--class-check", "--search-grid", "4"],
+        monkeypatch,
+        capsys,
+    )
+    rep = json.loads(out)
+    assert code == 0 and rep["ok"] is True
+    assert len(calls) == 1  # the class check reuses the witnesses it reports
 
 
 def test_mkstate_random_is_seed_deterministic(monkeypatch, capsys):

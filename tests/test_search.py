@@ -202,6 +202,34 @@ def test_refine_all_on_the_tetrahedron_lattice_minima():
     assert max(f2 for _, f2 in got) < 1e-20  # every start reaches a stabilizer element
 
 
+def test_refine_all_on_the_tetrahedron_diagonal_phases():
+    # the diagonal-phase residual of a row must not depend on its batch, or
+    # a lockstep descent drifts from the one-start descent in the last bit
+    n = 4
+    rho = states.to_density(
+        majorana.points_to_state(
+            np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+        )
+    ).mat
+    rows, cols = np.nonzero(np.abs(rho) > 1e-14)
+    vals = np.abs(rho[rows, cols]) ** 2
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
+    diffs = bits[rows] - bits[cols]
+    axis = np.linspace(0.0, 2 * math.pi, 6, endpoint=False)
+    points = search.lattice(*([axis] * n))
+    res = _kernels.diag_phase_residual(points, vals, diffs)
+    starts = points[search.local_minima(res.reshape((6,) * n), wrap=tuple(range(n)))]
+    assert len(starts) > 20
+
+    def objective2_batch(xs):
+        return _kernels.diag_phase_residual(xs, vals, diffs) ** 2
+
+    want, calls = _one_at_a_time(objective2_batch, starts, 4000)
+    got, points_used = _lockstep(objective2_batch, starts, 4000)
+    _assert_same_results(got, want)
+    assert points_used == calls
+
+
 def test_refine_all_stops_at_maxfev_where_scipy_does():
     from scipy.optimize import minimize
 

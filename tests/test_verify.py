@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
-from symmlu import classify, majorana, mixed, states, verify
+from symmlu import _kernels, classify, majorana, mixed, search, states, verify
 from symmlu.classify import StabilizerClass
 from symmlu.errors import DomainError
 
@@ -39,14 +42,10 @@ def test_stabilizer_search_config_rejects_degenerate_settings():
 
 @pytest.mark.parametrize("grid", [0, 3])
 def test_oracles_reject_a_degenerate_grid(grid):
-    # grid=0 used to give an empty lattice: "no g found" for identical
-    # states, and numpy's empty-argmin ValueError in the membership search
+    # grid=0 used to give an empty lattice: "no g found" for identical states
     ghz3 = states.ghz(3)
     with pytest.raises(DomainError, match="at least 4 points"):
         verify.lu_equivalent_pure_bruteforce(ghz3, ghz3, grid=grid)
-    sampler = classify.classify_state(ghz3).sampler
-    with pytest.raises(DomainError, match="at least 4 points"):
-        verify.class_membership_distance(sampler, sampler.unit((0.3, 0.5)), grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +170,139 @@ def test_membership_on_finite_group():
     rng = np.random.default_rng(54)
     outsider = states.LocalUnitary.uniform(states.random_su2(rng), 4)
     assert verify.class_membership_distance(sampler, outsider) > 1e-3
+
+
+# every continuous class with its allowed qubit counts
+CONTINUOUS = (
+    [("i", n) for n in range(2, 9)]
+    + [("iia", n) for n in range(2, 9)]
+    + [("iib", n) for n in range(2, 9)]
+    + [("iva", n) for n in range(2, 9, 2)]
+    + [("ivb", n) for n in range(3, 9)]
+    + [("iii", 2)]
+)
+
+
+def continuous_sampler(tag, n):
+    params = {"iib": {"t": 0.3}, "ivb": {"k": 1}}.get(tag, {})
+    return classify.stabilizer_generators(StabilizerClass(tag, **params), n)
+
+
+def random_member(sampler, flip, rng):
+    """A family element with a random global phase on each factor."""
+    if sampler.sclass.tag == "iii":
+        u = sampler.random(rng)
+    else:
+        u = sampler.unit(tuple(rng.uniform(0, 2 * math.pi, sampler.continuous_dim)), flip)
+    phases = np.exp(1j * rng.uniform(0, 2 * math.pi, sampler.n))
+    return states.LocalUnitary(tuple(p * f for p, f in zip(phases, u.factors)))
+
+
+def family_phases(tag, n, params):
+    """Per-qubit rz phases (rows, n) of the diagonal family at parameter rows."""
+    if tag == "i":
+        return params
+    if tag in ("iia", "iib"):
+        return np.hstack([params, -params.sum(axis=1, keepdims=True)])
+    return np.repeat(params, n, axis=1)  # iva, ivb
+
+
+def lattice_distances(factors, gates):
+    """max over qubits of the phase-aligned distance of gates (rows, n, 2, 2) to factors, by traces."""
+    overlap = np.abs(np.einsum("rkji,kji->rk", gates.conj(), factors))
+    return np.sqrt(np.maximum(4.0 - 2.0 * overlap, 0.0)).max(axis=1)
+
+
+def nelder_mead(objective, x0):
+    return minimize(
+        objective, x0, method="Nelder-Mead", options={"xatol": 1e-12, "fatol": 1e-15, "maxfev": 4000}
+    ).fun
+
+
+def reference_distance(sampler, u):
+    """Distance from u to the family found by a dense search: an upper bound on the minimum.
+
+    A lattice plus Nelder-Mead where the family has at most 3 parameters
+    (class iii on an Euler lattice), a fine scan for the one-phase classes,
+    and for every diagonal class a Nelder-Mead polish from the closed form's
+    own fit, which a fit that is off the minimum would improve on.
+    """
+    tag, n = sampler.sclass.tag, sampler.n
+    factors = np.array(u.factors)
+    if tag == "iii":
+        points = search.euler_lattice(16)
+        gs = _kernels.euler_su2_batch(points)
+        vals = lattice_distances(factors, np.stack([gs, gs], axis=1))
+        x0 = points[int(np.argmin(vals))]
+        polished = nelder_mead(lambda x: u.projective_distance(sampler.unit((_kernels.euler_su2(*x),))), x0)
+        return min(float(vals.min()), polished)
+    dim = sampler.continuous_dim
+    best = math.inf
+    for flip in (False, True) if sampler.has_flip else (False,):
+
+        def objective(x, flip=flip):
+            return u.projective_distance(sampler.unit(tuple(x), flip))
+
+        layer = factors @ states.PAULI_X if flip else factors
+        starts = [verify._fit_phases(tag, layer)]
+        if dim <= 2:
+            axis = np.linspace(0.0, 2 * math.pi, 8192 if dim == 1 else 96, endpoint=False)
+            params = search.lattice(*([axis] * dim))
+            t = family_phases(tag, n, params)
+            gates = np.zeros(t.shape + (2, 2), dtype=np.complex128)
+            gates[..., 0, 0], gates[..., 1, 1] = np.exp(-0.5j * t), np.exp(0.5j * t)
+            if flip:
+                gates = gates @ states.PAULI_X
+            vals = lattice_distances(factors, gates)
+            best = min(best, float(vals.min()))
+            starts.append(params[int(np.argmin(vals))])
+        best = min([best] + [nelder_mead(objective, x0) for x0 in starts])
+    return best
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(case=st.sampled_from(CONTINUOUS), flip=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_members_of_every_continuous_class_score_at_roundoff(case, flip, seed):
+    sampler = continuous_sampler(*case)
+    u = random_member(sampler, flip and sampler.has_flip, np.random.default_rng(seed))
+    assert verify.class_membership_distance(sampler, u) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(CONTINUOUS),
+    flip=st.booleans(),
+    scale=st.sampled_from([1e-3, 0.3, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_is_no_worse_than_a_dense_search(case, flip, scale, seed):
+    # outsiders far from the family (scale None) and members moved by a
+    # small rotation, near which the minimum sits at a kink of the max
+    rng = np.random.default_rng(seed)
+    sampler = continuous_sampler(*case)
+    n = sampler.n
+    if scale is None:
+        kicks = [states.random_su2(rng) for _ in range(n)]
+    else:
+        kicks = [_kernels.euler_su2(*(scale * rng.normal(size=3))) for _ in range(n)]
+    member = random_member(sampler, flip and sampler.has_flip, rng)
+    u = states.LocalUnitary(tuple(f @ k for f, k in zip(member.factors, kicks)))
+    got = verify.class_membership_distance(sampler, u)
+    assert got <= reference_distance(sampler, u) + 1e-9
+
+
+def test_ghz5_members_are_members():
+    # the lattice search put 3 of these 10 members above membership_tol
+    sampler = classify.classify_state(states.ghz(5)).sampler
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        assert verify.class_membership_distance(sampler, sampler.random(rng)) <= 1e-12
+
+
+def test_membership_needs_matching_arity():
+    sampler = continuous_sampler("iia", 3)
+    with pytest.raises(DomainError, match="arity"):
+        verify.class_membership_distance(sampler, states.LocalUnitary.uniform(np.eye(2), 4))
 
 
 def test_no_anomalies_for_ghz3():
