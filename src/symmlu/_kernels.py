@@ -1,15 +1,21 @@
 """Hot numeric kernels, one numpy body each.
 
 Kernels:
-  euler_su2_batch        SU(2) elements of a batch of ZYZ Euler triples
-  conj_distance_batch    Frobenius distance || g^{(x)n} rho g^{(x)n +} - target ||
-                         for a batch of ZYZ Euler triples, on dense 2^n
-                         matrices: the oracle form, used by verify
-  polish_roots           guarded Newton refinement of polynomial roots
-  diag_phase_residual    stabilization residual of per-qubit diagonal phases
+  euler_su2_batch          SU(2) elements of a batch of ZYZ Euler triples
+  density_factor           V with rho = V V^+, from one eigh (rank r)
+  conj_distance_batch      Frobenius distance || g^{(x)n} rho g^{(x)n +} - target ||
+                           for a batch of ZYZ Euler triples, from the factor
+                           V of rho: the oracle form, used by verify
+  conj_gauss_newton        the same distance squared, with its gradient and
+                           Gauss-Newton matrix in left steps of g
+  su2_left_step            g <- exp(-i d.sigma/2) g
+  polish_roots             guarded Newton refinement of polynomial roots
+  diag_phase_residual      stabilization residual of per-qubit diagonal phases
+  diag_phase_gauss_newton  its square, with gradient and Gauss-Newton matrix
 
 euler_su2 and conj_distance_single are the one-point forms, computed by the
-batch bodies on a one-row array.
+batch bodies on a one-row array.  The (f2, grad, gn) models feed
+search.gauss_newton.
 """
 from __future__ import annotations
 
@@ -19,17 +25,21 @@ __all__ = [
     "euler_su2",
     "euler_su2_batch",
     "horner",
+    "density_factor",
     "conj_distance_batch",
     "conj_distance_single",
+    "conj_gauss_newton",
+    "su2_left_step",
     "polish_roots",
     "diag_phase_residual",
+    "diag_phase_gauss_newton",
 ]
 
-_CHUNK_ROWS, _CHUNK_ENTRIES = 256, 1 << 22  # dense path: rows per chunk, complex entries per temporary
+_CHUNK_ROWS, _CHUNK_ENTRIES = 256, 1 << 22  # conjugation kernels: rows per chunk, complex entries per temporary
 
 
 def _chunk_rows(n: int) -> int:
-    """Euler rows per chunk of the dense path at n qubits.
+    """Rows per chunk of the conjugation kernels at n qubits.
 
     At most 256, and at least 1; otherwise few enough that each (rows, 2^n,
     2^n) temporary of a chunk holds at most 2^22 complex entries (64 MiB):
@@ -62,49 +72,146 @@ def euler_su2(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return euler_su2_batch(np.array([[alpha, beta, gamma]], dtype=np.float64))[0]
 
 
-def _tensor_power_batch(gs: np.ndarray, n: int) -> np.ndarray:
-    """Batched n-fold Kronecker power of (B, 2, 2) matrices."""
-    big = gs
-    dim = 2
-    for _ in range(n - 1):
-        big = np.einsum("bij,bkl->bikjl", big, gs).reshape(-1, dim * 2, dim * 2)
-        dim *= 2
-    return big
+def density_factor(rho) -> np.ndarray:
+    """V (2^n, r) with V V^+ = rho, from one eigh of the Hermitian PSD rho.
+
+    Keeps the eigenvalues above numpy's matrix_rank default cutoff
+    (lambda_max 2^n eps), so a pure state gives r = 1.
+    """
+    vals, vecs = np.linalg.eigh(np.asarray(rho, dtype=np.complex128))
+    keep = vals > vals[-1] * len(vals) * np.finfo(np.float64).eps
+    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def _distance(reps: np.ndarray, rho: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """|| R rho R^+ - target ||_F for each R of one chunk; its buffers die when it returns."""
-    moved = reps @ rho @ np.conj(np.swapaxes(reps, 1, 2))
-    sq = np.abs(moved - target[None, :, :])
-    sq *= sq
-    return np.sqrt(np.sum(sq, axis=(1, 2)))
+def _on_every_qubit(ops, a: np.ndarray, n: int) -> np.ndarray:
+    """ops[b]^{(x)n} applied to the columns of a (B or 1, 2^n, r), one qubit at a time; (B, 2^n, r)."""
+    rows = ops.shape[0]
+    for k in range(n):
+        legs = a.reshape(a.shape[0], 1 << k, 2, -1)
+        out = np.empty((rows,) + legs.shape[1:], dtype=np.complex128)
+        for i in (0, 1):
+            out[:, :, i] = ops[:, i, 0, None, None] * legs[:, :, 0] + ops[:, i, 1, None, None] * legs[:, :, 1]
+        a = out
+    return a.reshape(rows, 1 << n, -1)
 
 
-def _conj_distance(angles: np.ndarray, rho, target, n: int) -> np.ndarray:
-    """D on the dense 2^n matrices, _chunk_rows(n) Euler rows at a time, behind both public names.
+def _moved(gs, factor, target, n: int):
+    """A = g^{(x)n} V and R = A A^+ - target for each g of one chunk."""
+    a = _on_every_qubit(gs, factor[None], n)
+    ah = np.conj(np.swapaxes(a, 1, 2))
+    resid = a * ah if a.shape[2] == 1 else a @ ah  # rank 1: an outer product, faster broadcast
+    resid -= target
+    return a, resid
+
+
+def _squared_norms(m: np.ndarray) -> np.ndarray:
+    """||m_b||_F^2 of each complex matrix of a (B, d, d) stack, in one pass."""
+    flat = np.ascontiguousarray(m).reshape(m.shape[0], -1).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _by_chunks(body, rows: int, n: int, *batch):
+    """body on _chunk_rows(n) rows of each batch array at a time, results concatenated.
+
+    Every temporary of body is at most (rows, 2^n, 2^n).
+    """
+    step = _chunk_rows(n)
+    parts = [body(*(b[s : s + step] for b in batch)) for s in range(0, max(rows, 1), step)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _conj_distance(angles, factor, target, n: int) -> np.ndarray:
+    """D of each Euler row, behind both public names.
 
     Kept apart from them so a one-point call is not also counted as a batch
     call by wrappers installed on the public names.
     """
-    rho = np.ascontiguousarray(rho, dtype=np.complex128)
-    target = np.ascontiguousarray(target, dtype=np.complex128)
-    out = np.empty(angles.shape[0], dtype=np.float64)
-    rows = _chunk_rows(n)
-    for start in range(0, angles.shape[0], rows):
-        sl = slice(start, start + rows)
-        out[sl] = _distance(_tensor_power_batch(euler_su2_batch(angles[sl]), n), rho, target)
+    factor = np.asarray(factor, dtype=np.complex128)
+    target = np.asarray(target, dtype=np.complex128)
+
+    def body(chunk):
+        _, resid = _moved(euler_su2_batch(chunk), factor, target, n)
+        return (np.sqrt(_squared_norms(resid)),)
+
+    return _by_chunks(body, angles.shape[0], n, angles)[0]
+
+
+def conj_distance_batch(angles, factor, target, n):
+    """D = || g^{(x)n} V V^+ g^{(x)n +} - target ||_F for each Euler row g.
+
+    factor is V (2^n, r) of rho = V V^+ (density_factor).  g^{(x)n} V is
+    applied qubit by qubit, so a point costs about r 4^n + n r 2^n complex
+    products; no 2^n x 2^n power of g is formed.
+    """
+    return _conj_distance(np.asarray(angles, dtype=np.float64), factor, target, n)
+
+
+def conj_distance_single(alpha, beta, gamma, factor, target, n):
+    """conj_distance_batch of the single Euler triple (alpha, beta, gamma)."""
+    angles = np.array([[alpha, beta, gamma]], dtype=np.float64)
+    return float(_conj_distance(angles, factor, target, n)[0])
+
+
+def _spin_components(a: np.ndarray, n: int) -> np.ndarray:
+    """J_c a for J_c = sum_k sigma_c^(k) / 2, c = x, y, z, on (B, 2^n, r) columns; (3, B, 2^n, r)."""
+    out = np.zeros((3,) + a.shape, dtype=np.complex128)
+    for k in range(n):
+        legs = a.reshape(a.shape[0], 1 << k, 2, -1)
+        lo, hi = legs[:, :, 0], legs[:, :, 1]
+        view = out.reshape(3, a.shape[0], 1 << k, 2, -1)
+        view[0, :, :, 0] += hi
+        view[0, :, :, 1] += lo
+        view[1, :, :, 0] -= 1j * hi
+        view[1, :, :, 1] += 1j * lo
+        view[2, :, :, 0] += lo
+        view[2, :, :, 1] -= hi
+    out *= 0.5
     return out
 
 
-def conj_distance_batch(angles, rho, target, n):
-    """|| g(a)^{(x)n} rho g(a)^{(x)n +} - target ||_F for each Euler row."""
-    return _conj_distance(np.asarray(angles, dtype=np.float64), rho, target, n)
+def conj_gauss_newton(gs, factor, target, n):
+    """Least-squares model of D^2 at each SU(2) element of gs (B, 2, 2); (f2, grad, gn).
+
+    The residual is R = A A^+ - target with A = g^{(x)n} V.  Steps are taken
+    on the left, g <- exp(-i d.sigma/2) g, so column c of the Jacobian is
+    C_c = -i [J_c, A A^+] with J_c = sum_k sigma_c^(k) / 2.  Returned per
+    row: f2 = ||R||^2, grad_c = Re<C_c, R> = -2 Im tr(B_c^+ R A) and the
+    Gauss-Newton matrix gn_cd = Re<C_c, C_d> = 2 Re tr(B_c^+ B_d A^+ A -
+    A^+ B_d A^+ B_c), where B_c = J_c A.  Only R is 2^n x 2^n; the rest are
+    r-column products.
+    """
+    gs = np.asarray(gs, dtype=np.complex128)
+    factor = np.asarray(factor, dtype=np.complex128)
+    target = np.asarray(target, dtype=np.complex128)
+
+    def body(chunk):
+        a, resid = _moved(chunk, factor, target, n)
+        spins = _spin_components(a, n)
+        ah = np.conj(np.swapaxes(a, 1, 2))
+        grad = -2.0 * np.imag(np.sum(np.conj(spins) * (resid @ a), axis=(2, 3))).T
+        gram = ah @ a  # (B, r, r)
+        proj = ah @ spins  # P_c = A^+ B_c, (3, B, r, r)
+        cross = np.einsum("cbir,dbis->bcdrs", np.conj(spins), spins)  # B_c^+ B_d
+        gn = 2.0 * np.real(
+            np.einsum("bcdrs,bsr->bcd", cross, gram) - np.einsum("dbrs,cbsr->bcd", proj, proj)
+        )
+        return _squared_norms(resid), grad, gn
+
+    return _by_chunks(body, gs.shape[0], n, gs)
 
 
-def conj_distance_single(alpha, beta, gamma, rho, target, n):
-    """conj_distance_batch of the single Euler triple (alpha, beta, gamma)."""
-    angles = np.array([[alpha, beta, gamma]], dtype=np.float64)
-    return float(_conj_distance(angles, rho, target, n)[0])
+def su2_left_step(gs, deltas):
+    """exp(-i d.sigma/2) g for each SU(2) element g of gs (B, 2, 2) and step d of deltas (B, 3)."""
+    deltas = np.asarray(deltas, dtype=np.float64)
+    theta = np.sqrt(np.sum(deltas * deltas, axis=1))
+    x, y, z = 0.5 * np.sinc(theta / (2 * np.pi)) * deltas.T  # sin(theta/2) d / theta
+    c = np.cos(0.5 * theta)
+    step = np.empty((len(theta), 2, 2), dtype=np.complex128)
+    step[:, 0, 0] = c - 1j * z
+    step[:, 0, 1] = -y - 1j * x
+    step[:, 1, 0] = y - 1j * x
+    step[:, 1, 1] = c + 1j * z
+    return step @ gs
 
 
 def horner(coeffs, z):
@@ -138,6 +245,17 @@ def polish_roots(coeffs, roots, iters: int = 5):
     return z
 
 
+def _phase_angles(phis: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    """theta = phis @ diffs.T, summed qubit by qubit in a fixed order.
+
+    A row's angles then do not depend on the other rows of the batch.
+    """
+    theta = phis[:, :1] * diffs[None, :, 0]
+    for k in range(1, phis.shape[1]):
+        theta += phis[:, k : k + 1] * diffs[None, :, k]
+    return theta
+
+
 def diag_phase_residual(phis, vals, diffs):
     """Residual of conjugation by per-qubit diag(1, e^{i phi_k}) phases.
 
@@ -145,13 +263,30 @@ def diag_phase_residual(phis, vals, diffs):
     diffs the per-entry bit differences (row bits minus column bits), so the
     returned value equals the Frobenius distance moved by the conjugation.
     The angles are summed qubit by qubit in a fixed order, so a row's value
-    does not depend on the other rows of the batch.
+    does not depend on the other rows of the batch.  |e^{i theta} - 1| is
+    taken as 2 |sin(theta/2)|, which keeps its relative accuracy near 0.
     """
     phis = np.atleast_2d(np.asarray(phis, dtype=np.float64))
     vals = np.asarray(vals, dtype=np.float64)
     diffs = np.asarray(diffs, dtype=np.float64)
-    theta = phis[:, :1] * diffs[None, :, 0]
-    for k in range(1, phis.shape[1]):
-        theta += phis[:, k : k + 1] * diffs[None, :, k]
-    res2 = (vals[None, :] * (2.0 - 2.0 * np.cos(theta))).sum(axis=1)
-    return np.sqrt(np.maximum(res2, 0.0))
+    half = np.sin(0.5 * _phase_angles(phis, diffs))
+    return 2.0 * np.sqrt(np.sum(vals * half * half, axis=1))
+
+
+def diag_phase_gauss_newton(phis, vals, diffs):
+    """Least-squares model of diag_phase_residual^2 at each row of phis; (f2, grad, gn).
+
+    The residual of entry j is sqrt(vals_j) (e^{i theta_j} - 1), with
+    Jacobian i sqrt(vals_j) e^{i theta_j} diffs_j, so f2 = sum 4 vals
+    sin^2(theta/2), grad = (vals sin theta) @ diffs and the Gauss-Newton matrix
+    diffs^T diag(vals) diffs does not depend on phis.
+    """
+    phis = np.atleast_2d(np.asarray(phis, dtype=np.float64))
+    vals = np.asarray(vals, dtype=np.float64)
+    diffs = np.asarray(diffs, dtype=np.float64)
+    theta = _phase_angles(phis, diffs)
+    half = np.sin(0.5 * theta)
+    f2 = 4.0 * np.sum(vals * half * half, axis=1)
+    grad = (vals * np.sin(theta)) @ diffs
+    gn = np.repeat((diffs.T @ (vals[:, None] * diffs))[None], phis.shape[0], axis=0)
+    return f2, grad, gn

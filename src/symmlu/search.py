@@ -1,15 +1,22 @@
-"""Lattice search: scan an objective on a product lattice, pick starts, descend.
+"""Lattice search: scan an objective on a product lattice, pick starts, refine.
 
 Blind stabilizer sampling, brute-force pure equivalence and the n = 2
 two-factor mixed heuristic all search this way; they differ only in how
 they pick starts from the lattice and when they stop.
-Objectives are passed squared so that their zeros are smooth minima.
+Objectives are refined squared so that their zeros are smooth minima.
 
-Descent is chained Nelder-Mead (refine_minimum).  The sampling searches,
-which refine every start, run all starts in lockstep (refine_all): the same
-steps as scipy's, with one batched objective call per phase of a step.  The
-early-stopping searches (descend with stop_f2) refine one start at a time,
-so that they can stop after the first start that is good enough.
+The dense oracles refine by damped Gauss-Newton (gauss_newton,
+Levenberg-Marquardt): their objectives are squared norms of residuals with
+analytic Jacobians (the _kernels models), and every start of a batch takes
+its steps in lockstep, one batched model call per iteration.  The
+identical-tuple family steps in the Lie algebra, g <- exp(-i d.sigma/2) g,
+so Euler angles are only lattice coordinates and gimbal lock does not
+arise.  The sampling searches refine all their starts in one round;
+brute-force equivalence refines fixed-size rounds and stops as soon as one
+start is good enough.
+
+The n = 2 two-factor heuristic keeps chained Nelder-Mead (refine_minimum,
+one start at a time through descend).
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ __all__ = [
     "euler_scan",
     "local_minima",
     "refine_minimum",
-    "refine_all",
+    "gauss_newton",
     "descend",
     "best",
 ]
@@ -44,17 +51,19 @@ def euler_lattice(grid: int) -> np.ndarray:
 
 
 def euler_scan(rho, target, n: int, grid: int):
-    """Euler lattice, D on it, and D^2 of one triple; D = || g^{(x)n} rho g^{(x)n +} - target ||.
+    """Euler lattice, D on it, and the least-squares model of D^2; D = || g^{(x)n} rho g^{(x)n +} - target ||.
 
-    Dense 2^n conjugation: the oracles' form of the scan.
+    rho is factored once (_kernels.density_factor); the model maps SU(2)
+    elements (B, 2, 2) to (f2, grad, gn) in left steps (_kernels.su2_left_step),
+    as gauss_newton takes it.  The oracles' form of the scan.
     """
     points = euler_lattice(grid)
+    factor = _kernels.density_factor(rho)
 
-    def objective2(x):
-        d = _kernels.conj_distance_single(x[0], x[1], x[2], rho, target, n)
-        return d * d
+    def model(gs):
+        return _kernels.conj_gauss_newton(gs, factor, target, n)
 
-    return points, _kernels.conj_distance_batch(points, rho, target, n), objective2
+    return points, _kernels.conj_distance_batch(points, factor, target, n), model
 
 
 def local_minima(vals: np.ndarray, wrap: tuple) -> np.ndarray:
@@ -79,11 +88,6 @@ def local_minima(vals: np.ndarray, wrap: tuple) -> np.ndarray:
 
 _CHAIN = ((1e-26, 1e-12), (1e-28, 1e-13))  # (fatol, xatol) of the chained runs
 
-# scipy's Nelder-Mead: initial simplex offsets and reflection, expansion,
-# contraction and shrink coefficients (non-adaptive)
-_NONZDELT, _ZDELT = 0.05, 0.00025
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-
 
 def refine_minimum(objective, x0, maxfev: int = 4000):
     """Derivative-free local minimization (chained Nelder-Mead runs).
@@ -105,124 +109,74 @@ def refine_minimum(objective, x0, maxfev: int = 4000):
     return best.x, float(best.fun)
 
 
-def _sorted(sim: np.ndarray, fsim: np.ndarray):
-    """Each simplex ordered by its values, lowest first, by scipy's sort.
+# damped Gauss-Newton (Levenberg-Marquardt): iteration cap per round, initial
+# damping relative to the largest diagonal entry of the Gauss-Newton matrix,
+# damping factors after an accepted and a rejected step, and the step size
+# and relative decrease below which a start is done
+_GN_ITERATIONS = 100
+_GN_DAMPING = 1e-3
+_GN_DOWN, _GN_UP = 0.1, 10.0
+_GN_XTOL, _GN_FTOL = 1e-14, 1e-8
 
-    That is numpy's default argsort, which is not stable on ties of four or
-    more entries where it has a SIMD sort; row by row it orders a batch as
-    it orders each row alone.
+
+def _gauss_newton_round(model, step, x, stop_f2: float):
+    """Levenberg-Marquardt from every row of x at once; (x, f2) of each row.
+
+    A row is done when its damped step is shorter than _GN_XTOL (converged,
+    or stuck where no step lowers f2) or an accepted step lowers f2 by less
+    than _GN_FTOL of itself.  Every row is done after _GN_ITERATIONS, or as
+    soon as one row reaches stop_f2; the others then keep where they are.
     """
-    ind = np.argsort(fsim, axis=1)
-    return np.take_along_axis(sim, ind[:, :, None], axis=1), np.take_along_axis(fsim, ind, axis=1)
-
-
-def _nelder_mead_all(objective2_batch, x0: np.ndarray, fatol: float, xatol: float, maxfev: int):
-    """scipy's Nelder-Mead from every row of x0 at once; (x, f) of each row.
-
-    Row by row this is scipy.optimize.minimize(method="Nelder-Mead") with the
-    same fatol, xatol and maxfev: the same simplex, arithmetic, sort and
-    stopping test, and at the maxfev cap the same state scipy leaves (the
-    step that asks for one call too many is abandoned where it stands).
-    A step calls objective2_batch once for the reflections of all live
-    simplices, once for their expansion or contraction points and once for
-    any shrink points.
-    """
-    rows, dim = x0.shape
-    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
-    for k in range(dim):
-        y = sim[:, k + 1, k]
-        sim[:, k + 1, k] = np.where(y != 0, (1 + _NONZDELT) * y, _ZDELT)
-    first = min(dim + 1, maxfev)
-    fsim = np.full((rows, dim + 1), np.inf)
-    fsim[:, :first] = objective2_batch(sim[:, :first].reshape(-1, dim)).reshape(rows, first)
-    sim, fsim = _sorted(*_sorted(sim, fsim))  # scipy sorts the first simplex twice
-    calls = np.full(rows, first)
-    live = np.arange(rows)
-    x_out, f_out = np.empty_like(x0), np.empty(rows)
-
-    def retire(done):
-        nonlocal live, sim, fsim, calls
-        x_out[live[done]] = sim[done, 0]
-        f_out[live[done]] = fsim[done].min(axis=1)
-        keep = ~done
-        live, sim, fsim, calls = live[keep], sim[keep], fsim[keep], calls[keep]
-
-    while True:
-        retire(calls >= maxfev)
-        flat = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
-        retire(flat & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
+    f2, grad, gn = model(x)
+    x_out, f2_out = x.copy(), f2.copy()
+    live = np.arange(len(f2))
+    dim = grad.shape[1]
+    lam = _GN_DAMPING * np.maximum(np.max(np.diagonal(gn, axis1=1, axis2=2), axis=1), np.finfo(float).tiny)
+    for _ in range(_GN_ITERATIONS):
+        if f2_out.min() <= stop_f2:
+            break
+        damped = gn + lam[:, None, None] * np.eye(dim)
+        delta = -np.linalg.solve(damped, grad[:, :, None])[:, :, 0]
+        moving = np.sqrt(np.sum(delta * delta, axis=1)) > _GN_XTOL
+        if not moving.all():
+            live, x, f2, grad, gn, lam, delta = (v[moving] for v in (live, x, f2, grad, gn, lam, delta))
         if live.size == 0:
-            return x_out, f_out
-
-        xbar = np.add.reduce(sim[:, :-1], axis=1) / dim
-        worst = sim[:, -1]
-        xr = (1 + _RHO) * xbar - _RHO * worst
-        fxr = objective2_batch(xr)
-        calls += 1
-
-        expand = fxr < fsim[:, 0]
-        take_r = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~take_r & (fxr < fsim[:, -1])
-        probe = ~take_r & (calls < maxfev)  # the rest abandon the step at the cap
-        pts = np.where(
-            expand[:, None],
-            (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
-            np.where(
-                outside[:, None],
-                (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
-                (1 - _PSI) * xbar + _PSI * worst,
-            ),
-        )
-        fpt = np.full(live.size, np.nan)  # compares false: unprobed rows keep what they have
-        if probe.any():
-            fpt[probe] = objective2_batch(pts[probe])
-            calls += probe
-
-        use_pt = probe & np.where(expand, fpt < fxr, np.where(outside, fpt <= fxr, fpt < fsim[:, -1]))
-        use_r = take_r | (probe & expand & ~use_pt)
-        sim[:, -1] = np.where(use_pt[:, None], pts, np.where(use_r[:, None], xr, worst))
-        fsim[:, -1] = np.where(use_pt, fpt, np.where(use_r, fxr, fsim[:, -1]))
-
-        shrink = np.flatnonzero(probe & ~expand & ~use_pt)
-        if shrink.size:
-            left = maxfev - calls[shrink]
-            j = np.arange(1, dim + 1)
-            # vertex j moves before it is evaluated: at the cap one vertex moves unevaluated
-            moved = j[None, :] <= left[:, None] + 1
-            evaluated = j[None, :] <= left[:, None]
-            best, rest = sim[shrink, :1], sim[shrink, 1:]
-            sim[shrink, 1:] = np.where(moved[:, :, None], best + _SIGMA * (rest - best), rest)
-            if evaluated.any():
-                vals = fsim[shrink, 1:]
-                vals[evaluated] = objective2_batch(sim[shrink, 1:][evaluated])
-                fsim[shrink, 1:] = vals
-                calls[shrink] += evaluated.sum(axis=1)
-        sim, fsim = _sorted(sim, fsim)
+            break
+        x_new = step(x, delta)
+        f2_new, grad_new, gn_new = model(x_new)
+        better = f2_new < f2
+        stalled = better & (f2 - f2_new <= _GN_FTOL * f2)
+        x[better], grad[better], gn[better] = x_new[better], grad_new[better], gn_new[better]
+        f2 = np.where(better, f2_new, f2)
+        lam = np.where(better, _GN_DOWN, _GN_UP) * lam
+        x_out[live], f2_out[live] = x, f2
+        if stalled.any():
+            keep = ~stalled
+            live, x, f2, grad, gn, lam = (v[keep] for v in (live, x, f2, grad, gn, lam))
+    return x_out, f2_out
 
 
-def refine_all(objective2_batch, starts, maxfev: int = 4000) -> list:
-    """refine_minimum from every start at once; (x, f2) of each start, in order.
+def gauss_newton(model, step, starts, stop_f2: float = -math.inf, rows: int | None = None) -> list:
+    """Damped Gauss-Newton refinement of starts in lockstep; (x, f2) of each refined start, in order.
 
-    objective2_batch maps (m, d) points to their m values.  Each result is
-    the one refine_minimum(objective2, start, maxfev) returns, bit for bit,
-    when objective2 is objective2_batch on one row and objective2_batch
-    gives a row the value it gives that row alone.  A matrix product over
-    the batch (diag_phase_residual's) can round a row differently by batch
-    size, and the descent then agrees only to roundoff.
+    model maps a batch of points to (f2, grad, gn): the squared residual
+    norm, grad = Re J^+ r and the Gauss-Newton matrix Re J^+ J of each point
+    in the step coordinates.  step(x, delta) moves each point by its step
+    (x + delta for coordinates, a left multiplication for a group element).
+    The starts are refined rows at a time (all at once by default), and the
+    refinement stops as soon as a start reaches f2 <= stop_f2: the starts of
+    later rounds are not refined, and those of its own round keep the point
+    they had reached.
     """
-    x = np.asarray(starts, dtype=float)
-    if x.shape[0] == 0:
-        return []
-    best_x = best_f = None
-    for fatol, xatol in _CHAIN:
-        x, f = _nelder_mead_all(objective2_batch, x, fatol, xatol, maxfev)
-        if best_x is None:
-            best_x, best_f = x, f
-        else:
-            better = f <= best_f
-            best_x = np.where(better[:, None], x, best_x)
-            best_f = np.where(better, f, best_f)
-    return list(zip(best_x, best_f.tolist()))
+    starts = np.asarray(starts)
+    rows = rows or max(len(starts), 1)
+    out = []
+    for lo in range(0, len(starts), rows):
+        x, f2 = _gauss_newton_round(model, step, starts[lo : lo + rows].copy(), stop_f2)
+        out += zip(x, f2.tolist())
+        if f2.min() <= stop_f2:
+            break
+    return out
 
 
 def descend(objective2, starts, maxfev: int = 4000, stop_f2: float = -math.inf) -> list:
@@ -242,5 +196,5 @@ def descend(objective2, starts, maxfev: int = 4000, stop_f2: float = -math.inf) 
 
 
 def best(results) -> tuple:
-    """The first lowest (x, f2) of descend's results; (None, inf) for none."""
+    """The first lowest (x, f2) of descend's or gauss_newton's results; (None, inf) for none."""
     return min(results, key=lambda r: r[1], default=(None, math.inf))

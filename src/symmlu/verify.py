@@ -7,14 +7,20 @@ equivalence is re-decided by direct optimization.  Dense work is capped at
 n <= 10.
 
 sample_stabilizer searches two families:
-  * identical tuples g^{(x)n} over a ZYZ Euler lattice with descent, and
+  * identical tuples g^{(x)n} over a ZYZ Euler lattice, and
   * independent per-qubit diagonal phases diag(1, e^{i phi_k}).
 It reports every accepted witness (projectively deduplicated) at the stated
 lattice resolution; it cannot certify the absence of stabilizer elements
-between lattice points.  It refines every start, so it refines all of them
-in lockstep (search.refine_all, one batched kernel call per phase of a
-Nelder-Mead step).  lu_equivalent_pure_bruteforce stops at the first good
-start, so it refines one start at a time (search.descend).
+between lattice points.  The lattice minima of each family are refined all
+at once by damped Gauss-Newton (search.gauss_newton).  The identical-tuple
+distance is computed from a factor V of rho (rho = V V^+, one eigh per
+search), with g^{(x)n} applied to V qubit by qubit: r 4^n + n r 2^n
+products a point for rank r, where the Kronecker power cost about 2 8^n.
+Its steps are left steps g <- exp(-i d.sigma/2) g in the Lie algebra; the
+diagonal family steps in its phases.  lu_equivalent_pure_bruteforce refines
+its lowest 40 minima 8 at a time and stops as soon as one reaches 0.01
+threshold.  Every witness is accepted only through the dense
+check_stabilizes.
 
 class_membership_distance needs no search: it finds the nearest element of
 a classified family exactly (per-qubit phase fits with a bisection on the
@@ -49,6 +55,7 @@ __all__ = [
 ]
 
 DENSE_ORACLE_CAP = 10
+_BRUTEFORCE_STARTS, _BRUTEFORCE_ROUND = 40, 8  # lattice minima refined, and per round
 
 
 def _cap(n: int):
@@ -84,7 +91,6 @@ class StabilizerSearchConfig:
     dedupe: float = 1e-6
     max_descents: int = 400
     membership_tol: float = 1e-5
-    maxfev: int = 4000
 
     def __post_init__(self):
         _check_grid(self.grid)
@@ -94,8 +100,8 @@ class StabilizerSearchConfig:
         for name in ("tol", "dedupe", "membership_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise DomainError(f"{name} must be positive and finite")
-        if self.max_descents < 1 or self.maxfev < 100:
-            raise DomainError("need max_descents >= 1 and maxfev >= 100")
+        if self.max_descents < 1:
+            raise DomainError("need max_descents >= 1")
 
 
 def check_stabilizes(
@@ -129,24 +135,24 @@ def _projective_key(u: states.LocalUnitary, resolution: float):
     return tuple(parts)
 
 
-def _accepted_descents(points, vals, wrap, objective2_batch, cfg):
-    """x of the descents from the local minima (the max_descents lowest) ending within cfg.tol."""
+def _lowest_minima(vals, wrap, count: int) -> np.ndarray:
+    """Flat indices of the lattice's local minima; the count lowest, lowest first."""
     minima = search.local_minima(vals, wrap)
-    if minima.size > cfg.max_descents:
-        minima = minima[np.argsort(vals.ravel()[minima], kind="stable")[: cfg.max_descents]]
-    results = search.refine_all(objective2_batch, points[minima], cfg.maxfev)
-    return [x for x, f2 in results if math.sqrt(max(f2, 0.0)) <= cfg.tol]
+    return minima[np.argsort(vals.ravel()[minima], kind="stable")[:count]]
+
+
+def _accepted(results, tol: float) -> list:
+    """x of the refined starts ending within tol."""
+    return [x for x, f2 in results if math.sqrt(max(f2, 0.0)) <= tol]
 
 
 def _identical_witnesses(rho, cfg):
     n = rho.n
-    lattice, dists, _ = search.euler_scan(rho.mat, rho.mat, n, cfg.grid)
-
-    def objective2_batch(xs):
-        return _kernels.conj_distance_batch(xs, rho.mat, rho.mat, n) ** 2
-
-    xs = _accepted_descents(lattice, dists.reshape((cfg.grid,) * 3), (0, 2), objective2_batch, cfg)
-    return [states.LocalUnitary.uniform(_kernels.euler_su2(*x), n) for x in xs]
+    lattice, dists, model = search.euler_scan(rho.mat, rho.mat, n, cfg.grid)
+    minima = _lowest_minima(dists.reshape((cfg.grid,) * 3), (0, 2), cfg.max_descents)
+    starts = _kernels.euler_su2_batch(lattice[minima])
+    gs = _accepted(search.gauss_newton(model, _kernels.su2_left_step, starts), cfg.tol)
+    return [states.LocalUnitary.uniform(g, n) for g in gs]
 
 
 def _entry_table(rho):
@@ -172,11 +178,12 @@ def _diag_witnesses(rho, cfg):
             p -= 1
     phis = search.lattice(*([np.linspace(0.0, 2 * math.pi, p, endpoint=False)] * n))
     res = _kernels.diag_phase_residual(phis, vals, diffs)
+    minima = _lowest_minima(res.reshape((p,) * n), tuple(range(n)), cfg.max_descents)
 
-    def objective2_batch(xs):
-        return _kernels.diag_phase_residual(xs, vals, diffs) ** 2
+    def model(xs):
+        return _kernels.diag_phase_gauss_newton(xs, vals, diffs)
 
-    xs = _accepted_descents(phis, res.reshape((p,) * n), tuple(range(n)), objective2_batch, cfg)
+    xs = _accepted(search.gauss_newton(model, np.add, phis[minima]), cfg.tol)
     return [states.LocalUnitary(tuple(np.diag([1.0, np.exp(1j * t)]) for t in x)) for x in xs]
 
 
@@ -387,8 +394,10 @@ def lu_equivalent_pure_bruteforce(
 ):
     """Direct identical-tuple search on the projectors; None when no g found.
 
-    Independent of the point-configuration route: optimizes the Frobenius
-    distance of the conjugated projector over an Euler lattice with descent.
+    Independent of the point-configuration route: minimizes the Frobenius
+    distance of the conjugated projector over an Euler lattice, then refines
+    the lowest lattice minima by damped Gauss-Newton, _BRUTEFORCE_ROUND at
+    a time, until one reaches 0.01 threshold.
     """
     if psi.n != phi.n:
         raise DomainError(f"qubit counts differ: {psi.n} vs {phi.n}")
@@ -397,13 +406,20 @@ def lu_equivalent_pure_bruteforce(
     n = psi.n
     if threshold is None:
         threshold = default_threshold(n)
+    if not 0 < threshold < math.inf:
+        raise DomainError("threshold must be positive and finite")
     rho = states.to_density(psi).mat
     sigma = states.to_density(phi).mat
-    lattice, dists, objective2 = search.euler_scan(rho, sigma, n, grid)
-    minima = search.local_minima(dists.reshape((grid,) * 3), wrap=(0, 2))
-    minima = minima[np.argsort(dists[minima], kind="stable")[:40]]
-    results = search.descend(objective2, lattice[minima], stop_f2=(0.01 * threshold) ** 2)
-    best_x, best_f2 = search.best(results)
+    lattice, dists, model = search.euler_scan(rho, sigma, n, grid)
+    minima = _lowest_minima(dists.reshape((grid,) * 3), (0, 2), _BRUTEFORCE_STARTS)
+    results = search.gauss_newton(
+        model,
+        _kernels.su2_left_step,
+        _kernels.euler_su2_batch(lattice[minima]),
+        stop_f2=(0.01 * threshold) ** 2,
+        rows=_BRUTEFORCE_ROUND,
+    )
+    best_g, best_f2 = search.best(results)
     if math.sqrt(max(best_f2, 0.0)) <= threshold:
-        return _kernels.euler_su2(*best_x)
+        return best_g
     return None

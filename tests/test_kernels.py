@@ -45,7 +45,7 @@ def test_conj_distance_batch_matches_dense_oracle():
     rho = states.random_symmetric_mixed(n, rng).mat
     target = states.random_symmetric_mixed(n, rng).mat
     angles = rng.uniform(0, 2 * math.pi, size=(30, 3))
-    got = _kernels.conj_distance_batch(angles, rho, target, n)
+    got = _kernels.conj_distance_batch(angles, _kernels.density_factor(rho), target, n)
     for row, d in zip(angles, got):
         assert abs(d - dense_conj_distance(row, rho, target, n)) < 1e-10
 
@@ -56,9 +56,10 @@ def test_conj_distance_single_matches_batch():
     rho = states.random_symmetric_mixed(n, rng).mat
     target = states.random_symmetric_mixed(n, rng).mat
     angles = rng.uniform(0, 2 * math.pi, size=(10, 3))
-    batch = _kernels.conj_distance_batch(angles, rho, target, n)
+    factor = _kernels.density_factor(rho)
+    batch = _kernels.conj_distance_batch(angles, factor, target, n)
     for row, d in zip(angles, batch):
-        single = _kernels.conj_distance_single(row[0], row[1], row[2], rho, target, n)
+        single = _kernels.conj_distance_single(row[0], row[1], row[2], factor, target, n)
         assert abs(d - single) < 1e-12
 
 
@@ -67,8 +68,9 @@ def test_conj_distance_single_matches_dense_oracle(n):
     rng = np.random.default_rng(28 + n)
     rho = states.random_symmetric_mixed(n, rng).mat
     target = states.random_symmetric_mixed(n, rng).mat
+    factor = _kernels.density_factor(rho)
     for row in rng.uniform(0, 2 * math.pi, size=(5, 3)):
-        single = _kernels.conj_distance_single(row[0], row[1], row[2], rho, target, n)
+        single = _kernels.conj_distance_single(row[0], row[1], row[2], factor, target, n)
         assert abs(single - dense_conj_distance(row, rho, target, n)) < 1e-10
 
 
@@ -124,7 +126,122 @@ def test_chunk_seams_do_not_change_the_dense_distance(monkeypatch):
     rho = states.random_symmetric_mixed(4, rng).mat
     target = states.random_symmetric_mixed(4, rng).mat
     angles = rng.uniform(0, 2 * math.pi, size=(10, 3))
-    whole = _kernels.conj_distance_batch(angles, rho, target, 4)
+    factor = _kernels.density_factor(rho)
+    whole = _kernels.conj_distance_batch(angles, factor, target, 4)
     monkeypatch.setattr(_kernels, "_CHUNK_ENTRIES", 3 * 4**4)  # 3 rows a chunk
     assert _kernels._chunk_rows(4) == 3
-    assert np.array_equal(_kernels.conj_distance_batch(angles, rho, target, 4), whole)
+    assert np.array_equal(_kernels.conj_distance_batch(angles, factor, target, 4), whole)
+
+
+def _full_rank_density(n, rng):
+    m = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("rank", [1, 3, "full"])
+def test_factor_kernel_matches_the_kronecker_formula(rank, monkeypatch):
+    rng = np.random.default_rng(40)
+    n = 4
+    if rank == "full":
+        rho = _full_rank_density(n, rng)
+    elif rank == 1:
+        rho = states.to_density(states.random_symmetric(n, rng)).mat
+    else:
+        rho = states.random_symmetric_mixed(n, rng, rank=rank).mat
+    target = states.random_symmetric_mixed(n, rng).mat
+    factor = _kernels.density_factor(rho)
+    assert factor.shape == (1 << n, 1 << n if rank == "full" else rank)
+    assert np.max(np.abs(factor @ factor.conj().T - rho)) < 1e-14
+    angles = rng.uniform(0, 2 * math.pi, size=(10, 3))
+    angles[0] = 0.0
+    angles[1, 1] = 0.0
+    want = np.array([dense_conj_distance(row, rho, target, n) for row in angles])
+    whole = _kernels.conj_distance_batch(angles, factor, target, n)
+    assert np.max(np.abs(whole - want)) < 2e-15
+    monkeypatch.setattr(_kernels, "_CHUNK_ENTRIES", 3 * 4**n)  # 3 rows a chunk: seams after rows 3, 6 and 9
+    assert np.array_equal(_kernels.conj_distance_batch(angles, factor, target, n), whole)
+    f2, _, _ = _kernels.conj_gauss_newton(_kernels.euler_su2_batch(angles), factor, target, n)
+    assert np.max(np.abs(np.sqrt(f2) - want)) < 2e-15
+
+
+def test_density_factor_keeps_the_eigenvalues_above_the_rank_cutoff():
+    rng = np.random.default_rng(41)
+    rho = states.to_density(states.ghz(5)).mat  # eigenvalues 1 and roundoff
+    assert _kernels.density_factor(rho).shape == (32, 1)
+    assert np.linalg.matrix_rank(rho) == 1
+    mixed = states.random_symmetric_mixed(3, rng, rank=2).mat
+    assert _kernels.density_factor(mixed).shape == (8, np.linalg.matrix_rank(mixed))
+
+
+def _central_differences(f, x, step, h=1e-6):
+    return np.stack([(f(step(x, h * e)) - f(step(x, -h * e))) / (2 * h) for e in np.eye(3)], axis=1)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_conj_gauss_newton_derivatives_match_finite_differences(rank):
+    rng = np.random.default_rng(42 + rank)
+    n = 3
+    rho = states.random_symmetric_mixed(n, rng, rank=rank).mat
+    target = states.random_symmetric_mixed(n, rng).mat
+    factor = _kernels.density_factor(rho)
+    gs = _kernels.euler_su2_batch(rng.uniform(0, 2 * math.pi, size=(6, 3)))
+    f2, grad, gn = _kernels.conj_gauss_newton(gs, factor, target, n)
+
+    def left(g, e):
+        return _kernels.su2_left_step(g, np.broadcast_to(e, (len(g), 3)))
+
+    assert np.max(np.abs(_central_differences(lambda g: _kernels.conj_gauss_newton(g, factor, target, n)[0], gs, left) - 2 * grad)) < 1e-7
+
+    def moved(g):  # dense g^{(x)n} rho g^{(x)n +}, flattened
+        out = []
+        for u in g:
+            big = np.ones((1, 1), dtype=np.complex128)
+            for _ in range(n):
+                big = np.kron(big, u)
+            out.append((big @ rho @ big.conj().T).ravel())
+        return np.array(out)
+
+    jac = np.stack([(moved(left(gs, 1e-6 * e)) - moved(left(gs, -1e-6 * e))) / 2e-6 for e in np.eye(3)], axis=2)
+    assert np.max(np.abs(np.real(np.einsum("bmc,bmd->bcd", jac.conj(), jac)) - gn)) < 1e-7
+
+
+def test_su2_left_step_is_the_exponential():
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(44)
+    gs = _kernels.euler_su2_batch(rng.uniform(0, 2 * math.pi, size=(5, 3)))
+    deltas = rng.normal(size=(5, 3))
+    deltas[0] = 0.0
+    deltas[1] = [1e-9, 0.0, -2e-9]
+    got = _kernels.su2_left_step(gs, deltas)
+    paulis = (states.PAULI_X, states.PAULI_Y, states.PAULI_Z)
+    for g, d, u in zip(gs, deltas, got):
+        assert np.max(np.abs(u - expm(-0.5j * sum(c * p for c, p in zip(d, paulis))) @ g)) < 1e-14
+
+
+def test_diag_phase_gauss_newton_is_the_squared_residual_with_its_derivatives():
+    rng = np.random.default_rng(45)
+    n = 3
+    rho = states.random_symmetric_mixed(n, rng)
+    rows, cols = np.nonzero(np.abs(rho.mat) > 1e-14)
+    vals = np.abs(rho.mat[rows, cols]) ** 2
+    bits = ((np.arange(8)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
+    diffs = bits[rows] - bits[cols]
+    phis = rng.uniform(0, 2 * math.pi, size=(6, n))
+    f2, grad, gn = _kernels.diag_phase_gauss_newton(phis, vals, diffs)
+    assert np.max(np.abs(f2 - _kernels.diag_phase_residual(phis, vals, diffs) ** 2)) < 1e-14
+    h = 1e-6
+    fd = np.stack(
+        [
+            (_kernels.diag_phase_gauss_newton(phis + h * e, vals, diffs)[0] - _kernels.diag_phase_gauss_newton(phis - h * e, vals, diffs)[0]) / (2 * h)
+            for e in np.eye(n)
+        ],
+        axis=1,
+    )
+    assert np.max(np.abs(fd - 2 * grad)) < 1e-7
+    resid_jac = 1j * np.sqrt(vals)[:, None] * diffs  # at phis = 0
+    assert np.allclose(gn[0], np.real(resid_jac.conj().T @ resid_jac), atol=1e-14)
+    # near theta = 0 the squared residual keeps its relative accuracy
+    tiny = _kernels.diag_phase_gauss_newton(np.full((1, n), 1e-10), vals, diffs)[0][0]
+    assert tiny == pytest.approx(np.sum(vals * (diffs.sum(axis=1) * 1e-10) ** 2), rel=1e-6)

@@ -108,10 +108,11 @@ def test_euler_scan_objective_matches_the_lattice_values():
     rng = np.random.default_rng(5)
     rho = states.random_symmetric_mixed(3, rng).mat
     target = states.random_symmetric_mixed(3, rng).mat
-    points, dists, objective2 = search.euler_scan(rho, target, 3, 4)
+    points, dists, model = search.euler_scan(rho, target, 3, 4)
     assert np.array_equal(points, search.euler_lattice(4))
     for i in (0, 17, 63):
-        assert math.sqrt(objective2(points[i])) == pytest.approx(dists[i], abs=1e-12)
+        f2 = model(_kernels.euler_su2_batch(points[i : i + 1]))[0][0]
+        assert math.sqrt(f2) == pytest.approx(dists[i], abs=1e-12)
 
 
 def test_block_distance_matches_the_dense_scan():
@@ -126,91 +127,53 @@ def test_block_distance_matches_the_dense_scan():
 
 
 # ---------------------------------------------------------------------------
-# lockstep refinement
+# damped Gauss-Newton refinement
 # ---------------------------------------------------------------------------
 
 
-def _rosenbrock(xs):
-    xs = np.atleast_2d(xs)
-    return np.sum(100.0 * (xs[:, 1:] - xs[:, :-1] ** 2) ** 2 + (1.0 - xs[:, :-1]) ** 2, axis=1)
+def _tetrahedron_rho():
+    pts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+    return states.to_density(majorana.points_to_state(pts)).mat
 
 
-def _wavy(xs):
-    # a ripple along one direction makes Nelder-Mead shrink often; row-wise
-    # sums, not a matrix product, so that a row's value does not depend on
-    # the batch it comes in
-    xs = np.atleast_2d(xs)
-    return np.sum(xs**2, axis=1) + 0.5 * np.sin(40.0 * np.sum(xs * [1.0, 1.7, 2.3], axis=1)) ** 2
+def _rotation(axis, angle):
+    """exp(-i angle axis.sigma / 2) for a unit axis."""
+    gen = sum(c * p for c, p in zip(axis, (states.PAULI_X, states.PAULI_Y, states.PAULI_Z)))
+    return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * gen
 
 
-def _one_at_a_time(objective2_batch, starts, maxfev):
-    calls = [0]
-
-    def objective2(x):
-        calls[0] += 1
-        return float(objective2_batch(x[None, :])[0])
-
-    return [search.refine_minimum(objective2, s, maxfev) for s in starts], calls[0]
-
-
-def _lockstep(objective2_batch, starts, maxfev):
-    points = [0]
-
-    def counted(xs):
-        points[0] += len(xs)
-        return objective2_batch(xs)
-
-    return search.refine_all(counted, starts, maxfev), points[0]
+def _tetrahedral_group():
+    """The 12 rotations of the tetrahedron with vertices (1, 1, 1), (1, -1, -1), ... in SU(2), one sign each."""
+    out = [np.eye(2, dtype=np.complex128)]
+    out += [_rotation(axis, math.pi) for axis in np.eye(3)]
+    for v in np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3):
+        out += [_rotation(v, 2 * math.pi / 3), _rotation(v, 4 * math.pi / 3)]
+    return out
 
 
-def _assert_same_results(got, want):
-    assert len(got) == len(want)
-    for (x, f2), (x_ref, f2_ref) in zip(got, want):
-        assert np.array_equal(x, x_ref) and f2 == f2_ref  # bit for bit
-
-
-@pytest.mark.parametrize("dim", [2, 3, 5, 8])
-def test_refine_all_is_refine_minimum_start_by_start(dim):
-    rng = np.random.default_rng(30 + dim)
-    starts = rng.uniform(-2.0, 2.0, size=(6, dim))
-    starts[1, 0] = 0.0  # zero coordinates get scipy's absolute offset, not 5 %
-    starts[2] = 0.0
-    want, calls = _one_at_a_time(_rosenbrock, starts, 4000)
-    got, points = _lockstep(_rosenbrock, starts, 4000)
-    _assert_same_results(got, want)
-    assert points == calls
-
-
-def test_refine_all_shrinks_as_scipy_does():
-    starts = np.random.default_rng(32).uniform(-2.0, 2.0, size=(8, 3))
-    want, calls = _one_at_a_time(_wavy, starts, 4000)
-    got, points = _lockstep(_wavy, starts, 4000)
-    _assert_same_results(got, want)
-    assert points == calls
+def _group_index(g, group):
+    """Index of the element of group equal to g up to sign; None when there is none."""
+    hits = [i for i, h in enumerate(group) if min(np.max(np.abs(g - h)), np.max(np.abs(g + h))) < 1e-10]
+    return hits[0] if len(hits) == 1 else None
 
 
 def test_refine_all_on_the_tetrahedron_lattice_minima():
-    psi = majorana.points_to_state(
-        np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
-    )
-    rho = states.to_density(psi).mat
-    points, dists, objective2 = search.euler_scan(rho, rho, 4, 12)
+    rho = _tetrahedron_rho()
+    points, dists, model = search.euler_scan(rho, rho, 4, 12)
     starts = points[search.local_minima(dists.reshape((12,) * 3), wrap=(0, 2))]
     assert len(starts) > 40
-    got = search.refine_all(lambda xs: _kernels.conj_distance_batch(xs, rho, rho, 4) ** 2, starts)
-    _assert_same_results(got, [search.refine_minimum(objective2, s) for s in starts])
+    got = search.gauss_newton(model, _kernels.su2_left_step, _kernels.euler_su2_batch(starts))
+    assert len(got) == len(starts)
     assert max(f2 for _, f2 in got) < 1e-20  # every start reaches a stabilizer element
+    group = _tetrahedral_group()
+    reached = [_group_index(g, group) for g, _ in got]
+    assert None not in reached
+    assert sorted(set(reached)) == list(range(12))  # the accepted witnesses are the whole group
 
 
 def test_refine_all_on_the_tetrahedron_diagonal_phases():
-    # the diagonal-phase residual of a row must not depend on its batch, or
-    # a lockstep descent drifts from the one-start descent in the last bit
     n = 4
-    rho = states.to_density(
-        majorana.points_to_state(
-            np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
-        )
-    ).mat
+    rho = _tetrahedron_rho()
     rows, cols = np.nonzero(np.abs(rho) > 1e-14)
     vals = np.abs(rho[rows, cols]) ** 2
     bits = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
@@ -221,47 +184,82 @@ def test_refine_all_on_the_tetrahedron_diagonal_phases():
     starts = points[search.local_minima(res.reshape((6,) * n), wrap=tuple(range(n)))]
     assert len(starts) > 20
 
-    def objective2_batch(xs):
-        return _kernels.diag_phase_residual(xs, vals, diffs) ** 2
+    def model(xs):
+        return _kernels.diag_phase_gauss_newton(xs, vals, diffs)
 
-    want, calls = _one_at_a_time(objective2_batch, starts, 4000)
-    got, points_used = _lockstep(objective2_batch, starts, 4000)
-    _assert_same_results(got, want)
-    assert points_used == calls
+    got = search.gauss_newton(model, np.add, starts)
+    assert len(got) == len(starts)
+    accepted = {tuple(np.round(np.mod(x, 2 * math.pi) / math.pi, 9) % 2) for x, f2 in got if math.sqrt(f2) <= 1e-8}
+    # the diagonal stabilizer elements: the identity and the half turn about z, diag(1, -1) on every qubit
+    assert accepted == {(0.0,) * n, (1.0,) * n}
+    for x, f2 in got:
+        assert math.sqrt(f2) == pytest.approx(_kernels.diag_phase_residual(x[None], vals, diffs)[0], abs=1e-8)
 
 
-def test_refine_all_stops_at_maxfev_where_scipy_does():
-    from scipy.optimize import minimize
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_refinement_leaves_gimbal_lock(n):
+    # beta = 0 rows of the Euler lattice, where Euler coordinates lose a
+    # direction; the left steps do not, and reach rz(2 pi k / n) of GHZ_n
+    rho = states.to_density(states.ghz(n)).mat
+    _, _, model = search.euler_scan(rho, rho, n, 4)
+    calls = [0]
 
-    # each start's first run reaches the cap of 100 calls in a shrink step,
-    # which scipy abandons with one vertex moved and not evaluated
-    capped = np.array(
-        [
-            [1.5251981891104611, 1.665996542521364, -1.974859571079557],
-            [1.5058685202226583, -1.950060275550375, 1.2430739280225969],
-        ]
-    )
-    for x0 in capped:
-        res = minimize(
-            lambda x: float(_wavy(x)[0]),
-            x0,
-            method="Nelder-Mead",
-            options={"fatol": 1e-26, "xatol": 1e-12, "maxfev": 100},
-        )
-        sim, fsim = res.final_simplex
-        assert res.nfev == 100 and not res.success
-        assert any(_wavy(v)[0] != f for v, f in zip(sim, fsim))
-    starts = np.vstack([capped, np.random.default_rng(33).uniform(-2.0, 2.0, size=(6, 3))])
-    want, calls = _one_at_a_time(_wavy, starts, 100)
-    for i, start in enumerate(starts):
-        # two chained runs of at most 100 calls each
-        one, points = _lockstep(_wavy, start[None, :], 100)
-        _assert_same_results(one, want[i : i + 1])
-        assert points <= 200
-    got, points = _lockstep(_wavy, starts, 100)
-    _assert_same_results(got, want)
-    assert points == calls
+    def counted(gs):
+        calls[0] += 1
+        return model(gs)
+
+    turn = np.linspace(0.0, 2 * math.pi, 7, endpoint=False)
+    starts = search.lattice(turn, [0.0], [0.0, 0.3])
+    got = search.gauss_newton(counted, _kernels.su2_left_step, _kernels.euler_su2_batch(starts))
+    assert max(math.sqrt(f2) for _, f2 in got) <= 1e-12
+    assert calls[0] <= 12
+    phases = set()
+    for g, _ in got:
+        assert abs(g[0, 1]) + abs(g[1, 0]) < 1e-12  # still a rotation about z
+        turns = (np.angle(g[1, 1] / g[0, 0]) / (2 * math.pi) * n) % n
+        assert min(turns % 1, 1 - turns % 1) < 1e-9
+        phases.add(round(turns) % n)
+    assert phases == set(range(n))
+
+
+def test_refinement_from_gimbal_lock_reaches_the_identity():
+    rng = np.random.default_rng(34)
+    rho = states.to_density(states.random_symmetric(4, rng)).mat
+    _, _, model = search.euler_scan(rho, rho, 4, 4)
+    starts = np.array([[0.1, 0.0, -0.05], [0.2, 0.0, 0.0], [0.0, 0.0, -0.15]])
+    for g, f2 in search.gauss_newton(model, _kernels.su2_left_step, _kernels.euler_su2_batch(starts)):
+        assert math.sqrt(f2) <= 1e-12
+        assert min(np.max(np.abs(g - np.eye(2))), np.max(np.abs(g + np.eye(2)))) < 1e-12
+
+
+def test_gauss_newton_rounds_stop_at_the_first_good_round():
+    # r = (x - 2, x^2 - 4): zero at x = 2, a local minimum of ||r||^2 = 13.9 at x = -1.707
+    def model(xs):
+        r = np.hstack([xs - 2.0, xs * xs - 4.0])
+        jac = np.hstack([np.ones_like(xs), 2.0 * xs])
+        return np.sum(r * r, axis=1), np.sum(jac * r, axis=1, keepdims=True), np.sum(jac * jac, axis=1)[:, None, None]
+
+    starts = np.array([[-3.0], [-2.5], [1.0], [-1.0], [3.0]])
+    everything = search.gauss_newton(model, np.add, starts)
+    assert [round(float(x[0]), 3) for x, _ in everything] == [-1.707, -1.707, 2.0, -1.707, 2.0]
+    two_rounds = search.gauss_newton(model, np.add, starts, stop_f2=1e-20, rows=2)
+    assert len(two_rounds) == 4  # the second round holds the first good start
+    assert [f2 <= 1e-20 for _, f2 in two_rounds] == [False, False, True, False]
+    # the fourth start stopped where it stood when the third reached the threshold
+    for (x, f2), (x_all, f2_all) in zip(two_rounds[:3], everything):
+        assert np.allclose(x, x_all) and f2 == pytest.approx(f2_all, abs=1e-24)
+    calls = []
+
+    def counted(xs):
+        calls.append(len(xs))
+        return model(xs)
+
+    search.gauss_newton(counted, np.add, starts[2:4])
+    to_the_end = len(calls)
+    calls.clear()
+    search.gauss_newton(counted, np.add, starts[2:4], stop_f2=1e-20)
+    assert len(calls) < to_the_end  # a round ends when its first start is good enough
 
 
 def test_refine_all_of_no_starts_is_empty():
-    assert search.refine_all(_rosenbrock, np.empty((0, 2))) == []
+    assert search.gauss_newton(None, np.add, np.empty((0, 2))) == []

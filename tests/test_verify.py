@@ -28,7 +28,6 @@ def test_stabilizer_search_config_rejects_degenerate_settings():
         {"dedupe": -1e-6},
         {"membership_tol": 0.0},
         {"max_descents": 0},
-        {"maxfev": 99},
     ]
     for kwargs in bad:
         with pytest.raises(DomainError):
@@ -365,3 +364,27 @@ def test_bruteforce_result_is_sound():
         states.LocalUnitary.uniform(g, 3), states.to_density(psi)
     )
     assert np.linalg.norm(rho.mat - states.to_density(phi).mat) <= 1e-7
+
+
+@pytest.mark.parametrize("threshold", [math.inf, math.nan, -1e-6, 0.0])
+def test_bruteforce_rejects_a_threshold_that_is_not_positive_and_finite(threshold):
+    # inf accepted any g, so an inequivalent pair read as equivalent
+    rng = np.random.default_rng(58)
+    a, b = states.random_symmetric(3, rng), states.random_symmetric(3, rng)
+    with pytest.raises(DomainError, match="positive and finite"):
+        verify.lu_equivalent_pure_bruteforce(a, b, threshold=threshold)
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(n=st.integers(3, 6), seed=st.integers(0, 2**32 - 1))
+def test_bruteforce_recovers_rotated_pairs_and_rejects_others(n, seed):
+    rng = np.random.default_rng(seed)
+    psi = states.random_symmetric(n, rng)
+    phi = states.apply_diag_symmetric(states.random_su2(rng), psi)
+    g = verify.lu_equivalent_pure_bruteforce(psi, phi)
+    assert g is not None
+    moved = states.apply_lu(states.LocalUnitary.uniform(g, n), states.to_density(psi))
+    assert np.linalg.norm(moved.mat - states.to_density(phi).mat) <= mixed.default_threshold(n)
+    other = states.random_symmetric(n, rng)
+    if classify.lu_equivalent_pure(psi, other) is None:
+        assert verify.lu_equivalent_pure_bruteforce(psi, other) is None
