@@ -34,7 +34,6 @@ from .majorana import (
     points_to_state,
 )
 from .mixed import (
-    EquivalenceSearchConfig,
     GhzForm,
     MixedEquivalenceResult,
     canonical_ghz_form,
@@ -133,7 +132,6 @@ __all__ = [
     "canonical_state",
     "class_census",
     "GhzForm",
-    "EquivalenceSearchConfig",
     "MixedEquivalenceResult",
     "lu_equivalent_mixed",
     "two_factor_search",

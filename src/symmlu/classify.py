@@ -46,9 +46,6 @@ __all__ = [
 # multiple roots of an n <= 12 polynomial stay well inside this radius
 _COARSE_CLUSTER = 0.15
 
-_EZ = np.array([0.0, 0.0, 1.0])
-_FLIP_X = np.array([[0, -1j], [-1j, 0]], dtype=np.complex128)  # exp(-i pi X / 2)
-
 
 @dataclass(frozen=True)
 class StabilizerClass:
@@ -237,7 +234,7 @@ class ClassificationResult:
 
 
 def _rotated_coeffs(psi, axis):
-    g = rotmatch.so3_to_su2(rotmatch.rotation_between(axis, _EZ))
+    g = rotmatch.so3_to_su2(rotmatch.rotation_between(axis, majorana.NORTH_POLE))
     return g, states.apply_diag_symmetric(g, psi)
 
 
@@ -286,7 +283,7 @@ def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> 
     n = psi.n
     fine = majorana.majorana_points(psi)
     if n == 1:
-        g = rotmatch.so3_to_su2(rotmatch.rotation_between(fine.points[0], _EZ))
+        g = rotmatch.so3_to_su2(rotmatch.rotation_between(fine.points[0], majorana.NORTH_POLE))
         return _build_result(psi, StabilizerClass("i"), g, tol)
 
     accepted: dict[str, tuple] = {}
@@ -299,12 +296,12 @@ def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> 
         g, k = hit
         if k == 0 or k == n:
             if k == n:
-                g = _FLIP_X @ g
+                g = states.POLE_FLIP @ g
             accepted.setdefault("i", (StabilizerClass("i"), g))
         else:
             kc = min(k, n - k)
             if k != kc:
-                g = _FLIP_X @ g
+                g = states.POLE_FLIP @ g
             if 2 * kc == n:
                 accepted.setdefault("iva", (StabilizerClass("iva"), g))
             else:
@@ -316,8 +313,8 @@ def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> 
             continue
         g, rot = hit
         if abs(rot.coeffs[0]) < abs(rot.coeffs[-1]):
-            g = _FLIP_X @ g
-            rot = states.apply_diag_symmetric(_FLIP_X, rot)
+            g = states.POLE_FLIP @ g
+            rot = states.apply_diag_symmetric(states.POLE_FLIP, rot)
         a, b = abs(rot.coeffs[0]), abs(rot.coeffs[-1])
         phase = (np.angle(rot.coeffs[0]) - np.angle(rot.coeffs[-1])) / n
         g = np.array([[1, 0], [0, np.exp(1j * phase)]], dtype=np.complex128) @ g

@@ -234,21 +234,19 @@ def _run_equiv(args) -> int:
 def _run_equiv_mixed(args) -> int:
     rho = io.density_from_dict(io.load_json(args.a))
     sigma = io.density_from_dict(io.load_json(args.b))
-    cfg = mixed.EquivalenceSearchConfig(threshold=args.threshold)
     note = ""
     if rho.n == 2 and sigma.n == 2:
         note = (
             "n = 2 is outside the identical-tensor-power reduction; "
             "results come from an explicitly heuristic two-factor search"
         )
-        res = mixed.two_factor_search(rho, sigma, cfg)
+        res = mixed.two_factor_search(rho, sigma, args.threshold)
     else:
-        res = mixed.lu_equivalent_mixed(rho, sigma, cfg)
-    thr = cfg.threshold_for(rho.n)
+        res = mixed.lu_equivalent_mixed(rho, sigma, args.threshold)
     if args.mode == "human":
         print(f"status: {res.status}")
         if res.distance is not None:
-            print(f"distance: {res.distance:.3e} (threshold {thr:.3e})")
+            print(f"distance: {res.distance:.3e} (threshold {res.threshold:.3e})")
         if note:
             print(note)
     else:
@@ -256,7 +254,7 @@ def _run_equiv_mixed(args) -> int:
             "status": res.status,
             "equivalent": bool(res),
             "distance": res.distance,
-            "threshold": thr,
+            "threshold": res.threshold,
             "detail": res.detail,
         }
         if note:
@@ -273,8 +271,7 @@ def _run_equiv_mixed(args) -> int:
 def _run_verify(args) -> int:
     psi = io.state_from_dict(io.load_json(args.path))
     rho = states.to_density(psi)
-    cfg = verify.StabilizerSearchConfig(grid=args.search_grid)
-    witnesses = verify.sample_stabilizer(rho, cfg)
+    witnesses = verify.sample_stabilizer(rho, verify.StabilizerSearchConfig(grid=args.search_grid))
     out = {
         "witness_count": len(witnesses),
         "witnesses": [
@@ -286,7 +283,7 @@ def _run_verify(args) -> int:
     code = 0
     if args.class_check:
         res = classify.classify_state(psi)
-        anomalies = verify.witness_anomalies(witnesses, res, cfg)
+        anomalies = verify.witness_anomalies(witnesses, res)
         out["class"] = _class_label(res.sclass)
         out["anomalies"] = [
             {

@@ -27,6 +27,7 @@ from .errors import DomainError, SymmluError
 from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
+    "NORTH_POLE",
     "MajoranaConfiguration",
     "bloch_from_angles",
     "angles_from_bloch",
@@ -40,6 +41,9 @@ __all__ = [
     "mobius_apply",
     "config_from_points",
 ]
+
+NORTH_POLE = np.array([0.0, 0.0, 1.0])  # the Bloch vector of |0>, the pole axis
+NORTH_POLE.setflags(write=False)
 
 
 def bloch_from_angles(theta: float, phi: float) -> np.ndarray:
@@ -151,17 +155,16 @@ def config_from_points(points, multiplicities=None) -> MajoranaConfiguration:
 # ---------------------------------------------------------------------------
 
 
-def find_roots(coeffs, residual_tol: float | None = None) -> np.ndarray:
+def find_roots(coeffs) -> np.ndarray:
     """All roots of the polynomial with descending coefficients.
 
     Companion-matrix eigenvalues (numpy.roots) followed by up to five guarded
     Newton steps.  The residual of every returned root must satisfy
-    |P(z)| <= residual_tol * max(||coeffs||, sum_i |a_i| |z|^{d-i}); the
-    second scale keeps the bound meaningful for large-modulus roots, where
-    double-precision evaluation itself carries that conditioning.
+    |P(z)| <= root_residual * max(||coeffs||, sum_i |a_i| |z|^{d-i}) (the
+    DEFAULT_TOLERANCES field); the second scale keeps the bound meaningful
+    for large-modulus roots, where double-precision evaluation itself
+    carries that conditioning.
     """
-    if residual_tol is None:
-        residual_tol = DEFAULT_TOLERANCES.root_residual
     a = np.asarray(coeffs, dtype=np.complex128).ravel()
     scale = np.linalg.norm(a)
     if scale == 0:
@@ -176,7 +179,7 @@ def find_roots(coeffs, residual_tol: float | None = None) -> np.ndarray:
     powers = np.vstack([absz ** (len(a) - 1 - i) for i in range(len(a))])
     cond = np.abs(a) @ powers
     resid = np.abs(_kernels.horner(a, roots))
-    bound = residual_tol * np.maximum(scale, cond)
+    bound = DEFAULT_TOLERANCES.root_residual * np.maximum(scale, cond)
     if np.any(resid > bound):
         worst = float(np.max(resid / np.maximum(bound, 1e-300)))
         raise SymmluError(f"root residual check failed (worst ratio {worst:.3g})")
@@ -254,7 +257,7 @@ def majorana_points(psi: states.SymmetricPureState, tol: float | None = None) ->
         pts.append(np.array([0.0, 0.0, -1.0]))
         ms.append(south)
     if north:
-        pts.append(np.array([0.0, 0.0, 1.0]))
+        pts.append(NORTH_POLE)
         ms.append(north)
     roots = find_roots(mid) if mid.size >= 2 else np.zeros(0, dtype=np.complex128)
     for z in roots:

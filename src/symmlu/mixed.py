@@ -17,6 +17,10 @@ invariants run first and give certified negatives: the global and 1-qubit
 reduced spectra (spectra_report) and the 2-qubit reduced spectrum, which
 tells GHZ_4 ({1/2, 1/2, 0, 0}) from Dicke_4,2 ({2/3, 1/6, 1/6, 0}).  Any
 other miss is undecided, never a proof of inequivalence.
+
+The decision has one setting, the acceptance threshold on D
+(default_threshold(n) = 1e-7 2^(n/2) unless given), and every result
+reports the threshold it applied.
 """
 from __future__ import annotations
 
@@ -33,7 +37,6 @@ from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "GhzForm",
-    "EquivalenceSearchConfig",
     "MixedEquivalenceResult",
     "SpectraReport",
     "SupportCheckResult",
@@ -53,25 +56,17 @@ def default_threshold(n: int) -> float:
     return 1e-7 * 2 ** (n / 2)
 
 
-_TWO_FACTOR_GRID, _TWO_FACTOR_STARTS, _TWO_FACTOR_MAXFEV = 8, 8, 4000  # the n = 2 lattice search
+def _threshold(threshold: float | None, n: int) -> float:
+    """The acceptance threshold on D: the given one, checked, or default_threshold(n)."""
+    if threshold is None:
+        return default_threshold(n)
+    if not 0 < threshold < math.inf:
+        raise DomainError("threshold must be positive and finite")
+    return threshold
+
+
+_TWO_FACTOR_GRID, _TWO_FACTOR_STARTS = 8, 8  # the n = 2 lattice search
 _MULTIPOLE_CUTOFF = 1e-6  # multipole norm, relative to the block form's, that counts as zero
-_EZ = np.array([0.0, 0.0, 1.0])
-_FLIP = states.rx(math.pi)  # -iX, which turns the north pole to the south pole
-
-
-@dataclass(frozen=True)
-class EquivalenceSearchConfig:
-    """Acceptance threshold of the mixed-state decision."""
-
-    threshold: float | None = None  # None: 1e-7 * 2^(n/2)
-
-    def __post_init__(self):
-        if self.threshold is not None and not (0 < self.threshold < math.inf):
-            raise DomainError("threshold must be positive and finite")
-
-    def threshold_for(self, n: int) -> float:
-        """The acceptance threshold on D: the configured one or default_threshold(n)."""
-        return self.threshold if self.threshold is not None else default_threshold(n)
 
 
 @dataclass(frozen=True)
@@ -83,11 +78,14 @@ class MixedEquivalenceResult:
       inequivalent_spectrum  an LU-invariant spectrum differs (certified no)
       undecided              invariants match but no candidate rotation reached
                              the threshold; carries the best distance, if any
+
+    threshold is the acceptance threshold on D that the decision applied.
     """
 
     status: str
     unitary: np.ndarray | None
     distance: float | None
+    threshold: float
     detail: str = ""
 
     def __bool__(self):
@@ -123,8 +121,8 @@ def _two_qubit_spectrum(rho: states.DensityMatrix) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(red.reshape(4, 4)))[::-1]
 
 
-def _spectrum_mismatch(rho, sigma, reduced=True) -> MixedEquivalenceResult | None:
-    """The certified negative when an LU-invariant spectrum differs, else None.
+def _spectrum_mismatch(rho, sigma, reduced=True) -> str | None:
+    """Which LU-invariant spectrum differs, a certified negative, or None.
 
     reduced adds the 1- and 2-qubit reduced spectra (n >= 3) to the global
     one; the 2-qubit spectra are computed only when the others agree.
@@ -139,7 +137,7 @@ def _spectrum_mismatch(rho, sigma, reduced=True) -> MixedEquivalenceResult | Non
 
     for ea, eb, detail in checks():
         if float(np.max(np.abs(np.subtract(ea, eb)))) > _SPECTRUM_TOL:
-            return MixedEquivalenceResult("inequivalent_spectrum", None, None, detail)
+            return detail
     return None
 
 
@@ -160,7 +158,8 @@ def _axis_frame(v: np.ndarray):
     psi = states.SymmetricPureState.from_unnormalized(v)
     cfg = majorana.majorana_points(psi)
     moment = np.einsum("i,ij,ik->jk", cfg.multiplicities.astype(float), cfg.points, cfg.points)
-    g = rotmatch.so3_to_su2(rotmatch.rotation_between(np.linalg.eigh(moment)[1][:, -1], _EZ))
+    axis = np.linalg.eigh(moment)[1][:, -1]
+    g = rotmatch.so3_to_su2(rotmatch.rotation_between(axis, majorana.NORTH_POLE))
     mags = np.abs(states.apply_diag_symmetric(g, psi).coeffs)
     m = int(np.argmax(mags))
     return g, (m if np.delete(mags, m).max() <= DEFAULT_TOLERANCES.equality else None), cfg
@@ -208,7 +207,7 @@ def _candidates(rho_b, sigma_b, blocks) -> tuple:
         return [rotmatch.so3_to_su2(r) for r in rotmatch.all_matching_rotations(c_rho, c_sigma)], frame
     sigma_t = blocks.rotate(g_sigma, sigma_b)
     out = []
-    for flip, ok in ((np.eye(2), m_rho == m_sigma), (_FLIP, 2 * k - m_rho == m_sigma)):
+    for flip, ok in ((np.eye(2), m_rho == m_sigma), (states.POLE_FLIP, 2 * k - m_rho == m_sigma)):
         if ok:
             phi = _best_turn(blocks.rotate(flip @ g_rho, rho_b), sigma_t, blocks)
             out.append(g_sigma.conj().T @ states.rz(phi) @ flip @ g_rho)
@@ -218,10 +217,14 @@ def _candidates(rho_b, sigma_b, blocks) -> tuple:
 def lu_equivalent_mixed(
     rho: states.DensityMatrix,
     sigma: states.DensityMatrix,
-    cfg: EquivalenceSearchConfig | None = None,
+    threshold: float | None = None,
 ) -> MixedEquivalenceResult:
-    """Decide LU equivalence of two permutation-invariant mixed states (n >= 3)."""
-    cfg = cfg or EquivalenceSearchConfig()
+    """Decide LU equivalence of two permutation-invariant mixed states (n >= 3).
+
+    threshold bounds the distance D of an equivalence (default_threshold(n)
+    when None).
+    """
+    thresh = _threshold(threshold, rho.n)
     if rho.n != sigma.n:
         raise DomainError(f"qubit counts differ: {rho.n} vs {sigma.n}")
     n = rho.n
@@ -237,36 +240,35 @@ def lu_equivalent_mixed(
             swap = f"swapping qubits {k} and {k + 1} moves it by {dev:.3g}"
             raise DomainError(f"{name} is not permutation invariant: {swap}")
     if (mismatch := _spectrum_mismatch(rho, sigma)) is not None:
-        return mismatch
+        return MixedEquivalenceResult("inequivalent_spectrum", None, None, thresh, mismatch)
 
-    thresh = cfg.threshold_for(n)
     blocks = states.spin_blocks(n)
     rho_b, sigma_b = blocks.compress(rho), blocks.compress(sigma)
     candidates, frame = _candidates(rho_b, sigma_b, blocks)
     if not candidates:
-        return MixedEquivalenceResult("undecided", None, None, f"no candidate rotation, {frame}")
+        return MixedEquivalenceResult("undecided", None, None, thresh, f"no candidate rotation, {frame}")
     dist, g = min(((blocks.distance(g, rho_b, sigma_b), g) for g in candidates), key=lambda c: c[0])
     if dist <= thresh:
         # soundness: re-check densely, sharing nothing with the block forms
         dist = float(np.linalg.norm(_conjugate(g, rho.mat, n) - sigma.mat))
         if dist <= thresh:
-            return MixedEquivalenceResult("equivalent", g, dist, "")
+            return MixedEquivalenceResult("equivalent", g, dist, thresh)
     detail = f"best distance {dist:.3e} above threshold {thresh:.3e}; {len(candidates)} candidates, {frame}"
-    return MixedEquivalenceResult("undecided", None, dist, detail)
+    return MixedEquivalenceResult("undecided", None, dist, thresh, detail)
 
 
 def two_factor_search(
     rho: states.DensityMatrix,
     sigma: states.DensityMatrix,
-    cfg: EquivalenceSearchConfig | None = None,
+    threshold: float | None = None,
 ) -> MixedEquivalenceResult:
     """Heuristic (g1, g2) search for 2-qubit states; not covered by the
     identical-tensor-power reduction, so a miss stays 'undecided'."""
-    cfg = cfg or EquivalenceSearchConfig()
+    thresh = _threshold(threshold, 2)
     if rho.n != 2 or sigma.n != 2:
         raise DomainError("two_factor_search is for n = 2 only")
     if (mismatch := _spectrum_mismatch(rho, sigma, reduced=False)) is not None:
-        return mismatch
+        return MixedEquivalenceResult("inequivalent_spectrum", None, None, thresh, mismatch)
 
     def objective2(x):
         big = np.kron(*_kernels.euler_su2_batch(np.reshape(x, (2, 3))))
@@ -278,13 +280,12 @@ def two_factor_search(
     points = search.lattice(turn, tilt, [0.0], turn, tilt, [0.0])
     vals = np.array([objective2(x) for x in points])
     starts = points[np.argsort(vals, kind="stable")[:_TWO_FACTOR_STARTS]]
-    thresh = cfg.threshold_for(2)
-    best_x, best_f2 = search.best(search.descend(objective2, starts, _TWO_FACTOR_MAXFEV, thresh**2 / 16))
+    best_x, best_f2 = search.best(search.descend(objective2, starts, thresh**2 / 16))
     best_f = math.sqrt(max(best_f2, 0.0))
     if best_f <= thresh:
         g12 = _kernels.euler_su2_batch(np.reshape(best_x, (2, 3)))
-        return MixedEquivalenceResult("equivalent", g12, float(best_f), "two-factor heuristic")
-    return MixedEquivalenceResult("undecided", None, float(best_f), "two-factor heuristic miss")
+        return MixedEquivalenceResult("equivalent", g12, float(best_f), thresh, "two-factor heuristic")
+    return MixedEquivalenceResult("undecided", None, float(best_f), thresh, "two-factor heuristic miss")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +330,7 @@ def ghz_form_density(form: GhzForm) -> states.DensityMatrix:
     return states.DensityMatrix(form.n, m)
 
 
-def canonical_ghz_form(tau: states.DensityMatrix, tol: float | None = None) -> GhzForm:
+def canonical_ghz_form(tau: states.DensityMatrix) -> GhzForm:
     """Canonicalize a two-pole-supported density matrix.
 
     Support off the pole pair raises NotGhzFormError with the offending
@@ -337,8 +338,7 @@ def canonical_ghz_form(tau: states.DensityMatrix, tol: float | None = None) -> G
     ^{(x)n} with phi = arg(b)/n (making b real nonnegative) and an X layer
     when needed so that the all-zeros population is at least 1/2.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.equality
+    tol = DEFAULT_TOLERANCES.equality
     n = tau.n
     d = 1 << n
     hi = d - 1
@@ -382,7 +382,6 @@ def two_qubit_support_check(
     k: int,
     l: int,
     t: float,
-    tol: float | None = None,
 ) -> SupportCheckResult:
     """Check the support consequence of a two-qubit diagonal stabilizer.
 
@@ -391,8 +390,7 @@ def two_qubit_support_check(
     entry of tau must couple a string to itself or its bitwise complement;
     the first violating entry is returned as a witness.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.equality
+    tol = DEFAULT_TOLERANCES.equality
     n = tau.n
     if not (0 <= k < n and 0 <= l < n and k != l):
         raise DomainError(f"need two distinct qubit indices in 0..{n - 1}")

@@ -133,13 +133,16 @@ def axis_angle(r: np.ndarray) -> tuple[np.ndarray, float]:
     return vec / nv, 2.0 * math.atan2(nv, w)
 
 
-def snap_angle(theta: float, tol: float = 1e-9, max_den: int = 64) -> float:
-    """Snap an angle to the nearest rational multiple of pi within tol."""
+_SNAP_TOL, _SNAP_DENOMINATOR = 1e-9, 64  # snap_angle: reach, and largest denominator of angle / pi
+
+
+def snap_angle(theta: float) -> float:
+    """Snap an angle to the nearest rational multiple of pi within _SNAP_TOL."""
     from fractions import Fraction
 
-    frac = Fraction(theta / math.pi).limit_denominator(max_den)
+    frac = Fraction(theta / math.pi).limit_denominator(_SNAP_DENOMINATOR)
     snapped = float(frac) * math.pi
-    return snapped if abs(snapped - theta) <= tol else theta
+    return snapped if abs(snapped - theta) <= _SNAP_TOL else theta
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +349,11 @@ def _contains(rotations, r, tol: float) -> bool:
     return bool(np.any(np.max(np.abs(stack - r), axis=(1, 2)) <= tol))
 
 
-def closure(mats, tol: float = 1e-6, cap: int = 200):
-    """The group generated by the given rotations (tolerance dedupe).
+_CLOSURE_TOL, _CLOSURE_CAP = 1e-6, 200  # closure: entrywise dedupe, and largest group
+
+
+def closure(mats):
+    """The group generated by the given rotations (deduplicated at _CLOSURE_TOL).
 
     Breadth-first orbit of the identity under right multiplication by the
     generators; in a finite group that orbit holds every product.
@@ -357,9 +363,9 @@ def closure(mats, tol: float = 1e-6, cap: int = 200):
     for e in elems:  # elems grows while it is scanned
         for g in gens:
             p = e @ g
-            if not _contains(elems, p, tol):
-                if len(elems) == cap:
-                    raise SymmluError(f"closure exceeded {cap} elements; not a small finite group")
+            if not _contains(elems, p, _CLOSURE_TOL):
+                if len(elems) == _CLOSURE_CAP:
+                    raise SymmluError(f"closure exceeded {_CLOSURE_CAP} elements; not a small finite group")
                 elems.append(p)
     return elems
 

@@ -87,9 +87,10 @@ def local_minima(vals: np.ndarray, wrap: tuple) -> np.ndarray:
 
 
 _CHAIN = ((1e-26, 1e-12), (1e-28, 1e-13))  # (fatol, xatol) of the chained runs
+_MAXFEV = 4000  # objective evaluations per run
 
 
-def refine_minimum(objective, x0, maxfev: int = 4000):
+def refine_minimum(objective, x0):
     """Derivative-free local minimization (chained Nelder-Mead runs).
 
     The second run rebuilds the simplex at the first run's solution, which
@@ -101,7 +102,7 @@ def refine_minimum(objective, x0, maxfev: int = 4000):
 
     x, best = np.asarray(x0, dtype=float), None
     for fatol, xatol in _CHAIN:
-        opts = {"fatol": fatol, "xatol": xatol, "maxfev": maxfev}
+        opts = {"fatol": fatol, "xatol": xatol, "maxfev": _MAXFEV}
         res = minimize(objective, x, method="Nelder-Mead", options=opts)
         if best is None or res.fun <= best.fun:
             best = res
@@ -179,7 +180,7 @@ def gauss_newton(model, step, starts, stop_f2: float = -math.inf, rows: int | No
     return out
 
 
-def descend(objective2, starts, maxfev: int = 4000, stop_f2: float = -math.inf) -> list:
+def descend(objective2, starts, stop_f2: float = -math.inf) -> list:
     """refine_minimum from each start in order; stop once the best f2 <= stop_f2.
 
     starts may be lazy.  Returns (x, f2) of every refined start, in order.
@@ -187,7 +188,7 @@ def descend(objective2, starts, maxfev: int = 4000, stop_f2: float = -math.inf) 
     out = []
     best_f2 = math.inf
     for start in starts:
-        x, f2 = refine_minimum(objective2, start, maxfev)
+        x, f2 = refine_minimum(objective2, start)
         out.append((x, f2))
         best_f2 = min(best_f2, f2)
         if best_f2 <= stop_f2:

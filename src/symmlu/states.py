@@ -32,6 +32,7 @@ __all__ = [
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
+    "POLE_FLIP",
     "weight",
     "complement",
     "phase_normalize",
@@ -93,12 +94,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def phase_normalize(vec: np.ndarray, zero_tol: float | None = None) -> np.ndarray:
+def phase_normalize(vec: np.ndarray) -> np.ndarray:
     """Multiply by a global phase making the first significant entry real > 0."""
     vec = np.asarray(vec, dtype=np.complex128)
-    if zero_tol is None:
-        zero_tol = DEFAULT_TOLERANCES.coeff_zero
-    cutoff = zero_tol * max(np.linalg.norm(vec), 1e-300)
+    cutoff = DEFAULT_TOLERANCES.coeff_zero * max(np.linalg.norm(vec), 1e-300)
     for v in vec:
         if abs(v) > cutoff:
             return vec * np.exp(-1j * np.angle(v))
@@ -141,6 +140,10 @@ def ry(t: float) -> np.ndarray:
 def rz(t: float) -> np.ndarray:
     """exp(-i t Z / 2) = diag(e^{-it/2}, e^{+it/2})."""
     return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]], dtype=np.complex128)
+
+
+# rx(pi) = -iX up to roundoff on the diagonal: it swaps the north and south poles
+POLE_FLIP = _freeze(rx(math.pi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,25 +276,13 @@ class LocalUnitary:
         return LocalUnitary(tuple(a @ b for a, b in zip(self.factors, other.factors)))
 
     def projective_distance(self, other: "LocalUnitary") -> float:
-        """Max over qubits of the phase-minimized factor distance.
-
-        Computed entrywise after aligning each factor's phase; the closed
-        form sqrt(4 - 2|tr(b^+ a)|) would bottom out near sqrt(eps).
-        """
+        """Max over qubits of the phase_distance between the two factors."""
         if self.n != other.n:
             raise DomainError("arity mismatch")
-        worst = 0.0
-        for a, b in zip(self.factors, other.factors):
-            ip = np.trace(b.conj().T @ a)
-            if abs(ip) > 0:
-                b = b * (ip / abs(ip))
-            worst = max(worst, float(np.linalg.norm(a - b)))
-        return worst
+        return max(phase_distance(a, b) for a, b in zip(self.factors, other.factors))
 
-    def projectively_equal(self, other: "LocalUnitary", tol: float | None = None) -> bool:
-        if tol is None:
-            tol = DEFAULT_TOLERANCES.equality
-        return self.projective_distance(other) <= tol
+    def projectively_equal(self, other: "LocalUnitary") -> bool:
+        return self.projective_distance(other) <= DEFAULT_TOLERANCES.equality
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +352,11 @@ def symmetrize(vectors) -> SymmetricPureState:
 # ---------------------------------------------------------------------------
 
 
-def expand(state: SymmetricPureState, cap: int = DENSE_QUBIT_CAP) -> PureState:
+def expand(state: SymmetricPureState) -> PureState:
     """Full 2^n vector of a symmetric state."""
     n = state.n
-    if n > cap:
-        raise DomainError(f"dense expansion blocked for n={n} > cap={cap}")
+    if n > DENSE_QUBIT_CAP:
+        raise DomainError(f"dense expansion blocked for n={n} > cap={DENSE_QUBIT_CAP}")
     amps = np.zeros(1 << n, dtype=np.complex128)
     scale = np.array([1.0 / math.sqrt(math.comb(n, k)) for k in range(n + 1)])
     for idx in range(1 << n):
@@ -374,14 +365,14 @@ def expand(state: SymmetricPureState, cap: int = DENSE_QUBIT_CAP) -> PureState:
     return PureState(n, amps)
 
 
-def to_density(state, cap: int = DENSE_QUBIT_CAP) -> DensityMatrix:
+def to_density(state) -> DensityMatrix:
     """Projector |psi><psi| of a SymmetricPureState or PureState."""
     if isinstance(state, SymmetricPureState):
-        state = expand(state, cap=cap)
+        state = expand(state)
     if not isinstance(state, PureState):
         raise DomainError(f"cannot build a density matrix from {type(state).__name__}")
-    if state.n > cap:
-        raise DomainError(f"dense density blocked for n={state.n} > cap={cap}")
+    if state.n > DENSE_QUBIT_CAP:
+        raise DomainError(f"dense density blocked for n={state.n} > cap={DENSE_QUBIT_CAP}")
     return DensityMatrix(state.n, np.outer(state.amps, state.amps.conj()))
 
 
@@ -454,9 +445,9 @@ def permutation_defect(rho: DensityMatrix, tol: float | None = None) -> tuple | 
     return None
 
 
-def is_permutation_invariant(rho: DensityMatrix, tol: float | None = None) -> bool:
+def is_permutation_invariant(rho: DensityMatrix) -> bool:
     """Check invariance under all adjacent transpositions (they generate S_n)."""
-    return permutation_defect(rho, tol) is None
+    return permutation_defect(rho) is None
 
 
 @dataclass(frozen=True, eq=False)

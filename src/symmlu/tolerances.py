@@ -1,9 +1,12 @@
 """Centralized numerical tolerances.
 
-DEFAULT_TOLERANCES holds the package's default thresholds in one place.  No
-operation takes a Tolerances record: a comparing operation takes a single
-float where its signature offers one, and left at None that falls back to the
-matching field of DEFAULT_TOLERANCES.
+DEFAULT_TOLERANCES holds the package's default thresholds in one place, and
+no operation takes a Tolerances record.  Only the operations behind the CLI's
+--tol flags (majorana_points, symmetry_group, classify_state,
+lu_equivalent_pure, and the rotation matching they call) take a single float
+tolerance, which left at None falls back to the matching field; so do
+is_unitary and permutation_defect, which the package itself calls at more
+than one tolerance.  Every other comparison reads its field directly.
 """
 from __future__ import annotations
 

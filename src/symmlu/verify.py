@@ -22,6 +22,13 @@ its lowest 40 minima 8 at a time and stops as soon as one reaches 0.01
 threshold.  Every witness is accepted only through the dense
 check_stabilizes.
 
+StabilizerSearchConfig sets only the size of the sampling search (Euler
+lattice points per angle, lattice minima refined).  The acceptance residual
+(1e-8), the dedupe resolution (1e-6), the auto-sized phase lattice and the
+membership threshold (StabilizerSearchConfig.membership_tol, 1e-5) are
+constants, and lu_equivalent_pure_bruteforce always searches a 12-point
+lattice at default_threshold(n).
+
 class_membership_distance needs no search: it finds the nearest element of
 a classified family exactly (per-qubit phase fits with a bisection on the
 common overlap for the constrained diagonal classes, a geodesic midpoint for
@@ -32,13 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import _kernels, classify, search, states
 from .errors import DomainError
 from .mixed import SpectraReport, default_threshold, spectra_report
-from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "DENSE_ORACLE_CAP",
@@ -55,17 +62,16 @@ __all__ = [
 ]
 
 DENSE_ORACLE_CAP = 10
-_BRUTEFORCE_STARTS, _BRUTEFORCE_ROUND = 40, 8  # lattice minima refined, and per round
+_WITNESS_TOL = 1e-8  # largest residual of an accepted stabilizer witness
+_DEDUPE = 1e-6  # resolution at which witnesses count as projectively equal
+_PHASE_GRID = 12  # phase lattice points per qubit, fewer where p^n entries would pass 2e8
+# Euler lattice points per angle, lattice minima refined, and refined per round
+_BRUTEFORCE_GRID, _BRUTEFORCE_STARTS, _BRUTEFORCE_ROUND = 12, 40, 8
 
 
 def _cap(n: int):
     if n > DENSE_ORACLE_CAP:
         raise DomainError(f"dense oracles are capped at n <= {DENSE_ORACLE_CAP}, got {n}")
-
-
-def _check_grid(grid: int):
-    if grid < 4:
-        raise DomainError("Euler lattice needs at least 4 points per angle")
 
 
 @dataclass(frozen=True)
@@ -79,39 +85,25 @@ class StabilizerWitness:
         if self.residual < 0:
             raise DomainError("residual must be nonnegative")
 
-    def accepted(self, tol: float) -> bool:
-        return self.residual <= tol
-
 
 @dataclass(frozen=True)
 class StabilizerSearchConfig:
+    """Size of the blind stabilizer search: Euler lattice points per angle, lattice minima refined."""
+
     grid: int = 12
-    diag_grid: int | None = None  # None: auto from n and matrix density
-    tol: float = 1e-8
-    dedupe: float = 1e-6
     max_descents: int = 400
-    membership_tol: float = 1e-5
+    # largest membership distance of a witness explained by the classified family
+    membership_tol: ClassVar[float] = 1e-5
 
     def __post_init__(self):
-        _check_grid(self.grid)
-        if self.diag_grid is not None and self.diag_grid < 3:
-            raise DomainError("phase lattice needs at least 3 points per qubit")
-        # each field on its own: min() drops a NaN that is not its first argument
-        for name in ("tol", "dedupe", "membership_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be positive and finite")
+        if self.grid < 4:
+            raise DomainError("Euler lattice needs at least 4 points per angle")
         if self.max_descents < 1:
             raise DomainError("need max_descents >= 1")
 
 
-def check_stabilizes(
-    u: states.LocalUnitary,
-    rho: states.DensityMatrix,
-    tol: float | None = None,
-) -> StabilizerWitness:
+def check_stabilizes(u: states.LocalUnitary, rho: states.DensityMatrix) -> StabilizerWitness:
     """Residual || U rho U+ - rho ||_F by dense conjugation."""
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.equality
     if u.n != rho.n:
         raise DomainError(f"arity mismatch: unitary on {u.n} qubits, state on {rho.n}")
     moved = states.apply_lu(u, rho)
@@ -141,9 +133,9 @@ def _lowest_minima(vals, wrap, count: int) -> np.ndarray:
     return minima[np.argsort(vals.ravel()[minima], kind="stable")[:count]]
 
 
-def _accepted(results, tol: float) -> list:
-    """x of the refined starts ending within tol."""
-    return [x for x, f2 in results if math.sqrt(max(f2, 0.0)) <= tol]
+def _accepted(results) -> list:
+    """x of the refined starts ending within _WITNESS_TOL."""
+    return [x for x, f2 in results if math.sqrt(max(f2, 0.0)) <= _WITNESS_TOL]
 
 
 def _identical_witnesses(rho, cfg):
@@ -151,7 +143,7 @@ def _identical_witnesses(rho, cfg):
     lattice, dists, model = search.euler_scan(rho.mat, rho.mat, n, cfg.grid)
     minima = _lowest_minima(dists.reshape((cfg.grid,) * 3), (0, 2), cfg.max_descents)
     starts = _kernels.euler_su2_batch(lattice[minima])
-    gs = _accepted(search.gauss_newton(model, _kernels.su2_left_step, starts), cfg.tol)
+    gs = _accepted(search.gauss_newton(model, _kernels.su2_left_step, starts))
     return [states.LocalUnitary.uniform(g, n) for g in gs]
 
 
@@ -171,11 +163,9 @@ def _diag_witnesses(rho, cfg):
     vals, diffs = _entry_table(rho)
     if vals.size == 0:
         return []
-    p = cfg.diag_grid
-    if p is None:
-        p = 12
-        while p > 3 and p**n * vals.size > 2e8:
-            p -= 1
+    p = _PHASE_GRID
+    while p > 3 and p**n * vals.size > 2e8:
+        p -= 1
     phis = search.lattice(*([np.linspace(0.0, 2 * math.pi, p, endpoint=False)] * n))
     res = _kernels.diag_phase_residual(phis, vals, diffs)
     minima = _lowest_minima(res.reshape((p,) * n), tuple(range(n)), cfg.max_descents)
@@ -183,7 +173,7 @@ def _diag_witnesses(rho, cfg):
     def model(xs):
         return _kernels.diag_phase_gauss_newton(xs, vals, diffs)
 
-    xs = _accepted(search.gauss_newton(model, np.add, phis[minima]), cfg.tol)
+    xs = _accepted(search.gauss_newton(model, np.add, phis[minima]))
     return [states.LocalUnitary(tuple(np.diag([1.0, np.exp(1j * t)]) for t in x)) for x in xs]
 
 
@@ -193,7 +183,7 @@ def sample_stabilizer(
 ) -> tuple[StabilizerWitness, ...]:
     """Search for stabilizer elements of a permutation-invariant state.
 
-    The witnesses are a lattice sample, deduplicated at cfg.dedupe, not the
+    The witnesses are a lattice sample, deduplicated at _DEDUPE, not the
     stabilizer: for a continuous stabilizer family their number follows
     last-bit roundoff of the search.  Decisions rest on stabilizer_anomalies.
     """
@@ -206,9 +196,9 @@ def sample_stabilizer(
     seen = {}
     for u in candidates:
         w = check_stabilizes(u, rho)
-        if w.residual > cfg.tol:
+        if w.residual > _WITNESS_TOL:
             continue
-        key = _projective_key(u, cfg.dedupe)
+        key = _projective_key(u, _DEDUPE)
         if key not in seen or w.residual < seen[key].residual:
             seen[key] = w
     return tuple(seen[k] for k in sorted(seen))
@@ -342,23 +332,18 @@ def class_membership_distance(
     )
 
 
-def witness_anomalies(
-    witnesses,
-    result: classify.ClassificationResult,
-    cfg: StabilizerSearchConfig | None = None,
-) -> tuple:
+def witness_anomalies(witnesses, result: classify.ClassificationResult) -> tuple:
     """The witnesses lying outside the classified family, as (witness, membership distance).
 
     Each witness is moved into the frame of the class sampler by the
-    classification's transform before its distance is taken.
+    classification's transform before its distance is taken, and lies
+    outside when that distance passes StabilizerSearchConfig.membership_tol.
     """
-    if cfg is None:
-        cfg = StabilizerSearchConfig()
     anomalies = []
     for w in witnesses:
         moved = _conjugated(w.unitary, result.transform)
         d = class_membership_distance(result.sampler, moved)
-        if d > cfg.membership_tol:
+        if d > StabilizerSearchConfig.membership_tol:
             anomalies.append((w, d))
     return tuple(anomalies)
 
@@ -378,7 +363,7 @@ def stabilizer_anomalies(
         cfg = StabilizerSearchConfig()
     if result is None:
         result = classify.classify_state(psi)
-    return witness_anomalies(sample_stabilizer(states.to_density(psi), cfg), result, cfg)
+    return witness_anomalies(sample_stabilizer(states.to_density(psi), cfg), result)
 
 
 # ---------------------------------------------------------------------------
@@ -386,32 +371,24 @@ def stabilizer_anomalies(
 # ---------------------------------------------------------------------------
 
 
-def lu_equivalent_pure_bruteforce(
-    psi: states.SymmetricPureState,
-    phi: states.SymmetricPureState,
-    grid: int = 12,
-    threshold: float | None = None,
-):
+def lu_equivalent_pure_bruteforce(psi: states.SymmetricPureState, phi: states.SymmetricPureState):
     """Direct identical-tuple search on the projectors; None when no g found.
 
     Independent of the point-configuration route: minimizes the Frobenius
     distance of the conjugated projector over an Euler lattice, then refines
     the lowest lattice minima by damped Gauss-Newton, _BRUTEFORCE_ROUND at
-    a time, until one reaches 0.01 threshold.
+    a time, until one reaches 0.01 threshold.  The threshold is
+    default_threshold(n).
     """
     if psi.n != phi.n:
         raise DomainError(f"qubit counts differ: {psi.n} vs {phi.n}")
     _cap(psi.n)
-    _check_grid(grid)
     n = psi.n
-    if threshold is None:
-        threshold = default_threshold(n)
-    if not 0 < threshold < math.inf:
-        raise DomainError("threshold must be positive and finite")
+    threshold = default_threshold(n)
     rho = states.to_density(psi).mat
     sigma = states.to_density(phi).mat
-    lattice, dists, model = search.euler_scan(rho, sigma, n, grid)
-    minima = _lowest_minima(dists.reshape((grid,) * 3), (0, 2), _BRUTEFORCE_STARTS)
+    lattice, dists, model = search.euler_scan(rho, sigma, n, _BRUTEFORCE_GRID)
+    minima = _lowest_minima(dists.reshape((_BRUTEFORCE_GRID,) * 3), (0, 2), _BRUTEFORCE_STARTS)
     results = search.gauss_newton(
         model,
         _kernels.su2_left_step,

@@ -28,10 +28,13 @@ def test_default_threshold_scales_with_dimension():
     assert mixed.default_threshold(4) == pytest.approx(4e-7)
 
 
-def test_search_config_validation():
+def test_threshold_validation():
+    rho3, rho2 = states.to_density(states.ghz(3)), states.to_density(states.ghz(2))
     for threshold in (0.0, -1e-3, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="threshold"):
-            mixed.EquivalenceSearchConfig(threshold=threshold)
+            mixed.lu_equivalent_mixed(rho3, rho3, threshold)
+        with pytest.raises(DomainError, match="threshold"):
+            mixed.two_factor_search(rho2, rho2, threshold)
 
 
 def test_constructed_pairs_are_recovered():
@@ -280,6 +283,29 @@ def test_two_qubit_spectra_certify_ghz4_against_dicke4():
     assert res.status == "inequivalent_spectrum"
     assert res.detail == "2-qubit reduced spectra differ"
     assert mixed.lu_equivalent_mixed(dicke42, ghz4).status == "inequivalent_spectrum"
+
+
+def test_result_reports_the_threshold_it_applied():
+    rng = np.random.default_rng(45)
+    rho = states.random_symmetric_mixed(3, rng)
+    rotated = states.apply_lu(states.LocalUnitary.uniform(states.random_su2(rng), 3), rho)
+    ghz4, dicke42 = states.to_density(states.ghz(4)), states.to_density(states.dicke(4, 2))
+    bell = states.to_density(states.ghz(2))
+    mixture = states.DensityMatrix(2, 0.5 * bell.mat + 0.5 * states.to_density(states.dicke(2, 2)).mat)
+    cases = [
+        (mixed.lu_equivalent_mixed, (rho, rotated), "equivalent"),
+        (mixed.lu_equivalent_mixed, (ghz4, dicke42), "inequivalent_spectrum"),
+        (mixed.lu_equivalent_mixed, _mirror_pair(4, 7), "undecided"),
+        (mixed.two_factor_search, (bell, bell), "equivalent"),
+        (mixed.two_factor_search, (bell, mixture), "inequivalent_spectrum"),
+    ]
+    for decide, (a, b), status in cases:
+        res = decide(a, b)
+        assert res.status == status
+        assert res.threshold == mixed.default_threshold(a.n)
+        res = decide(a, b, 1e-6)
+        assert res.status == status
+        assert res.threshold == 1e-6
 
 
 def test_mirror_pairs_pass_every_spectrum_and_stay_undecided():

@@ -191,9 +191,9 @@ def test_snap_angle():
     assert rotmatch.snap_angle(2 * math.pi / 7 - 3e-11) == 2 * math.pi / 7
     ugly = 0.7362849
     assert rotmatch.snap_angle(ugly) == ugly
-    # denominators past max_den stay untouched
+    # denominators past 64 stay untouched
     fine = math.pi / 97
-    assert rotmatch.snap_angle(fine, max_den=64) == fine
+    assert rotmatch.snap_angle(fine) == fine
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +396,8 @@ def test_closure_of_an_irrational_rotation_stops_at_the_cap(angle):
     turn = rotmatch.rotation_about(axis, angle)
     with pytest.raises(SymmluError, match="closure exceeded 200 elements"):
         rotmatch.closure([turn])
-    with pytest.raises(SymmluError, match="closure exceeded 40 elements"):
-        rotmatch.closure([turn], cap=40)
     # a group of exactly cap elements still closes
-    assert len(rotmatch.closure([rotmatch.rotation_about(axis, 2 * math.pi / 40)], cap=40)) == 40
+    assert len(rotmatch.closure([rotmatch.rotation_about(axis, 2 * math.pi / 200)])) == 200
 
 
 def test_size_mismatch_raises():

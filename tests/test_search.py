@@ -81,12 +81,12 @@ def test_descend_refines_in_order_and_stops_at_the_threshold():
         return float((x[0] - 1.0) ** 2)
 
     starts = [np.array([3.0]), np.array([-2.0]), np.array([5.0])]
-    everything = search.descend(objective2, starts, maxfev=400)
+    everything = search.descend(objective2, starts)
     assert len(everything) == 3
     assert all(abs(x[0] - 1.0) < 1e-6 for x, _ in everything)
 
     calls.clear()
-    first_only = search.descend(objective2, iter(starts), maxfev=400, stop_f2=1e-12)
+    first_only = search.descend(objective2, iter(starts), stop_f2=1e-12)
     assert len(first_only) == 1
     assert calls[0] == 3.0  # the first start was refined first
 

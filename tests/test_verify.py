@@ -1,4 +1,5 @@
 """Brute-force dense oracles: stabilizer residuals, sampling, spectra."""
+import dataclasses
 import math
 
 import numpy as np
@@ -19,32 +20,20 @@ def tetrahedron_state():
 
 def test_stabilizer_search_config_rejects_degenerate_settings():
     verify.StabilizerSearchConfig(grid=4, max_descents=2)  # the smallest useful search
-    verify.StabilizerSearchConfig(diag_grid=3)
-    bad = [
-        {"grid": 3},
-        {"grid": 0},
-        {"diag_grid": 2},
-        {"tol": 0.0},
-        {"dedupe": -1e-6},
-        {"membership_tol": 0.0},
-        {"max_descents": 0},
-    ]
-    for kwargs in bad:
-        with pytest.raises(DomainError):
-            verify.StabilizerSearchConfig(**kwargs)
-    # a NaN membership_tol made every witness a class member (d > nan is never true)
-    for name in ("tol", "dedupe", "membership_tol"):
-        for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError, match=name):
-                verify.StabilizerSearchConfig(**{name: value})
+    assert [f.name for f in dataclasses.fields(verify.StabilizerSearchConfig)] == ["grid", "max_descents"]
+    with pytest.raises(DomainError):
+        verify.StabilizerSearchConfig(max_descents=0)
+    # the membership threshold is a constant, not a setting
+    assert verify.StabilizerSearchConfig().membership_tol == 1e-5
+    with pytest.raises(TypeError):
+        verify.StabilizerSearchConfig(membership_tol=1.0)
 
 
 @pytest.mark.parametrize("grid", [0, 3])
 def test_oracles_reject_a_degenerate_grid(grid):
-    # grid=0 used to give an empty lattice: "no g found" for identical states
-    ghz3 = states.ghz(3)
+    # grid=0 would give an empty lattice, in which the search finds nothing
     with pytest.raises(DomainError, match="at least 4 points"):
-        verify.lu_equivalent_pure_bruteforce(ghz3, ghz3, grid=grid)
+        verify.sample_stabilizer(states.to_density(states.ghz(3)), verify.StabilizerSearchConfig(grid=grid))
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +48,6 @@ def test_identity_stabilizes_everything():
         states.LocalUnitary.uniform(np.eye(2, dtype=np.complex128), 3), rho
     )
     assert w.residual == 0.0
-    assert w.accepted(1e-12)
 
 
 def test_two_pole_generator_with_flip_stabilizes_ghz():
@@ -364,15 +352,6 @@ def test_bruteforce_result_is_sound():
         states.LocalUnitary.uniform(g, 3), states.to_density(psi)
     )
     assert np.linalg.norm(rho.mat - states.to_density(phi).mat) <= 1e-7
-
-
-@pytest.mark.parametrize("threshold", [math.inf, math.nan, -1e-6, 0.0])
-def test_bruteforce_rejects_a_threshold_that_is_not_positive_and_finite(threshold):
-    # inf accepted any g, so an inequivalent pair read as equivalent
-    rng = np.random.default_rng(58)
-    a, b = states.random_symmetric(3, rng), states.random_symmetric(3, rng)
-    with pytest.raises(DomainError, match="positive and finite"):
-        verify.lu_equivalent_pure_bruteforce(a, b, threshold=threshold)
 
 
 @settings(derandomize=True, max_examples=24, deadline=None)
