@@ -18,6 +18,11 @@ configuration (multiple roots of the underlying polynomial scatter far beyond
 the fine cluster radius), but a branch is accepted only when the rotated
 state's coefficients pass the strict algebraic test, so classification
 decisions never rest on the coarse geometry alone.
+
+Pure-state LU equivalence needs no point configuration: psi psi^+ is the
+single spin-n/2 block of a permutation-invariant state, so
+lu_equivalent_pure takes its candidate unitaries from the multipole frames
+of mixed.frame_candidates, the decision of lu_equivalent_mixed.
 """
 from __future__ import annotations
 
@@ -27,6 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import majorana, rotmatch, states
+# after rotmatch, so that scipy.optimize is first imported from here: imported
+# first from inside mixed, a fresh interpreter took about 0.15 s longer to
+# import the package (2-core VM, Python 3.11, scipy 1.17)
+from . import mixed
 from .errors import AmbiguousClassificationError, DomainError
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -312,7 +321,7 @@ def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> 
         if hit is None:
             continue
         g, rot = hit
-        if abs(rot.coeffs[0]) < abs(rot.coeffs[-1]):
+        if abs(rot.coeffs[0]) < abs(rot.coeffs[-1]) - tol:
             g = states.POLE_FLIP @ g
             rot = states.apply_diag_symmetric(states.POLE_FLIP, rot)
         a, b = abs(rot.coeffs[0]), abs(rot.coeffs[-1])
@@ -374,24 +383,22 @@ def lu_equivalent_pure(
 ):
     """A 2x2 unitary g with g^{(x)n} psi = phi up to phase, or None.
 
-    Point configurations are matched by rotation; every matching rotation is
-    lifted to SU(2) and checked directly on the states.
+    psi psi^+ is a permutation-invariant state with a single spin block,
+    j = n/2, so the multipole frames of mixed.frame_candidates give the
+    candidate unitaries, with no root finding on psi itself.  The candidate
+    nearest phi in phase distance is returned when that distance is at most
+    tol.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
     if psi.n != phi.n:
         raise DomainError(f"qubit counts differ: {psi.n} vs {phi.n}")
-    ca = majorana.majorana_points(psi)
-    cb = majorana.majorana_points(phi)
-    best = None
-    for r in rotmatch.all_matching_rotations(ca, cb):
-        g = rotmatch.so3_to_su2(r)
-        d = states.apply_diag_symmetric(g, psi).distance(phi)
-        if best is None or d < best[1]:
-            best = (g, d)
-    if best is not None and best[1] <= tol:
-        return best[0]
-    return None
+    blocks = states.SpinBlocks(psi.n, (psi.n / 2,), (1,))
+    rho_b, sigma_b = (np.outer(s.coeffs, s.coeffs.conj()) for s in (psi, phi))
+    candidates, _ = mixed.frame_candidates(rho_b, sigma_b, blocks)
+    scored = ((states.apply_diag_symmetric(g, psi).distance(phi), g) for g in candidates)
+    dist, g = min(scored, key=lambda c: c[0], default=(math.inf, None))
+    return g if dist <= tol else None
 
 
 # ---------------------------------------------------------------------------

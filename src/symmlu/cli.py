@@ -3,7 +3,8 @@
 Subcommands: mkstate (dicke | ghz | from-points | random), majorana,
 symmetry, classify, equiv, equiv-mixed, verify.  '-' reads JSON from stdin,
 so subcommands compose into pipelines.  Output is deterministic for a fixed
-argv and seed; exit codes: 0 success/equivalent, 1 not-equivalent or
+argv and seed; exit codes: 0 success/equivalent, 1 not-equivalent (for
+equiv: no candidate rotation of the multipole frames within --tol) or
 anomalies found, 2 usage errors, 3 domain errors (with {"error": ...} JSON),
 4 undecided (equiv-mixed found no equivalence and no certificate against it).
 """

@@ -1,15 +1,17 @@
-"""LU equivalence of permutation-invariant mixed states.
+"""LU equivalence of permutation-invariant mixed states, and the frame decision of pure ones.
 
 For permutation-invariant density matrices of n >= 3 qubits, local-unitary
 equivalence reduces to conjugation by g^{(x)n} for one 2x2 unitary g, that
-is to one rotation R.  On the spin blocks of the states (states.spin_blocks)
+is to one rotation R.  On the spin blocks of the states (states.SpinBlocks)
 the rank-k multipole of a block moves as a 2k-qubit symmetric state, so it
 pins R down (Serrano-Ensastiga and Braun, PRA 101, 022332 (2020)).  The
 first multipole of rho above a relative cutoff (rank 1 first, top spin
-first) gives the candidates: when it is axial, the families
-g = g_sigma^+ rz(phi) [X] g_rho, each solved exactly in phi; otherwise the
-rotations carrying its Majorana constellation onto sigma's; with none above
-the cutoff, the identity.
+first) gives the candidates (frame_candidates): when it is axial, the
+families g = g_sigma^+ rz(phi) [X] g_rho, each solved exactly in phi;
+otherwise the rotations carrying its Majorana constellation onto sigma's;
+with none above the cutoff, the identity.  For a symmetric pure state psi,
+psi psi^+ is a density matrix with the single spin block n/2, so
+classify.lu_equivalent_pure decides with the same candidates.
 
 The candidate with the least block distance is reported as equivalent only
 after a dense re-check of || g^{(x)n} rho g^{(x)n +} - sigma ||_F.  Cheap LU
@@ -47,6 +49,7 @@ __all__ = [
     "two_qubit_support_check",
     "default_threshold",
     "spectra_report",
+    "frame_candidates",
 ]
 
 _SPECTRUM_TOL = 1e-8
@@ -186,11 +189,17 @@ def _best_turn(rho_t: np.ndarray, sigma_t: np.ndarray, blocks) -> float:
     return float(phis[np.argmax(np.real(np.exp(-1j * np.outer(phis, orders)) @ c))])
 
 
-def _candidates(rho_b, sigma_b, blocks) -> tuple:
-    """(candidate unitaries, the frame they come from) from rho's first multipole above the cutoff.
+def frame_candidates(rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.SpinBlocks) -> tuple:
+    """(candidate unitaries, the frame they come from) for carrying rho onto sigma.
 
-    The scan is rank-major, top spin first: a Hermitian operator's rank-k
-    constellation is antipodal, so none of its points is more than k-fold.
+    rho_b and sigma_b are block forms on blocks (states.SpinBlocks).  When
+    some g^{(x)n} carries rho onto sigma, one of the candidates does, so
+    scoring them decides LU equivalence.  They come from rho's first
+    multipole above the cutoff, and the scan is rank-major, top spin first:
+    a Hermitian operator's rank-k constellation is antipodal, so none of its
+    points is more than k-fold.  Both deciders use it: lu_equivalent_mixed
+    on the spin blocks of n qubits and classify.lu_equivalent_pure on the
+    single spin-n/2 block of psi psi^+.
     """
     cut = _MULTIPOLE_CUTOFF * np.linalg.norm(rho_b)
     ranks = ((b, k) for k in range(1, blocks.n + 1) for b, j in enumerate(blocks.spins) if 2 * j >= k)
@@ -244,7 +253,7 @@ def lu_equivalent_mixed(
 
     blocks = states.spin_blocks(n)
     rho_b, sigma_b = blocks.compress(rho), blocks.compress(sigma)
-    candidates, frame = _candidates(rho_b, sigma_b, blocks)
+    candidates, frame = frame_candidates(rho_b, sigma_b, blocks)
     if not candidates:
         return MixedEquivalenceResult("undecided", None, None, thresh, f"no candidate rotation, {frame}")
     dist, g = min(((blocks.distance(g, rho_b, sigma_b), g) for g in candidates), key=lambda c: c[0])

@@ -14,9 +14,10 @@ Conventions used across the package:
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,7 +125,10 @@ def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
         return False
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
-    return bool(np.max(np.abs(u @ u.conj().T - np.eye(2))) <= tol)
+    a, b, c, d = (complex(x) for x in u.ravel().tolist())
+    # the entries of u u^+ - 1; a NaN fails every comparison
+    dev = (abs(a) ** 2 + abs(b) ** 2 - 1.0, a * c.conjugate() + b * d.conjugate(), abs(c) ** 2 + abs(d) ** 2 - 1.0)
+    return all(abs(x) <= tol for x in dev)
 
 
 def rx(t: float) -> np.ndarray:
@@ -142,8 +146,8 @@ def rz(t: float) -> np.ndarray:
     return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]], dtype=np.complex128)
 
 
-# rx(pi) = -iX up to roundoff on the diagonal: it swaps the north and south poles
-POLE_FLIP = _freeze(rx(math.pi))
+# -iX, which rx(pi) is up to a roundoff diagonal: it swaps the north and south poles
+POLE_FLIP = _freeze(-1j * PAULI_X)
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,27 +381,45 @@ def to_density(state) -> DensityMatrix:
 
 
 def symmetric_power(g: np.ndarray, n: int) -> np.ndarray:
-    """(n+1)x(n+1) action of g^{(x)n} on the symmetrized-weight basis.
+    """(n+1)x(n+1) action of g^{(x)n} on the symmetrized-weight basis, the Wigner D^{n/2}(g).
 
-    Column k holds the coefficients of (g00 + g10 z)^{n-k} (g01 + g11 z)^k, the
-    image under g of basis vector k's form z^k, entry j scaled by sqrt(C(n,k)/C(n,j)).
+    With s = det(g)^{1/2}, g / s = rz(alpha) ry(beta) rz(gamma) (ZYZ Euler
+    angles), so the matrix is s^n diag(e^{-i alpha m}) d(beta) diag(e^{-i gamma m})
+    with m = n/2 - k on basis vector k.  d(beta) = exp(-i beta J_y) is formed
+    in the eigenbasis of J_y, diagonalised once per n (Feng, Wang, Yang and
+    Jin, PRE 92, 043307 (2015)), which keeps every entry accurate to roundoff
+    at any n.  A g that is not unitary raises DomainError.
     """
     g = np.asarray(g, dtype=np.complex128)
-    if g.shape != (2, 2):
-        raise DomainError(f"expected a 2x2 matrix, got {g.shape}")
-    a, b = [np.ones(1, dtype=np.complex128)], [np.ones(1, dtype=np.complex128)]
-    for _ in range(n):
-        a.append(np.convolve(a[-1], g[:, 0]))
-        b.append(np.convolve(b[-1], g[:, 1]))
-    s = np.column_stack([np.convolve(a[n - k], b[k]) for k in range(n + 1)])
-    binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    return s * np.sqrt(binom[None, :] / binom[:, None])
+    if not is_unitary(g, 1e-9):
+        raise DomainError("g is not a 2x2 unitary")
+    g00, g01, g10, g11 = g.ravel().tolist()
+    root = cmath.sqrt(g00 * g11 - g01 * g10)
+    a, b = g00 / root, g10 / root
+    beta = 2.0 * math.atan2(abs(b), abs(a))
+    alpha, gamma = cmath.phase(b) - cmath.phase(a), -cmath.phase(a) - cmath.phase(b)
+    vecs, vecs_h, m = _jy_eigenbasis(n)
+    # J_y's eigenvalues, in ascending order, are -m
+    left = root**n * np.exp(-1j * alpha * m)[:, None] * vecs * np.exp(1j * beta * m)
+    return left @ (vecs_h * np.exp(-1j * gamma * m))
+
+
+def _j_plus(two_j: int) -> np.ndarray:
+    """J_+ of spin j = two_j / 2 on |j, m>, m = j, j - 1, ..., -j: <m + 1| J_+ |m> on the first superdiagonal."""
+    m = two_j / 2 - np.arange(1, two_j + 1)
+    return np.diag(np.sqrt((two_j / 2 - m) * (two_j / 2 + m + 1)), 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _jy_eigenbasis(two_j: int) -> tuple:
+    """(V, V^+, m) with J_y = V diag(-m) V^+ for spin j = two_j / 2 and m = j, j - 1, ..., -j."""
+    j_plus = _j_plus(two_j)
+    vecs = np.linalg.eigh(-0.5j * (j_plus - j_plus.T))[1]
+    return _freeze(vecs), _freeze(vecs.conj().T), _freeze(two_j / 2 - np.arange(two_j + 1))
 
 
 def apply_diag_symmetric(g: np.ndarray, state: SymmetricPureState) -> SymmetricPureState:
     """Apply g^{(x)n} to a symmetric state without leaving the weight basis."""
-    if not is_unitary(g, 1e-9):
-        raise DomainError("g is not a 2x2 unitary")
     out = symmetric_power(g, state.n) @ state.coeffs
     return SymmetricPureState.from_unnormalized(out)
 
@@ -452,30 +474,45 @@ def is_permutation_invariant(rho: DensityMatrix) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SpinBlocks:
-    """One irreducible copy of every spin j in n qubits (Schur-Weyl duality).
+    """Spin blocks j of a permutation-invariant state, block j with multiplicity m_j.
 
-    A permutation-invariant rho is the direct sum of rho_j (x) 1_{m_j} over
-    j = n/2, n/2 - 1, ..., and g^{(x)n} is the direct sum of D^j(g) (x) 1,
-    so || g^{(x)n} rho g^{(x)n +} - sigma ||^2 = sum_j m_j || D^j rho_j D^j+ - sigma_j ||^2.
-    Block k has spin j = n/2 - k and multiplicity m_j = C(n, k) - C(n, k - 1);
-    its columns are |j, m> for m = j, j - 1, ..., -j, the Dicke basis of 2j
-    qubits, so D^j(g) = symmetric_power(g, 2j).  The d = sum_j (2j + 1)
-    columns of basis span the copies, slices[k] indexes block k in the
-    d x d form, and weight[a, b] is m_j when columns a and b both lie in
-    block j and 0 otherwise.
+    By Schur-Weyl duality a permutation-invariant rho on n qubits is the
+    direct sum of rho_j (x) 1_{m_j} over j = n/2, n/2 - 1, ..., and
+    g^{(x)n} is the direct sum of D^j(g) (x) 1, so
+    || g^{(x)n} rho g^{(x)n +} - sigma ||^2 = sum_j m_j || D^j rho_j D^j+ - sigma_j ||^2.
+    Block j's columns are |j, m> for m = j, j - 1, ..., -j, the Dicke basis of
+    2j qubits, so D^j(g) = symmetric_power(g, 2j).  The forms are
+    d x d, d = sum_j (2j + 1): slices[b] indexes block b, and weight[a, c] is
+    m_j when columns a and c both lie in block j and 0 otherwise.
+
+    Only compress needs basis, the 2^n x d columns spanning one copy of each
+    block (spin_blocks(n) has all of them).  A symmetric pure state psi is
+    the single block SpinBlocks(n, (n / 2,), (1,)) with form psi psi^+.
     """
 
     n: int
     spins: tuple
     mults: tuple
-    basis: np.ndarray
-    slices: tuple
-    weight: np.ndarray
+    basis: np.ndarray | None = None
+    slices: tuple = field(init=False)
+    weight: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        sizes = [round(2 * j) + 1 for j in self.spins]
+        ends = np.cumsum(sizes)
+        slices = tuple(slice(int(end - size), int(end)) for end, size in zip(ends, sizes))
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        per_block = np.array(self.mults, float)[block]
+        weight = np.where(block[:, None] == block[None, :], per_block[:, None], 0.0)
+        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "weight", _freeze(weight))
 
     def compress(self, rho: DensityMatrix) -> np.ndarray:
         """The d x d block form basis^+ rho basis, whose blocks are the rho_j."""
         if rho.n != self.n:
             raise DomainError(f"arity mismatch: blocks of {self.n} qubits, state on {rho.n}")
+        if self.basis is None:
+            raise DomainError("these spin blocks carry no basis to compress a density matrix with")
         return self.basis.T @ rho.mat @ self.basis
 
     def rep(self, g: np.ndarray) -> np.ndarray:
@@ -513,8 +550,7 @@ def _tensor_operators(two_j: int, k: int) -> np.ndarray:
     T_kk is J_+^k normalized and [J_-, T_kq] = sqrt((k + q)(k - q + 1)) T_k,q-1:
     orthonormal in the trace inner product, they move as the |k, q> of symmetric_power.
     """
-    m = two_j / 2 - np.arange(1, two_j + 1)
-    j_plus = np.diag(np.sqrt((two_j / 2 - m) * (two_j / 2 + m + 1)), 1)  # <m + 1| J_+ |m>
+    j_plus = _j_plus(two_j)
     top = np.linalg.matrix_power(j_plus, k)
     ops = [top / np.linalg.norm(top)]
     for q in range(k, -k, -1):
@@ -540,11 +576,7 @@ def spin_blocks(n: int) -> SpinBlocks:
         cols += [np.kron(pairs, (ones == i) / math.sqrt(math.comb(size - 1, i))) for i in range(size)]
     spins = tuple((size - 1) / 2 for size in sizes)
     mults = tuple(math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(len(sizes)))
-    ends = np.cumsum(sizes)
-    slices = tuple(slice(int(end - size), int(end)) for end, size in zip(ends, sizes))
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    block_weight = np.where(block[:, None] == block[None, :], np.array(mults, float)[block][:, None], 0.0)
-    return SpinBlocks(n, spins, mults, _freeze(np.column_stack(cols)), slices, _freeze(block_weight))
+    return SpinBlocks(n, spins, mults, _freeze(np.column_stack(cols)))
 
 
 def reduced_1qubit(rho: DensityMatrix, k: int) -> np.ndarray:

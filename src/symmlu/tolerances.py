@@ -3,10 +3,13 @@
 DEFAULT_TOLERANCES holds the package's default thresholds in one place, and
 no operation takes a Tolerances record.  Only the operations behind the CLI's
 --tol flags (majorana_points, symmetry_group, classify_state,
-lu_equivalent_pure, and the rotation matching they call) take a single float
-tolerance, which left at None falls back to the matching field; so do
-is_unitary and permutation_defect, which the package itself calls at more
-than one tolerance.  Every other comparison reads its field directly.
+lu_equivalent_pure, and the rotation matching symmetry_group calls) take a
+single float tolerance, which left at None falls back to the matching field;
+so do is_unitary and permutation_defect, which the package itself calls at
+more than one tolerance.  lu_equivalent_pure's tol bounds only the phase
+distance of its answer: the multipole frames it takes its candidates from
+(mixed.frame_candidates) read every field at its default, as the mixed
+decision does.  Every other comparison reads its field directly.
 """
 from __future__ import annotations
 

@@ -229,10 +229,19 @@ def _half_widths(level: float, a, b) -> np.ndarray:
 
 
 def _highest_level(feasible, top: float) -> float:
-    """Largest level in [0, top] that feasible accepts, bisected to the last bit."""
+    """Largest level in [0, top] that feasible accepts, bisected to the last bit.
+
+    feasible is monotone (it accepts every level below one it accepts), so
+    the answer is the last float it accepts whichever levels are tried.  The
+    float just below top is tried first: for a member of the family the
+    answer is top or that float, and the bisection is skipped.
+    """
     if feasible(top):
         return top
-    lo, hi = 0.0, top
+    below = math.nextafter(top, 0.0)
+    if feasible(below):
+        return below
+    lo, hi = 0.0, below
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symmlu import classify, majorana, rotmatch, states
 from symmlu.classify import StabilizerClass
@@ -231,11 +233,64 @@ def test_lu_equivalent_pure_negative_cases():
         classify.lu_equivalent_pure(states.dicke(3, 1), states.dicke(4, 1))
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.integers(3, 12), parts=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_lu_equivalent_pure_recovers_rotated_degenerate_configurations(n, parts, seed):
+    # at most 4 points whose multiplicities are a random composition of n
+    rng = RNG(seed)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=min(parts, n) - 1, replace=False))
+    mults = np.diff(np.concatenate([[0], cuts, [n]])).astype(int)
+    points = rng.normal(size=(len(mults), 3))
+    psi = majorana.points_to_state(points / np.linalg.norm(points, axis=1)[:, None], mults)
+    phi = states.apply_diag_symmetric(states.random_su2(rng), psi)
+    g = classify.lu_equivalent_pure(psi, phi)
+    assert g is not None, f"missed multiplicities {mults.tolist()}"
+    assert states.apply_diag_symmetric(g, psi).distance(phi) <= 1e-8
+
+
+@pytest.mark.parametrize("n", range(3, 20))
+def test_lu_equivalent_pure_rejects_random_pairs(n):
+    rng = RNG([40, n])
+    for _ in range(3):
+        a, b = states.random_symmetric(n, rng), states.random_symmetric(n, rng)
+        assert classify.lu_equivalent_pure(a, b) is None
+
+
+@pytest.mark.parametrize("n", [64, 96])
+def test_lu_equivalent_pure_recovers_rotated_pairs_at_large_n(n):
+    rng = RNG([5, 1])
+    for _ in range(5):
+        psi = states.random_symmetric(n, rng)
+        phi = states.apply_diag_symmetric(states.random_su2(rng), psi)
+        g = classify.lu_equivalent_pure(psi, phi)
+        assert g is not None
+        assert states.apply_diag_symmetric(g, psi).distance(phi) <= 1e-8
+
+
+def test_lu_equivalent_pure_on_one_and_two_qubits():
+    rng = RNG(41)
+    for n in (1, 2):
+        for _ in range(5):
+            psi = states.random_symmetric(n, rng)
+            assert classify.lu_equivalent_pure(psi, scrambled(psi, rng)) is not None
+    # two qubits: the Schmidt coefficients differ
+    assert classify.lu_equivalent_pure(states.dicke(2, 0), states.ghz(2)) is None
+
+
 def test_lu_equivalent_pure_complement_dicke():
     # k and n - k only differ by a bit flip on every qubit
     g = classify.lu_equivalent_pure(states.dicke(6, 1), states.dicke(6, 5))
     assert g is not None
     assert np.allclose(np.abs(g), np.abs(states.PAULI_X), atol=1e-9)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_balanced_ghz_is_iia_with_a_diagonal_transform(n):
+    # |c_0| = |c_n| exactly: the pole flip must not be applied on a roundoff tie
+    res = classify.classify_state(states.ghz(n))
+    assert res.sclass.tag == "iia"
+    assert res.transform[0, 1] == 0 and res.transform[1, 0] == 0
+    check_result(res, states.ghz(n))
 
 
 def test_canonical_state_shapes():

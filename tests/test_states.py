@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,6 +145,39 @@ def test_symmetric_power_agrees_with_dense_conjugation(n, seed):
     basis = np.column_stack([states.expand(states.dicke(n, k)).amps for k in range(n + 1)])
     assert np.max(np.abs(basis @ s - big @ basis)) < 1e-12
     assert np.max(np.abs(s.conj().T @ s - np.eye(n + 1))) < 1e-12
+
+
+def _spin_generators(n):
+    """J_x, J_y, J_z of spin n/2 on |m>, m = n/2, ..., -n/2, from the ladder operator."""
+    m = n / 2 - np.arange(n + 1)
+    j_plus = np.zeros((n + 1, n + 1))
+    for k in range(1, n + 1):
+        j_plus[k - 1, k] = math.sqrt((n / 2 - m[k]) * (n / 2 + m[k] + 1))
+    return (j_plus + j_plus.T) / 2, (j_plus - j_plus.T) / 2j, np.diag(m)
+
+
+@pytest.mark.parametrize("n", [64, 96])
+def test_symmetric_power_stays_accurate_at_large_n(n):
+    # g = exp(-i theta u.sigma / 2) acts as expm(-i theta u.J) on spin n/2
+    rng = np.random.default_rng(n)
+    gens = _spin_generators(n)
+    for _ in range(3):
+        g = states.random_su2(rng)
+        axis = [np.trace(0.5j * (g - g.conj().T) @ p).real / 2 for p in (states.PAULI_X, states.PAULI_Y, states.PAULI_Z)]
+        half = math.atan2(np.linalg.norm(axis), np.trace(g).real / 2)
+        gen = sum(c * j for c, j in zip(np.array(axis) / np.linalg.norm(axis), gens))
+        want = scipy.linalg.expm(-2j * half * gen)
+        s = states.symmetric_power(g, n)
+        assert np.max(np.abs(s - want)) < 1e-12
+        assert np.max(np.abs(s.conj().T @ s - np.eye(n + 1))) < 1e-12
+
+
+def test_symmetric_power_rejects_a_matrix_that_is_not_unitary():
+    for bad in (np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([[1.0, 1e-6], [0.0, 1.0]]), np.eye(3)):
+        with pytest.raises(DomainError, match="unitary"):
+            states.symmetric_power(bad, 4)
+        with pytest.raises(DomainError, match="unitary"):
+            states.apply_diag_symmetric(bad, states.dicke(4, 1))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
@@ -322,6 +356,22 @@ def test_spin_block_form_keeps_the_trace_with_weights():
     assert np.max(np.abs(form[blocks.weight == 0])) < 1e-13
     with pytest.raises(DomainError):
         blocks.compress(states.random_symmetric_mixed(4, rng))
+
+
+def test_spin_blocks_without_a_basis_derive_slices_and_weights():
+    blocks = states.SpinBlocks(40, (20.0,), (1,))
+    assert blocks.slices == (slice(0, 41),) and np.all(blocks.weight == 1.0)
+    full = states.spin_blocks(5)
+    same = states.SpinBlocks(5, full.spins, full.mults)
+    assert same.slices == full.slices and np.array_equal(same.weight, full.weight)
+    with pytest.raises(DomainError, match="basis"):
+        same.compress(states.to_density(states.dicke(5, 2)))
+    # one block of weight 1: the block distance of a pure state is that of its projectors
+    rng = np.random.default_rng(48)
+    psi, g = states.random_symmetric(40, rng), states.random_su2(rng)
+    phi = states.apply_diag_symmetric(g, psi)
+    form, target = np.outer(psi.coeffs, psi.coeffs.conj()), np.outer(phi.coeffs, phi.coeffs.conj())
+    assert blocks.distance(g, form, target) < 1e-12
 
 
 @pytest.mark.parametrize("n", [0, 13])

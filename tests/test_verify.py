@@ -367,3 +367,35 @@ def test_bruteforce_recovers_rotated_pairs_and_rejects_others(n, seed):
     other = states.random_symmetric(n, rng)
     if classify.lu_equivalent_pure(psi, other) is None:
         assert verify.lu_equivalent_pure_bruteforce(psi, other) is None
+
+
+def _plain_bisection(feasible, top):
+    if feasible(top):
+        return top
+    lo, hi = 0.0, top
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_highest_level_takes_the_float_below_top_in_two_calls():
+    calls = []
+    for top in (1.0, 0.37, 2.0 ** -30, 1.9999999999999998):
+        boundary = math.nextafter(top, 0.0)
+        calls.clear()
+        level = verify._highest_level(lambda q: calls.append(q) or q <= boundary, top)
+        assert level == boundary and len(calls) <= 2
+
+
+def test_highest_level_matches_a_plain_bisection():
+    rng = np.random.default_rng(58)
+    for _ in range(200):
+        top = float(rng.uniform(0.1, 2.0))
+        boundary = top * float(rng.choice([rng.uniform(), 1.0 - rng.uniform() * 1e-15, 0.0]))
+        feasible = lambda q, b=boundary: q <= b  # noqa: E731
+        assert verify._highest_level(feasible, top) == _plain_bisection(feasible, top)
