@@ -37,7 +37,7 @@ from . import majorana, rotmatch, states
 # import the package (2-core VM, Python 3.11, scipy 1.17)
 from . import mixed
 from .errors import AmbiguousClassificationError, DomainError
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import DEFAULT_TOLERANCES, checked
 
 __all__ = [
     "StabilizerClass",
@@ -287,8 +287,7 @@ def _two_term_axes(cfg):
 
 def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> ClassificationResult:
     """Decide the stabilizer class of a symmetric pure state."""
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.equality
+    tol = checked(tol, DEFAULT_TOLERANCES.equality)
     n = psi.n
     fine = majorana.majorana_points(psi)
     if n == 1:
@@ -389,8 +388,7 @@ def lu_equivalent_pure(
     nearest phi in phase distance is returned when that distance is at most
     tol.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.equality
+    tol = checked(tol, DEFAULT_TOLERANCES.equality)
     if psi.n != phi.n:
         raise DomainError(f"qubit counts differ: {psi.n} vs {phi.n}")
     blocks = states.SpinBlocks(psi.n, (psi.n / 2,), (1,))

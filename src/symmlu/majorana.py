@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels, states
 from .errors import DomainError, SymmluError
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import DEFAULT_TOLERANCES, checked
 
 __all__ = [
     "NORTH_POLE",
@@ -232,8 +232,7 @@ def majorana_points(psi: states.SymmetricPureState, tol: float | None = None) ->
     south-pole multiplicity; vanishing trailing coefficients into north-pole
     multiplicity, so canonical Dicke-type states give exact poles.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.cluster
+    tol = checked(tol, DEFAULT_TOLERANCES.cluster)
     n = psi.n
     c = psi.coeffs
     a = np.array(

@@ -6,12 +6,14 @@ is to one rotation R.  On the spin blocks of the states (states.SpinBlocks)
 the rank-k multipole of a block moves as a 2k-qubit symmetric state, so it
 pins R down (Serrano-Ensastiga and Braun, PRA 101, 022332 (2020)).  The
 first multipole of rho above a relative cutoff (rank 1 first, top spin
-first) gives the candidates (frame_candidates): when it is axial, the
-families g = g_sigma^+ rz(phi) [X] g_rho, each solved exactly in phi;
-otherwise the rotations carrying its Majorana constellation onto sigma's;
-with none above the cutoff, the identity.  For a symmetric pure state psi,
-psi psi^+ is a density matrix with the single spin block n/2, so
-classify.lu_equivalent_pure decides with the same candidates.
+first) gives the candidates (frame_candidates).  When it is axial, about the
+bottom eigenvector of its spin-k quadrupole, they are the families
+g = g_sigma^+ rz(phi) [X] g_rho that keep its real axial coefficient's sign,
+each solved exactly in phi.  Otherwise they are the rotations carrying its
+Majorana constellation onto sigma's, and with no multipole above the cutoff
+the identity.  For a symmetric pure state psi, psi psi^+ is a density
+matrix with the single spin block n/2, so classify.lu_equivalent_pure
+decides with the same candidates.
 
 The candidate with the least block distance is reported as equivalent only
 after a dense re-check of || g^{(x)n} rho g^{(x)n +} - sigma ||_F.  Cheap LU
@@ -35,7 +37,7 @@ from . import _kernels, majorana, rotmatch, search, states
 from .errors import DomainError, NotGhzFormError
 # re-exported: perfbench/spans.py traces refine_minimum as mixed.refine_minimum
 from .search import refine_minimum  # noqa: F401
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import DEFAULT_TOLERANCES, checked
 
 __all__ = [
     "GhzForm",
@@ -57,15 +59,6 @@ _SPECTRUM_TOL = 1e-8
 
 def default_threshold(n: int) -> float:
     return 1e-7 * 2 ** (n / 2)
-
-
-def _threshold(threshold: float | None, n: int) -> float:
-    """The acceptance threshold on D: the given one, checked, or default_threshold(n)."""
-    if threshold is None:
-        return default_threshold(n)
-    if not 0 < threshold < math.inf:
-        raise DomainError("threshold must be positive and finite")
-    return threshold
 
 
 _TWO_FACTOR_GRID, _TWO_FACTOR_STARTS = 8, 8  # the n = 2 lattice search
@@ -153,19 +146,21 @@ def _conjugate(g: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
 
 
 def _axis_frame(v: np.ndarray):
-    """(g, m, constellation) of a multipole; g turns its axis to the pole, m is None unless axial.
+    """(g, c) of a Hermitian block's rank-k multipole v; g turns its axis to the pole, c is None unless axial.
 
-    The axis is the top eigenvector of the constellation's moment matrix; the
-    multipole is axial when one coefficient m is all that is left after g.
+    An axial multipole is c T_k0 about an axis n, c real, so as a spin-k
+    vector its quadrupole M_ab = Re<v|J_a J_b|v> / <v|v> is
+    k(k + 1)/2 (1 - n n^T): n is M's bottom eigenvector.  v is axial when
+    only the middle coefficient is left after g, and c is that coefficient
+    of v / |v|.
     """
-    psi = states.SymmetricPureState.from_unnormalized(v)
-    cfg = majorana.majorana_points(psi)
-    moment = np.einsum("i,ij,ik->jk", cfg.multiplicities.astype(float), cfg.points, cfg.points)
-    axis = np.linalg.eigh(moment)[1][:, -1]
+    k = v.size // 2
+    w = states.spin_operators(2 * k) @ v
+    axis = np.linalg.eigh((w.conj() @ w.T).real)[1][:, 0]
     g = rotmatch.so3_to_su2(rotmatch.rotation_between(axis, majorana.NORTH_POLE))
-    mags = np.abs(states.apply_diag_symmetric(g, psi).coeffs)
-    m = int(np.argmax(mags))
-    return g, (m if np.delete(mags, m).max() <= DEFAULT_TOLERANCES.equality else None), cfg
+    turned = states.symmetric_power(g, 2 * k) @ v / np.linalg.norm(v)
+    axial = np.delete(np.abs(turned), k).max() <= DEFAULT_TOLERANCES.equality
+    return g, (float(turned[k].real) if axial else None)
 
 
 def _best_turn(rho_t: np.ndarray, sigma_t: np.ndarray, blocks) -> float:
@@ -197,27 +192,34 @@ def frame_candidates(rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.Spin
     scoring them decides LU equivalence.  They come from rho's first
     multipole above the cutoff, and the scan is rank-major, top spin first:
     a Hermitian operator's rank-k constellation is antipodal, so none of its
-    points is more than k-fold.  Both deciders use it: lu_equivalent_mixed
-    on the spin blocks of n qubits and classify.lu_equivalent_pure on the
-    single spin-n/2 block of psi psi^+.
+    points is more than k-fold.  An axial multipole (_axis_frame) needs no
+    root finding: with both turned to c T_k0 at the pole, the plain family
+    g_sigma^+ rz(phi) g_rho keeps c and the flipped one, through X, takes it
+    to (-1)^k c, so only a family that gives rho's c sigma's sign is solved.
+    Every rotation carrying rho's multipole onto sigma's lies in a solved
+    family.  Both deciders use it: lu_equivalent_mixed on the spin blocks of
+    n qubits and classify.lu_equivalent_pure on the single spin-n/2 block of
+    psi psi^+.
     """
     cut = _MULTIPOLE_CUTOFF * np.linalg.norm(rho_b)
     ranks = ((b, k) for k in range(1, blocks.n + 1) for b, j in enumerate(blocks.spins) if 2 * j >= k)
-    b, k = next(((b, k) for b, k in ranks if np.linalg.norm(blocks.multipole(rho_b, b, k)) > cut), (0, 0))
+    multipoles = ((b, k, blocks.multipole(rho_b, b, k)) for b, k in ranks)
+    b, k, v_rho = next(((b, k, v) for b, k, v in multipoles if np.linalg.norm(v) > cut), (0, 0, None))
     if k == 0:
         return [np.eye(2, dtype=np.complex128)], "no multipole above the cutoff"
     frame = f"frame: rank-{k} multipole of spin {blocks.spins[b]:g}"
     v_sigma = blocks.multipole(sigma_b, b, k)
     if np.linalg.norm(v_sigma) <= _MULTIPOLE_CUTOFF * np.linalg.norm(sigma_b):
         return [], frame
-    g_rho, m_rho, c_rho = _axis_frame(blocks.multipole(rho_b, b, k))
-    g_sigma, m_sigma, c_sigma = _axis_frame(v_sigma)
-    if m_rho is None or m_sigma is None:
-        return [rotmatch.so3_to_su2(r) for r in rotmatch.all_matching_rotations(c_rho, c_sigma)], frame
+    (g_rho, c_rho), (g_sigma, c_sigma) = _axis_frame(v_rho), _axis_frame(v_sigma)
+    if c_rho is None or c_sigma is None:
+        cfgs = (majorana.majorana_points(states.SymmetricPureState.from_unnormalized(v)) for v in (v_rho, v_sigma))
+        return [rotmatch.so3_to_su2(r) for r in rotmatch.all_matching_rotations(*cfgs)], frame
     sigma_t = blocks.rotate(g_sigma, sigma_b)
     out = []
-    for flip, ok in ((np.eye(2), m_rho == m_sigma), (states.POLE_FLIP, 2 * k - m_rho == m_sigma)):
-        if ok:
+    # the flip takes T_k0 at the pole to (-1)^k T_k0; a family that moves c off sigma's sign cannot match
+    for flip, sign in ((np.eye(2), 1), (states.POLE_FLIP, (-1) ** k)):
+        if sign * c_rho * c_sigma > 0:
             phi = _best_turn(blocks.rotate(flip @ g_rho, rho_b), sigma_t, blocks)
             out.append(g_sigma.conj().T @ states.rz(phi) @ flip @ g_rho)
     return out, f"{frame}, axial"
@@ -233,7 +235,7 @@ def lu_equivalent_mixed(
     threshold bounds the distance D of an equivalence (default_threshold(n)
     when None).
     """
-    thresh = _threshold(threshold, rho.n)
+    thresh = checked(threshold, default_threshold(rho.n), "threshold")
     if rho.n != sigma.n:
         raise DomainError(f"qubit counts differ: {rho.n} vs {sigma.n}")
     n = rho.n
@@ -262,7 +264,8 @@ def lu_equivalent_mixed(
         dist = float(np.linalg.norm(_conjugate(g, rho.mat, n) - sigma.mat))
         if dist <= thresh:
             return MixedEquivalenceResult("equivalent", g, dist, thresh)
-    detail = f"best distance {dist:.3e} above threshold {thresh:.3e}; {len(candidates)} candidates, {frame}"
+    count = f"{len(candidates)} candidate{'' if len(candidates) == 1 else 's'}"
+    detail = f"best distance {dist:.3e} above threshold {thresh:.3e}; {count}, {frame}"
     return MixedEquivalenceResult("undecided", None, dist, thresh, detail)
 
 
@@ -273,7 +276,7 @@ def two_factor_search(
 ) -> MixedEquivalenceResult:
     """Heuristic (g1, g2) search for 2-qubit states; not covered by the
     identical-tensor-power reduction, so a miss stays 'undecided'."""
-    thresh = _threshold(threshold, 2)
+    thresh = checked(threshold, default_threshold(2), "threshold")
     if rho.n != 2 or sigma.n != 2:
         raise DomainError("two_factor_search is for n = 2 only")
     if (mismatch := _spectrum_mismatch(rho, sigma, reduced=False)) is not None:

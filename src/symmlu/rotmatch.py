@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, SymmluError
 from .majorana import MajoranaConfiguration
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import DEFAULT_TOLERANCES, checked
 
 __all__ = [
     "PointGroup",
@@ -237,8 +237,7 @@ def _frame(p1, p2) -> np.ndarray:
 
 def all_matching_rotations(a: MajoranaConfiguration, b: MajoranaConfiguration, tol: float | None = None):
     """Every rotation carrying configuration a onto b (deduplicated)."""
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.match
+    tol = checked(tol, DEFAULT_TOLERANCES.match)
     if a.n != b.n:
         raise DomainError(f"configurations have different sizes {a.n} and {b.n}")
     if sorted(a.multiplicities) != sorted(b.multiplicities):
@@ -407,8 +406,7 @@ def _pick_generators(elements, order):
 
 def symmetry_group(cfg: MajoranaConfiguration, tol: float | None = None) -> PointGroup:
     """Classify the rotational symmetry group of a configuration."""
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.match
+    tol = checked(tol, DEFAULT_TOLERANCES.match)
     axis = _is_axial(cfg, tol)
     if axis is not None:
         flip = (

@@ -49,6 +49,7 @@ __all__ = [
     "expand",
     "to_density",
     "symmetric_power",
+    "spin_operators",
     "apply_diag_symmetric",
     "apply_lu",
     "permute_qubits",
@@ -411,10 +412,20 @@ def _j_plus(two_j: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def spin_operators(two_j: int) -> np.ndarray:
+    """(J_x, J_y, J_z) of spin j = two_j / 2 on |j, m>, m = j, j - 1, ..., -j; (3, 2j + 1, 2j + 1).
+
+    symmetric_power(g, two_j) is exp(-i theta n.J), up to sign, when g turns
+    the Bloch sphere by theta about n.
+    """
+    j_plus, m = _j_plus(two_j), two_j / 2 - np.arange(two_j + 1)
+    return _freeze([0.5 * (j_plus + j_plus.T), -0.5j * (j_plus - j_plus.T), np.diag(m)])
+
+
+@functools.lru_cache(maxsize=None)
 def _jy_eigenbasis(two_j: int) -> tuple:
     """(V, V^+, m) with J_y = V diag(-m) V^+ for spin j = two_j / 2 and m = j, j - 1, ..., -j."""
-    j_plus = _j_plus(two_j)
-    vecs = np.linalg.eigh(-0.5j * (j_plus - j_plus.T))[1]
+    vecs = np.linalg.eigh(spin_operators(two_j)[1])[1]
     return _freeze(vecs), _freeze(vecs.conj().T), _freeze(two_j / 2 - np.arange(two_j + 1))
 
 

@@ -9,13 +9,18 @@ so do is_unitary and permutation_defect, which the package itself calls at
 more than one tolerance.  lu_equivalent_pure's tol bounds only the phase
 distance of its answer: the multipole frames it takes its candidates from
 (mixed.frame_candidates) read every field at its default, as the mixed
-decision does.  Every other comparison reads its field directly.
+decision does.  Every other comparison reads its field directly.  The
+operations behind the --tol flags, match_rotation and the mixed decisions'
+threshold pass what they are given through checked, which refuses a value
+that is not positive and finite.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Tolerances", "DEFAULT_TOLERANCES"]
+from .errors import DomainError
+
+__all__ = ["Tolerances", "DEFAULT_TOLERANCES", "checked"]
 
 
 @dataclass(frozen=True)
@@ -40,3 +45,10 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+def checked(value: float | None, default: float, name: str = "tol") -> float:
+    """value, or default when value is None; DomainError unless value is positive and finite."""
+    if value is not None and not 0 < value < float("inf"):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+    return default if value is None else value

@@ -304,3 +304,22 @@ def test_canonical_state_shapes():
         classify.canonical_state(StabilizerClass("iva"), 5)
     with pytest.raises(DomainError):
         classify.canonical_state(StabilizerClass("iii"), 2)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_every_tol_must_be_positive_and_finite(tol):
+    # an unchecked tol answered anyway: inf matched inequivalent states and merged every Majorana point
+    rng = RNG(42)
+    a, b = states.random_symmetric(5, rng), states.random_symmetric(5, rng)
+    cfg = majorana.majorana_points(states.dicke(4, 2))
+    calls = [
+        lambda: majorana.majorana_points(states.dicke(4, 2), tol=tol),
+        lambda: classify.classify_state(states.ghz(4), tol=tol),
+        lambda: classify.lu_equivalent_pure(a, b, tol=tol),
+        lambda: rotmatch.all_matching_rotations(cfg, cfg, tol=tol),
+        lambda: rotmatch.match_rotation(cfg, cfg, tol=tol),
+        lambda: rotmatch.symmetry_group(cfg, tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            call()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmlu import _kernels, majorana, mixed, search, states
+from symmlu import _kernels, classify, majorana, mixed, rotmatch, search, states
 from symmlu.errors import DomainError, NotGhzFormError
 from symmlu.tolerances import DEFAULT_TOLERANCES
 
@@ -211,6 +211,71 @@ def test_decisions_run_no_descent(monkeypatch):
     assert mixed.lu_equivalent_mixed(ghz4, blurred).status == "inequivalent_spectrum"
     with pytest.raises(AssertionError, match="descend"):
         mixed.two_factor_search(states.to_density(states.ghz(2)), states.to_density(states.ghz(2)))
+
+
+def test_axial_frames_run_no_root_finding(monkeypatch):
+    rng = np.random.default_rng(170)
+
+    def rotated(rho):
+        return states.apply_lu(states.LocalUnitary.uniform(states.random_su2(rng), rho.n), rho)
+
+    mixed_pairs = []
+    for n in range(3, 8):
+        for rank in (1, 2, 3):
+            rho = states.random_symmetric_mixed(n, rng, rank)
+            mixed_pairs.append((rho, rotated(rho)))
+    points = rng.normal(size=(3, 3))
+    pure = [
+        states.random_symmetric(9, rng),
+        states.dicke(8, 3),
+        states.ghz(6, 0.8, 0.6),
+        majorana.points_to_state(points / np.linalg.norm(points, axis=1)[:, None], (4, 2, 2)),
+    ]
+    pure_pairs = [(psi, states.apply_diag_symmetric(states.random_su2(rng), psi)) for psi in pure]
+    tetrahedron = _points_projector(_TETRAHEDRON)
+    tetrahedron_pair = (tetrahedron, rotated(tetrahedron))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an axial frame must not find Majorana roots")
+
+    monkeypatch.setattr(majorana, "majorana_points", refuse)
+    monkeypatch.setattr(rotmatch, "all_matching_rotations", refuse)
+    for rho, sigma in mixed_pairs:
+        assert mixed.lu_equivalent_mixed(rho, sigma).status == "equivalent"
+    for psi, phi in pure_pairs:
+        g = classify.lu_equivalent_pure(psi, phi)
+        assert g is not None
+        assert states.apply_diag_symmetric(g, psi).distance(phi) <= 1e-8
+    # the tetrahedron's first multipole (rank 3) is not axial: the patch is reached
+    with pytest.raises(AssertionError, match="Majorana roots"):
+        mixed.lu_equivalent_mixed(*tetrahedron_pair)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), c=st.floats(0.05, 2.0), negative=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_axial_frames_solve_only_the_families_of_their_sign(k, c, negative, seed):
+    rng = np.random.default_rng(seed)
+    c = -c if negative else c
+    g = states.random_su2(rng)
+    middle = np.zeros(2 * k + 1)
+    middle[k] = c
+    v = states.symmetric_power(g, 2 * k) @ middle
+    g_v, c_v = mixed._axis_frame(v)
+    assert c_v is not None and abs(abs(c_v) - 1) < 1e-9
+    assert abs(abs((states.symmetric_power(g_v, 2 * k) @ v)[k]) - abs(c)) < 1e-9
+
+    # one spin-(k + 1)/2 block: c T_k0 and a random rank-(k + 1) part that pins the turn
+    blocks = states.SpinBlocks(k + 1, ((k + 1) / 2,), (1,))
+    amps = rng.normal(size=2 * k + 3) + 1j * rng.normal(size=2 * k + 3)
+    part = np.einsum("q,qab->ab", amps, states._tensor_operators(k + 1, k + 1))
+    rho_b = c * states._tensor_operators(k + 1, k)[k] + part + part.conj().T
+    sigma_b = blocks.rotate(g, rho_b)
+    assert np.max(np.abs(blocks.multipole(sigma_b, 0, k) - v)) < 1e-12
+    candidates, frame = mixed.frame_candidates(rho_b, sigma_b, blocks)
+    assert frame == f"frame: rank-{k} multipole of spin {(k + 1) / 2:g}, axial"
+    # the flip keeps c T_k0 for even k and negates it for odd k
+    assert len(candidates) == (1 if k % 2 else 2)
+    assert min(blocks.distance(h, rho_b, sigma_b) for h in candidates) < 1e-10
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
