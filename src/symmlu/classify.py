@@ -13,16 +13,17 @@ a short list of families, named here by roman tags:
 Everything else has a finite stabilizer described by the rotational symmetry
 group of its point configuration.
 
-Degenerate geometries are hypothesized from a coarse re-clustering of the
-configuration (multiple roots of the underlying polynomial scatter far beyond
-the fine cluster radius), but a branch is accepted only when the rotated
-state's coefficients pass the strict algebraic test, so classification
-decisions never rest on the coarse geometry alone.
-
-Pure-state LU equivalence needs no point configuration: psi psi^+ is the
-single spin-n/2 block of a permutation-invariant state, so
-lu_equivalent_pure takes its candidate unitaries from the multipole frames
-of mixed.frame_candidates, the decision of lu_equivalent_mixed.
+psi psi^+ is the single spin-n/2 block of a permutation-invariant state,
+whose multipoles move rigidly under rotations.  classify_state takes its one
+candidate axis from the first multipole above the cutoff
+(mixed.multipole_frame), turns psi once to put that axis at the pole, and
+reads the class off the turned coefficients.  Only the finite class finds
+the Majorana points of psi, so the infinite classes do not depend on how
+well multiple roots are found.  At n = 2 the balanced classes iia and iva
+hold the same states, and classify_state raises
+AmbiguousClassificationError on them.  lu_equivalent_pure takes its
+candidate unitaries from the multipole frames of mixed.frame_candidates, the
+decision of lu_equivalent_mixed, and finds no Majorana points of psi.
 """
 from __future__ import annotations
 
@@ -50,11 +51,6 @@ __all__ = [
     "canonical_state",
     "class_census",
 ]
-
-# chordal radius used only to PROPOSE degenerate geometries; scattered
-# multiple roots of an n <= 12 polynomial stay well inside this radius
-_COARSE_CLUSTER = 0.15
-
 
 @dataclass(frozen=True)
 class StabilizerClass:
@@ -242,113 +238,59 @@ class ClassificationResult:
         return f"{self.sclass} (residual {self.residual:.2e})"
 
 
-def _rotated_coeffs(psi, axis):
-    g = rotmatch.so3_to_su2(rotmatch.rotation_between(axis, majorana.NORTH_POLE))
-    return g, states.apply_diag_symmetric(g, psi)
-
-
-def _dicke_check(psi, axis, tol):
-    """Accept if rotating axis to the north pole leaves one basis coefficient."""
-    g, rot = _rotated_coeffs(psi, axis)
-    mags = np.abs(rot.coeffs)
-    k = int(np.argmax(mags))
-    rest = np.delete(mags, k)
-    if rest.size and rest.max() > tol:
-        return None
-    return g, k
-
-
-def _two_term_check(psi, axis, tol):
-    """Accept if rotating axis to the pole kills all interior coefficients."""
-    g, rot = _rotated_coeffs(psi, axis)
-    mags = np.abs(rot.coeffs)
-    if mags[1:-1].size and mags[1:-1].max() > tol:
-        return None
-    if mags[0] <= tol or mags[-1] <= tol:
-        return None
-    return g, rot
-
-
-def _two_term_axes(cfg):
-    axes = []
-    mean = (cfg.points * cfg.multiplicities[:, None]).sum(axis=0)
-    nm = np.linalg.norm(mean)
-    if nm > 1e-9:
-        axes.append(mean / nm)
-    moment = np.einsum("i,ij,ik->jk", cfg.multiplicities.astype(float), cfg.points, cfg.points)
-    w, v = np.linalg.eigh(moment)
-    axes.append(v[:, 0])
-    uniq = []
-    for ax in axes:
-        if all(abs(float(np.dot(ax, u))) < 1.0 - 1e-9 for u in uniq):
-            uniq.append(ax)
-    return uniq
-
-
 def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> ClassificationResult:
-    """Decide the stabilizer class of a symmetric pure state."""
+    """Decide the stabilizer class of a symmetric pure state.
+
+    A state of class i, ii or iv has a rotation axis, and every multipole of
+    psi psi^+ below rank n is axial about it; so the first one above the
+    cutoff (mixed.multipole_frame, on the single spin-n/2 block) gives the
+    one candidate axis.  psi is turned once, axis to the pole, and the class
+    is read off the turned coefficients, each compared with tol: one left is
+    class i or iv, only the two poles left is class ii, and anything else
+    has the finite stabilizer of its Majorana configuration.
+    """
     tol = checked(tol, DEFAULT_TOLERANCES.equality)
     n = psi.n
-    fine = majorana.majorana_points(psi)
-    if n == 1:
-        g = rotmatch.so3_to_su2(rotmatch.rotation_between(fine.points[0], majorana.NORTH_POLE))
-        return _build_result(psi, StabilizerClass("i"), g, tol)
-
-    accepted: dict[str, tuple] = {}
-
-    coarse = majorana.majorana_points(psi, tol=_COARSE_CLUSTER)
-    for axis in coarse.points:
-        hit = _dicke_check(psi, axis, tol)
-        if hit is None:
-            continue
-        g, k = hit
-        if k == 0 or k == n:
-            if k == n:
-                g = states.POLE_FLIP @ g
-            accepted.setdefault("i", (StabilizerClass("i"), g))
-        else:
-            kc = min(k, n - k)
-            if k != kc:
-                g = states.POLE_FLIP @ g
-            if 2 * kc == n:
-                accepted.setdefault("iva", (StabilizerClass("iva"), g))
-            else:
-                accepted.setdefault(f"ivb:{kc}", (StabilizerClass("ivb", k=kc), g))
-
-    for axis in _two_term_axes(fine):
-        hit = _two_term_check(psi, axis, tol)
-        if hit is None:
-            continue
-        g, rot = hit
-        if abs(rot.coeffs[0]) < abs(rot.coeffs[-1]) - tol:
+    blocks = states.SpinBlocks(n, (n / 2,), (1,))
+    *_, g, _ = mixed.multipole_frame(np.outer(psi.coeffs, psi.coeffs.conj()), blocks)
+    turned = states.apply_diag_symmetric(g, psi).coeffs
+    mags = np.abs(turned)
+    left = np.flatnonzero(mags > tol)
+    if left.size == 1:
+        k = int(left[0])
+        kc = min(k, n - k)
+        if k != kc:
             g = states.POLE_FLIP @ g
-            rot = states.apply_diag_symmetric(states.POLE_FLIP, rot)
-        a, b = abs(rot.coeffs[0]), abs(rot.coeffs[-1])
-        phase = (np.angle(rot.coeffs[0]) - np.angle(rot.coeffs[-1])) / n
-        g = np.array([[1, 0], [0, np.exp(1j * phase)]], dtype=np.complex128) @ g
-        if abs(a - b) <= tol:
-            accepted.setdefault("iia", (StabilizerClass("iia"), g))
+        if kc == 0:
+            sclass = StabilizerClass("i")
         else:
-            t = 4.0 / math.pi * math.atan2(b, a)
-            accepted.setdefault(f"iib:{t:.6f}", (StabilizerClass("iib", t=float(t)), g))
-
-    if len(accepted) > 1:
-        raise AmbiguousClassificationError([str(v[0]) for v in accepted.values()])
-    if accepted:
-        sclass, g = next(iter(accepted.values()))
-        return _build_result(psi, sclass, g, tol)
-
-    group = rotmatch.symmetry_group(fine)
-    sclass = StabilizerClass("finite", group=group)
-    sampler = StabilizerSampler(sclass, n)
-    return ClassificationResult(
-        sclass=sclass,
-        canonical=psi.phase_normalized(),
-        transform=np.eye(2, dtype=np.complex128),
-        generators=sampler.representative_generators(),
-        sampler=sampler,
-        residual=0.0,
-    )
+            sclass = StabilizerClass("iva") if 2 * kc == n else StabilizerClass("ivb", k=kc)
+    elif left.tolist() == [0, n]:
+        if mags[0] < mags[n] - tol:
+            # the flip reverses the Dicke coefficients, up to a global phase
+            g, turned = states.POLE_FLIP @ g, turned[::-1]
+        a, b = np.abs(turned[[0, n]])
+        phase = (np.angle(turned[0]) - np.angle(turned[n])) / n
+        g = np.array([[1, 0], [0, np.exp(1j * phase)]], dtype=np.complex128) @ g
+        t = 4 / math.pi * math.atan2(b, a)
+        sclass = StabilizerClass("iia") if abs(a - b) <= tol else StabilizerClass("iib", t=t)
+    else:
+        group = rotmatch.symmetry_group(majorana.majorana_points(psi))
+        sclass = StabilizerClass("finite", group=group)
+        sampler = StabilizerSampler(sclass, n)
+        return ClassificationResult(
+            sclass=sclass,
+            canonical=psi.phase_normalized(),
+            transform=np.eye(2, dtype=np.complex128),
+            generators=sampler.representative_generators(),
+            sampler=sampler,
+            residual=0.0,
+        )
+    if n == 2 and sclass.tag in ("iia", "iva"):
+        # two antipodal points are a balanced Dicke pair about their axis and
+        # a balanced two-pole pair about every axis perpendicular to it
+        raise AmbiguousClassificationError(["iva", "iia"])
+    return _build_result(psi, sclass, g, tol)
 
 
 def _build_result(psi, sclass, g, tol):

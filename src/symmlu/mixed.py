@@ -13,7 +13,8 @@ each solved exactly in phi.  Otherwise they are the rotations carrying its
 Majorana constellation onto sigma's, and with no multipole above the cutoff
 the identity.  For a symmetric pure state psi, psi psi^+ is a density
 matrix with the single spin block n/2, so classify.lu_equivalent_pure
-decides with the same candidates.
+decides with the same candidates, and classify.classify_state reads its
+one candidate axis off the same first multipole (multipole_frame).
 
 The candidate with the least block distance is reported as equivalent only
 after a dense re-check of || g^{(x)n} rho g^{(x)n +} - sigma ||_F.  Cheap LU
@@ -52,6 +53,7 @@ __all__ = [
     "default_threshold",
     "spectra_report",
     "frame_candidates",
+    "multipole_frame",
 ]
 
 _SPECTRUM_TOL = 1e-8
@@ -184,34 +186,48 @@ def _best_turn(rho_t: np.ndarray, sigma_t: np.ndarray, blocks) -> float:
     return float(phis[np.argmax(np.real(np.exp(-1j * np.outer(phis, orders)) @ c))])
 
 
+def multipole_frame(form: np.ndarray, blocks: states.SpinBlocks) -> tuple:
+    """(b, k, v, g, c) of a block form's first multipole above the cutoff, and its axis.
+
+    The scan is rank-major, top spin first: v is the rank-k multipole of
+    block b, g (a 2x2 unitary) turns v's axis to the north pole, and c is
+    v's real axial coefficient once turned, or None when v is not axial
+    (_axis_frame).  With no multipole above the cutoff, k = 0, v and c are
+    None and g is the identity.
+    """
+    cut = _MULTIPOLE_CUTOFF * np.linalg.norm(form)
+    ranks = ((b, k) for k in range(1, blocks.n + 1) for b, j in enumerate(blocks.spins) if 2 * j >= k)
+    multipoles = ((b, k, blocks.multipole(form, b, k)) for b, k in ranks)
+    b, k, v = next(((b, k, v) for b, k, v in multipoles if np.linalg.norm(v) > cut), (0, 0, None))
+    g, c = _axis_frame(v) if k else (np.eye(2, dtype=np.complex128), None)
+    return b, k, v, g, c
+
+
 def frame_candidates(rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.SpinBlocks) -> tuple:
     """(candidate unitaries, the frame they come from) for carrying rho onto sigma.
 
     rho_b and sigma_b are block forms on blocks (states.SpinBlocks).  When
     some g^{(x)n} carries rho onto sigma, one of the candidates does, so
     scoring them decides LU equivalence.  They come from rho's first
-    multipole above the cutoff, and the scan is rank-major, top spin first:
-    a Hermitian operator's rank-k constellation is antipodal, so none of its
-    points is more than k-fold.  An axial multipole (_axis_frame) needs no
-    root finding: with both turned to c T_k0 at the pole, the plain family
-    g_sigma^+ rz(phi) g_rho keeps c and the flipped one, through X, takes it
-    to (-1)^k c, so only a family that gives rho's c sigma's sign is solved.
-    Every rotation carrying rho's multipole onto sigma's lies in a solved
-    family.  Both deciders use it: lu_equivalent_mixed on the spin blocks of
-    n qubits and classify.lu_equivalent_pure on the single spin-n/2 block of
-    psi psi^+.
+    multipole above the cutoff (multipole_frame), and the scan is rank-major,
+    top spin first: a Hermitian operator's rank-k constellation is
+    antipodal, so none of its points is more than k-fold.  An axial
+    multipole needs no root finding: with both turned to c T_k0 at the
+    pole, the plain family g_sigma^+ rz(phi) g_rho keeps c and the flipped
+    one, through X, takes it to (-1)^k c, so only a family that gives rho's
+    c sigma's sign is solved.  Every rotation carrying rho's multipole onto
+    sigma's lies in a solved family.  Both deciders use it:
+    lu_equivalent_mixed on the spin blocks of n qubits and
+    classify.lu_equivalent_pure on the single spin-n/2 block of psi psi^+.
     """
-    cut = _MULTIPOLE_CUTOFF * np.linalg.norm(rho_b)
-    ranks = ((b, k) for k in range(1, blocks.n + 1) for b, j in enumerate(blocks.spins) if 2 * j >= k)
-    multipoles = ((b, k, blocks.multipole(rho_b, b, k)) for b, k in ranks)
-    b, k, v_rho = next(((b, k, v) for b, k, v in multipoles if np.linalg.norm(v) > cut), (0, 0, None))
+    b, k, v_rho, g_rho, c_rho = multipole_frame(rho_b, blocks)
     if k == 0:
-        return [np.eye(2, dtype=np.complex128)], "no multipole above the cutoff"
+        return [g_rho], "no multipole above the cutoff"
     frame = f"frame: rank-{k} multipole of spin {blocks.spins[b]:g}"
     v_sigma = blocks.multipole(sigma_b, b, k)
     if np.linalg.norm(v_sigma) <= _MULTIPOLE_CUTOFF * np.linalg.norm(sigma_b):
         return [], frame
-    (g_rho, c_rho), (g_sigma, c_sigma) = _axis_frame(v_rho), _axis_frame(v_sigma)
+    g_sigma, c_sigma = _axis_frame(v_sigma)
     if c_rho is None or c_sigma is None:
         cfgs = (majorana.majorana_points(states.SymmetricPureState.from_unnormalized(v)) for v in (v_rho, v_sigma))
         return [rotmatch.so3_to_su2(r) for r in rotmatch.all_matching_rotations(*cfgs)], frame

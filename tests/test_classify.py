@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from symmlu import classify, majorana, rotmatch, states
 from symmlu.classify import StabilizerClass
-from symmlu.errors import DomainError
+from symmlu.errors import AmbiguousClassificationError, DomainError
 
 RNG = np.random.default_rng
 
@@ -145,6 +145,69 @@ def test_classification_is_invariant_under_scrambling():
         res = classify.classify_state(scrambled(psi, rng))
         assert res.sclass.tag == base.sclass.tag
         assert abs(res.sclass.t - base.sclass.t) < 1e-8
+
+
+def _family_state(kind, n, k, gap):
+    """A state of class i, iia, iib or iv; gap is |a|^2 - |b|^2 of the unbalanced two-pole one."""
+    if kind == "product":
+        return states.dicke(n, 0)
+    if kind == "ghz":
+        return states.ghz(n)
+    if kind == "unbalanced":
+        return states.ghz(n, math.sqrt((1 + gap) / 2), math.sqrt((1 - gap) / 2))
+    return states.dicke(n, 1 + k % (n - 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 32),
+    kind=st.sampled_from(["product", "ghz", "unbalanced", "dicke"]),
+    k=st.integers(0, 30),
+    log_gap=st.floats(-6, -0.01),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_infinite_classes_are_invariant_under_rotation(n, kind, k, log_gap, seed):
+    # the axis comes from a multipole of psi psi^+, so no Majorana root is found,
+    # and a heavy root's scatter cannot hide it
+    psi = _family_state(kind, n, k, 10.0**log_gap)
+    phi = states.apply_diag_symmetric(states.random_su2(RNG(seed)), psi)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an infinite class must not find Majorana roots")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(majorana, "majorana_points", refuse)
+        base, res = classify.classify_state(psi), classify.classify_state(phi)
+    assert res.sclass.tag == base.sclass.tag
+    assert res.sclass.k == base.sclass.k
+    if base.sclass.t is not None:
+        assert abs(res.sclass.t - base.sclass.t) <= 1e-6
+    check_result(res, phi)
+
+
+def test_rotated_ten_qubit_product_state_is_class_i():
+    # a draw of the degenerate probe (seed 2026): a 10-fold root scatters like
+    # eps^(1/10) under root finding, so no cluster radius recovers it reliably
+    point = np.array([[0.19354431109503342, 0.6768285359211241, -0.7102420239648007]])
+    g = np.array([
+        [-0.505686065354441 - 0.7765587485465355j, 0.31814516722087993 - 0.20005440744002892j],
+        [-0.3181451672208799 - 0.2000544074400289j, -0.505686065354441 + 0.7765587485465356j],
+    ])
+    phi = states.apply_diag_symmetric(g, majorana.points_to_state(point, [10]))
+    res = classify.classify_state(phi)
+    assert res.sclass.tag == "i"
+    check_result(res, phi)
+
+
+def test_two_qubit_balanced_pairs_stay_ambiguous():
+    # two antipodal points are a balanced Dicke pair about their axis and a
+    # balanced two-pole pair about any axis perpendicular to it
+    rng = RNG(43)
+    for psi in (states.ghz(2), states.dicke(2, 1)):
+        for state in (psi, scrambled(psi, rng), scrambled(psi, rng)):
+            with pytest.raises(AmbiguousClassificationError) as raised:
+                classify.classify_state(state)
+            assert sorted(raised.value.candidates) == ["iia", "iva"]
 
 
 def test_class_validation():
