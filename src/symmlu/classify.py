@@ -32,11 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import majorana, rotmatch, states
-# after rotmatch, so that scipy.optimize is first imported from here: imported
-# first from inside mixed, a fresh interpreter took about 0.15 s longer to
-# import the package (2-core VM, Python 3.11, scipy 1.17)
-from . import mixed
+from . import majorana, mixed, rotmatch, states
 from .errors import AmbiguousClassificationError, DomainError
 from .tolerances import DEFAULT_TOLERANCES, checked
 
@@ -252,7 +248,7 @@ def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> 
     tol = checked(tol, DEFAULT_TOLERANCES.equality)
     n = psi.n
     blocks = states.SpinBlocks(n, (n / 2,), (1,))
-    *_, g, _ = mixed.multipole_frame(np.outer(psi.coeffs, psi.coeffs.conj()), blocks)
+    *_, g = mixed.multipole_frame(np.outer(psi.coeffs, psi.coeffs.conj()), blocks)
     turned = states.apply_diag_symmetric(g, psi).coeffs
     mags = np.abs(turned)
     left = np.flatnonzero(mags > tol)

@@ -179,8 +179,10 @@ def density_from_dict(obj) -> states.DensityMatrix:
         raise DomainError("density JSON must be an object")
     if "matrix" in obj:
         mat = _numbers(obj["matrix"], "matrix", (-1, -1, 2)).view(np.complex128)[..., 0]
-        n = _qubit_count(obj, round(math.log2(max(mat.shape[0], 1))))
-        if mat.shape != (1 << n, 1 << n):
+        size_n = mat.shape[0].bit_length() - 1  # log2 of the row count when it is a power of two
+        n = _qubit_count(obj, size_n)
+        # n is compared before it is shifted: 1 << n of a huge n would not fit in memory
+        if n != size_n or mat.shape != (1 << n, 1 << n):
             raise DomainError(f"matrix shape {mat.shape} does not match n={n}")
         return states.DensityMatrix(n, mat)
     return states.to_density(state_from_dict(obj))

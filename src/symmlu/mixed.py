@@ -147,22 +147,27 @@ def _conjugate(g: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
     return t.reshape(mat.shape)
 
 
-def _axis_frame(v: np.ndarray):
-    """(g, c) of a Hermitian block's rank-k multipole v; g turns its axis to the pole, c is None unless axial.
+def _axis_turn(v: np.ndarray) -> np.ndarray:
+    """The 2x2 unitary g that turns the axis of a Hermitian block's rank-k multipole v to the pole.
 
     An axial multipole is c T_k0 about an axis n, c real, so as a spin-k
     vector its quadrupole M_ab = Re<v|J_a J_b|v> / <v|v> is
-    k(k + 1)/2 (1 - n n^T): n is M's bottom eigenvector.  v is axial when
-    only the middle coefficient is left after g, and c is that coefficient
-    of v / |v|.
+    k(k + 1)/2 (1 - n n^T): n is M's bottom eigenvector.
+    """
+    w = states.spin_operators(v.size - 1) @ v
+    axis = np.linalg.eigh((w.conj() @ w.T).real)[1][:, 0]
+    return rotmatch.so3_to_su2(rotmatch.rotation_between(axis, majorana.NORTH_POLE))
+
+
+def _axial_coefficient(v: np.ndarray, g: np.ndarray) -> float | None:
+    """c of v / |v| = c T_k0 once g (_axis_turn) has turned it, or None when v is not axial.
+
+    v is axial when only the middle coefficient is left after g.
     """
     k = v.size // 2
-    w = states.spin_operators(2 * k) @ v
-    axis = np.linalg.eigh((w.conj() @ w.T).real)[1][:, 0]
-    g = rotmatch.so3_to_su2(rotmatch.rotation_between(axis, majorana.NORTH_POLE))
     turned = states.symmetric_power(g, 2 * k) @ v / np.linalg.norm(v)
     axial = np.delete(np.abs(turned), k).max() <= DEFAULT_TOLERANCES.equality
-    return g, (float(turned[k].real) if axial else None)
+    return float(turned[k].real) if axial else None
 
 
 def _best_turn(rho_t: np.ndarray, sigma_t: np.ndarray, blocks) -> float:
@@ -187,20 +192,18 @@ def _best_turn(rho_t: np.ndarray, sigma_t: np.ndarray, blocks) -> float:
 
 
 def multipole_frame(form: np.ndarray, blocks: states.SpinBlocks) -> tuple:
-    """(b, k, v, g, c) of a block form's first multipole above the cutoff, and its axis.
+    """(b, k, v, g) of a block form's first multipole above the cutoff, and its axis.
 
     The scan is rank-major, top spin first: v is the rank-k multipole of
-    block b, g (a 2x2 unitary) turns v's axis to the north pole, and c is
-    v's real axial coefficient once turned, or None when v is not axial
-    (_axis_frame).  With no multipole above the cutoff, k = 0, v and c are
-    None and g is the identity.
+    block b, and g (a 2x2 unitary) turns v's axis to the north pole
+    (_axis_turn).  With no multipole above the cutoff, k = 0, v is None and
+    g is the identity.
     """
     cut = _MULTIPOLE_CUTOFF * np.linalg.norm(form)
     ranks = ((b, k) for k in range(1, blocks.n + 1) for b, j in enumerate(blocks.spins) if 2 * j >= k)
     multipoles = ((b, k, blocks.multipole(form, b, k)) for b, k in ranks)
     b, k, v = next(((b, k, v) for b, k, v in multipoles if np.linalg.norm(v) > cut), (0, 0, None))
-    g, c = _axis_frame(v) if k else (np.eye(2, dtype=np.complex128), None)
-    return b, k, v, g, c
+    return b, k, v, (_axis_turn(v) if k else np.eye(2, dtype=np.complex128))
 
 
 def frame_candidates(rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.SpinBlocks) -> tuple:
@@ -220,14 +223,15 @@ def frame_candidates(rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.Spin
     lu_equivalent_mixed on the spin blocks of n qubits and
     classify.lu_equivalent_pure on the single spin-n/2 block of psi psi^+.
     """
-    b, k, v_rho, g_rho, c_rho = multipole_frame(rho_b, blocks)
+    b, k, v_rho, g_rho = multipole_frame(rho_b, blocks)
     if k == 0:
         return [g_rho], "no multipole above the cutoff"
     frame = f"frame: rank-{k} multipole of spin {blocks.spins[b]:g}"
     v_sigma = blocks.multipole(sigma_b, b, k)
     if np.linalg.norm(v_sigma) <= _MULTIPOLE_CUTOFF * np.linalg.norm(sigma_b):
         return [], frame
-    g_sigma, c_sigma = _axis_frame(v_sigma)
+    g_sigma = _axis_turn(v_sigma)
+    c_rho, c_sigma = _axial_coefficient(v_rho, g_rho), _axial_coefficient(v_sigma, g_sigma)
     if c_rho is None or c_sigma is None:
         cfgs = (majorana.majorana_points(states.SymmetricPureState.from_unnormalized(v)) for v in (v_rho, v_sigma))
         return [rotmatch.so3_to_su2(r) for r in rotmatch.all_matching_rotations(*cfgs)], frame

@@ -7,6 +7,13 @@ Correspondence conventions:
 * so3_to_su2 picks the SU(2) preimage with quaternion scalar part >= 0,
   breaking the scalar-part-zero tie by making the first significant vector
   component positive.
+
+Matching: a rotation carries configuration a onto b when, in each
+multiplicity class, the greedy matching (closest free pair first) pairs
+every rotated point of a with a point of b within tol.  When the points of
+one multiplicity lie more than 2 tol apart, each rotated point has at most
+one partner within tol, so the greedy matching finds it whenever any
+matching does.
 """
 from __future__ import annotations
 
@@ -14,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, SymmluError
 from .majorana import MajoranaConfiguration
@@ -164,7 +170,11 @@ def _rotation_key(r: np.ndarray):
 
 
 def _assignment_max(apts, amults, bpts, bmults, r, tol):
-    """Max chordal distance of the best multiplicity-respecting matching."""
+    """Max chordal distance of the greedy multiplicity-respecting matching, or None above tol.
+
+    Within each multiplicity class the closest free pair is matched first.
+    A rotation is accepted only when every matched pair lies within tol.
+    """
     rotated = apts @ r.T
     worst = 0.0
     for mult in set(int(m) for m in amults):
@@ -173,27 +183,18 @@ def _assignment_max(apts, amults, bpts, bmults, r, tol):
         if len(ai) != len(bi):
             return None
         cost = np.linalg.norm(rotated[ai][:, None, :] - bpts[bi][None, :, :], axis=2)
-        # greedy nearest-neighbor first
-        cm = cost.copy()
         taken_rows, taken_cols = set(), set()
-        pairs = []
-        flat = np.argsort(cm, axis=None)
-        for f in flat:
-            i, j = divmod(int(f), cm.shape[1])
+        for f in np.argsort(cost, axis=None):
+            i, j = divmod(int(f), cost.shape[1])
             if i in taken_rows or j in taken_cols:
                 continue
             taken_rows.add(i)
             taken_cols.add(j)
-            pairs.append(cm[i, j])
-            if len(pairs) == len(ai):
+            worst = max(worst, float(cost[i, j]))
+            if worst > tol:
+                return None
+            if len(taken_rows) == len(ai):
                 break
-        gmax = max(pairs) if pairs else 0.0
-        if gmax > tol and len(ai) > 1:
-            rows, cols = linear_sum_assignment(cost)
-            gmax = float(cost[rows, cols].max())
-        worst = max(worst, gmax)
-        if worst > tol:
-            return None
     return worst
 
 
@@ -295,7 +296,11 @@ def match_rotation(a: MajoranaConfiguration, b: MajoranaConfiguration, tol: floa
 
 
 def matching_distance(a: MajoranaConfiguration, b: MajoranaConfiguration) -> float:
-    """Best multiplicity-respecting max-chordal matching distance (no rotation)."""
+    """Max chordal distance of the greedy multiplicity-respecting matching (no rotation).
+
+    An upper bound on the best (bottleneck) matching distance; the two agree
+    when the points of each multiplicity lie more than twice that distance apart.
+    """
     if a.n != b.n:
         raise DomainError("configurations have different sizes")
     if sorted(a.multiplicities) != sorted(b.multiplicities):

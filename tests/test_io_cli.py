@@ -406,3 +406,12 @@ def test_verify_rejects_a_degenerate_search_grid_with_exit_3(tmp_path, monkeypat
     code, out = run_cli(["verify", _ghz3_file(tmp_path), "--search-grid", grid], monkeypatch, capsys)
     assert code == 3
     assert "at least 4 points" in json.loads(out)["error"]
+
+
+def test_huge_qubit_count_of_a_density_file_is_a_domain_error(tmp_path, monkeypatch, capsys):
+    # n is checked against the matrix size before 2^n is formed
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"n": 1e20, "matrix": [[[1, 0]]]}')
+    code, out = run_cli(["equiv-mixed", str(bad), str(bad)], monkeypatch, capsys)
+    assert code == 3
+    assert "does not match n=" in json.loads(out)["error"]

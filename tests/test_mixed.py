@@ -260,7 +260,8 @@ def test_axial_frames_solve_only_the_families_of_their_sign(k, c, negative, seed
     middle = np.zeros(2 * k + 1)
     middle[k] = c
     v = states.symmetric_power(g, 2 * k) @ middle
-    g_v, c_v = mixed._axis_frame(v)
+    g_v = mixed._axis_turn(v)
+    c_v = mixed._axial_coefficient(v, g_v)
     assert c_v is not None and abs(abs(c_v) - 1) < 1e-9
     assert abs(abs((states.symmetric_power(g_v, 2 * k) @ v)[k]) - abs(c)) < 1e-9
 

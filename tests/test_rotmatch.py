@@ -266,6 +266,49 @@ def test_matching_distance():
     assert rotmatch.matching_distance(cfg, other) == float("inf")
 
 
+def separated_points(rng, m, ngon):
+    """m unit vectors: a turned regular m-gon, or random ones with pairwise chordal distance in [0.3, 1.9]."""
+    if ngon:
+        return ngon_config(m).points @ rotmatch.su2_to_so3(states.random_su2(rng)).T
+    while True:
+        pts = rng.normal(size=(m, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        chords = np.linalg.norm(pts[:, None] - pts[None], axis=2)[np.triu_indices(m, 1)]
+        if 0.3 <= chords.min() and chords.max() <= 1.9:
+            return pts
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    mults=st.lists(st.integers(1, 3), min_size=2, max_size=6),
+    ngon=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matching_accepts_the_rotation_and_rejects_a_moved_point(mults, ngon, seed):
+    rng = np.random.default_rng(seed)
+    ngon = ngon and len(mults) >= 3
+    cfg = majorana.config_from_points(separated_points(rng, len(mults), ngon), mults)
+    r = rotmatch.su2_to_so3(states.random_su2(rng))
+    pts = cfg.points @ r.T
+    turned = majorana.config_from_points(pts, cfg.multiplicities)
+    found = rotmatch.all_matching_rotations(cfg, turned)
+    assert any(np.max(np.abs(f - r)) <= 1e-8 for f in found)
+    for f in found:  # each point lands on a point of its own multiplicity
+        gaps = np.linalg.norm((cfg.points @ f.T)[:, None] - turned.points[None], axis=2)
+        same = cfg.multiplicities[:, None] == turned.multiplicities[None]
+        assert np.all(np.min(np.where(same, gaps, np.inf), axis=1) <= 1e-6)
+    assert len(rotmatch.all_matching_rotations(cfg, cfg)) == len(rotmatch.all_matching_rotations(turned, turned))
+
+    # move a point of the closest pair 1e-3 along the great circle toward its partner:
+    # the least pairwise distance shrinks by more than any match within tol allows
+    chords = np.linalg.norm(pts[:, None] - pts[None], axis=2) + 4 * np.eye(len(pts))
+    i, j = np.unravel_index(np.argmin(chords), chords.shape)
+    toward = pts[j] - np.dot(pts[j], pts[i]) * pts[i]
+    pts[i] = rotmatch.rotation_about(np.cross(pts[i], toward), 1e-3) @ pts[i]
+    moved = majorana.config_from_points(pts, cfg.multiplicities)
+    assert rotmatch.all_matching_rotations(cfg, moved) == []
+
+
 # ---------------------------------------------------------------------------
 # symmetry groups
 # ---------------------------------------------------------------------------
