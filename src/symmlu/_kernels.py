@@ -4,8 +4,10 @@ Kernels:
   euler_su2_batch          SU(2) elements of a batch of ZYZ Euler triples
   density_factor           V with rho = V V^+, from one eigh (rank r)
   conj_distance_batch      Frobenius distance || g^{(x)n} rho g^{(x)n +} - target ||
-                           for a batch of ZYZ Euler triples, from the factor
-                           V of rho: the oracle form, used by verify
+                           for a batch of ZYZ Euler triples, from the factors
+                           V of rho and W of the target (rank s): the oracle
+                           form, used by verify; (n + r + s) r 2^n complex
+                           products a point, no 2^n x 2^n matrix
   conj_gauss_newton        the same distance squared, with its gradient and
                            Gauss-Newton matrix in left steps of g
   su2_left_step            g <- exp(-i d.sigma/2) g
@@ -41,9 +43,11 @@ _CHUNK_ROWS, _CHUNK_ENTRIES = 256, 1 << 22  # conjugation kernels: rows per chun
 def _chunk_rows(n: int) -> int:
     """Rows per chunk of the conjugation kernels at n qubits.
 
-    At most 256, and at least 1; otherwise few enough that each (rows, 2^n,
-    2^n) temporary of a chunk holds at most 2^22 complex entries (64 MiB):
-    256 rows up to n = 7, 4 at n = 10.
+    At most 256, and at least 1; otherwise few enough that rows x 4^n is at
+    most 2^22 (64 MiB of complex entries): 256 rows up to n = 7, 4 at
+    n = 10.  A chunk's temporaries are (rows, 2^n, r) and smaller at ranks r
+    and s, (n + r + s) r 2^n complex products a row, so the rule bounds them
+    at full rank; at low rank they are far below it.
     """
     return max(1, min(_CHUNK_ROWS, _CHUNK_ENTRIES >> (2 * n)))
 
@@ -95,17 +99,34 @@ def _on_every_qubit(ops, a: np.ndarray, n: int) -> np.ndarray:
     return a.reshape(rows, 1 << n, -1)
 
 
-def _moved(gs, factor, target, n: int):
-    """A = g^{(x)n} V and R = A A^+ - target for each g of one chunk."""
-    a = _on_every_qubit(gs, factor[None], n)
-    ah = np.conj(np.swapaxes(a, 1, 2))
-    resid = a * ah if a.shape[2] == 1 else a @ ah  # rank 1: an outer product, faster broadcast
-    resid -= target
-    return a, resid
+def _target_split(target_factor):
+    """(Q, m) with T = Q diag(m) Q^+, from W (2^n, s) with orthogonal columns (density_factor of T).
+
+    Q is W's columns normalised and m their squared norms.
+    """
+    w = np.asarray(target_factor, dtype=np.complex128)
+    m = np.sum(np.abs(w) ** 2, axis=0)
+    return w / np.sqrt(m), m
+
+
+def _squared_residual(a, q, m):
+    """||A A^+ - Q diag(m) Q^+||_F^2 of each A of a (B, 2^n, r) stack, and X = Q^+ A.
+
+    With P = A - Q X (the part of A outside Q's span) and G = P^+ P,
+    ||A A^+ - T||^2 = ||X X^+ - diag(m)||^2 + 2 tr(X G X^+) + ||G||^2: three
+    sums of squares, each small near a zero of the distance, so none cancels
+    there.  Only (B, 2^n, r) and smaller products are formed.
+    """
+    x = np.conj(q.T) @ a  # (B, s, r)
+    p = a - q @ x
+    gram = np.conj(np.swapaxes(p, 1, 2)) @ p  # (B, r, r)
+    inner = x @ np.conj(np.swapaxes(x, 1, 2)) - np.diag(m)
+    cross = np.einsum("ijk,ijk->i", np.conj(x), x @ gram).real
+    return _squared_norms(inner) + 2.0 * np.maximum(cross, 0.0) + _squared_norms(gram), x
 
 
 def _squared_norms(m: np.ndarray) -> np.ndarray:
-    """||m_b||_F^2 of each complex matrix of a (B, d, d) stack, in one pass."""
+    """||m_b||_F^2 of each complex array of a (B, ...) stack, in one pass."""
     flat = np.ascontiguousarray(m).reshape(m.shape[0], -1).view(np.float64)
     return np.einsum("ij,ij->i", flat, flat)
 
@@ -113,43 +134,45 @@ def _squared_norms(m: np.ndarray) -> np.ndarray:
 def _by_chunks(body, rows: int, n: int, *batch):
     """body on _chunk_rows(n) rows of each batch array at a time, results concatenated.
 
-    Every temporary of body is at most (rows, 2^n, 2^n).
+    Every temporary of body is at most (rows, 2^n, r) for r <= 2^n.
     """
     step = _chunk_rows(n)
     parts = [body(*(b[s : s + step] for b in batch)) for s in range(0, max(rows, 1), step)]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _conj_distance(angles, factor, target, n: int) -> np.ndarray:
+def _conj_distance(angles, factor, target_factor, n: int) -> np.ndarray:
     """D of each Euler row, behind both public names.
 
     Kept apart from them so a one-point call is not also counted as a batch
     call by wrappers installed on the public names.
     """
     factor = np.asarray(factor, dtype=np.complex128)
-    target = np.asarray(target, dtype=np.complex128)
+    q, m = _target_split(target_factor)
 
     def body(chunk):
-        _, resid = _moved(euler_su2_batch(chunk), factor, target, n)
-        return (np.sqrt(_squared_norms(resid)),)
+        f2, _ = _squared_residual(_on_every_qubit(euler_su2_batch(chunk), factor[None], n), q, m)
+        return (np.sqrt(f2),)
 
     return _by_chunks(body, angles.shape[0], n, angles)[0]
 
 
-def conj_distance_batch(angles, factor, target, n):
-    """D = || g^{(x)n} V V^+ g^{(x)n +} - target ||_F for each Euler row g.
+def conj_distance_batch(angles, factor, target_factor, n):
+    """D = || g^{(x)n} V V^+ g^{(x)n +} - W W^+ ||_F for each Euler row g.
 
-    factor is V (2^n, r) of rho = V V^+ (density_factor).  g^{(x)n} V is
-    applied qubit by qubit, so a point costs about r 4^n + n r 2^n complex
-    products; no 2^n x 2^n power of g is formed.
+    factor is V (2^n, r) of rho = V V^+ and target_factor W (2^n, s) of the
+    target T = W W^+, both as density_factor gives them (W's columns must be
+    orthogonal).  g^{(x)n} V is applied qubit by qubit and the distance is
+    taken through _squared_residual, so a point costs about (n + r + s) r 2^n
+    complex products; no 2^n x 2^n matrix is formed.
     """
-    return _conj_distance(np.asarray(angles, dtype=np.float64), factor, target, n)
+    return _conj_distance(np.asarray(angles, dtype=np.float64), factor, target_factor, n)
 
 
-def conj_distance_single(alpha, beta, gamma, factor, target, n):
+def conj_distance_single(alpha, beta, gamma, factor, target_factor, n):
     """conj_distance_batch of the single Euler triple (alpha, beta, gamma)."""
     angles = np.array([[alpha, beta, gamma]], dtype=np.float64)
-    return float(_conj_distance(angles, factor, target, n)[0])
+    return float(_conj_distance(angles, factor, target_factor, n)[0])
 
 
 def _spin_components(a: np.ndarray, n: int) -> np.ndarray:
@@ -169,33 +192,37 @@ def _spin_components(a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def conj_gauss_newton(gs, factor, target, n):
+def conj_gauss_newton(gs, factor, target_factor, n):
     """Least-squares model of D^2 at each SU(2) element of gs (B, 2, 2); (f2, grad, gn).
 
-    The residual is R = A A^+ - target with A = g^{(x)n} V.  Steps are taken
-    on the left, g <- exp(-i d.sigma/2) g, so column c of the Jacobian is
-    C_c = -i [J_c, A A^+] with J_c = sum_k sigma_c^(k) / 2.  Returned per
-    row: f2 = ||R||^2, grad_c = Re<C_c, R> = -2 Im tr(B_c^+ R A) and the
-    Gauss-Newton matrix gn_cd = Re<C_c, C_d> = 2 Re tr(B_c^+ B_d A^+ A -
-    A^+ B_d A^+ B_c), where B_c = J_c A.  Only R is 2^n x 2^n; the rest are
-    r-column products.
+    factor and target_factor are V and W as in conj_distance_batch.  The
+    residual is R = A A^+ - T with A = g^{(x)n} V and T = Q diag(m) Q^+
+    (_target_split).  Steps are taken on the left, g <- exp(-i d.sigma/2) g,
+    so column c of the Jacobian is C_c = -i [J_c, A A^+] with J_c = sum_k
+    sigma_c^(k) / 2.  Returned per row: f2 = ||R||^2 (_squared_residual),
+    grad_c = Re<C_c, R> = -2 Im tr(B_c^+ R A) with R A = A (A^+ A) - Q
+    diag(m) X, and the Gauss-Newton matrix gn_cd = Re<C_c, C_d> = 2 Re
+    tr(B_c^+ B_d A^+ A - A^+ B_d A^+ B_c), where B_c = J_c A and X = Q^+ A.
+    R is never formed: every product has r columns.
     """
     gs = np.asarray(gs, dtype=np.complex128)
     factor = np.asarray(factor, dtype=np.complex128)
-    target = np.asarray(target, dtype=np.complex128)
+    q, m = _target_split(target_factor)
 
     def body(chunk):
-        a, resid = _moved(chunk, factor, target, n)
+        a = _on_every_qubit(chunk, factor[None], n)
+        f2, x = _squared_residual(a, q, m)
         spins = _spin_components(a, n)
         ah = np.conj(np.swapaxes(a, 1, 2))
-        grad = -2.0 * np.imag(np.sum(np.conj(spins) * (resid @ a), axis=(2, 3))).T
         gram = ah @ a  # (B, r, r)
+        resid_a = a @ gram - q @ (m[:, None] * x)  # R A
+        grad = -2.0 * np.imag(np.sum(np.conj(spins) * resid_a, axis=(2, 3))).T
         proj = ah @ spins  # P_c = A^+ B_c, (3, B, r, r)
         cross = np.einsum("cbir,dbis->bcdrs", np.conj(spins), spins)  # B_c^+ B_d
         gn = 2.0 * np.real(
             np.einsum("bcdrs,bsr->bcd", cross, gram) - np.einsum("dbrs,cbsr->bcd", proj, proj)
         )
-        return _squared_norms(resid), grad, gn
+        return f2, grad, gn
 
     return _by_chunks(body, gs.shape[0], n, gs)
 

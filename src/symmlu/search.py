@@ -53,17 +53,19 @@ def euler_lattice(grid: int) -> np.ndarray:
 def euler_scan(rho, target, n: int, grid: int):
     """Euler lattice, D on it, and the least-squares model of D^2; D = || g^{(x)n} rho g^{(x)n +} - target ||.
 
-    rho is factored once (_kernels.density_factor); the model maps SU(2)
-    elements (B, 2, 2) to (f2, grad, gn) in left steps (_kernels.su2_left_step),
-    as gauss_newton takes it.  The oracles' form of the scan.
+    rho and target are each factored once (_kernels.density_factor); the
+    model maps SU(2) elements (B, 2, 2) to (f2, grad, gn) in left steps
+    (_kernels.su2_left_step), as gauss_newton takes it.  The oracles' form
+    of the scan.
     """
     points = euler_lattice(grid)
     factor = _kernels.density_factor(rho)
+    target_factor = _kernels.density_factor(target)
 
     def model(gs):
-        return _kernels.conj_gauss_newton(gs, factor, target, n)
+        return _kernels.conj_gauss_newton(gs, factor, target_factor, n)
 
-    return points, _kernels.conj_distance_batch(points, factor, target, n), model
+    return points, _kernels.conj_distance_batch(points, factor, target_factor, n), model
 
 
 def local_minima(vals: np.ndarray, wrap: tuple) -> np.ndarray:
@@ -125,14 +127,19 @@ def _gauss_newton_round(model, step, x, stop_f2: float):
 
     A row is done when its damped step is shorter than _GN_XTOL (converged,
     or stuck where no step lowers f2) or an accepted step lowers f2 by less
-    than _GN_FTOL of itself.  Every row is done after _GN_ITERATIONS, or as
+    than _GN_FTOL of itself; a row whose Gauss-Newton matrix is zero at its
+    start takes no step.  Every row is done after _GN_ITERATIONS, or as
     soon as one row reaches stop_f2; the others then keep where they are.
     """
     f2, grad, gn = model(x)
     x_out, f2_out = x.copy(), f2.copy()
-    live = np.arange(len(f2))
     dim = grad.shape[1]
-    lam = _GN_DAMPING * np.maximum(np.max(np.diagonal(gn, axis1=1, axis2=2), axis=1), np.finfo(float).tiny)
+    # a Gauss-Newton matrix is PSD, so one with no positive diagonal entry is
+    # zero: the objective is flat there, its gradient is roundoff, and the row
+    # has no step
+    lam = _GN_DAMPING * np.max(np.diagonal(gn, axis1=1, axis2=2), axis=1)
+    curved = lam > 0
+    live, x, f2, grad, gn, lam = (v[curved] for v in (np.arange(len(f2)), x, f2, grad, gn, lam))
     for _ in range(_GN_ITERATIONS):
         if f2_out.min() <= stop_f2:
             break

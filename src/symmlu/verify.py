@@ -13,11 +13,13 @@ It reports every accepted witness (projectively deduplicated) at the stated
 lattice resolution; it cannot certify the absence of stabilizer elements
 between lattice points.  The lattice minima of each family are refined all
 at once by damped Gauss-Newton (search.gauss_newton).  The identical-tuple
-distance is computed from a factor V of rho (rho = V V^+, one eigh per
-search), with g^{(x)n} applied to V qubit by qubit: r 4^n + n r 2^n
-products a point for rank r, where the Kronecker power cost about 2 8^n.
-Its steps are left steps g <- exp(-i d.sigma/2) g in the Lie algebra; the
-diagonal family steps in its phases.  lu_equivalent_pure_bruteforce refines
+distance is computed from factors V of rho and W of the target (one eigh
+each per search), with g^{(x)n} applied to V qubit by qubit and no 2^n x
+2^n residual formed: (n + r + s) r 2^n products a point at ranks r and s,
+where the Kronecker power cost about 2 8^n.  Its steps are left steps
+g <- exp(-i d.sigma/2) g in the Lie algebra.  The diagonal family steps in
+its phases, on the entry table summed per bit-difference class (16 classes
+for the tetrahedron's 64 entries).  lu_equivalent_pure_bruteforce refines
 its lowest 40 minima 8 at a time and stops as soon as one reaches 0.01
 threshold.  Every witness is accepted only through the dense
 check_stabilizes.
@@ -43,7 +45,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import _kernels, classify, search, states
+from . import _kernels, classify, rotmatch, search, states
 from .errors import DomainError
 from .mixed import SpectraReport, default_threshold, spectra_report
 
@@ -103,11 +105,16 @@ class StabilizerSearchConfig:
 
 
 def check_stabilizes(u: states.LocalUnitary, rho: states.DensityMatrix) -> StabilizerWitness:
-    """Residual || U rho U+ - rho ||_F by dense conjugation."""
+    """Residual || U rho U+ - rho ||_F by dense conjugation.
+
+    U rho U+ is PSD by construction, so it is not validated as a
+    DensityMatrix (states.apply_lu would run a hermiticity, trace and
+    eigenvalue check on it).
+    """
     if u.n != rho.n:
         raise DomainError(f"arity mismatch: unitary on {u.n} qubits, state on {rho.n}")
-    moved = states.apply_lu(u, rho)
-    return StabilizerWitness(u, float(np.linalg.norm(moved.mat - rho.mat)))
+    big = u.matrix()
+    return StabilizerWitness(u, float(np.linalg.norm(big @ rho.mat @ big.conj().T - rho.mat)))
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +165,40 @@ def _entry_table(rho):
     return vals, diffs
 
 
+def _difference_classes(vals, diffs):
+    """The entry table summed per bit-difference class; (class sums, class diffs).
+
+    An entry enters the phase residual only through sin^2(theta/2) of its
+    angle theta = phis . diff, which is even in theta, so diff and -diff are
+    one class (kept with its first nonzero difference positive).  The zero
+    class never moves and is dropped.
+    """
+    lead = np.take_along_axis(diffs, np.argmax(diffs != 0, axis=1)[:, None], axis=1)
+    canon = np.where(lead < 0, -diffs, diffs)
+    classes, inverse = np.unique(canon, axis=0, return_inverse=True)
+    sums = np.bincount(inverse.ravel(), weights=vals, minlength=len(classes))
+    moving = np.any(classes != 0, axis=1)
+    return sums[moving], classes[moving]
+
+
+def _phase_grid(n: int, entries: int) -> int:
+    """Phase lattice points per qubit for a table of `entries` significant entries.
+
+    _PHASE_GRID, fewer where p^n points times the entries would pass 2e8.
+    The count is of entries, not of their classes: the lattice, and so the
+    search, is the one the entry-by-entry residual had.
+    """
+    p = _PHASE_GRID
+    while p > 3 and p**n * entries > 2e8:
+        p -= 1
+    return p
+
+
 def _diag_witnesses(rho, cfg):
     n = rho.n
     vals, diffs = _entry_table(rho)
-    if vals.size == 0:
-        return []
-    p = _PHASE_GRID
-    while p > 3 and p**n * vals.size > 2e8:
-        p -= 1
+    p = _phase_grid(n, vals.size)
+    vals, diffs = _difference_classes(vals, diffs)
     phis = search.lattice(*([np.linspace(0.0, 2 * math.pi, p, endpoint=False)] * n))
     res = _kernels.diag_phase_residual(phis, vals, diffs)
     minima = _lowest_minima(res.reshape((p,) * n), tuple(range(n)), cfg.max_descents)
@@ -309,6 +342,23 @@ def _pair_midpoint(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     return a0 @ root
 
 
+def _nearest_group_element(factors: np.ndarray, rotations) -> float:
+    """min over the group of u.projective_distance(g^{(x)n}), in one array pass.
+
+    factors (n, 2, 2) are u's and rotations the group's SO(3) elements, taken
+    to SU(2) by rotmatch.so3_to_su2 as StabilizerSampler.unit does.  Each
+    qubit's distance is states.phase_distance's entrywise form: g's phase is
+    aligned to the factor's before the difference is taken.
+    """
+    group = np.array([rotmatch.so3_to_su2(r) for r in rotations])
+    overlap = np.einsum("gij,kij->gk", np.conj(group), factors)
+    size = np.abs(overlap)
+    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
+    diff = factors[None] - group[:, None] * phase[:, :, None, None]
+    dist = np.sqrt(np.sum(np.abs(diff) ** 2, axis=(2, 3)))  # (group, qubit)
+    return float(np.min(np.max(dist, axis=1)))
+
+
 def class_membership_distance(
     sampler: classify.StabilizerSampler,
     u: states.LocalUnitary,
@@ -324,12 +374,9 @@ def class_membership_distance(
     if u.n != sampler.n:
         raise DomainError(f"arity mismatch: unitary on {u.n} qubits, family on {sampler.n}")
     tag = sampler.sclass.tag
-    if tag == "finite":
-        return min(
-            u.projective_distance(sampler.unit((idx,)))
-            for idx in range(len(sampler.sclass.group.elements))
-        )
     factors = np.array(u.factors)
+    if tag == "finite":
+        return _nearest_group_element(factors, sampler.sclass.group.elements)
     if tag == "iii":
         return u.projective_distance(sampler.unit((_pair_midpoint(factors[0], factors[1]),)))
     flips = (False, True) if sampler.has_flip else (False,)

@@ -1,8 +1,12 @@
 """Numeric kernels against dense oracles."""
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symmlu import _kernels, states
 
@@ -45,7 +49,7 @@ def test_conj_distance_batch_matches_dense_oracle():
     rho = states.random_symmetric_mixed(n, rng).mat
     target = states.random_symmetric_mixed(n, rng).mat
     angles = rng.uniform(0, 2 * math.pi, size=(30, 3))
-    got = _kernels.conj_distance_batch(angles, _kernels.density_factor(rho), target, n)
+    got = _kernels.conj_distance_batch(angles, _kernels.density_factor(rho), _kernels.density_factor(target), n)
     for row, d in zip(angles, got):
         assert abs(d - dense_conj_distance(row, rho, target, n)) < 1e-10
 
@@ -57,9 +61,9 @@ def test_conj_distance_single_matches_batch():
     target = states.random_symmetric_mixed(n, rng).mat
     angles = rng.uniform(0, 2 * math.pi, size=(10, 3))
     factor = _kernels.density_factor(rho)
-    batch = _kernels.conj_distance_batch(angles, factor, target, n)
+    batch = _kernels.conj_distance_batch(angles, factor, _kernels.density_factor(target), n)
     for row, d in zip(angles, batch):
-        single = _kernels.conj_distance_single(row[0], row[1], row[2], factor, target, n)
+        single = _kernels.conj_distance_single(row[0], row[1], row[2], factor, _kernels.density_factor(target), n)
         assert abs(d - single) < 1e-12
 
 
@@ -70,7 +74,7 @@ def test_conj_distance_single_matches_dense_oracle(n):
     target = states.random_symmetric_mixed(n, rng).mat
     factor = _kernels.density_factor(rho)
     for row in rng.uniform(0, 2 * math.pi, size=(5, 3)):
-        single = _kernels.conj_distance_single(row[0], row[1], row[2], factor, target, n)
+        single = _kernels.conj_distance_single(row[0], row[1], row[2], factor, _kernels.density_factor(target), n)
         assert abs(single - dense_conj_distance(row, rho, target, n)) < 1e-10
 
 
@@ -127,10 +131,10 @@ def test_chunk_seams_do_not_change_the_dense_distance(monkeypatch):
     target = states.random_symmetric_mixed(4, rng).mat
     angles = rng.uniform(0, 2 * math.pi, size=(10, 3))
     factor = _kernels.density_factor(rho)
-    whole = _kernels.conj_distance_batch(angles, factor, target, 4)
+    whole = _kernels.conj_distance_batch(angles, factor, _kernels.density_factor(target), 4)
     monkeypatch.setattr(_kernels, "_CHUNK_ENTRIES", 3 * 4**4)  # 3 rows a chunk
     assert _kernels._chunk_rows(4) == 3
-    assert np.array_equal(_kernels.conj_distance_batch(angles, factor, target, 4), whole)
+    assert np.array_equal(_kernels.conj_distance_batch(angles, factor, _kernels.density_factor(target), 4), whole)
 
 
 def _full_rank_density(n, rng):
@@ -157,12 +161,69 @@ def test_factor_kernel_matches_the_kronecker_formula(rank, monkeypatch):
     angles[0] = 0.0
     angles[1, 1] = 0.0
     want = np.array([dense_conj_distance(row, rho, target, n) for row in angles])
-    whole = _kernels.conj_distance_batch(angles, factor, target, n)
+    whole = _kernels.conj_distance_batch(angles, factor, _kernels.density_factor(target), n)
     assert np.max(np.abs(whole - want)) < 2e-15
     monkeypatch.setattr(_kernels, "_CHUNK_ENTRIES", 3 * 4**n)  # 3 rows a chunk: seams after rows 3, 6 and 9
-    assert np.array_equal(_kernels.conj_distance_batch(angles, factor, target, n), whole)
-    f2, _, _ = _kernels.conj_gauss_newton(_kernels.euler_su2_batch(angles), factor, target, n)
+    assert np.array_equal(_kernels.conj_distance_batch(angles, factor, _kernels.density_factor(target), n), whole)
+    f2, _, _ = _kernels.conj_gauss_newton(_kernels.euler_su2_batch(angles), factor, _kernels.density_factor(target), n)
     assert np.max(np.abs(np.sqrt(f2) - want)) < 2e-15
+
+
+def _density_of_rank(rank, n, rng):
+    if rank == "full":
+        return _full_rank_density(n, rng)
+    if rank == 1:
+        return states.to_density(states.random_symmetric(n, rng)).mat
+    return states.random_symmetric_mixed(n, rng, rank=rank).mat
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 6),
+    rho_rank=st.sampled_from([1, 2, "full"]),
+    target_rank=st.sampled_from([1, 2, "full"]),
+    rotated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_distance_equals_the_kronecker_formula(n, rho_rank, target_rank, rotated, seed):
+    rng = np.random.default_rng(seed)
+    rho = _density_of_rank(rho_rank, n, rng)
+    angles = rng.uniform(0, 2 * math.pi, size=(6, 3))
+    if rotated:
+        # the first row carries rho onto the target: D there is roundoff
+        big = np.ones((1, 1), dtype=np.complex128)
+        for _ in range(n):
+            big = np.kron(big, _kernels.euler_su2(*angles[0]))
+        target = big @ rho @ big.conj().T
+    else:
+        target = _density_of_rank(target_rank, n, rng)
+    want = np.array([dense_conj_distance(row, rho, target, n) for row in angles])
+    factor, target_factor = _kernels.density_factor(rho), _kernels.density_factor(target)
+    got = _kernels.conj_distance_batch(angles, factor, target_factor, n)
+    f2, _, _ = _kernels.conj_gauss_newton(_kernels.euler_su2_batch(angles), factor, target_factor, n)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.max(np.abs(np.sqrt(f2) - want)) <= 1e-14
+    if rotated:
+        assert max(want[0], got[0]) < 1e-12
+
+
+def test_low_rank_kernels_form_no_square_temporaries():
+    rng = np.random.default_rng(46)
+    n = 8
+    rows = _kernels._chunk_rows(n)
+    factor = _kernels.density_factor(states.to_density(states.random_symmetric(n, rng)).mat)
+    target_factor = _kernels.density_factor(states.random_symmetric_mixed(n, rng, rank=2).mat)
+    angles = rng.uniform(0, 2 * math.pi, size=(rows, 3))
+    gs = _kernels.euler_su2_batch(angles)
+    square = rows * 4**n * 16  # bytes of one (rows, 2^n, 2^n) complex array
+    tracemalloc.start()
+    try:
+        _kernels.conj_distance_batch(angles, factor, target_factor, n)
+        _kernels.conj_gauss_newton(gs, factor, target_factor, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < square / 8
 
 
 def test_density_factor_keeps_the_eigenvalues_above_the_rank_cutoff():
@@ -186,12 +247,12 @@ def test_conj_gauss_newton_derivatives_match_finite_differences(rank):
     target = states.random_symmetric_mixed(n, rng).mat
     factor = _kernels.density_factor(rho)
     gs = _kernels.euler_su2_batch(rng.uniform(0, 2 * math.pi, size=(6, 3)))
-    f2, grad, gn = _kernels.conj_gauss_newton(gs, factor, target, n)
+    f2, grad, gn = _kernels.conj_gauss_newton(gs, factor, _kernels.density_factor(target), n)
 
     def left(g, e):
         return _kernels.su2_left_step(g, np.broadcast_to(e, (len(g), 3)))
 
-    assert np.max(np.abs(_central_differences(lambda g: _kernels.conj_gauss_newton(g, factor, target, n)[0], gs, left) - 2 * grad)) < 1e-7
+    assert np.max(np.abs(_central_differences(lambda g: _kernels.conj_gauss_newton(g, factor, _kernels.density_factor(target), n)[0], gs, left) - 2 * grad)) < 1e-7
 
     def moved(g):  # dense g^{(x)n} rho g^{(x)n +}, flattened
         out = []

@@ -72,7 +72,7 @@ def test_spin_block_distance_equals_the_dense_kernel(n, seed):
     blocks = states.spin_blocks(n)
     rb, sb = blocks.compress(rho), blocks.compress(sigma)
     angles = rng.uniform(0, 2 * math.pi, size=(4, 3))
-    dense = _kernels.conj_distance_batch(angles, _kernels.density_factor(rho.mat), sigma.mat, n)
+    dense = _kernels.conj_distance_batch(angles, _kernels.density_factor(rho.mat), _kernels.density_factor(sigma.mat), n)
     block = [blocks.distance(_kernels.euler_su2(*row), rb, sb) for row in angles]
     assert np.max(np.abs(np.array(block) - dense)) < 1e-12
     # a unitary outside SU(2) differs by a phase per block, which conjugation cancels

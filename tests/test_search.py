@@ -261,5 +261,20 @@ def test_gauss_newton_rounds_stop_at_the_first_good_round():
     assert len(calls) < to_the_end  # a round ends when its first start is good enough
 
 
+def test_a_zero_gauss_newton_matrix_takes_no_step():
+    # a flat objective: roundoff values and gradients, a Gauss-Newton matrix
+    # that is zero or has no positive diagonal entry
+    def model(xs):
+        grad = np.full_like(xs, 1e-17)
+        gn = np.zeros((len(xs), 2, 2))
+        gn[1::2] = np.diag([-1e-17, 0.0])
+        return np.full(len(xs), 1e-33), grad, gn
+
+    starts = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    got = search.gauss_newton(model, np.add, starts)
+    assert [x.tolist() for x, _ in got] == starts.tolist()
+    assert [f2 for _, f2 in got] == [1e-33] * 3
+
+
 def test_refine_all_of_no_starts_is_empty():
     assert search.gauss_newton(None, np.add, np.empty((0, 2))) == []

@@ -18,6 +18,16 @@ def tetrahedron_state():
     return majorana.points_to_state(pts)
 
 
+def octahedron_state():
+    return majorana.points_to_state(np.vstack([np.eye(3), -np.eye(3)]))
+
+
+def icosahedron_state():
+    phi = (1 + math.sqrt(5)) / 2
+    raw = [pt for a in (-1.0, 1.0) for b in (-phi, phi) for pt in ([0, a, b], [a, b, 0], [b, 0, a])]
+    return majorana.points_to_state(np.array(raw) / math.sqrt(1 + phi**2))
+
+
 def test_stabilizer_search_config_rejects_degenerate_settings():
     verify.StabilizerSearchConfig(grid=4, max_descents=2)  # the smallest useful search
     assert [f.name for f in dataclasses.fields(verify.StabilizerSearchConfig)] == ["grid", "max_descents"]
@@ -114,6 +124,43 @@ def test_sample_stabilizer_tetrahedron_count():
     assert len(witnesses) == 12
 
 
+def test_flat_objective_takes_no_step_and_keeps_the_identity():
+    # every local unitary stabilizes I/8: the Gauss-Newton matrix is zero
+    # everywhere and the refinement must not step on roundoff gradients
+    rho = states.DensityMatrix(3, np.eye(8) / 8)
+    witnesses = verify.sample_stabilizer(rho)
+    identity = states.LocalUnitary.uniform(np.eye(2, dtype=np.complex128), 3)
+    assert any(w.unitary.projectively_equal(identity) for w in witnesses)
+    assert max(w.residual for w in witnesses) <= 1e-8
+
+
+@pytest.mark.parametrize("make", [tetrahedron_state, octahedron_state, lambda: states.ghz(5), lambda: states.dicke(4, 2)])
+def test_class_summed_phase_table_gives_the_entry_residual(make):
+    rho = states.to_density(make())
+    vals, diffs = verify._entry_table(rho)
+    class_vals, class_diffs = verify._difference_classes(vals, diffs)
+    assert len(class_vals) < len(vals)
+    assert not np.any(np.all(class_diffs == 0, axis=1))
+    phis = np.random.default_rng(57).uniform(0, 2 * math.pi, size=(40, rho.n))
+    phis[0] = 0.0
+    for entry, summed in zip(
+        _kernels.diag_phase_gauss_newton(phis, vals, diffs),
+        _kernels.diag_phase_gauss_newton(phis, class_vals, class_diffs),
+    ):
+        assert np.max(np.abs(entry - summed)) <= 1e-14
+    residual = _kernels.diag_phase_residual(phis, vals, diffs)
+    assert np.max(np.abs(_kernels.diag_phase_residual(phis, class_vals, class_diffs) - residual)) <= 1e-14
+
+
+def test_phase_lattice_is_sized_by_the_entries_not_their_classes():
+    for make, entries, classes, p in ((tetrahedron_state, 64, 16, 12), (octahedron_state, 144, 36, 10)):
+        rho = states.to_density(make())
+        vals, diffs = verify._entry_table(rho)
+        assert (len(vals), len(verify._difference_classes(vals, diffs)[0])) == (entries, classes)
+        assert verify._phase_grid(rho.n, len(vals)) == p
+    assert verify._phase_grid(6, 36) == 12  # the class count would triple the octahedron's lattice
+
+
 def test_sample_stabilizer_requires_permutation_invariance():
     vec = np.zeros(8, dtype=np.complex128)
     vec[1] = 1.0
@@ -157,6 +204,25 @@ def test_membership_on_finite_group():
     rng = np.random.default_rng(54)
     outsider = states.LocalUnitary.uniform(states.random_su2(rng), 4)
     assert verify.class_membership_distance(sampler, outsider) > 1e-3
+
+
+@pytest.mark.parametrize("make, order", [(tetrahedron_state, 12), (octahedron_state, 24), (icosahedron_state, 60)])
+def test_finite_membership_equals_the_element_by_element_loop(make, order):
+    sampler = classify.classify_state(make()).sampler
+    assert len(sampler.sclass.group.elements) == order
+    n = sampler.n
+    rng = np.random.default_rng(58)
+    nudge = states.LocalUnitary.uniform(_kernels.euler_su2(1e-7, 2e-7, -1e-7), n)
+    candidates = [
+        sampler.unit((order // 2,)),
+        sampler.unit((1,)).compose(nudge),
+        states.LocalUnitary.uniform(states.random_su2(rng), n),
+        states.LocalUnitary(tuple(states.random_su2(rng) for _ in range(n))),
+        states.LocalUnitary.uniform(states.PAULI_X, n),  # orthogonal to the identity element
+    ]
+    for u in candidates:
+        loop = min(u.projective_distance(sampler.unit((idx,))) for idx in range(order))
+        assert abs(verify.class_membership_distance(sampler, u) - loop) <= 1e-15
 
 
 # every continuous class with its allowed qubit counts
