@@ -322,9 +322,10 @@ def lu_equivalent_pure(
 
     psi psi^+ is a permutation-invariant state with a single spin block,
     j = n/2, so the multipole frames of mixed.frame_candidates give the
-    candidate unitaries, with no root finding on psi itself.  The candidate
-    nearest phi in phase distance is returned when that distance is at most
-    tol.
+    candidate unitaries, with no root finding on psi itself.  All candidates
+    turn psi in one pass, on the stack of their symmetric powers, and the
+    first one nearest phi in phase distance is returned when that distance
+    is at most tol.
     """
     tol = checked(tol, DEFAULT_TOLERANCES.equality)
     if psi.n != phi.n:
@@ -332,9 +333,12 @@ def lu_equivalent_pure(
     blocks = states.SpinBlocks(psi.n, (psi.n / 2,), (1,))
     rho_b, sigma_b = (np.outer(s.coeffs, s.coeffs.conj()) for s in (psi, phi))
     candidates, _ = mixed.frame_candidates(rho_b, sigma_b, blocks)
-    scored = ((states.apply_diag_symmetric(g, psi).distance(phi), g) for g in candidates)
-    dist, g = min(scored, key=lambda c: c[0], default=(math.inf, None))
-    return g if dist <= tol else None
+    if not candidates:
+        return None
+    moved = states.symmetric_power(np.array(candidates), psi.n) @ psi.coeffs
+    dist = states.phase_distances(moved / np.linalg.norm(moved, axis=1, keepdims=True), phi.coeffs)
+    best = int(np.argmin(dist))
+    return candidates[best] if dist[best] <= tol else None
 
 
 # ---------------------------------------------------------------------------

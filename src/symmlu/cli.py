@@ -154,10 +154,8 @@ def _run_symmetry(args) -> int:
     psi = io.state_from_dict(io.load_json(args.path))
     cfg = majorana.majorana_points(psi)
     grp = rotmatch.symmetry_group(cfg, tol=args.tol)
-    rows = []
-    for r in grp.elements:
-        axis, angle = rotmatch.axis_angle(r)
-        rows.append((axis, angle, rotmatch.snap_angle(angle)))
+    axes, angles = rotmatch.axis_angle(grp.elements)
+    rows = [(axis, angle, rotmatch.snap_angle(angle)) for axis, angle in zip(axes, angles.tolist())]
     if args.mode == "csv":
         lines = ["axis_x,axis_y,axis_z,angle_rad"]
         for axis, angle, _ in rows:

@@ -234,7 +234,9 @@ def frame_candidates(rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.Spin
     c_rho, c_sigma = _axial_coefficient(v_rho, g_rho), _axial_coefficient(v_sigma, g_sigma)
     if c_rho is None or c_sigma is None:
         cfgs = (majorana.majorana_points(states.SymmetricPureState.from_unnormalized(v)) for v in (v_rho, v_sigma))
-        return [rotmatch.so3_to_su2(r) for r in rotmatch.all_matching_rotations(*cfgs)], frame
+        rots = np.reshape(rotmatch.all_matching_rotations(*cfgs), (-1, 3, 3))
+        # separate arrays: the one an answer returns keeps no stack alive
+        return [g.copy() for g in rotmatch.so3_to_su2(rots)], frame
     sigma_t = blocks.rotate(g_sigma, sigma_b)
     out = []
     # the flip takes T_k0 at the pole to (-1)^k T_k0; a family that moves c off sigma's sign cannot match

@@ -13,7 +13,13 @@ multiplicity class, the greedy matching (closest free pair first) pairs
 every rotated point of a with a point of b within tol.  When the points of
 one multiplicity lie more than 2 tol apart, each rotated point has at most
 one partner within tol, so the greedy matching finds it whenever any
-matching does.
+matching does.  The candidate rotations come from anchor pairs, and the rule
+is evaluated on all of them at once, as a (K, 3, 3) stack of rotations and
+a (K, a, b) stack of distance tables: each round matches, per candidate,
+every free pair that is the closest free pair of both its point of a and its
+point of b (masked argmins along both axes), and drops the candidates with a
+matched pair beyond tol.  The point-group layer (closure, the axis census,
+the generator pick) works on such stacks too.
 """
 from __future__ import annotations
 
@@ -61,47 +67,44 @@ def su2_to_so3(g: np.ndarray) -> np.ndarray:
 
 
 def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) with canonical sign (w >= 0)."""
+    """Unit quaternion (w, x, y, z) with canonical sign (w >= 0); a (..., 3, 3) stack gives (..., 4).
+
+    Shepperd's method: each matrix is read off the trace when it is
+    positive, else off its largest diagonal entry, so the square root is of
+    a number near 1 or more.  The sign makes the first component above 1e-12
+    positive, so a half turn (w = 0) has its first significant vector
+    component positive.  The branch is taken one matrix at a time in Python
+    floats: a point group has at most 60 elements, and at that size a dozen
+    float operations per matrix cost less than the numpy calls a vectorized
+    branch needs.
+    """
     r = np.asarray(r, dtype=float)
-    tr = r[0, 0] + r[1, 1] + r[2, 2]
-    if tr > 0:
-        s = math.sqrt(tr + 1.0) * 2
-        q = np.array(
-            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
-        )
-    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
-        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2
-        q = np.array(
-            [(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
-        )
-    elif r[1, 1] > r[2, 2]:
-        s = math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2
-        q = np.array(
-            [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s]
-        )
-    else:
-        s = math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2
-        q = np.array(
-            [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
-        )
-    q = q / np.linalg.norm(q)
-    if q[0] < -1e-12:
-        q = -q
-    elif abs(q[0]) <= 1e-12:
-        for comp in q[1:]:
-            if abs(comp) > 1e-12:
-                if comp < 0:
-                    q = -q
-                break
-    return q
+    raw = []
+    for r00, r01, r02, r10, r11, r12, r20, r21, r22 in r.reshape(-1, 9).tolist():
+        tr = r00 + r11 + r22
+        if tr > 0:
+            s = math.sqrt(tr + 1.0) * 2
+            raw.append((0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s))
+        elif r00 > r11 and r00 > r22:
+            s = math.sqrt(1.0 + r00 - r11 - r22) * 2
+            raw.append(((r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s))
+        elif r11 > r22:
+            s = math.sqrt(1.0 + r11 - r00 - r22) * 2
+            raw.append(((r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s))
+        else:
+            s = math.sqrt(1.0 + r22 - r00 - r11) * 2
+            raw.append(((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s))
+    q = np.array(raw).reshape(-1, 4)
+    q /= np.sqrt(np.vecdot(q, q))[:, None]
+    q *= np.copysign(1.0, q[np.arange(len(q)), (np.abs(q) > 1e-12).argmax(axis=1)])[:, None]
+    return q.reshape(r.shape[:-2] + (4,))
 
 
 def so3_to_su2(r: np.ndarray) -> np.ndarray:
-    """Deterministic SU(2) preimage of a rotation matrix."""
-    w, x, y, z = quaternion_from_rotation(r)
-    return np.array(
-        [[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]], dtype=np.complex128
-    )
+    """Deterministic SU(2) preimage of a rotation matrix; a (..., 3, 3) stack gives (..., 2, 2)."""
+    q = quaternion_from_rotation(r)
+    g = [(w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z) for w, x, y, z in q.reshape(-1, 4).tolist()]
+    return np.array(g, dtype=np.complex128).reshape(q.shape[:-1] + (2, 2))
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:
@@ -129,14 +132,19 @@ def rotation_between(u, v) -> np.ndarray:
     return rotation_about(c / s, math.atan2(s, d))
 
 
-def axis_angle(r: np.ndarray) -> tuple[np.ndarray, float]:
-    """Canonical (axis, angle) with angle in [0, pi]."""
-    w, x, y, z = quaternion_from_rotation(r)
-    vec = np.array([x, y, z])
-    nv = np.linalg.norm(vec)
-    if nv < 1e-12:
-        return np.array([0.0, 0.0, 1.0]), 0.0
-    return vec / nv, 2.0 * math.atan2(nv, w)
+def axis_angle(r: np.ndarray):
+    """Canonical (axis, angle) with angle in [0, pi]; a (K, 3, 3) stack gives ((K, 3), (K,)).
+
+    The identity has angle 0 and axis (0, 0, 1).
+    """
+    q = quaternion_from_rotation(r)
+    vec = q[..., 1:]
+    nv = np.sqrt(np.vecdot(vec, vec))
+    turned = nv >= 1e-12
+    axes = np.where(turned[..., None], vec / np.where(turned, nv, 1.0)[..., None], [0.0, 0.0, 1.0])
+    # math.atan2, one angle at a time: numpy's arctan2 rounds some angles differently
+    angles = [2.0 * math.atan2(v, w) if v >= 1e-12 else 0.0 for v, w in zip(nv.ravel().tolist(), q[..., 0].ravel().tolist())]
+    return (axes, np.array(angles)) if nv.ndim else (axes, angles[0])
 
 
 _SNAP_TOL, _SNAP_DENOMINATOR = 1e-9, 64  # snap_angle: reach, and largest denominator of angle / pi
@@ -156,45 +164,61 @@ def snap_angle(theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_axis(v: np.ndarray) -> np.ndarray:
-    for comp in v:
-        if abs(comp) > 1e-9:
-            return v if comp > 0 else -v
-    return v
+def _canonical_axes(v: np.ndarray) -> np.ndarray:
+    """Each row of (K, 3), or one axis, signed so its first component above 1e-9 is positive."""
+    v = np.asarray(v, dtype=float)
+    rows = v.reshape(-1, 3)
+    significant = np.abs(rows) > 1e-9
+    first = rows[np.arange(len(rows)), np.argmax(significant, axis=1)]
+    sign = np.where(significant.any(axis=1) & (first < 0), -1.0, 1.0)
+    return (rows * sign[:, None]).reshape(v.shape)
 
 
-def _rotation_key(r: np.ndarray):
-    axis, angle = axis_angle(r)
-    axis = _canonical_axis(axis)
-    return (round(angle, 9), round(axis[0], 9), round(axis[1], 9), round(axis[2], 9))
+def _rotation_keys(axes: np.ndarray, angles: np.ndarray) -> list:
+    """Sort keys (angle, canonical axis), rounded to 9 digits, of a stack's axis_angle."""
+    rounded = np.round(_canonical_axes(axes), 9).tolist()
+    return [(round(angle, 9), *axis) for angle, axis in zip(angles.tolist(), rounded)]
 
 
-def _assignment_max(apts, amults, bpts, bmults, r, tol):
-    """Max chordal distance of the greedy multiplicity-respecting matching, or None above tol.
+def _sorted_by_key(rots: np.ndarray) -> np.ndarray:
+    """A (K, 3, 3) stack sorted by _rotation_keys; the sort is stable."""
+    if len(rots) < 2:
+        return rots
+    keys = _rotation_keys(*axis_angle(rots))
+    return rots[sorted(range(len(keys)), key=keys.__getitem__)]
+
+
+def _assignment_max(apts, amults, bpts, bmults, rots, tol) -> np.ndarray:
+    """Max chordal distance of the greedy multiplicity-respecting matching under each rotation of a (K, 3, 3) stack.
 
     Within each multiplicity class the closest free pair is matched first.
-    A rotation is accepted only when every matched pair lies within tol.
+    Greedy matching takes a pair that is the closest free pair of both its
+    row and its column before any other pair of that row or column, so it is
+    taken in rounds, on all live candidates at once: each round matches every
+    such pair (the closest free pair overall is one).  A candidate with a
+    matched pair beyond tol is rejected (inf) and leaves the stack.  a and b
+    have the same multiplicities.
     """
-    rotated = apts @ r.T
-    worst = 0.0
-    for mult in set(int(m) for m in amults):
-        ai = [i for i, m in enumerate(amults) if m == mult]
-        bi = [j for j, m in enumerate(bmults) if m == mult]
-        if len(ai) != len(bi):
-            return None
-        cost = np.linalg.norm(rotated[ai][:, None, :] - bpts[bi][None, :, :], axis=2)
-        taken_rows, taken_cols = set(), set()
-        for f in np.argsort(cost, axis=None):
-            i, j = divmod(int(f), cost.shape[1])
-            if i in taken_rows or j in taken_cols:
-                continue
-            taken_rows.add(i)
-            taken_cols.add(j)
-            worst = max(worst, float(cost[i, j]))
-            if worst > tol:
-                return None
-            if len(taken_rows) == len(ai):
-                break
+    worst = np.zeros(len(rots))
+    live = np.arange(len(rots))
+    for mult in set(amults.tolist()):
+        a_cls, b_cls = apts[amults == mult], bpts[bmults == mult]
+        rotated = a_cls @ np.swapaxes(rots[live], 1, 2)
+        cost = np.linalg.norm(rotated[:, :, None, :] - b_cls[None, None], axis=3)
+        k, rows = np.arange(len(live))[:, None], np.arange(len(a_cls))
+        free = np.ones(cost.shape[:2], dtype=bool)
+        while free.any():
+            col = cost.argmin(axis=2)
+            pick = free & (cost.argmin(axis=1)[k, col] == rows)
+            worst[live] = np.maximum(worst[live], np.where(pick, cost[k, rows, col], 0.0).max(axis=1))
+            cost[pick] = np.inf
+            hit, row = np.nonzero(pick)
+            cost[hit, :, col[hit, row]] = np.inf
+            free &= ~pick
+            ok = worst[live] <= tol
+            if not ok.all():
+                worst[live[~ok]] = np.inf
+                live, cost, free, k = live[ok], cost[ok], free[ok], k[: ok.sum()]
     return worst
 
 
@@ -208,36 +232,86 @@ def _is_axial(cfg: MajoranaConfiguration, tol: float):
 
 
 def _candidate_anchors(cfg: MajoranaConfiguration):
-    """(a1, a2) pair: smallest multiplicity class, most orthogonal partner."""
-    mults = cfg.multiplicities
+    """(a1, a2) pair: smallest multiplicity class, most orthogonal partner.
+
+    Ties go to the lexicographically smallest point, its coordinates rounded
+    to 12 digits.
+    """
     pts = cfg.points
-    smallest = int(mults.min())
-    cands = [i for i, m in enumerate(mults) if m == smallest]
-    a1_idx = min(cands, key=lambda i: tuple(np.round(pts[i], 12)))
-    a1 = pts[a1_idx]
-    best = None
-    for i, p in enumerate(pts):
-        if i == a1_idx:
-            continue
-        score = abs(float(np.dot(a1, p)))
-        if score > 1.0 - 1e-12:
-            continue
-        key = (score, tuple(np.round(p, 12)))
-        if best is None or key < best[0]:
-            best = (key, p)
-    if best is None:
+    rounded = np.round(pts, 12)
+    cands = np.flatnonzero(cfg.multiplicities == cfg.multiplicities.min())
+    a1_idx = cands[np.lexsort(rounded[cands].T[::-1])[0]]
+    # partners at equal angles are told apart by the rounding of these dot products
+    score = np.abs(np.vecdot(pts, pts[a1_idx]))
+    partners = np.flatnonzero((np.arange(len(pts)) != a1_idx) & (score <= 1.0 - 1e-12))
+    if not partners.size:
         raise SymmluError("no non-collinear anchor found in a non-axial configuration")
-    return a1, best[1]
+    order = np.lexsort(np.column_stack([score[partners], rounded[partners]]).T[::-1])
+    return pts[a1_idx], pts[partners[order[0]]]
 
 
 def _frame(p1, p2) -> np.ndarray:
-    u = p2 - np.dot(p2, p1) * p1
-    u = u / np.linalg.norm(u)
-    return np.column_stack([p1, u, np.cross(p1, u)])
+    """Orthonormal frames [p1, u, p1 x u], u along p2's part orthogonal to p1; (..., 3) points give (..., 3, 3)."""
+    u = p2 - np.vecdot(p2, p1)[..., None] * p1
+    u /= np.sqrt(np.vecdot(u, u))[..., None]
+    frame = np.empty(p1.shape + (3,))
+    frame[..., 0], frame[..., 1] = p1, u
+    frame[..., 2] = p1[..., [1, 2, 0]] * u[..., [2, 0, 1]] - p1[..., [2, 0, 1]] * u[..., [1, 2, 0]]
+    return frame
+
+
+_CLOSE_BLOCK = 1 << 15  # _close: rotation pairs compared at once, 2.4 MB of differences
+
+
+def _close(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """(K, L) table: rotation k of stack a lies within tol of rotation l of stack b, entrywise.
+
+    Rows of a are taken a block at a time, so the (rows, L, 3, 3) differences stay small.
+    """
+    out = np.empty((len(a), len(b)), dtype=bool)
+    step = max(1, _CLOSE_BLOCK // max(1, len(b)))
+    for start in range(0, len(a), step):
+        out[start : start + step] = np.max(np.abs(a[start : start + step, None] - b[None]), axis=(2, 3)) <= tol
+    return out
+
+
+def _drop_repeats(rots: np.ndarray, tol: float, keep: np.ndarray) -> np.ndarray:
+    """keep, with each rotation within tol of a kept one before it also dropped.
+
+    The first-come rule of a scan that keeps a rotation unless it is close to
+    one kept so far.  Rows keep already drops neither count nor block, and
+    only rows close to an earlier one need the scan.
+    """
+    live = np.flatnonzero(keep)
+    if len(live) < 2:
+        return keep
+    earlier = np.tril(_close(rots[live], rots[live], tol), -1)
+    kept = np.ones(len(live), dtype=bool)
+    for k in np.flatnonzero(earlier.any(axis=1)):
+        kept[k] = not (earlier[k] & kept).any()
+    keep[live] = kept
+    return keep
+
+
+def _anchor_rotations(a: MajoranaConfiguration, b: MajoranaConfiguration, tol: float) -> np.ndarray:
+    """(K, 3, 3) rotations taking a's anchor frame to the frames of b's point pairs with the anchors' angle."""
+    a1, a2 = _candidate_anchors(a)
+    ref = float(np.dot(a1, a2))
+    slack = 3.0 * tol + 1e-12
+    m1 = int(a.multiplicities.min())  # a1 comes from the smallest class
+    dots = np.vecdot(b.points[:, None], b.points[None])
+    pairs = (
+        (b.multiplicities == m1)[:, None]
+        & ~np.eye(len(dots), dtype=bool)
+        & (np.abs(dots - ref) <= slack)
+        & (np.abs(dots) <= 1.0 - 1e-12)
+    )
+    i, j = np.nonzero(pairs)
+    return _frame(b.points[i], b.points[j]) @ _frame(a1, a2).T
 
 
 def all_matching_rotations(a: MajoranaConfiguration, b: MajoranaConfiguration, tol: float | None = None):
-    """Every rotation carrying configuration a onto b (deduplicated)."""
+    """Every rotation carrying configuration a onto b, deduplicated at 1e-8 and sorted by (angle, axis)."""
     tol = checked(tol, DEFAULT_TOLERANCES.match)
     if a.n != b.n:
         raise DomainError(f"configurations have different sizes {a.n} and {b.n}")
@@ -247,42 +321,14 @@ def all_matching_rotations(a: MajoranaConfiguration, b: MajoranaConfiguration, t
     axis_b = _is_axial(b, tol)
     if (axis_a is None) != (axis_b is None):
         return []
-    found = []
     if axis_a is not None:
-        for target in (axis_b, -axis_b):
-            r = rotation_between(axis_a, target)
-            if _assignment_max(a.points, a.multiplicities, b.points, b.multiplicities, r, tol) is not None:
-                found.append(r)
+        rots = np.array([rotation_between(axis_a, target) for target in (axis_b, -axis_b)])
     else:
-        a1, a2 = _candidate_anchors(a)
-        ref = float(np.dot(a1, a2))
-        fa = _frame(a1, a2)
-        m1 = int(a.multiplicities.min())  # a1 comes from the smallest class
-        slack = 3.0 * tol + 1e-12
-        for i, b1 in enumerate(b.points):
-            if b.multiplicities[i] != m1:
-                continue
-            for j, b2 in enumerate(b.points):
-                if j == i:
-                    continue
-                if abs(float(np.dot(b1, b2)) - ref) > slack:
-                    continue
-                if abs(float(np.dot(b1, b2))) > 1.0 - 1e-12:
-                    continue
-                r = _frame(b1, b2) @ fa.T
-                if (
-                    _assignment_max(
-                        a.points, a.multiplicities, b.points, b.multiplicities, r, tol
-                    )
-                    is not None
-                ):
-                    found.append(r)
-    unique = []
-    for r in found:
-        if not _contains(unique, r, 1e-8):
-            unique.append(r)
-    unique.sort(key=_rotation_key)
-    return unique
+        rots = _anchor_rotations(a, b, tol)
+    worst = _assignment_max(a.points, a.multiplicities, b.points, b.multiplicities, rots, tol)
+    found = rots[worst <= tol]
+    found = found[_drop_repeats(found, 1e-8, np.ones(len(found), dtype=bool))]
+    return list(_sorted_by_key(found))
 
 
 def match_rotation(a: MajoranaConfiguration, b: MajoranaConfiguration, tol: float | None = None):
@@ -306,9 +352,9 @@ def matching_distance(a: MajoranaConfiguration, b: MajoranaConfiguration) -> flo
     if sorted(a.multiplicities) != sorted(b.multiplicities):
         return float("inf")
     worst = _assignment_max(
-        a.points, a.multiplicities, b.points, b.multiplicities, np.eye(3), float("inf")
+        a.points, a.multiplicities, b.points, b.multiplicities, np.eye(3)[None], float("inf")
     )
-    return float("inf") if worst is None else worst
+    return float(worst[0])
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +367,10 @@ class PointGroup:
     """Rotational symmetry group of a configuration.
 
     tag is one of: Trivial, Cyclic, Dihedral, Tetrahedral, Octahedral,
-    Icosahedral, AxialContinuous, AxialContinuousFlip.  For finite tags the
-    number of elements generated by `generators` is re-verified against
-    `order` at construction.
+    Icosahedral, AxialContinuous, AxialContinuousFlip.  elements is one
+    read-only (order, 3, 3) array, empty for the axial tags.  For finite
+    tags the number of elements generated by `generators` is re-verified
+    against `order` at construction.
     """
 
     tag: str
@@ -331,9 +378,16 @@ class PointGroup:
     order: int | None
     axis: np.ndarray | None
     generators: tuple
-    elements: tuple = ()
+    elements: np.ndarray | tuple = ()
 
     def __post_init__(self):
+        # own copies: a view would keep the larger array it was cut from alive
+        elements = np.array(self.elements, dtype=float).reshape(-1, 3, 3)
+        elements.setflags(write=False)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "generators", tuple(np.array(g, dtype=float) for g in self.generators))
+        if self.axis is not None:
+            object.__setattr__(self, "axis", np.array(self.axis, dtype=float))
         if self.order is not None:
             gen = closure(self.generators)
             if len(gen) != self.order:
@@ -347,66 +401,70 @@ class PointGroup:
         return self.order is not None
 
 
-def _contains(rotations, r, tol: float) -> bool:
-    """Whether some rotation of a list or (k, 3, 3) stack lies within tol of r, entrywise."""
-    stack = np.asarray(rotations, dtype=float).reshape(-1, 3, 3)
-    return bool(np.any(np.max(np.abs(stack - r), axis=(1, 2)) <= tol))
-
-
 _CLOSURE_TOL, _CLOSURE_CAP = 1e-6, 200  # closure: entrywise dedupe, and largest group
 
 
-def closure(mats):
-    """The group generated by the given rotations (deduplicated at _CLOSURE_TOL).
+def closure(mats) -> np.ndarray:
+    """The group generated by the given rotations, as a (K, 3, 3) stack (deduplicated at _CLOSURE_TOL).
 
     Breadth-first orbit of the identity under right multiplication by the
-    generators; in a finite group that orbit holds every product.
+    generators, a layer at a time: the last layer's elements times every
+    generator, less those close to an element already found or to an earlier
+    product of the layer.  In a finite group that orbit holds every product.
     """
-    gens = [np.asarray(g, dtype=float) for g in mats]
-    elems = [np.eye(3)]
-    for e in elems:  # elems grows while it is scanned
-        for g in gens:
-            p = e @ g
-            if not _contains(elems, p, _CLOSURE_TOL):
-                if len(elems) == _CLOSURE_CAP:
-                    raise SymmluError(f"closure exceeded {_CLOSURE_CAP} elements; not a small finite group")
-                elems.append(p)
+    gens = np.asarray(mats, dtype=float).reshape(-1, 3, 3)
+    elems = frontier = np.eye(3)[None]
+    while len(frontier):
+        products = (frontier[:, None] @ gens[None]).reshape(-1, 3, 3)
+        keep = ~_close(products, elems, _CLOSURE_TOL).any(axis=1)
+        frontier = products[_drop_repeats(products, _CLOSURE_TOL, keep)]
+        if len(elems) + len(frontier) > _CLOSURE_CAP:
+            raise SymmluError(f"closure exceeded {_CLOSURE_CAP} elements; not a small finite group")
+        elems = np.concatenate([elems, frontier])
     return elems
 
 
-def _axis_census(elements):
-    """Group non-identity rotations by unoriented axis; return fold counts."""
-    axes = []  # list of [axis, count]
-    for r in elements:
-        ax, ang = axis_angle(r)
-        if ang < 1e-9:
-            continue
-        ax = _canonical_axis(ax)
-        for rec in axes:
-            if min(np.linalg.norm(rec[0] - ax), np.linalg.norm(rec[0] + ax)) < 1e-6:
-                rec[1] += 1
-                break
-        else:
-            axes.append([ax, 1])
-    return [(rec[0], rec[1] + 1) for rec in axes]  # fold = rotations + identity
+def _axis_census(elements: np.ndarray) -> list:
+    """Group non-identity rotations by unoriented axis; return (axis, fold) in order of first appearance.
+
+    A rotation joins the first axis found within 1e-6 of its own, either sign.
+    """
+    axes, angles = axis_angle(elements)
+    axes = _canonical_axes(axes[angles >= 1e-9])
+    gap = np.linalg.norm(axes[:, None] - axes[None], axis=2)
+    close = np.minimum(gap, np.linalg.norm(axes[:, None] + axes[None], axis=2)) < 1e-6
+    left = np.ones(len(axes), dtype=bool)
+    census = []
+    while left.any():
+        first = int(np.argmax(left))
+        members = left & close[first]
+        census.append((axes[first], int(members.sum()) + 1))  # fold = rotations + identity
+        left &= ~members
+    return census
 
 
-def _pick_generators(elements, order):
-    """Greedy small generating set reproducing the full element list."""
-    ranked = sorted(
-        (e for e in elements if axis_angle(e)[1] > 1e-9),
-        key=lambda e: (axis_angle(e)[1], _rotation_key(e)),
-    )
+def _pick_generators(elements: np.ndarray, order: int) -> tuple:
+    """Greedy small generating set reproducing the full element list.
+
+    Elements are taken by increasing angle, each one that the generators so
+    far do not already reach.
+    """
+    axes, angles = axis_angle(elements)
+    keys = _rotation_keys(axes, angles)
+    angles = angles.tolist()
+    ranked = sorted((k for k in range(len(keys)) if angles[k] > 1e-9), key=lambda k: (angles[k], keys[k]))
+    ranked = elements[ranked]
     gens: list = []
-    generated = [np.eye(3)]
-    for e in ranked:
-        if _contains(generated, e, 1e-6):
-            continue
-        gens.append(e)
+    generated = np.eye(3)[None]
+    while True:
+        outside = np.flatnonzero(~_close(ranked, generated, 1e-6).any(axis=1))
+        if not outside.size:
+            raise SymmluError("could not reproduce group order from its own elements")
+        gens.append(ranked[outside[0]])
         generated = closure(gens)
         if len(generated) == order:
             return tuple(gens)
-    raise SymmluError("could not reproduce group order from its own elements")
+        ranked = ranked[outside[0] + 1:]
 
 
 def symmetry_group(cfg: MajoranaConfiguration, tol: float | None = None) -> PointGroup:
@@ -419,11 +477,11 @@ def symmetry_group(cfg: MajoranaConfiguration, tol: float | None = None) -> Poin
             and cfg.multiplicities[0] == cfg.multiplicities[1]
         )
         tag = "AxialContinuousFlip" if flip else "AxialContinuous"
-        return PointGroup(tag, None, None, _canonical_axis(np.array(axis)), (), ())
-    elements = all_matching_rotations(cfg, cfg, tol)
+        return PointGroup(tag, None, None, _canonical_axes(axis), ())
+    elements = np.array(all_matching_rotations(cfg, cfg, tol)).reshape(-1, 3, 3)
     n_el = len(elements)
     if n_el == 1:
-        return PointGroup("Trivial", None, 1, None, (), (np.eye(3),))
+        return PointGroup("Trivial", None, 1, None, (), np.eye(3)[None])
     census = _axis_census(elements)
     folds = sorted((fold for _, fold in census), reverse=True)
     max_fold = folds[0]
@@ -431,26 +489,25 @@ def symmetry_group(cfg: MajoranaConfiguration, tol: float | None = None) -> Poin
     for ax, fold in census:
         by_fold.setdefault(fold, []).append(ax)
     gens = _pick_generators(elements, n_el)
-    elements_t = tuple(elements)
 
     if len(census) == 1 and n_el == max_fold:
-        axis = _canonical_axis(by_fold[max_fold][0])
-        return PointGroup("Cyclic", max_fold, n_el, axis, gens, elements_t)
+        axis = _canonical_axes(by_fold[max_fold][0])
+        return PointGroup("Cyclic", max_fold, n_el, axis, gens, elements)
     if n_el == 12 and folds.count(3) == 4 and folds.count(2) == 3:
         axis = min(by_fold[3], key=lambda a: tuple(np.round(a, 9)))
-        return PointGroup("Tetrahedral", None, 12, axis, gens, elements_t)
+        return PointGroup("Tetrahedral", None, 12, axis, gens, elements)
     if n_el == 24 and folds.count(4) == 3 and folds.count(3) == 4 and folds.count(2) == 6:
         axis = min(by_fold[4], key=lambda a: tuple(np.round(a, 9)))
-        return PointGroup("Octahedral", None, 24, axis, gens, elements_t)
+        return PointGroup("Octahedral", None, 24, axis, gens, elements)
     if n_el == 60 and folds.count(5) == 6 and folds.count(3) == 10 and folds.count(2) == 15:
         axis = min(by_fold[5], key=lambda a: tuple(np.round(a, 9)))
-        return PointGroup("Icosahedral", None, 60, axis, gens, elements_t)
+        return PointGroup("Icosahedral", None, 60, axis, gens, elements)
     if n_el == 2 * max_fold and max_fold >= 2:
         if max_fold == 2:
             # dihedral-2: three mutually perpendicular 2-fold axes
             if len(census) == 3:
                 axis = min(by_fold[2], key=lambda a: tuple(np.round(a, 9)))
-                return PointGroup("Dihedral", 2, 4, axis, gens, elements_t)
+                return PointGroup("Dihedral", 2, 4, axis, gens, elements)
         else:
             principal = by_fold[max_fold]
             twofolds = by_fold.get(2, [])
@@ -458,7 +515,7 @@ def symmetry_group(cfg: MajoranaConfiguration, tol: float | None = None) -> Poin
                 p = principal[0]
                 if all(abs(float(np.dot(p, t))) < 1e-6 for t in twofolds):
                     return PointGroup(
-                        "Dihedral", max_fold, n_el, _canonical_axis(p), gens, elements_t
+                        "Dihedral", max_fold, n_el, _canonical_axes(p), gens, elements
                     )
     raise SymmluError(
         f"unrecognized rotation-group census (order {n_el}, folds {folds}); refusing to guess"

@@ -38,6 +38,7 @@ __all__ = [
     "complement",
     "phase_normalize",
     "phase_distance",
+    "phase_distances",
     "is_unitary",
     "rx",
     "ry",
@@ -118,6 +119,14 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     if abs(ip) > 0:
         v = v * (ip / abs(ip))
     return float(np.linalg.norm(u - v))
+
+
+def phase_distances(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """phase_distance from each row of a (K, d) stack of unit vectors to the unit vector v, in one pass."""
+    ip = rows @ v.conj()
+    size = np.abs(ip)
+    zero = size == 0  # any phase will do: take 1
+    return np.linalg.norm(rows - ((ip + zero) / (size + zero))[:, None] * v, axis=1)
 
 
 def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
@@ -384,6 +393,7 @@ def to_density(state) -> DensityMatrix:
 def symmetric_power(g: np.ndarray, n: int) -> np.ndarray:
     """(n+1)x(n+1) action of g^{(x)n} on the symmetrized-weight basis, the Wigner D^{n/2}(g).
 
+    A (K, 2, 2) stack of g gives the (K, n+1, n+1) stack of their matrices.
     With s = det(g)^{1/2}, g / s = rz(alpha) ry(beta) rz(gamma) (ZYZ Euler
     angles), so the matrix is s^n diag(e^{-i alpha m}) d(beta) diag(e^{-i gamma m})
     with m = n/2 - k on basis vector k.  d(beta) = exp(-i beta J_y) is formed
@@ -391,18 +401,39 @@ def symmetric_power(g: np.ndarray, n: int) -> np.ndarray:
     Jin, PRE 92, 043307 (2015)), which keeps every entry accurate to roundoff
     at any n.  A g that is not unitary raises DomainError.
     """
+    return _wigner_d(_euler_angles(g), n).reshape(np.shape(g)[:-2] + (n + 1, n + 1))
+
+
+def _euler_angles(g: np.ndarray) -> list:
+    """(s, -i alpha, i beta, -i gamma) of symmetric_power for each g of a 2x2 unitary or a (K, 2, 2) stack.
+
+    A g that is not unitary raises DomainError.
+    """
     g = np.asarray(g, dtype=np.complex128)
-    if not is_unitary(g, 1e-9):
+    if g.ndim not in (2, 3) or g.shape[-2:] != (2, 2):
         raise DomainError("g is not a 2x2 unitary")
-    g00, g01, g10, g11 = g.ravel().tolist()
-    root = cmath.sqrt(g00 * g11 - g01 * g10)
-    a, b = g00 / root, g10 / root
-    beta = 2.0 * math.atan2(abs(b), abs(a))
-    alpha, gamma = cmath.phase(b) - cmath.phase(a), -cmath.phase(a) - cmath.phase(b)
+    stack = g.reshape(-1, 2, 2)
+    # a few scalars per g, where Python's cmath is quicker than numpy calls
+    euler = []
+    for x, (g00, g01, g10, g11) in zip(stack, stack.reshape(-1, 4).tolist()):
+        if not is_unitary(x, 1e-9):
+            raise DomainError("g is not a 2x2 unitary")
+        root = cmath.sqrt(g00 * g11 - g01 * g10)
+        a, b = g00 / root, g10 / root
+        beta = 2.0 * math.atan2(abs(b), abs(a))
+        alpha, gamma = cmath.phase(b) - cmath.phase(a), -cmath.phase(a) - cmath.phase(b)
+        euler.append((root, -1j * alpha, 1j * beta, -1j * gamma))
+    return euler
+
+
+def _wigner_d(euler: list, n: int) -> np.ndarray:
+    """The (K, n+1, n+1) stack of D^{n/2} of K elements given by their _euler_angles."""
+    factors = np.array([(root**n, *slopes) for root, *slopes in euler], dtype=np.complex128).reshape(-1, 4)
     vecs, vecs_h, m = _jy_eigenbasis(n)
     # J_y's eigenvalues, in ascending order, are -m
-    left = root**n * np.exp(-1j * alpha * m)[:, None] * vecs * np.exp(1j * beta * m)
-    return left @ (vecs_h * np.exp(-1j * gamma * m))
+    turns = np.exp(factors[:, 1:, None] * m)  # e^{-i alpha m}, e^{i beta m}, e^{-i gamma m}
+    left = (factors[:, :1] * turns[:, 0])[:, :, None] * vecs * turns[:, 1, None, :]
+    return left @ (vecs_h * turns[:, 2, None, :])
 
 
 def _j_plus(two_j: int) -> np.ndarray:
@@ -529,8 +560,9 @@ class SpinBlocks:
     def rep(self, g: np.ndarray) -> np.ndarray:
         """g^{(x)n} on the blocks: the sum of symmetric_power(g, 2j), exact on SU(2), else up to phases."""
         out = np.zeros(self.weight.shape, dtype=np.complex128)
+        euler = _euler_angles(g)  # once for every block
         for sl in self.slices:
-            out[sl, sl] = symmetric_power(g, sl.stop - sl.start - 1)
+            out[sl, sl] = _wigner_d(euler, sl.stop - sl.start - 1)[0]
         return out
 
     def rotate(self, g: np.ndarray, form: np.ndarray) -> np.ndarray:

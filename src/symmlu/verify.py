@@ -350,7 +350,7 @@ def _nearest_group_element(factors: np.ndarray, rotations) -> float:
     qubit's distance is states.phase_distance's entrywise form: g's phase is
     aligned to the factor's before the difference is taken.
     """
-    group = np.array([rotmatch.so3_to_su2(r) for r in rotations])
+    group = rotmatch.so3_to_su2(rotations)
     overlap = np.einsum("gij,kij->gk", np.conj(group), factors)
     size = np.abs(overlap)
     phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)

@@ -123,6 +123,23 @@ def test_quaternion_canonical_sign():
         assert np.allclose(q, ref, atol=1e-9)
 
 
+def test_stacks_of_rotations_give_the_stacks_of_their_one_matrix_results():
+    rng = np.random.default_rng(23)
+    half_turns = [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]
+    stack = np.array([Rotation.random(rng=rng).as_matrix() for _ in range(20)] + half_turns + [np.eye(3)])
+    stack = np.concatenate([stack, np.array(rotmatch.symmetry_group(octahedron_config()).elements)])
+    quats, su2s = rotmatch.quaternion_from_rotation(stack), rotmatch.so3_to_su2(stack)
+    axes, angles = rotmatch.axis_angle(stack)
+    assert quats.shape == (len(stack), 4) and su2s.shape == (len(stack), 2, 2)
+    for k, r in enumerate(stack):
+        assert np.array_equal(quats[k], rotmatch.quaternion_from_rotation(r))
+        assert np.array_equal(su2s[k], rotmatch.so3_to_su2(r))
+        axis, angle = rotmatch.axis_angle(r)
+        assert np.array_equal(axes[k], axis) and angles[k] == angle and isinstance(angle, float)
+    empty = rotmatch.axis_angle(stack[:0])
+    assert empty[0].shape == (0, 3) and empty[1].shape == (0,)
+
+
 def test_quaternion_sign_for_half_turns():
     # w = 0 rotations resolve the sign from the first nonzero vector part
     q = rotmatch.quaternion_from_rotation(rotmatch.rotation_about([0, 0, -1], math.pi))
@@ -266,6 +283,16 @@ def test_matching_distance():
     assert rotmatch.matching_distance(cfg, other) == float("inf")
 
 
+def test_matching_uses_each_point_once():
+    # both points of a lie nearest the same point of b; the matching pairs
+    # only one of them with it, and the other with b's far point
+    p = np.array([0.0, 0.0, 1.0])
+    a = majorana.config_from_points(np.array([p, rotmatch.rotation_about([1, 0, 0], 1e-4) @ p]))
+    b = majorana.config_from_points(np.array([p, [1.0, 0.0, 0.0]]))
+    assert abs(rotmatch.matching_distance(a, b) - math.sqrt(2)) < 1e-3
+    assert rotmatch.all_matching_rotations(a, b) == []
+
+
 def separated_points(rng, m, ngon):
     """m unit vectors: a turned regular m-gon, or random ones with pairwise chordal distance in [0.3, 1.9]."""
     if ngon:
@@ -307,6 +334,144 @@ def test_matching_accepts_the_rotation_and_rejects_a_moved_point(mults, ngon, se
     pts[i] = rotmatch.rotation_about(np.cross(pts[i], toward), 1e-3) @ pts[i]
     moved = majorana.config_from_points(pts, cfg.multiplicities)
     assert rotmatch.all_matching_rotations(cfg, moved) == []
+
+
+# A matcher that tries one candidate rotation at a time, the reference for
+# the stacked one: anchor pairs in the same order, the greedy
+# closest-free-pair rule by a scan of the sorted distances, deduplication at
+# 1e-8 entrywise and the (angle, axis) sort key.
+
+
+def reference_key(r):
+    axis, angle = rotmatch.axis_angle(r)
+    axis = next((axis if c > 0 else -axis for c in axis if abs(c) > 1e-9), axis)
+    return (round(angle, 9), round(axis[0], 9), round(axis[1], 9), round(axis[2], 9))
+
+
+def reference_assignment_max(apts, amults, bpts, bmults, r, tol):
+    rotated = apts @ r.T
+    worst = 0.0
+    for mult in set(int(m) for m in amults):
+        ai = [i for i, m in enumerate(amults) if m == mult]
+        bi = [j for j, m in enumerate(bmults) if m == mult]
+        if len(ai) != len(bi):
+            return None
+        cost = np.linalg.norm(rotated[ai][:, None, :] - bpts[bi][None, :, :], axis=2)
+        taken_rows, taken_cols = set(), set()
+        for f in np.argsort(cost, axis=None):
+            i, j = divmod(int(f), cost.shape[1])
+            if i in taken_rows or j in taken_cols:
+                continue
+            taken_rows.add(i)
+            taken_cols.add(j)
+            worst = max(worst, float(cost[i, j]))
+            if worst > tol:
+                return None
+            if len(taken_rows) == len(ai):
+                break
+    return worst
+
+
+def reference_frame(p1, p2):
+    u = p2 - np.dot(p2, p1) * p1
+    u = u / np.linalg.norm(u)
+    return np.column_stack([p1, u, np.cross(p1, u)])
+
+
+def reference_anchors(cfg):
+    mults, pts = cfg.multiplicities, cfg.points
+    cands = [i for i, m in enumerate(mults) if m == int(mults.min())]
+    a1_idx = min(cands, key=lambda i: tuple(np.round(pts[i], 12)))
+    a1 = pts[a1_idx]
+    best = None
+    for i, p in enumerate(pts):
+        score = abs(float(np.dot(a1, p)))
+        if i == a1_idx or score > 1.0 - 1e-12:
+            continue
+        key = (score, tuple(np.round(p, 12)))
+        if best is None or key < best[0]:
+            best = (key, p)
+    return a1, best[1]
+
+
+def reference_matching_rotations(a, b, tol=1e-6):
+    if sorted(a.multiplicities) != sorted(b.multiplicities):
+        return []
+    axial = [
+        c.points[0] if len(c.points) == 1 or (len(c.points) == 2 and np.linalg.norm(c.points.sum(0)) <= tol) else None
+        for c in (a, b)
+    ]
+    if (axial[0] is None) != (axial[1] is None):
+        return []
+    if axial[0] is not None:
+        cands = [rotmatch.rotation_between(axial[0], t) for t in (axial[1], -axial[1])]
+    else:
+        a1, a2 = reference_anchors(a)
+        ref, fa = float(np.dot(a1, a2)), reference_frame(a1, a2)
+        m1 = int(a.multiplicities.min())
+        cands = [
+            reference_frame(b1, b2) @ fa.T
+            for i, b1 in enumerate(b.points)
+            if b.multiplicities[i] == m1
+            for j, b2 in enumerate(b.points)
+            if j != i
+            and abs(float(np.dot(b1, b2)) - ref) <= 3.0 * tol + 1e-12
+            and abs(float(np.dot(b1, b2))) <= 1.0 - 1e-12
+        ]
+    unique = []
+    for r in cands:
+        if reference_assignment_max(a.points, a.multiplicities, b.points, b.multiplicities, r, tol) is None:
+            continue
+        if not any(np.max(np.abs(u - r)) <= 1e-8 for u in unique):
+            unique.append(r)
+    return sorted(unique, key=reference_key)
+
+
+def cube_config():
+    pts = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=float)
+    return majorana.config_from_points(pts / math.sqrt(3))
+
+
+def probe_configs(rng):
+    """One draw of the degenerate probe at n <= 24: its exact points and the Majorana points of psi and of a turned psi."""
+    n = int(rng.integers(3, 25))
+    parts = min(int(rng.integers(1, 5)), n)
+    cuts = np.sort(rng.choice(np.arange(1, n), parts - 1, replace=False))
+    mults = np.diff(np.concatenate([[0], cuts, [n]]))
+    pts = rng.normal(size=(parts, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    psi = majorana.points_to_state(pts, mults)
+    g = states.random_su2(rng)
+    exact = majorana.config_from_points(pts, mults)
+    turned = majorana.config_from_points(pts @ rotmatch.su2_to_so3(g).T, mults)
+    found = majorana.majorana_points(psi)
+    moved = majorana.majorana_points(states.apply_diag_symmetric(g, psi))
+    return [(exact, turned), (found, found), (found, moved), (moved, moved)]
+
+
+def polyhedron_configs(rng, which):
+    cfg = (tetrahedron_config, octahedron_config, cube_config, icosahedron_config)[which]()
+    r = rotmatch.su2_to_so3(states.random_su2(rng))
+    turned = majorana.config_from_points(cfg.points @ r.T, cfg.multiplicities)
+    return [(cfg, cfg), (cfg, turned), (turned, turned)]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), polyhedron=st.sampled_from([None, 0, 1, 2, 3]))
+def test_stacked_matcher_agrees_with_the_per_candidate_reference(seed, polyhedron):
+    rng = np.random.default_rng(seed)
+    cases = probe_configs(rng) if polyhedron is None else polyhedron_configs(rng, polyhedron)
+    for a, b in cases:
+        got = rotmatch.all_matching_rotations(a, b)
+        want = reference_matching_rotations(a, b)
+        assert len(got) == len(want)
+        for r, s in zip(got, want):
+            assert np.max(np.abs(r - s)) <= 1e-10
+        keys = [reference_key(r) for r in got]
+        assert keys == sorted(keys) and keys == [reference_key(r) for r in want]
+        for r in got:
+            worst = reference_assignment_max(a.points, a.multiplicities, b.points, b.multiplicities, r, np.inf)
+            assert worst <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +573,17 @@ def test_symmetry_group_commutes_with_rotation():
     assert grp.order == 12
 
 
+def test_point_group_elements_are_one_read_only_stack():
+    grp = rotmatch.symmetry_group(tetrahedron_config())
+    assert isinstance(grp.elements, np.ndarray) and grp.elements.shape == (12, 3, 3)
+    assert not grp.elements.flags.writeable
+    with pytest.raises(ValueError):
+        grp.elements[0, 0, 0] = 2.0
+    assert len(grp.elements) == 12 and np.array_equal(grp.elements[3], list(grp.elements)[3])
+    assert rotmatch.symmetry_group(random_config(np.random.default_rng(5), 5)).elements.shape == (1, 3, 3)
+    assert rotmatch.symmetry_group(ngon_config(1)).elements.shape == (0, 3, 3)
+
+
 def test_point_group_rejects_wrong_order_claim():
     with pytest.raises(SymmluError):
         rotmatch.PointGroup("Cyclic", 4, 4, np.array([0.0, 0.0, 1.0]), (), ())
@@ -441,6 +617,13 @@ def test_closure_of_an_irrational_rotation_stops_at_the_cap(angle):
         rotmatch.closure([turn])
     # a group of exactly cap elements still closes
     assert len(rotmatch.closure([rotmatch.rotation_about(axis, 2 * math.pi / 200)])) == 200
+
+
+def test_closure_one_past_the_cap_raises():
+    # a finite group of cap + 1 elements is refused like an infinite one
+    turn = rotmatch.rotation_about([0.3, -0.5, 0.8], 2 * math.pi / 201)
+    with pytest.raises(SymmluError, match="closure exceeded 200 elements; not a small finite group"):
+        rotmatch.closure([turn])
 
 
 def test_size_mismatch_raises():

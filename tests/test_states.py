@@ -180,6 +180,39 @@ def test_symmetric_power_rejects_a_matrix_that_is_not_unitary():
             states.apply_diag_symmetric(bad, states.dicke(4, 1))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 48])
+def test_symmetric_power_of_a_stack_is_the_stack_of_symmetric_powers(n):
+    rng = np.random.default_rng(31 + n)
+    gs = np.array([states.random_su2(rng) * np.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(7)])
+    stacked = states.symmetric_power(gs, n)
+    assert stacked.shape == (7, n + 1, n + 1)
+    for g, s in zip(gs, stacked):
+        assert np.array_equal(s, states.symmetric_power(g, n))
+    assert states.symmetric_power(gs[:0], n).shape == (0, n + 1, n + 1)
+    # every g of a stack is checked, not only the first
+    bad = gs.copy()
+    bad[4, 1, 1] *= 1.001
+    with pytest.raises(DomainError, match="unitary"):
+        states.symmetric_power(bad, n)
+
+
+def test_phase_distances_of_a_stack_are_the_phase_distances_of_its_rows():
+    rng = np.random.default_rng(41)
+    v = rng.normal(size=9) + 1j * rng.normal(size=9)
+    v /= np.linalg.norm(v)
+    rows = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
+    rows[1] = v * np.exp(0.7j) + 1e-13
+    rows[2] = np.roll(v.conj(), 1)
+    rows[3] = 0.0
+    rows[3, 0] = 1.0
+    rows[3] -= np.vdot(v, rows[3]) * v  # orthogonal to v: every phase is as good
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    got = states.phase_distances(rows, v)
+    want = [states.phase_distance(row, v) for row in rows]
+    assert np.max(np.abs(got - want)) < 1e-15
+    assert got[1] < 1e-12 and abs(got[3] - math.sqrt(2)) < 1e-15
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
 def test_states_reject_non_finite_entries(bad):
     coeffs = np.array([0.6, 0.0, bad], dtype=np.complex128)
