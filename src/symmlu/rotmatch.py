@@ -14,8 +14,8 @@ every rotated point of a with a point of b within tol.  When the points of
 one multiplicity lie more than 2 tol apart, each rotated point has at most
 one partner within tol, so the greedy matching finds it whenever any
 matching does.  The candidate rotations come from anchor pairs, and the rule
-is evaluated on all of them at once, as a (K, 3, 3) stack of rotations and
-a (K, a, b) stack of distance tables: each round matches, per candidate,
+is evaluated on a (K, 3, 3) stack of them, a block of candidates at a time,
+with a (K, a, b) stack of distance tables: each round matches, per candidate,
 every free pair that is the closest free pair of both its point of a and its
 point of b (masked argmins along both axes), and drops the candidates with a
 matched pair beyond tol.  The point-group layer (closure, the axis census,
@@ -55,6 +55,11 @@ _SIGMA = (
 )
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis of two broadcasting arrays, each rounded as np.dot rounds it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def su2_to_so3(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=np.complex128)
     r = np.empty((3, 3))
@@ -73,10 +78,11 @@ def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
     positive, else off its largest diagonal entry, so the square root is of
     a number near 1 or more.  The sign makes the first component above 1e-12
     positive, so a half turn (w = 0) has its first significant vector
-    component positive.  The branch is taken one matrix at a time in Python
-    floats: a point group has at most 60 elements, and at that size a dozen
-    float operations per matrix cost less than the numpy calls a vectorized
-    branch needs.
+    component positive; it is read before normalizing, which scales by
+    1 + O(eps).  The branch and the sign are taken one matrix at a time in
+    Python floats: a point group has at most 60 elements, and at that size a
+    dozen float operations per matrix cost less than the numpy calls a
+    vectorized branch needs.
     """
     r = np.asarray(r, dtype=float)
     raw = []
@@ -84,19 +90,24 @@ def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
         tr = r00 + r11 + r22
         if tr > 0:
             s = math.sqrt(tr + 1.0) * 2
-            raw.append((0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s))
+            q = (0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s)
         elif r00 > r11 and r00 > r22:
             s = math.sqrt(1.0 + r00 - r11 - r22) * 2
-            raw.append(((r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s))
+            q = ((r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s)
         elif r11 > r22:
             s = math.sqrt(1.0 + r11 - r00 - r22) * 2
-            raw.append(((r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s))
+            q = ((r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s)
         else:
             s = math.sqrt(1.0 + r22 - r00 - r11) * 2
-            raw.append(((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s))
+            q = ((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s)
+        for c in q:
+            if abs(c) > 1e-12:
+                if c < 0:
+                    q = (-q[0], -q[1], -q[2], -q[3])
+                break
+        raw.append(q)
     q = np.array(raw).reshape(-1, 4)
-    q /= np.sqrt(np.vecdot(q, q))[:, None]
-    q *= np.copysign(1.0, q[np.arange(len(q)), (np.abs(q) > 1e-12).argmax(axis=1)])[:, None]
+    q /= np.sqrt(_dot(q, q))[:, None]
     return q.reshape(r.shape[:-2] + (4,))
 
 
@@ -138,13 +149,18 @@ def axis_angle(r: np.ndarray):
     The identity has angle 0 and axis (0, 0, 1).
     """
     q = quaternion_from_rotation(r)
-    vec = q[..., 1:]
-    nv = np.sqrt(np.vecdot(vec, vec))
-    turned = nv >= 1e-12
-    axes = np.where(turned[..., None], vec / np.where(turned, nv, 1.0)[..., None], [0.0, 0.0, 1.0])
+    rows = q.reshape(-1, 4)
+    axes, angles = [], []
     # math.atan2, one angle at a time: numpy's arctan2 rounds some angles differently
-    angles = [2.0 * math.atan2(v, w) if v >= 1e-12 else 0.0 for v, w in zip(nv.ravel().tolist(), q[..., 0].ravel().tolist())]
-    return (axes, np.array(angles)) if nv.ndim else (axes, angles[0])
+    for (w, x, y, z), nv in zip(rows.tolist(), np.sqrt(_dot(rows[:, 1:], rows[:, 1:])).tolist()):
+        if nv >= 1e-12:
+            axes.append((x / nv, y / nv, z / nv))
+            angles.append(2.0 * math.atan2(nv, w))
+        else:
+            axes.append((0.0, 0.0, 1.0))
+            angles.append(0.0)
+    axes = np.array(axes).reshape(q.shape[:-1] + (3,))
+    return (axes, np.array(angles)) if q.ndim > 1 else (axes, angles[0])
 
 
 _SNAP_TOL, _SNAP_DENOMINATOR = 1e-9, 64  # snap_angle: reach, and largest denominator of angle / pi
@@ -188,37 +204,44 @@ def _sorted_by_key(rots: np.ndarray) -> np.ndarray:
     return rots[sorted(range(len(keys)), key=keys.__getitem__)]
 
 
+_MATCH_BLOCK = 1 << 16  # _assignment_max: (candidate, a, b) distances at once, 1.5 MB of differences
+
+
 def _assignment_max(apts, amults, bpts, bmults, rots, tol) -> np.ndarray:
     """Max chordal distance of the greedy multiplicity-respecting matching under each rotation of a (K, 3, 3) stack.
 
     Within each multiplicity class the closest free pair is matched first.
     Greedy matching takes a pair that is the closest free pair of both its
     row and its column before any other pair of that row or column, so it is
-    taken in rounds, on all live candidates at once: each round matches every
-    such pair (the closest free pair overall is one).  A candidate with a
-    matched pair beyond tol is rejected (inf) and leaves the stack.  a and b
+    taken in rounds, on all live candidates of a block at once: each round
+    matches every such pair (the closest free pair overall is one).  A
+    candidate with a matched pair beyond tol is rejected (inf) and leaves the
+    stack.  Candidates are taken in blocks of at most _MATCH_BLOCK distances
+    per class, so the (candidates, a, b, 3) differences stay small.  a and b
     have the same multiplicities.
     """
     worst = np.zeros(len(rots))
-    live = np.arange(len(rots))
-    for mult in set(amults.tolist()):
-        a_cls, b_cls = apts[amults == mult], bpts[bmults == mult]
-        rotated = a_cls @ np.swapaxes(rots[live], 1, 2)
-        cost = np.linalg.norm(rotated[:, :, None, :] - b_cls[None, None], axis=3)
-        k, rows = np.arange(len(live))[:, None], np.arange(len(a_cls))
-        free = np.ones(cost.shape[:2], dtype=bool)
-        while free.any():
-            col = cost.argmin(axis=2)
-            pick = free & (cost.argmin(axis=1)[k, col] == rows)
-            worst[live] = np.maximum(worst[live], np.where(pick, cost[k, rows, col], 0.0).max(axis=1))
-            cost[pick] = np.inf
-            hit, row = np.nonzero(pick)
-            cost[hit, :, col[hit, row]] = np.inf
-            free &= ~pick
-            ok = worst[live] <= tol
-            if not ok.all():
-                worst[live[~ok]] = np.inf
-                live, cost, free, k = live[ok], cost[ok], free[ok], k[: ok.sum()]
+    classes = [(apts[amults == mult], bpts[bmults == mult]) for mult in set(amults.tolist())]
+    step = max(1, _MATCH_BLOCK // max(len(a_cls) * len(b_cls) for a_cls, b_cls in classes))
+    for start in range(0, len(rots), step):
+        live = np.arange(start, min(start + step, len(rots)))
+        for a_cls, b_cls in classes:
+            rotated = a_cls @ np.swapaxes(rots[live], 1, 2)
+            cost = np.linalg.norm(rotated[:, :, None, :] - b_cls[None, None], axis=3)
+            k, rows = np.arange(len(live))[:, None], np.arange(len(a_cls))
+            free = np.ones(cost.shape[:2], dtype=bool)
+            while free.any():
+                col = cost.argmin(axis=2)
+                pick = free & (cost.argmin(axis=1)[k, col] == rows)
+                worst[live] = np.maximum(worst[live], np.where(pick, cost[k, rows, col], 0.0).max(axis=1))
+                cost[pick] = np.inf
+                hit, row = np.nonzero(pick)
+                cost[hit, :, col[hit, row]] = np.inf
+                free &= ~pick
+                ok = worst[live] <= tol
+                if not ok.all():
+                    worst[live[~ok]] = np.inf
+                    live, cost, free, k = live[ok], cost[ok], free[ok], k[: ok.sum()]
     return worst
 
 
@@ -242,7 +265,7 @@ def _candidate_anchors(cfg: MajoranaConfiguration):
     cands = np.flatnonzero(cfg.multiplicities == cfg.multiplicities.min())
     a1_idx = cands[np.lexsort(rounded[cands].T[::-1])[0]]
     # partners at equal angles are told apart by the rounding of these dot products
-    score = np.abs(np.vecdot(pts, pts[a1_idx]))
+    score = np.abs(_dot(pts, pts[a1_idx]))
     partners = np.flatnonzero((np.arange(len(pts)) != a1_idx) & (score <= 1.0 - 1e-12))
     if not partners.size:
         raise SymmluError("no non-collinear anchor found in a non-axial configuration")
@@ -252,8 +275,8 @@ def _candidate_anchors(cfg: MajoranaConfiguration):
 
 def _frame(p1, p2) -> np.ndarray:
     """Orthonormal frames [p1, u, p1 x u], u along p2's part orthogonal to p1; (..., 3) points give (..., 3, 3)."""
-    u = p2 - np.vecdot(p2, p1)[..., None] * p1
-    u /= np.sqrt(np.vecdot(u, u))[..., None]
+    u = p2 - _dot(p2, p1)[..., None] * p1
+    u /= np.sqrt(_dot(u, u))[..., None]
     frame = np.empty(p1.shape + (3,))
     frame[..., 0], frame[..., 1] = p1, u
     frame[..., 2] = p1[..., [1, 2, 0]] * u[..., [2, 0, 1]] - p1[..., [2, 0, 1]] * u[..., [1, 2, 0]]
@@ -299,7 +322,7 @@ def _anchor_rotations(a: MajoranaConfiguration, b: MajoranaConfiguration, tol: f
     ref = float(np.dot(a1, a2))
     slack = 3.0 * tol + 1e-12
     m1 = int(a.multiplicities.min())  # a1 comes from the smallest class
-    dots = np.vecdot(b.points[:, None], b.points[None])
+    dots = _dot(b.points[:, None], b.points[None])
     pairs = (
         (b.multiplicities == m1)[:, None]
         & ~np.eye(len(dots), dtype=bool)

@@ -346,16 +346,10 @@ def _nearest_group_element(factors: np.ndarray, rotations) -> float:
     """min over the group of u.projective_distance(g^{(x)n}), in one array pass.
 
     factors (n, 2, 2) are u's and rotations the group's SO(3) elements, taken
-    to SU(2) by rotmatch.so3_to_su2 as StabilizerSampler.unit does.  Each
-    qubit's distance is states.phase_distance's entrywise form: g's phase is
-    aligned to the factor's before the difference is taken.
+    to SU(2) by rotmatch.so3_to_su2 as StabilizerSampler.unit does.
     """
-    group = rotmatch.so3_to_su2(rotations)
-    overlap = np.einsum("gij,kij->gk", np.conj(group), factors)
-    size = np.abs(overlap)
-    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
-    diff = factors[None] - group[:, None] * phase[:, :, None, None]
-    dist = np.sqrt(np.sum(np.abs(diff) ** 2, axis=(2, 3)))  # (group, qubit)
+    group = rotmatch.so3_to_su2(rotations).reshape(-1, 1, 4)
+    dist = states.phase_distances(factors.reshape(1, -1, 4), group)  # (group, qubit)
     return float(np.min(np.max(dist, axis=1)))
 
 

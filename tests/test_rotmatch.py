@@ -1,5 +1,6 @@
 """Rotation matching and point-group detection on the sphere."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,17 @@ def test_stacks_of_rotations_give_the_stacks_of_their_one_matrix_results():
         assert np.array_equal(axes[k], axis) and angles[k] == angle and isinstance(angle, float)
     empty = rotmatch.axis_angle(stack[:0])
     assert empty[0].shape == (0, 3) and empty[1].shape == (0,)
+
+
+def test_row_dot_products_round_as_np_dot():
+    # quaternions, axes and anchor frames are normalized with these sums;
+    # np.dot's rounding keeps them equal to the one-vector formulas
+    rng = np.random.default_rng(29)
+    for d in (3, 4):
+        a, b = rng.normal(size=(500, d)), rng.normal(size=(500, d))
+        assert rotmatch._dot(a, b).tolist() == [float(np.dot(x, y)) for x, y in zip(a, b)]
+        table = rotmatch._dot(a[:20, None], b[None, :30])
+        assert table.tolist() == [[float(np.dot(x, y)) for y in b[:30]] for x in a[:20]]
 
 
 def test_quaternion_sign_for_half_turns():
@@ -291,6 +303,30 @@ def test_matching_uses_each_point_once():
     b = majorana.config_from_points(np.array([p, [1.0, 0.0, 0.0]]))
     assert abs(rotmatch.matching_distance(a, b) - math.sqrt(2)) < 1e-3
     assert rotmatch.all_matching_rotations(a, b) == []
+
+
+def test_matching_in_blocks_of_one_candidate_gives_the_same_rotations(monkeypatch):
+    rng = np.random.default_rng(31)
+    cases = [pair for which in range(4) for pair in polyhedron_configs(rng, which)]
+    cases += [pair for _ in range(4) for pair in probe_configs(rng)]
+    whole = [rotmatch.all_matching_rotations(a, b) for a, b in cases]
+    monkeypatch.setattr(rotmatch, "_MATCH_BLOCK", 1)
+    for (a, b), want in zip(cases, whole):
+        got = rotmatch.all_matching_rotations(a, b)
+        assert len(got) == len(want) and all(np.array_equal(r, s) for r, s in zip(got, want))
+
+
+def test_matching_a_large_ngon_stays_within_its_block():
+    # 200 anchor candidates of 100 x 100 distances each: 48 MB of differences at once
+    cfg = ngon_config(100)
+    tracemalloc.start()
+    try:
+        found = rotmatch.all_matching_rotations(cfg, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 200
+    assert peak < 8 * 2**20
 
 
 def separated_points(rng, m, ngon):

@@ -196,6 +196,12 @@ def test_symmetric_power_of_a_stack_is_the_stack_of_symmetric_powers(n):
         states.symmetric_power(bad, n)
 
 
+def reference_phase_distance(u, v):
+    """||u - e^{ia} v|| for one pair, v's phase aligned to np.vdot(v, u)."""
+    ip = np.vdot(v, u)
+    return np.linalg.norm(u - v * (ip / abs(ip) if abs(ip) > 0 else 1.0))
+
+
 def test_phase_distances_of_a_stack_are_the_phase_distances_of_its_rows():
     rng = np.random.default_rng(41)
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
@@ -208,9 +214,16 @@ def test_phase_distances_of_a_stack_are_the_phase_distances_of_its_rows():
     rows[3] -= np.vdot(v, rows[3]) * v  # orthogonal to v: every phase is as good
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     got = states.phase_distances(rows, v)
-    want = [states.phase_distance(row, v) for row in rows]
+    want = [reference_phase_distance(row, v) for row in rows]
     assert np.max(np.abs(got - want)) < 1e-15
     assert got[1] < 1e-12 and abs(got[3] - math.sqrt(2)) < 1e-15
+    assert [states.phase_distance(row, v) for row in rows] == got.tolist()
+    # stacks broadcast against each other: rows against rows, pair by pair and as a table
+    pairwise = states.phase_distances(rows, rows[::-1])
+    assert np.max(np.abs(pairwise - [reference_phase_distance(a, b) for a, b in zip(rows, rows[::-1])])) < 1e-15
+    table = states.phase_distances(rows[None], rows[:, None])
+    assert table.shape == (6, 6)
+    assert np.max(np.abs(table - [[reference_phase_distance(a, b) for a in rows] for b in rows])) < 1e-15
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
