@@ -291,7 +291,7 @@ class LocalUnitary:
         """Max over qubits of the phase_distance between the two factors."""
         if self.n != other.n:
             raise DomainError("arity mismatch")
-        mine, theirs = np.reshape(self.factors + other.factors, (2, self.n, 4))
+        mine, theirs = np.array(self.factors + other.factors).reshape(2, self.n, 4)
         return max(phase_distances(mine, theirs).tolist())
 
     def projectively_equal(self, other: "LocalUnitary") -> bool:
