@@ -9,12 +9,16 @@ first multipole of rho above a relative cutoff (rank 1 first, top spin
 first) gives the candidates (frame_candidates).  When it is axial, about the
 bottom eigenvector of its spin-k quadrupole, they are the families
 g = g_sigma^+ rz(phi) [X] g_rho that keep its real axial coefficient's sign,
-each solved exactly in phi.  Otherwise they are the rotations carrying its
-Majorana constellation onto sigma's, and with no multipole above the cutoff
-the identity.  For a symmetric pure state psi, psi psi^+ is a density
-matrix with the single spin block n/2, so classify.lu_equivalent_pure
-decides with the same candidates, and classify.classify_state reads its
-one candidate axis off the same first multipole (multipole_frame).
+each at its best phi.  The overlap is a trigonometric polynomial of degree
+n in phi: one FFT evaluates it on a grid whose spacing bounds how far its
+maximum can lie above the best grid value, and only the grid maxima within
+that slack are Newton-polished (_solve_turn).  Otherwise they are the
+rotations carrying its Majorana constellation onto sigma's, and with no
+multipole above the cutoff the identity.  For a symmetric pure state psi,
+psi psi^+ is a density matrix with the single spin block n/2, so
+classify.lu_equivalent_pure decides with the same candidates, and
+classify.classify_state reads its one candidate axis off the same first
+multipole (multipole_frame).
 
 The candidate with the least block distance is reported as equivalent only
 after a dense re-check of || g^{(x)n} rho g^{(x)n +} - sigma ||_F.  Cheap LU
@@ -152,11 +156,33 @@ def _axis_turn(v: np.ndarray) -> np.ndarray:
 
     An axial multipole is c T_k0 about an axis n, c real, so as a spin-k
     vector its quadrupole M_ab = Re<v|J_a J_b|v> / <v|v> is
-    k(k + 1)/2 (1 - n n^T): n is M's bottom eigenvector.
+    k(k + 1)/2 (1 - n n^T): n is M's bottom eigenvector, and g is _pole_turn(n).
     """
     w = states.spin_operators(v.size - 1) @ v
-    axis = np.linalg.eigh((w.conj() @ w.T).real)[1][:, 0]
-    return rotmatch.so3_to_su2(rotmatch.rotation_between(axis, majorana.NORTH_POLE))
+    return _pole_turn(np.linalg.eigh((w.conj() @ w.T).real)[1][:, 0])
+
+
+def _pole_turn(axis) -> np.ndarray:
+    """rotmatch.so3_to_su2(rotmatch.rotation_between(axis, NORTH_POLE)), straight from the half angle.
+
+    The minimal turn of the unit axis (x, y, z) to the pole is by
+    theta = atan2(hypot(x, y), z) about (y, -x, 0) / hypot(x, y), so g is
+    the quaternion (cos(theta / 2), sin(theta / 2) (y, -x, 0) / hypot(x, y)),
+    with so3_to_su2's sign.  Within 1e-12 of the z axis it takes
+    rotation_between's picks: the identity, or a half turn about (x, y, z) x (1, 0, 0).
+    """
+    x, y, z = np.asarray(axis, dtype=float).tolist()
+    off = math.hypot(x, y)
+    if off >= 1e-12:
+        half = 0.5 * math.atan2(off, z)
+        s = math.sin(half) / off
+        q = (math.cos(half), s * y, -s * x, 0.0)
+    elif z > 0:
+        q = (1.0, 0.0, 0.0, 0.0)
+    else:
+        r = math.hypot(y, z)
+        q = (0.0, 0.0, z / r, -y / r)
+    return rotmatch._quaternion_to_su2(rotmatch._canonical_sign(q))
 
 
 def _axial_coefficient(v: np.ndarray, g: np.ndarray) -> float | None:
@@ -170,25 +196,62 @@ def _axial_coefficient(v: np.ndarray, g: np.ndarray) -> float | None:
     return float(turned[k].real) if axial else None
 
 
+_TURN_GRID = 16  # grid points of _solve_turn per unit of degree
+_TURN_POLISH = 12  # Newton steps at most per grid maximum; one within h / 2 of a peak needs about 4
+_TURN_DROP = (2 * math.pi / _TURN_GRID) ** 2 / 8  # (nh)^2 / 8 of _solve_turn's slack
+
+
 def _best_turn(rho_t: np.ndarray, sigma_t: np.ndarray, blocks) -> float:
     """The phi maximizing the weighted overlap of D(rz(phi)) rho_t D(rz(phi))^+ with sigma_t.
 
-    Entry (a, b) turns by e^{-i q phi}, q = m_a - m_b, so the overlap is
-    sum_{|q| <= n} c_q e^{-i q phi}; its critical points are roots of a
-    polynomial of degree 2n in z = e^{-i phi}, and the best is kept.
+    Entry (a, b) turns by e^{-i q phi}, q = m_a - m_b, so the overlap is the
+    trigonometric polynomial f(phi) = Re sum_{|q| <= n} c_q e^{-i q phi},
+    maximized by _solve_turn.
     """
     n = blocks.n
     mz = np.concatenate([j - np.arange(sl.stop - sl.start) for j, sl in zip(blocks.spins, blocks.slices)])
-    q = np.rint(mz[:, None] - mz[None, :]).astype(int) + n
-    c = np.zeros(2 * n + 1, dtype=np.complex128)
-    np.add.at(c, q.ravel(), (blocks.weight * rho_t * sigma_t.conj()).ravel())
+    q = np.rint(mz[:, None] - mz[None, :]).astype(int).ravel() + n
+    terms = (blocks.weight * rho_t * sigma_t.conj()).ravel()
+    return _solve_turn(np.bincount(q, terms.real, 2 * n + 1) + 1j * np.bincount(q, terms.imag, 2 * n + 1))[0]
+
+
+def _solve_turn(c: np.ndarray) -> tuple:
+    """(phi, bound): the phi in [-pi, pi) maximizing f(phi) = Re sum_q c_q e^{-i q phi}, and max f <= bound.
+
+    c holds c_q for q = -n..n.  One FFT evaluates f on a grid of M = 16 n
+    points, spacing h = 2 pi / M.  By Bernstein's inequality,
+    |f''| <= n^2 max|f - c_0|, so f drops by at most
+    slack = (nh)^2 / 8 max|f - c_0| from its maximum to the nearest grid
+    point, and by the same argument max|f - c_0| <= max_grid|f - c_0| /
+    (1 - (nh)^2 / 8); bound is the best grid value plus that slack.  Only
+    the grid's local maxima within the slack are Newton-polished, each step
+    uphill and at most h / 2; a flat f (only c_0, as in a C_inf family) has
+    none.  phi = 0 is kept as a candidate, and of exactly tied candidates
+    the first wins: 0, then the polished maxima in grid order.
+    """
+    n = (c.size - 1) // 2
     orders = np.arange(-n, n + 1)
-    deriv = -1j * orders * c
-    # roundoff-sized terms would throw the companion matrix off the unit circle
-    deriv[np.abs(deriv) <= 1e-12 * np.abs(deriv).max(initial=0.0)] = 0.0
-    roots = np.roots(deriv[::-1])
-    phis = np.concatenate([[0.0], -np.angle(roots)])
-    return float(phis[np.argmax(np.real(np.exp(-1j * np.outer(phis, orders)) @ c))])
+    size = _TURN_GRID * n
+    h = 2 * math.pi / size
+    grid = np.zeros(size, dtype=np.complex128)
+    grid[orders % size] = c
+    grid[0] = 0.0  # the oscillating part f - Re c_0, which Bernstein's inequality bounds
+    osc = np.fft.fft(grid).real
+    top = osc.max()
+    slack = _TURN_DROP / (1 - _TURN_DROP) * max(top, -osc.min())
+    ring = np.concatenate([osc[-1:], osc, osc[:1]])
+    phis = h * np.flatnonzero((osc > ring[:-2]) & (osc >= ring[2:]) & (osc >= top - slack))
+    turn, slopes = -1j * orders, np.stack([-1j * orders * c, -orders * orders * c], axis=1)
+    for _ in range(_TURN_POLISH):
+        d1, d2 = (np.exp(phis[:, None] * turn) @ slopes).real.T
+        # uphill whatever the sign of f'', by at most h / 2
+        step = d1 / np.maximum(np.maximum(np.abs(d2), 2 / h * np.abs(d1)), np.finfo(float).tiny)
+        phis = phis + step
+        if np.abs(step).max(initial=0.0) <= 1e-8 * h:
+            break
+    phis = np.concatenate([[0.0], (phis + math.pi) % (2 * math.pi) - math.pi])
+    best = int(np.argmax((np.exp(phis[:, None] * turn) @ c).real))
+    return float(phis[best]), float(c[n].real + top + slack)
 
 
 def multipole_frame(form: np.ndarray, blocks: states.SpinBlocks) -> tuple:

@@ -100,22 +100,30 @@ def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
         else:
             s = math.sqrt(1.0 + r22 - r00 - r11) * 2
             q = ((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s)
-        for c in q:
-            if abs(c) > 1e-12:
-                if c < 0:
-                    q = (-q[0], -q[1], -q[2], -q[3])
-                break
-        raw.append(q)
+        raw.append(_canonical_sign(q))
     q = np.array(raw).reshape(-1, 4)
     q /= np.sqrt(_dot(q, q))[:, None]
     return q.reshape(r.shape[:-2] + (4,))
 
 
-def so3_to_su2(r: np.ndarray) -> np.ndarray:
-    """Deterministic SU(2) preimage of a rotation matrix; a (..., 3, 3) stack gives (..., 2, 2)."""
-    q = quaternion_from_rotation(r)
+def _canonical_sign(q: tuple) -> tuple:
+    """q or -q, whichever has its first component above 1e-12 in size positive."""
+    for c in q:
+        if abs(c) > 1e-12:
+            return q if c > 0 else (-q[0], -q[1], -q[2], -q[3])
+    return q
+
+
+def _quaternion_to_su2(q: np.ndarray) -> np.ndarray:
+    """The 2x2 unitary of unit quaternions (w, x, y, z); a (..., 4) stack gives (..., 2, 2)."""
+    q = np.asarray(q, dtype=float)
     g = [(w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z) for w, x, y, z in q.reshape(-1, 4).tolist()]
     return np.array(g, dtype=np.complex128).reshape(q.shape[:-1] + (2, 2))
+
+
+def so3_to_su2(r: np.ndarray) -> np.ndarray:
+    """Deterministic SU(2) preimage of a rotation matrix; a (..., 3, 3) stack gives (..., 2, 2)."""
+    return _quaternion_to_su2(quaternion_from_rotation(r))
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:

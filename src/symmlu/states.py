@@ -133,10 +133,16 @@ def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
         return False
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
-    a, b, c, d = (complex(x) for x in u.ravel().tolist())
-    # the entries of u u^+ - 1; a NaN fails every comparison
-    dev = (abs(a) ** 2 + abs(b) ** 2 - 1.0, a * c.conjugate() + b * d.conjugate(), abs(c) ** 2 + abs(d) ** 2 - 1.0)
-    return all(abs(x) <= tol for x in dev)
+    return _unitary_entries(*(complex(x) for x in u.ravel().tolist()), tol)
+
+
+def _unitary_entries(a: complex, b: complex, c: complex, d: complex, tol: float) -> bool:
+    """Whether [[a, b], [c, d]] is unitary: every entry of u u^+ - 1 within tol; a NaN fails."""
+    return (
+        abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= tol
+        and abs(a * c.conjugate() + b * d.conjugate()) <= tol
+        and abs(abs(c) ** 2 + abs(d) ** 2 - 1.0) <= tol
+    )
 
 
 def rx(t: float) -> np.ndarray:
@@ -411,11 +417,10 @@ def _euler_angles(g: np.ndarray) -> list:
     g = np.asarray(g, dtype=np.complex128)
     if g.ndim not in (2, 3) or g.shape[-2:] != (2, 2):
         raise DomainError("g is not a 2x2 unitary")
-    stack = g.reshape(-1, 2, 2)
     # a few scalars per g, where Python's cmath is quicker than numpy calls
     euler = []
-    for x, (g00, g01, g10, g11) in zip(stack, stack.reshape(-1, 4).tolist()):
-        if not is_unitary(x, 1e-9):
+    for g00, g01, g10, g11 in g.reshape(-1, 4).tolist():
+        if not _unitary_entries(g00, g01, g10, g11, 1e-9):
             raise DomainError("g is not a 2x2 unitary")
         root = cmath.sqrt(g00 * g11 - g01 * g10)
         a, b = g00 / root, g10 / root

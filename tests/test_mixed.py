@@ -113,6 +113,78 @@ def test_turn_about_the_pole_is_solved_exactly(n):
         assert res.distance <= mixed.default_threshold(n)
 
 
+def reference_turn_coefficients(rho_t, sigma_t, blocks):
+    """c_q of the overlap Re sum_q c_q e^{-i q phi}, entry by entry: (a, b) turns by e^{-i (m_a - m_b) phi}."""
+    n = blocks.n
+    mz = np.concatenate([j - np.arange(round(2 * j) + 1) for j in blocks.spins])
+    c = np.zeros(2 * n + 1, dtype=np.complex128)
+    for a, b in zip(*np.nonzero(blocks.weight)):
+        c[round(mz[a] - mz[b]) + n] += blocks.weight[a, b] * rho_t[a, b] * np.conj(sigma_t[a, b])
+    return c
+
+
+def turn_overlap(c, phis):
+    n = (c.size - 1) // 2
+    return (np.exp(-1j * np.outer(phis, np.arange(-n, n + 1))) @ c).real
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "symmetric", "flat", "pure_pair", "mixed_pair"]),
+    n=st.integers(1, 40),
+    m=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_turn_solve_is_never_below_a_dense_scan(kind, n, m, seed):
+    rng = np.random.default_rng(seed)
+    c = (rng.normal(size=2 * n + 1) + 1j * rng.normal(size=2 * n + 1)) * rng.uniform(1e-3, 1e3)
+    if kind == "symmetric":
+        # C_m-symmetric: m tied maxima
+        c[np.arange(-n, n + 1) % m != 0] = 0.0
+    elif kind == "flat":
+        c[np.arange(2 * n + 1) != n] = 0.0
+    elif kind in ("pure_pair", "mixed_pair"):
+        if kind == "pure_pair":
+            psi = states.random_symmetric(n, rng).coeffs
+            blocks = states.SpinBlocks(n, (n / 2,), (1,))
+            rho_t = np.outer(psi, psi.conj())
+        else:
+            n = 3 + n % 4
+            blocks = states.spin_blocks(n)
+            rho_t = blocks.compress(full_rank_invariant(n, rng))
+        sigma_t = blocks.rotate(states.rz(rng.uniform(-math.pi, math.pi)), rho_t)
+        c = reference_turn_coefficients(rho_t, sigma_t, blocks)
+    phi, bound = mixed._solve_turn(c)
+    assert -math.pi <= phi < math.pi
+    scan = turn_overlap(c, 2 * math.pi * np.arange(64 * n) / (64 * n)).max()
+    roundoff = 1e-13 * np.abs(c).sum()
+    assert turn_overlap(c, [phi])[0] >= scan - roundoff
+    # the grid's certificate: its best value plus the Bernstein slack bounds the maximum
+    assert bound >= scan - roundoff
+    if kind == "flat":
+        assert phi == 0.0
+    if kind in ("pure_pair", "mixed_pair"):
+        # the gather of the coefficients is the reference's
+        assert turn_overlap(c, [mixed._best_turn(rho_t, sigma_t, blocks)])[0] >= scan - roundoff
+
+
+def test_pole_turn_is_the_preimage_of_the_minimal_rotation():
+    rng = np.random.default_rng(180)
+    haar = rng.normal(size=(2000, 3))
+    axes = list(haar / np.linalg.norm(haar, axis=1, keepdims=True))
+    # on both sides of rotation_between's 1e-12 cut, and of so3_to_su2's sign rule (w = cos(theta / 2) <= 1e-12)
+    for off in (0.0, 1e-17, 5e-13, 0.999e-12, 1.001e-12, 1.5e-12, 1.999e-12, 2.001e-12, 1e-9):
+        for z in (1.0, -1.0):
+            for t in rng.uniform(0, 2 * math.pi, size=4):
+                axes.append(np.array([off * math.cos(t), off * math.sin(t), z * math.sqrt(1 - off * off)]))
+    for axis in axes:
+        g = mixed._pole_turn(axis)
+        want = rotmatch.so3_to_su2(rotmatch.rotation_between(axis, majorana.NORTH_POLE))
+        assert np.max(np.abs(g - want)) <= 1e-15
+        off = math.hypot(axis[0], axis[1])
+        assert np.max(np.abs(rotmatch.su2_to_so3(g) @ axis - majorana.NORTH_POLE)) <= 1e-15 + 2 * off
+
+
 def _points_projector(points, mults=None):
     return states.to_density(majorana.points_to_state(np.array(points, dtype=float), mults))
 

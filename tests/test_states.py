@@ -180,6 +180,31 @@ def test_symmetric_power_rejects_a_matrix_that_is_not_unitary():
             states.apply_diag_symmetric(bad, states.dicke(4, 1))
 
 
+def test_symmetric_power_accepts_exactly_the_g_that_is_unitary_accepts_at_1e_9():
+    rng = np.random.default_rng(32)
+    stack = np.array([states.random_su2(rng) for _ in range(4)])
+    verdicts = set()
+    # a row scaled by 1 + eps moves its norm^2 by about 2 eps: both sides of 1e-9
+    for eps in (0.3e-9, 0.45e-9, 0.55e-9, 0.7e-9):
+        for row in (0, 1):
+            bad = stack.copy()
+            bad[2, row] *= 1 + eps
+            ok = states.is_unitary(bad[2], 1e-9)
+            verdicts.add(ok)
+            for g in (bad[2], bad):
+                if ok:
+                    states.symmetric_power(g, 3)
+                else:
+                    with pytest.raises(DomainError, match="unitary"):
+                        states.symmetric_power(g, 3)
+    assert verdicts == {True, False}
+    for entry in range(4):
+        bad = stack.copy()
+        bad[3].flat[entry] = np.nan
+        with pytest.raises(DomainError, match="unitary"):
+            states.symmetric_power(bad, 3)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 48])
 def test_symmetric_power_of_a_stack_is_the_stack_of_symmetric_powers(n):
     rng = np.random.default_rng(31 + n)
