@@ -6,8 +6,9 @@ Kernels:
   conj_distance_batch      Frobenius distance || g^{(x)n} rho g^{(x)n +} - target ||
                            for a batch of ZYZ Euler triples, from the factors
                            V of rho and W of the target (rank s): the oracle
-                           form, used by verify; (n + r + s) r 2^n complex
-                           products a point, no 2^n x 2^n matrix
+                           form, used by verify; n r 2^n complex products per
+                           distinct (beta, gamma) of the batch and about
+                           (r + s) r 2^n a row, no 2^n x 2^n matrix
   conj_gauss_newton        the same distance squared, with its gradient and
                            Gauss-Newton matrix in left steps of g
   su2_left_step            g <- exp(-i d.sigma/2) g
@@ -20,6 +21,8 @@ batch bodies on a one-row array.  The (f2, grad, gn) models feed
 search.gauss_newton.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -46,8 +49,9 @@ def _chunk_rows(n: int) -> int:
     At most 256, and at least 1; otherwise few enough that rows x 4^n is at
     most 2^22 (64 MiB of complex entries): 256 rows up to n = 7, 4 at
     n = 10.  A chunk's temporaries are (rows, 2^n, r) and smaller at ranks r
-    and s, (n + r + s) r 2^n complex products a row, so the rule bounds them
-    at full rank; at low rank they are far below it.
+    and s, so the rule bounds them at full rank; at low rank they are far
+    below it.  conj_distance_batch takes its distinct (beta, gamma) pairs,
+    and then the rows of each chunk of pairs, this many at a time.
     """
     return max(1, min(_CHUNK_ROWS, _CHUNK_ENTRIES >> (2 * n)))
 
@@ -145,16 +149,35 @@ def _conj_distance(angles, factor, target_factor, n: int) -> np.ndarray:
     """D of each Euler row, behind both public names.
 
     Kept apart from them so a one-point call is not also counted as a batch
-    call by wrappers installed on the public names.
+    call by wrappers installed on the public names.  Each row is factored
+    as g = Rz(alpha) Ry(beta) Rz(gamma): (Ry(beta) Rz(gamma))^{(x)n} V is
+    formed once per distinct (beta, gamma), _chunk_rows(n) pairs at a time,
+    and Rz(alpha)^{(x)n} is the diagonal e^{-i alpha (n - 2|x|) / 2}, one
+    row of a phase table per distinct alpha.  The rows of a chunk of pairs
+    are scored _chunk_rows(n) at a time, so no temporary is larger than
+    (_chunk_rows(n), 2^n, r).
     """
     factor = np.asarray(factor, dtype=np.complex128)
     q, m = _target_split(target_factor)
-
-    def body(chunk):
-        f2, _ = _squared_residual(_on_every_qubit(euler_su2_batch(chunk), factor[None], n), q, m)
-        return (np.sqrt(f2),)
-
-    return _by_chunks(body, angles.shape[0], n, angles)[0]
+    step = _chunk_rows(n)
+    alphas, alpha_of = np.unique(angles[:, 0], return_inverse=True)
+    # (beta, gamma) read as one complex number: a 1-D unique, exact in every bit
+    pairs, pair_of = np.unique(np.ascontiguousarray(angles[:, 1:]).view(np.complex128)[:, 0], return_inverse=True)
+    phases = np.exp(-1j * alphas[:, None] * _spin_z(n))  # (distinct alpha, 2^n)
+    turns = euler_su2_batch(np.stack([np.zeros(len(pairs)), pairs.real, pairs.imag], axis=1))
+    order = np.argsort(pair_of, kind="stable")
+    bounds = np.searchsorted(pair_of[order], np.arange(len(pairs) + 1))  # pair p's rows: order[bounds[p]:bounds[p + 1]]
+    out = np.empty(angles.shape[0])
+    for lo in range(0, len(pairs), step):
+        hi = min(lo + step, len(pairs))
+        table = _on_every_qubit(turns[lo:hi], factor[None], n)  # (pairs, 2^n, r)
+        rows = order[bounds[lo] : bounds[hi]]
+        for start in range(0, len(rows), step):
+            chunk = rows[start : start + step]
+            a = table[pair_of[chunk] - lo]
+            a *= phases[alpha_of[chunk], :, None]
+            out[chunk] = np.sqrt(_squared_residual(a, q, m)[0])
+    return out
 
 
 def conj_distance_batch(angles, factor, target_factor, n):
@@ -162,9 +185,14 @@ def conj_distance_batch(angles, factor, target_factor, n):
 
     factor is V (2^n, r) of rho = V V^+ and target_factor W (2^n, s) of the
     target T = W W^+, both as density_factor gives them (W's columns must be
-    orthogonal).  g^{(x)n} V is applied qubit by qubit and the distance is
-    taken through _squared_residual, so a point costs about (n + r + s) r 2^n
-    complex products; no 2^n x 2^n matrix is formed.
+    orthogonal).  With g = Rz(alpha) Ry(beta) Rz(gamma), (Ry(beta)
+    Rz(gamma))^{(x)n} V is applied qubit by qubit once per distinct
+    (beta, gamma) of the batch, n r 2^n complex products each, and
+    Rz(alpha)^{(x)n} is one diagonal phase a row; the distance is taken
+    through _squared_residual, about (r + s) r 2^n products a row.  On a
+    product lattice such as search.euler_lattice most rows share their
+    (beta, gamma) (144 pairs of 1728 rows at grid 12), and no 2^n x 2^n
+    matrix is formed.
     """
     return _conj_distance(np.asarray(angles, dtype=np.float64), factor, target_factor, n)
 
@@ -175,20 +203,47 @@ def conj_distance_single(alpha, beta, gamma, factor, target_factor, n):
     return float(_conj_distance(angles, factor, target_factor, n)[0])
 
 
+@functools.lru_cache(maxsize=None)
+def _bit_flips(n: int) -> tuple:
+    """(flips, signs), each (n, 2^n), read-only: x with the bit of qubit k flipped, and 2 b_k(x) - 1.
+
+    Qubit k is bit n - 1 - k of the index, as in _on_every_qubit.
+    """
+    index = np.arange(1 << n)
+    bits = (1 << (n - 1 - np.arange(n)))[:, None]
+    flips, signs = index ^ bits, np.where(index & bits, 1.0, -1.0)
+    flips.setflags(write=False)
+    signs.setflags(write=False)
+    return flips, signs
+
+
+@functools.lru_cache(maxsize=None)
+def _spin_z(n: int) -> np.ndarray:
+    """Diagonal of J_z = sum_k sigma_z^(k) / 2 on n qubits, read-only: (n - 2|x|) / 2 at basis index x."""
+    jz = 0.5 * n - np.count_nonzero(_bit_flips(n)[1] > 0, axis=0)
+    jz.setflags(write=False)
+    return jz
+
+
 def _spin_components(a: np.ndarray, n: int) -> np.ndarray:
-    """J_c a for J_c = sum_k sigma_c^(k) / 2, c = x, y, z, on (B, 2^n, r) columns; (3, B, 2^n, r)."""
-    out = np.zeros((3,) + a.shape, dtype=np.complex128)
-    for k in range(n):
-        legs = a.reshape(a.shape[0], 1 << k, 2, -1)
-        lo, hi = legs[:, :, 0], legs[:, :, 1]
-        view = out.reshape(3, a.shape[0], 1 << k, 2, -1)
-        view[0, :, :, 0] += hi
-        view[0, :, :, 1] += lo
-        view[1, :, :, 0] -= 1j * hi
-        view[1, :, :, 1] += 1j * lo
-        view[2, :, :, 0] += lo
-        view[2, :, :, 1] -= hi
-    out *= 0.5
+    """J_c a for J_c = sum_k sigma_c^(k) / 2, c = x, y, z, on (B, 2^n, r) columns; (3, B, 2^n, r).
+
+    J_z is diagonal (_spin_z).  sigma_x^(k) and sigma_y^(k) move entry
+    x ^ bit_k to x, sigma_y^(k) times i (2 b_k(x) - 1) (_bit_flips), so J_x
+    and J_y are sums of n gathers of a, taken one qubit at a time.
+    """
+    flips, signs = _bit_flips(n)
+    out = np.empty((3,) + a.shape, dtype=np.complex128)
+    np.multiply(_spin_z(n)[:, None], a, out=out[2])
+    np.take(a, flips[0], axis=1, out=out[0])
+    np.multiply(out[0], signs[0][:, None], out=out[1])
+    for idx, sign in zip(flips[1:], signs[1:]):
+        moved = a[:, idx]
+        out[0] += moved
+        moved *= sign[:, None]
+        out[1] += moved
+    out[0] *= 0.5
+    out[1] *= 0.5j
     return out
 
 

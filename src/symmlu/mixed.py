@@ -199,6 +199,8 @@ def _axial_coefficient(v: np.ndarray, g: np.ndarray) -> float | None:
 _TURN_GRID = 16  # grid points of _solve_turn per unit of degree
 _TURN_POLISH = 12  # Newton steps at most per grid maximum; one within h / 2 of a peak needs about 4
 _TURN_DROP = (2 * math.pi / _TURN_GRID) ** 2 / 8  # (nh)^2 / 8 of _solve_turn's slack
+# _solve_turn's ties: overlaps within this of sum |c_q| of the best, and |phi| within this of h of the least
+_TURN_TIE, _TURN_TIE_PHI = 16 * np.finfo(np.float64).eps, 1e-6
 
 
 def _best_turn(rho_t: np.ndarray, sigma_t: np.ndarray, blocks) -> float:
@@ -226,8 +228,11 @@ def _solve_turn(c: np.ndarray) -> tuple:
     (1 - (nh)^2 / 8); bound is the best grid value plus that slack.  Only
     the grid's local maxima within the slack are Newton-polished, each step
     uphill and at most h / 2; a flat f (only c_0, as in a C_inf family) has
-    none.  phi = 0 is kept as a candidate, and of exactly tied candidates
-    the first wins: 0, then the polished maxima in grid order.
+    none.  phi = 0 is kept as a candidate.  Of the candidates within
+    roundoff of the best overlap (16 eps sum |c_q|), phi = 0 wins if it is
+    one, otherwise the least |phi| (to 1e-6 h), +phi before -phi; so the
+    tied turns of a C_m-symmetric family are told apart by their angles,
+    not by the last bit of their overlaps.
     """
     n = (c.size - 1) // 2
     orders = np.arange(-n, n + 1)
@@ -250,8 +255,13 @@ def _solve_turn(c: np.ndarray) -> tuple:
         if np.abs(step).max(initial=0.0) <= 1e-8 * h:
             break
     phis = np.concatenate([[0.0], (phis + math.pi) % (2 * math.pi) - math.pi])
-    best = int(np.argmax((np.exp(phis[:, None] * turn) @ c).real))
-    return float(phis[best]), float(c[n].real + top + slack)
+    vals = (np.exp(phis[:, None] * turn) @ c).real.tolist()
+    # a stable pick among the few candidates tied to roundoff: 0, then the least |phi|, +phi before -phi
+    cut = max(vals) - _TURN_TIE * float(np.abs(c).sum())
+    tied = [phi for phi, val in zip(phis.tolist(), vals) if val >= cut]
+    least = min(map(abs, tied)) + _TURN_TIE_PHI * h
+    nearest = [phi for phi in tied if abs(phi) <= least]
+    return (0.0 if 0.0 in nearest else max(nearest)), float(c[n].real + top + slack)
 
 
 def multipole_frame(form: np.ndarray, blocks: states.SpinBlocks) -> tuple:

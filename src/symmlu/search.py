@@ -56,7 +56,9 @@ def euler_scan(rho, target, n: int, grid: int):
     rho and target are each factored once (_kernels.density_factor); the
     model maps SU(2) elements (B, 2, 2) to (f2, grad, gn) in left steps
     (_kernels.su2_left_step), as gauss_newton takes it.  The oracles' form
-    of the scan.
+    of the scan.  The lattice has grid^2 distinct (beta, gamma), and
+    _kernels.conj_distance_batch turns rho's factor once for each of them,
+    taking each alpha as a diagonal phase.
     """
     points = euler_lattice(grid)
     factor = _kernels.density_factor(rho)

@@ -14,9 +14,12 @@ lattice resolution; it cannot certify the absence of stabilizer elements
 between lattice points.  The lattice minima of each family are refined all
 at once by damped Gauss-Newton (search.gauss_newton).  The identical-tuple
 distance is computed from factors V of rho and W of the target (one eigh
-each per search), with g^{(x)n} applied to V qubit by qubit and no 2^n x
-2^n residual formed: (n + r + s) r 2^n products a point at ranks r and s,
-where the Kronecker power cost about 2 8^n.  Its steps are left steps
+each per search), with no 2^n x 2^n residual formed.  On the lattice,
+g = Rz(alpha) Ry(beta) Rz(gamma): (Ry(beta) Rz(gamma))^{(x)n} is applied
+to V qubit by qubit once per distinct (beta, gamma), n r 2^n products
+(144 of them at grid 12), and Rz(alpha)^{(x)n} is a diagonal phase, so a
+point costs about (r + s) r 2^n products at ranks r and s, where the
+Kronecker power cost about 2 8^n.  Its steps are left steps
 g <- exp(-i d.sigma/2) g in the Lie algebra.  The diagonal family steps in
 its phases, on the entry table summed per bit-difference class (16 classes
 for the tetrahedron's 64 entries).  lu_equivalent_pure_bruteforce refines

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmlu import _kernels, states
+from symmlu import _kernels, search, states
 
 
 def dense_conj_distance(angles, rho, target, n):
@@ -17,6 +17,15 @@ def dense_conj_distance(angles, rho, target, n):
     for _ in range(n):
         big = np.kron(big, g)
     return float(np.linalg.norm(big @ rho @ big.conj().T - target))
+
+
+def _scan_rows(grid, rng):
+    """euler_lattice(grid) and rows that repeat alpha and (beta, gamma) in every mix, shuffled together."""
+    alphas = np.concatenate([[0.0, math.pi], rng.uniform(0, 2 * math.pi, size=3)])
+    pairs = np.concatenate([[[0.0, 0.0], [math.pi, 0.0]], rng.uniform(0, 2 * math.pi, size=(3, 2))])
+    picks = rng.integers(0, 5, size=(20, 2))
+    mixed = np.column_stack([alphas[picks[:, 0]], pairs[picks[:, 1]]])
+    return rng.permutation(np.concatenate([search.euler_lattice(grid), mixed])), mixed
 
 
 def test_euler_su2_is_special_unitary():
@@ -129,12 +138,15 @@ def test_chunk_seams_do_not_change_the_dense_distance(monkeypatch):
     rng = np.random.default_rng(24)
     rho = states.random_symmetric_mixed(4, rng).mat
     target = states.random_symmetric_mixed(4, rng).mat
-    angles = rng.uniform(0, 2 * math.pi, size=(10, 3))
+    angles, _ = _scan_rows(5, rng)  # 145 rows on 30 distinct (beta, gamma)
     factor = _kernels.density_factor(rho)
     whole = _kernels.conj_distance_batch(angles, factor, _kernels.density_factor(target), 4)
-    monkeypatch.setattr(_kernels, "_CHUNK_ENTRIES", 3 * 4**4)  # 3 rows a chunk
-    assert _kernels._chunk_rows(4) == 3
-    assert np.array_equal(_kernels.conj_distance_batch(angles, factor, _kernels.density_factor(target), 4), whole)
+    order = rng.permutation(len(angles))
+    assert np.array_equal(_kernels.conj_distance_batch(angles[order], factor, _kernels.density_factor(target), 4), whole[order])
+    for rows in (1, 3, 7):  # seams inside the chunks of pairs and inside the rows of a chunk of pairs
+        monkeypatch.setattr(_kernels, "_CHUNK_ENTRIES", rows * 4**4)
+        assert _kernels._chunk_rows(4) == rows
+        assert np.array_equal(_kernels.conj_distance_batch(angles, factor, _kernels.density_factor(target), 4), whole)
 
 
 def _full_rank_density(n, rng):
@@ -224,6 +236,61 @@ def test_low_rank_kernels_form_no_square_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < square / 8
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    rho_rank=st.sampled_from([1, 2, "full"]),
+    target_rank=st.sampled_from([1, 2, "full"]),
+    grid=st.integers(4, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scan_shared_turns_equal_the_kronecker_formula(n, rho_rank, target_rank, grid, seed):
+    # the scan forms (Ry(beta) Rz(gamma))^{(x)n} V once per distinct (beta, gamma) and applies
+    # Rz(alpha)^{(x)n} as a phase: each row must still be the dense formula's value
+    rng = np.random.default_rng(seed)
+    rho, target = _density_of_rank(rho_rank, n, rng), _density_of_rank(target_rank, n, rng)
+    angles, mixed = _scan_rows(grid, rng)
+    got = _kernels.conj_distance_batch(angles, _kernels.density_factor(rho), _kernels.density_factor(target), n)
+    assert got.shape == (len(angles),)
+    check = np.concatenate([np.flatnonzero((angles[:, None] == mixed[None]).all(axis=2).any(axis=1)), rng.choice(len(angles), 8)])
+    want = np.array([dense_conj_distance(angles[i], rho, target, n) for i in check])
+    # the roundoff of both forms grows with the n one-qubit turns; the dense one reaches 7e-15 at n = 6
+    scale = n * max(np.linalg.norm(rho), np.linalg.norm(target))
+    assert np.max(np.abs(got[check] - want)) <= 2e-15 * scale
+
+
+def test_scan_never_builds_the_whole_table_of_turned_factors(monkeypatch):
+    rng = np.random.default_rng(48)
+    n = 6
+    factor = _kernels.density_factor(_full_rank_density(n, rng))  # r = 2^n
+    target_factor = _kernels.density_factor(states.to_density(states.random_symmetric(n, rng)).mat)
+    angles = search.euler_lattice(16)
+    table = 16 * 16 * factor.size * 16  # bytes of every distinct (beta, gamma)'s turned factor
+    monkeypatch.setattr(_kernels, "_CHUNK_ENTRIES", 2 * 4**n)  # 2 pairs, then 2 rows, a chunk
+    tracemalloc.start()
+    try:
+        _kernels.conj_distance_batch(angles, factor, target_factor, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table / 16
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_spin_components_are_the_dense_spin_operators(n):
+    rng = np.random.default_rng(49)
+    a = rng.normal(size=(4, 1 << n, 3)) + 1j * rng.normal(size=(4, 1 << n, 3))
+    got = _kernels._spin_components(a, n)
+    for c, pauli in enumerate((states.PAULI_X, states.PAULI_Y, states.PAULI_Z)):
+        spin = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+        for k in range(n):
+            term = np.ones((1, 1))
+            for j in range(n):
+                term = np.kron(term, pauli if j == k else np.eye(2))
+            spin += 0.5 * term
+        assert np.max(np.abs(got[c] - spin @ a)) <= 1e-14
 
 
 def test_density_factor_keeps_the_eigenvalues_above_the_rank_cutoff():

@@ -168,6 +168,30 @@ def test_turn_solve_is_never_below_a_dense_scan(kind, n, m, seed):
         assert turn_overlap(c, [mixed._best_turn(rho_t, sigma_t, blocks)])[0] >= scan - roundoff
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    m=st.integers(2, 6),
+    zero_is_a_peak=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tied_turns_are_picked_by_angle_not_by_roundoff(n, m, zero_is_a_peak, seed):
+    rng = np.random.default_rng(seed)
+    orders = np.arange(-n, n + 1)
+    c = (rng.normal(size=2 * n + 1) + 1j * rng.normal(size=2 * n + 1)) * rng.uniform(1e-3, 1e3)
+    c[orders % m != 0] = 0.0  # C_m-symmetric: the maxima come in tied orbits of m turns
+    if zero_is_a_peak:
+        c[orders % m == 0] = np.abs(c[orders % m == 0])  # every term peaks at phi = 0
+    phi, _ = mixed._solve_turn(c)
+    # the least |phi| of its orbit; only +pi / m and -pi / m tie in |phi|, and then the + one
+    assert -math.pi / m - 1e-9 < phi <= math.pi / m + 1e-9
+    if zero_is_a_peak:
+        assert phi == 0.0
+    for _ in range(3):
+        perturbed = c * (1 + 1e-15 * rng.normal(size=c.size))
+        assert abs(mixed._solve_turn(perturbed)[0] - phi) < 1e-9
+
+
 def test_pole_turn_is_the_preimage_of_the_minimal_rotation():
     rng = np.random.default_rng(180)
     haar = rng.normal(size=(2000, 3))
