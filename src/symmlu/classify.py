@@ -17,13 +17,17 @@ psi psi^+ is the single spin-n/2 block of a permutation-invariant state,
 whose multipoles move rigidly under rotations.  classify_state takes its one
 candidate axis from the first multipole above the cutoff
 (mixed.multipole_frame), turns psi once to put that axis at the pole, and
-reads the class off the turned coefficients.  Only the finite class finds
-the Majorana points of psi, so the infinite classes do not depend on how
-well multiple roots are found.  At n = 2 the balanced classes iia and iva
-hold the same states, and classify_state raises
-AmbiguousClassificationError on them.  lu_equivalent_pure takes its
-candidate unitaries from the multipole frames of mixed.frame_candidates, the
-decision of lu_equivalent_mixed, and finds no Majorana points of psi.
+reads the class off the turned coefficients.  A finite stabilizer fixes
+every multipole, so it lies among the self-matches of psi psi^+ that
+mixed.frame_candidates gives: the turn families of an axial frame, with the
+C_m turns that the turned coefficients allow, or the self-matches of a
+multipole's constellation.  The ones that fix psi are the group, and
+rotmatch.point_group names it.  No class finds the Majorana points of psi,
+so no answer depends on how well its multiple roots are found.  At n = 2 the
+balanced classes iia and iva hold the same states, and classify_state raises
+AmbiguousClassificationError on them.  lu_equivalent_pure scores the
+candidates of the same frames for psi and phi, the decision of
+lu_equivalent_mixed.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import majorana, mixed, rotmatch, states
+from . import mixed, rotmatch, states
 from .errors import AmbiguousClassificationError, DomainError
 from .tolerances import DEFAULT_TOLERANCES, checked
 
@@ -243,12 +247,17 @@ def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> 
     one candidate axis.  psi is turned once, axis to the pole, and the class
     is read off the turned coefficients, each compared with tol: one left is
     class i or iv, only the two poles left is class ii, and anything else
-    has the finite stabilizer of its Majorana configuration.
+    has a finite stabilizer.  Its elements are the self-matches of
+    mixed.frame_candidates(psi psi^+, psi psi^+) that fix psi to tol in
+    phase distance; an axial frame adds the turns by 2 pi / m about its
+    axis, m the gcd of the gaps between the turned coefficients left, and
+    each of them times the solved flip.
     """
     tol = checked(tol, DEFAULT_TOLERANCES.equality)
     n = psi.n
     blocks = states.SpinBlocks(n, (n / 2,), (1,))
-    *_, g = mixed.multipole_frame(np.outer(psi.coeffs, psi.coeffs.conj()), blocks)
+    rho = np.outer(psi.coeffs, psi.coeffs.conj())
+    *_, g = mixed.multipole_frame(rho, blocks)
     turned = states.apply_diag_symmetric(g, psi).coeffs
     mags = np.abs(turned)
     left = np.flatnonzero(mags > tol)
@@ -271,17 +280,19 @@ def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> 
         t = 4 / math.pi * math.atan2(b, a)
         sclass = StabilizerClass("iia") if abs(a - b) <= tol else StabilizerClass("iib", t=t)
     else:
-        group = rotmatch.symmetry_group(majorana.majorana_points(psi))
-        sclass = StabilizerClass("finite", group=group)
-        sampler = StabilizerSampler(sclass, n)
-        return ClassificationResult(
-            sclass=sclass,
-            canonical=psi.phase_normalized(),
-            transform=np.eye(2, dtype=np.complex128),
-            generators=sampler.representative_generators(),
-            sampler=sampler,
-            residual=0.0,
-        )
+        # a stabilizer fixes every multipole, so the frame's self-matches hold the whole group
+        candidates, _, axial = mixed.frame_candidates(rho, rho, blocks)
+        candidates = np.array(candidates)
+        if axial:
+            # rz(phi) turns coefficient k by e^{i (n/2 - k) phi}: the turns that fix the turned psi are C_m
+            m = math.gcd(*np.diff(left).tolist())
+            turns = np.zeros((m, 2, 2), dtype=np.complex128)
+            turns[:, 0, 0] = np.exp(-1j * math.pi * np.arange(m) / m)
+            turns[:, 1, 1] = turns[:, 0, 0].conj()
+            candidates = (g.conj().T @ turns @ g)[:, None] @ candidates[None]
+        kept = candidates.reshape(-1, 2, 2)[_phase_distances(candidates, psi, psi) <= tol]
+        sclass = StabilizerClass("finite", group=rotmatch.point_group(rotmatch.su2_to_so3(kept)))
+        g = np.eye(2, dtype=np.complex128)
     if n == 2 and sclass.tag in ("iia", "iva"):
         # two antipodal points are a balanced Dicke pair about their axis and
         # a balanced two-pole pair about every axis perpendicular to it
@@ -290,7 +301,8 @@ def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> 
 
 
 def _build_result(psi, sclass, g, tol):
-    canon = canonical_state(sclass, psi.n)
+    # a finite class has no canonical representative: psi stands for itself
+    canon = psi.phase_normalized() if sclass.tag == "finite" else canonical_state(sclass, psi.n)
     moved = states.apply_diag_symmetric(g, psi)
     residual = moved.distance(canon)
     if residual > 10 * tol:
@@ -332,13 +344,18 @@ def lu_equivalent_pure(
         raise DomainError(f"qubit counts differ: {psi.n} vs {phi.n}")
     blocks = states.SpinBlocks(psi.n, (psi.n / 2,), (1,))
     rho_b, sigma_b = (np.outer(s.coeffs, s.coeffs.conj()) for s in (psi, phi))
-    candidates, _ = mixed.frame_candidates(rho_b, sigma_b, blocks)
+    candidates, *_ = mixed.frame_candidates(rho_b, sigma_b, blocks)
     if not candidates:
         return None
-    moved = states.symmetric_power(np.array(candidates), psi.n) @ psi.coeffs
-    dist = states.phase_distances(moved / np.linalg.norm(moved, axis=1, keepdims=True), phi.coeffs)
+    dist = _phase_distances(np.array(candidates), psi, phi)
     best = int(np.argmin(dist))
     return candidates[best] if dist[best] <= tol else None
+
+
+def _phase_distances(candidates: np.ndarray, psi, phi) -> np.ndarray:
+    """Phase distance from phi of g^{(x)n} psi for each g of a (..., 2, 2) stack, in one symmetric_power pass."""
+    moved = states.symmetric_power(candidates.reshape(-1, 2, 2), psi.n) @ psi.coeffs
+    return states.phase_distances(moved / np.linalg.norm(moved, axis=1, keepdims=True), phi.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ each at its best phi.  The overlap is a trigonometric polynomial of degree
 n in phi: one FFT evaluates it on a grid whose spacing bounds how far its
 maximum can lie above the best grid value, and only the grid maxima within
 that slack are Newton-polished (_solve_turn).  Otherwise they are the
-rotations carrying its Majorana constellation onto sigma's, and with no
-multipole above the cutoff the identity.  For a symmetric pure state psi,
-psi psi^+ is a density matrix with the single spin block n/2, so
-classify.lu_equivalent_pure decides with the same candidates, and
-classify.classify_state reads its one candidate axis off the same first
-multipole (multipole_frame).
+rotations carrying a Majorana constellation of rho onto sigma's, that of
+the first multipole from there whose points lie apart, so that no multiple
+point scattered by root finding is matched; with no multipole above the
+cutoff the identity.  For a symmetric pure state psi, psi psi^+ is a density
+matrix with the single spin block n/2, so classify.lu_equivalent_pure
+decides with the same candidates, and classify.classify_state reads its one
+candidate axis off the same first multipole (multipole_frame) and its
+finite groups off the same candidates for psi psi^+ and itself.
 
 The candidate with the least block distance is reported as equivalent only
 after a dense re-check of || g^{(x)n} rho g^{(x)n +} - sigma ||_F.  Cheap LU
@@ -156,33 +158,10 @@ def _axis_turn(v: np.ndarray) -> np.ndarray:
 
     An axial multipole is c T_k0 about an axis n, c real, so as a spin-k
     vector its quadrupole M_ab = Re<v|J_a J_b|v> / <v|v> is
-    k(k + 1)/2 (1 - n n^T): n is M's bottom eigenvector, and g is _pole_turn(n).
+    k(k + 1)/2 (1 - n n^T): n is M's bottom eigenvector, and g is rotmatch.pole_turn(n).
     """
     w = states.spin_operators(v.size - 1) @ v
-    return _pole_turn(np.linalg.eigh((w.conj() @ w.T).real)[1][:, 0])
-
-
-def _pole_turn(axis) -> np.ndarray:
-    """rotmatch.so3_to_su2(rotmatch.rotation_between(axis, NORTH_POLE)), straight from the half angle.
-
-    The minimal turn of the unit axis (x, y, z) to the pole is by
-    theta = atan2(hypot(x, y), z) about (y, -x, 0) / hypot(x, y), so g is
-    the quaternion (cos(theta / 2), sin(theta / 2) (y, -x, 0) / hypot(x, y)),
-    with so3_to_su2's sign.  Within 1e-12 of the z axis it takes
-    rotation_between's picks: the identity, or a half turn about (x, y, z) x (1, 0, 0).
-    """
-    x, y, z = np.asarray(axis, dtype=float).tolist()
-    off = math.hypot(x, y)
-    if off >= 1e-12:
-        half = 0.5 * math.atan2(off, z)
-        s = math.sin(half) / off
-        q = (math.cos(half), s * y, -s * x, 0.0)
-    elif z > 0:
-        q = (1.0, 0.0, 0.0, 0.0)
-    else:
-        r = math.hypot(y, z)
-        q = (0.0, 0.0, z / r, -y / r)
-    return rotmatch._quaternion_to_su2(rotmatch._canonical_sign(q))
+    return rotmatch.pole_turn(np.linalg.eigh((w.conj() @ w.T).real)[1][:, 0])
 
 
 def _axial_coefficient(v: np.ndarray, g: np.ndarray) -> float | None:
@@ -264,6 +243,14 @@ def _solve_turn(c: np.ndarray) -> tuple:
     return (0.0 if 0.0 in nearest else max(nearest)), float(c[n].real + top + slack)
 
 
+def _multipoles(form: np.ndarray, blocks: states.SpinBlocks):
+    """(b, k, v) of each multipole of a block form above the cutoff, rank-major, top spin first."""
+    cut = _MULTIPOLE_CUTOFF * np.linalg.norm(form)
+    ranks = ((b, k) for k in range(1, blocks.n + 1) for b, j in enumerate(blocks.spins) if 2 * j >= k)
+    multipoles = ((b, k, blocks.multipole(form, b, k)) for b, k in ranks)
+    return ((b, k, v) for b, k, v in multipoles if np.linalg.norm(v) > cut)
+
+
 def multipole_frame(form: np.ndarray, blocks: states.SpinBlocks) -> tuple:
     """(b, k, v, g) of a block form's first multipole above the cutoff, and its axis.
 
@@ -272,44 +259,85 @@ def multipole_frame(form: np.ndarray, blocks: states.SpinBlocks) -> tuple:
     (_axis_turn).  With no multipole above the cutoff, k = 0, v is None and
     g is the identity.
     """
-    cut = _MULTIPOLE_CUTOFF * np.linalg.norm(form)
-    ranks = ((b, k) for k in range(1, blocks.n + 1) for b, j in enumerate(blocks.spins) if 2 * j >= k)
-    multipoles = ((b, k, blocks.multipole(form, b, k)) for b, k in ranks)
-    b, k, v = next(((b, k, v) for b, k, v in multipoles if np.linalg.norm(v) > cut), (0, 0, None))
+    b, k, v = next(_multipoles(form, blocks), (0, 0, None))
     return b, k, v, (_axis_turn(v) if k else np.eye(2, dtype=np.complex128))
 
 
+_CONSTELLATION_GAP = 1e-2  # chordal gap below which two constellation points may be one scattered multiple point
+
+
+def _constellation(v: np.ndarray) -> majorana.MajoranaConfiguration:
+    return majorana.majorana_points(states.SymmetricPureState.from_unnormalized(v))
+
+
+def _separated(cfg: majorana.MajoranaConfiguration) -> bool:
+    """More than two points, none more than twofold, each more than _CONSTELLATION_GAP from every other.
+
+    That is a constellation that is not axial and whose points root finding
+    finds in any orientation: an m-fold point scatters by about eps^(1/m),
+    3e-8 at m = 2, inside the cluster radius, but 1e-4 at m = 3.
+    """
+    gaps = np.linalg.norm(cfg.points[:, None] - cfg.points[None], axis=2) + 2 * np.eye(len(cfg.points))
+    return len(cfg.points) > 2 and cfg.multiplicities.max() <= 2 and gaps.min() > _CONSTELLATION_GAP
+
+
+def _matched_candidates(rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.SpinBlocks) -> tuple:
+    """frame_candidates when rho's first multipole is not axial: the rotations carrying a constellation of rho onto sigma's.
+
+    The constellation is that of the first multipole, from the first on,
+    whose points are _separated, or else of the first.  An m-fold point of a
+    multipole computed to roundoff eps scatters by about eps^(1/m) under
+    root finding (1e-4 at m = 3 in tests/test_classify.py's heavy-point
+    states), past the cluster radius from m = 3 on, and no rotation matches
+    a scattered point onto its image; a point that is threefold at the pole
+    of rho is found exactly there but scatters in a turned sigma.  Separated
+    points are found to roundoff in any orientation, so their matches hold
+    every rotation carrying that multipole, and so rho, onto sigma's.
+    """
+    found = ((b, k, _constellation(v)) for b, k, v in _multipoles(rho_b, blocks))
+    first = next(found)
+    b, k, cfg_rho = first if _separated(first[2]) else next((f for f in found if _separated(f[2])), first)
+    frame = f"frame: rank-{k} multipole of spin {blocks.spins[b]:g}"
+    v_sigma = blocks.multipole(sigma_b, b, k)
+    if np.linalg.norm(v_sigma) <= _MULTIPOLE_CUTOFF * np.linalg.norm(sigma_b):
+        return [], frame, False
+    # rho's own self-matches (classify.classify_state) find its constellation once
+    cfg_sigma = cfg_rho if sigma_b is rho_b else _constellation(v_sigma)
+    rots = np.reshape(rotmatch.all_matching_rotations(cfg_rho, cfg_sigma), (-1, 3, 3))
+    # separate arrays: the one an answer returns keeps no stack alive
+    return [g.copy() for g in rotmatch.so3_to_su2(rots)], frame, False
+
+
 def frame_candidates(rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.SpinBlocks) -> tuple:
-    """(candidate unitaries, the frame they come from) for carrying rho onto sigma.
+    """(candidate unitaries, the frame they come from, whether it is axial) for carrying rho onto sigma.
 
     rho_b and sigma_b are block forms on blocks (states.SpinBlocks).  When
     some g^{(x)n} carries rho onto sigma, one of the candidates does, so
     scoring them decides LU equivalence.  They come from rho's first
     multipole above the cutoff (multipole_frame), and the scan is rank-major,
     top spin first: a Hermitian operator's rank-k constellation is
-    antipodal, so none of its points is more than k-fold.  An axial
-    multipole needs no root finding: with both turned to c T_k0 at the
-    pole, the plain family g_sigma^+ rz(phi) g_rho keeps c and the flipped
-    one, through X, takes it to (-1)^k c, so only a family that gives rho's
-    c sigma's sign is solved.  Every rotation carrying rho's multipole onto
-    sigma's lies in a solved family.  Both deciders use it:
-    lu_equivalent_mixed on the spin blocks of n qubits and
-    classify.lu_equivalent_pure on the single spin-n/2 block of psi psi^+.
+    antipodal, so none of its points is more than k-fold.  A multipole that
+    is not axial gives the matches of _matched_candidates.  An axial one
+    needs no root finding: with both turned to c T_k0 at the pole, the plain
+    family g_sigma^+ rz(phi) g_rho keeps c and the flipped one, through X,
+    takes it to (-1)^k c, so only a family that gives rho's c sigma's sign
+    is solved.  Every rotation carrying rho's multipole onto sigma's lies in
+    a solved family, and axial is True only then.  Both
+    deciders use it: lu_equivalent_mixed on the spin blocks of n qubits and
+    classify.lu_equivalent_pure on the single spin-n/2 block of psi psi^+;
+    classify.classify_state takes psi psi^+'s self-matches from it.
     """
     b, k, v_rho, g_rho = multipole_frame(rho_b, blocks)
     if k == 0:
-        return [g_rho], "no multipole above the cutoff"
+        return [g_rho], "no multipole above the cutoff", False
     frame = f"frame: rank-{k} multipole of spin {blocks.spins[b]:g}"
     v_sigma = blocks.multipole(sigma_b, b, k)
     if np.linalg.norm(v_sigma) <= _MULTIPOLE_CUTOFF * np.linalg.norm(sigma_b):
-        return [], frame
+        return [], frame, False
     g_sigma = _axis_turn(v_sigma)
     c_rho, c_sigma = _axial_coefficient(v_rho, g_rho), _axial_coefficient(v_sigma, g_sigma)
     if c_rho is None or c_sigma is None:
-        cfgs = (majorana.majorana_points(states.SymmetricPureState.from_unnormalized(v)) for v in (v_rho, v_sigma))
-        rots = np.reshape(rotmatch.all_matching_rotations(*cfgs), (-1, 3, 3))
-        # separate arrays: the one an answer returns keeps no stack alive
-        return [g.copy() for g in rotmatch.so3_to_su2(rots)], frame
+        return _matched_candidates(rho_b, sigma_b, blocks)
     sigma_t = blocks.rotate(g_sigma, sigma_b)
     out = []
     # the flip takes T_k0 at the pole to (-1)^k T_k0; a family that moves c off sigma's sign cannot match
@@ -317,7 +345,7 @@ def frame_candidates(rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.Spin
         if sign * c_rho * c_sigma > 0:
             phi = _best_turn(blocks.rotate(flip @ g_rho, rho_b), sigma_t, blocks)
             out.append(g_sigma.conj().T @ states.rz(phi) @ flip @ g_rho)
-    return out, f"{frame}, axial"
+    return out, f"{frame}, axial", True
 
 
 def lu_equivalent_mixed(
@@ -350,7 +378,7 @@ def lu_equivalent_mixed(
 
     blocks = states.spin_blocks(n)
     rho_b, sigma_b = blocks.compress(rho), blocks.compress(sigma)
-    candidates, frame = frame_candidates(rho_b, sigma_b, blocks)
+    candidates, frame, _ = frame_candidates(rho_b, sigma_b, blocks)
     if not candidates:
         return MixedEquivalenceResult("undecided", None, None, thresh, f"no candidate rotation, {frame}")
     dist, g = min(((blocks.distance(g, rho_b, sigma_b), g) for g in candidates), key=lambda c: c[0])

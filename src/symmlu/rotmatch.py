@@ -20,6 +20,13 @@ every free pair that is the closest free pair of both its point of a and its
 point of b (masked argmins along both axes), and drops the candidates with a
 matched pair beyond tol.  The point-group layer (closure, the axis census,
 the generator pick) works on such stacks too.
+
+Groups: point_group names a finite group given by its elements, whichever
+way they were found: symmetry_group passes a configuration's self-matches,
+classify.classify_state the rotations that fix a state.  Elements are sorted
+by (angle, canonical axis, sense), where the sense tells a rotation from its
+inverse, so the element order and the generators follow the group, not the
+order the elements came in or their last bits.
 """
 from __future__ import annotations
 
@@ -37,6 +44,7 @@ __all__ = [
     "su2_to_so3",
     "so3_to_su2",
     "quaternion_from_rotation",
+    "pole_turn",
     "rotation_about",
     "rotation_between",
     "axis_angle",
@@ -44,15 +52,10 @@ __all__ = [
     "all_matching_rotations",
     "matching_distance",
     "symmetry_group",
+    "point_group",
     "closure",
     "snap_angle",
 ]
-
-_SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
-)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,13 +64,22 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def su2_to_so3(g: np.ndarray) -> np.ndarray:
+    """The rotation R of g, R_ij = tr(sigma_i g sigma_j g^+) / 2; a (..., 2, 2) stack gives (..., 3, 3).
+
+    With g = [[a, b], [c, d]], column j is (Re m, -Im m, (m_00 - m_11) / 2)
+    for m = g sigma_j g^+ and its off-diagonal entry m_01, read off in
+    closed form.  Each entry pairs g with g^+, so a global phase of g drops out.
+    """
     g = np.asarray(g, dtype=np.complex128)
-    r = np.empty((3, 3))
-    gh = g.conj().T
-    for j in range(3):
-        m = g @ _SIGMA[j] @ gh
-        for i in range(3):
-            r[i, j] = 0.5 * np.trace(_SIGMA[i] @ m).real
+    a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    ad, bc = a * d.conj(), b * c.conj()
+    x, y, z = ad + bc, ad - bc, a * c.conj() - b * d.conj()
+    w = a * b.conj() - c * d.conj()  # (m_00 - m_11) / 2 of sigma_x, and of sigma_y as its imaginary part
+    r = np.empty(g.shape[:-2] + (3, 3))
+    r[..., 0, 0], r[..., 1, 0], r[..., 2, 0] = x.real, -x.imag, w.real
+    r[..., 0, 1], r[..., 1, 1], r[..., 2, 1] = y.imag, y.real, w.imag
+    r[..., 0, 2], r[..., 1, 2] = z.real, -z.imag
+    r[..., 2, 2] = 0.5 * (np.abs(a) ** 2 - np.abs(b) ** 2 - np.abs(c) ** 2 + np.abs(d) ** 2)
     return r
 
 
@@ -124,6 +136,29 @@ def _quaternion_to_su2(q: np.ndarray) -> np.ndarray:
 def so3_to_su2(r: np.ndarray) -> np.ndarray:
     """Deterministic SU(2) preimage of a rotation matrix; a (..., 3, 3) stack gives (..., 2, 2)."""
     return _quaternion_to_su2(quaternion_from_rotation(r))
+
+
+def pole_turn(axis) -> np.ndarray:
+    """so3_to_su2(rotation_between(axis, NORTH_POLE)), straight from the half angle.
+
+    The minimal turn of the unit axis (x, y, z) to the pole is by
+    theta = atan2(hypot(x, y), z) about (y, -x, 0) / hypot(x, y), so g is
+    the quaternion (cos(theta / 2), sin(theta / 2) (y, -x, 0) / hypot(x, y)),
+    with so3_to_su2's sign.  Within 1e-12 of the z axis it takes
+    rotation_between's picks: the identity, or a half turn about (x, y, z) x (1, 0, 0).
+    """
+    x, y, z = np.asarray(axis, dtype=float).tolist()
+    off = math.hypot(x, y)
+    if off >= 1e-12:
+        half = 0.5 * math.atan2(off, z)
+        s = math.sin(half) / off
+        q = (math.cos(half), s * y, -s * x, 0.0)
+    elif z > 0:
+        q = (1.0, 0.0, 0.0, 0.0)
+    else:
+        r = math.hypot(y, z)
+        q = (0.0, 0.0, z / r, -y / r)
+    return _quaternion_to_su2(_canonical_sign(q))
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:
@@ -199,9 +234,15 @@ def _canonical_axes(v: np.ndarray) -> np.ndarray:
 
 
 def _rotation_keys(axes: np.ndarray, angles: np.ndarray) -> list:
-    """Sort keys (angle, canonical axis), rounded to 9 digits, of a stack's axis_angle."""
-    rounded = np.round(_canonical_axes(axes), 9).tolist()
-    return [(round(angle, 9), *axis) for angle, axis in zip(angles.tolist(), rounded)]
+    """Sort keys (angle, canonical axis, sense) of a stack's axis_angle, angle and axis rounded to 9 digits.
+
+    A rotation and its inverse share angle and canonical axis.  sense, 0
+    when the axis is already canonical and 1 when _canonical_axes flipped
+    it, tells them apart by the rotation itself, not by roundoff or input order.
+    """
+    canonical = _canonical_axes(axes)
+    rounded, flipped = np.round(canonical, 9).tolist(), (_dot(canonical, axes) < 0).tolist()
+    return [(round(angle, 9), *axis, int(f)) for angle, axis, f in zip(angles.tolist(), rounded, flipped)]
 
 
 def _sorted_by_key(rots: np.ndarray) -> np.ndarray:
@@ -455,12 +496,11 @@ def closure(mats) -> np.ndarray:
     return elems
 
 
-def _axis_census(elements: np.ndarray) -> list:
-    """Group non-identity rotations by unoriented axis; return (axis, fold) in order of first appearance.
+def _axis_census(axes: np.ndarray, angles: np.ndarray) -> list:
+    """Group the non-identity rotations of a stack's axis_angle by unoriented axis; return (axis, fold) in order of first appearance.
 
     A rotation joins the first axis found within 1e-6 of its own, either sign.
     """
-    axes, angles = axis_angle(elements)
     axes = _canonical_axes(axes[angles >= 1e-9])
     gap = np.linalg.norm(axes[:, None] - axes[None], axis=2)
     close = np.minimum(gap, np.linalg.norm(axes[:, None] + axes[None], axis=2)) < 1e-6
@@ -474,17 +514,12 @@ def _axis_census(elements: np.ndarray) -> list:
     return census
 
 
-def _pick_generators(elements: np.ndarray, order: int) -> tuple:
-    """Greedy small generating set reproducing the full element list.
+def _pick_generators(ranked: np.ndarray, order: int) -> tuple:
+    """Greedy small generating set of a group of the given order, from its non-identity elements.
 
-    Elements are taken by increasing angle, each one that the generators so
-    far do not already reach.
+    ranked is sorted by _rotation_keys; each element that the generators so
+    far do not already reach is taken, in that order.
     """
-    axes, angles = axis_angle(elements)
-    keys = _rotation_keys(axes, angles)
-    angles = angles.tolist()
-    ranked = sorted((k for k in range(len(keys)) if angles[k] > 1e-9), key=lambda k: (angles[k], keys[k]))
-    ranked = elements[ranked]
     gens: list = []
     generated = np.eye(3)[None]
     while True:
@@ -499,7 +534,7 @@ def _pick_generators(elements: np.ndarray, order: int) -> tuple:
 
 
 def symmetry_group(cfg: MajoranaConfiguration, tol: float | None = None) -> PointGroup:
-    """Classify the rotational symmetry group of a configuration."""
+    """Classify the rotational symmetry group of a configuration: an axial tag, or point_group of its self-matches."""
     tol = checked(tol, DEFAULT_TOLERANCES.match)
     axis = _is_axial(cfg, tol)
     if axis is not None:
@@ -509,17 +544,32 @@ def symmetry_group(cfg: MajoranaConfiguration, tol: float | None = None) -> Poin
         )
         tag = "AxialContinuousFlip" if flip else "AxialContinuous"
         return PointGroup(tag, None, None, _canonical_axes(axis), ())
-    elements = np.array(all_matching_rotations(cfg, cfg, tol)).reshape(-1, 3, 3)
+    return point_group(all_matching_rotations(cfg, cfg, tol))
+
+
+def point_group(elements) -> PointGroup:
+    """The PointGroup of a finite rotation group given by its elements, a (K, 3, 3) stack.
+
+    The elements must be distinct and closed under products; the generator
+    pick and PointGroup's closure check fail on a stack that is not.  They
+    are sorted by _rotation_keys first, so the result does not depend on the
+    order they come in.
+    """
+    elements = np.asarray(elements, dtype=float).reshape(-1, 3, 3)
+    axes, angles = axis_angle(elements)
+    keys = _rotation_keys(axes, angles)
+    rank = sorted(range(len(keys)), key=keys.__getitem__)
+    elements, axes, angles = elements[rank], axes[rank], angles[rank]
     n_el = len(elements)
     if n_el == 1:
         return PointGroup("Trivial", None, 1, None, (), np.eye(3)[None])
-    census = _axis_census(elements)
+    census = _axis_census(axes, angles)
     folds = sorted((fold for _, fold in census), reverse=True)
     max_fold = folds[0]
     by_fold = {}
     for ax, fold in census:
         by_fold.setdefault(fold, []).append(ax)
-    gens = _pick_generators(elements, n_el)
+    gens = _pick_generators(elements[angles > 1e-9], n_el)
 
     if len(census) == 1 and n_el == max_fold:
         axis = _canonical_axes(by_fold[max_fold][0])

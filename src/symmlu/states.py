@@ -596,12 +596,26 @@ def _tensor_operators(two_j: int, k: int) -> np.ndarray:
 
     T_kk is J_+^k normalized and [J_-, T_kq] = sqrt((k + q)(k - q + 1)) T_k,q-1:
     orthonormal in the trace inner product, they move as the |k, q> of symmetric_power.
+    Neither is how they are computed: the powers and commutators lose all
+    accuracy by spin 24.  T_kq lies on the diagonal of the |m + q><m|, where
+    the adjoint Casimir sum_a [J_a, [J_a, .]] is a symmetric tridiagonal
+    matrix with the eigenvalues l(l + 1), l = |q| .. 2j, at least 2 apart; so
+    eigh finds T_kq, the eigenvector of k(k + 1), to roundoff at any spin.
+    Its sign is that of the sum for q = k, and that of T_k,q+1 lowered once
+    for the others.
     """
-    j_plus = _j_plus(two_j)
-    top = np.linalg.matrix_power(j_plus, k)
-    ops = [top / np.linalg.norm(top)]
-    for q in range(k, -k, -1):
-        ops.append((j_plus.T @ ops[-1] - ops[-1] @ j_plus.T) / math.sqrt((k + q) * (k - q + 1)))
+    j, j_plus = two_j / 2, _j_plus(two_j)
+    up = np.concatenate([[0.0], np.diag(j_plus, 1)])  # <m + 1| J_+ |m> at the column of |m>
+    m = j - np.arange(two_j + 1)
+    ops = np.zeros((2 * k + 1, two_j + 1, two_j + 1))
+    for i, q in enumerate(range(k, -k - 1, -1)):
+        cols = np.arange(max(q, 0), two_j + 1 + min(q, 0))
+        rows = cols - q
+        off = -up[rows[1:]] * up[cols[1:]]
+        casimir = np.diag(2 * j * (j + 1) - 2 * m[rows] * m[cols]) + np.diag(off, 1) + np.diag(off, -1)
+        t = np.linalg.eigh(casimir)[1][:, k - abs(q)]
+        lowered = t.sum() if q == k else (j_plus.T @ ops[i - 1] - ops[i - 1] @ j_plus.T)[rows, cols] @ t
+        ops[i, rows, cols] = t if lowered > 0 else -t
     return _freeze(ops)
 
 

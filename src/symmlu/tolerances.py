@@ -7,9 +7,10 @@ lu_equivalent_pure, and the rotation matching symmetry_group calls) take a
 single float tolerance, which left at None falls back to the matching field;
 so do is_unitary and permutation_defect, which the package itself calls at
 more than one tolerance.  lu_equivalent_pure's tol bounds only the phase
-distance of its answer, and classify_state's tol gates only the coefficients
-of psi turned to its candidate axis (and the canonical residual, at ten
-times tol): the multipole frames both take their rotations from
+distance of its answer, and classify_state's tol gates the coefficients of
+psi turned to its candidate axis, the phase distance by which each element
+of a finite group fixes psi, and the canonical residual, at ten times tol:
+the multipole frames both take their rotations from
 (mixed.frame_candidates, mixed.multipole_frame) read every field, and the
 multipole cutoff, at its default, as the mixed decision does.  Every other
 comparison reads its field directly.  The operations behind the --tol flags,

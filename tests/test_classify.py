@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmlu import classify, majorana, rotmatch, states
+from symmlu import classify, majorana, mixed, rotmatch, states
 from symmlu.classify import StabilizerClass
 from symmlu.errors import AmbiguousClassificationError, DomainError
 
@@ -183,6 +183,135 @@ def test_infinite_classes_are_invariant_under_rotation(n, kind, k, log_gap, seed
     if base.sclass.t is not None:
         assert abs(res.sclass.t - base.sclass.t) <= 1e-6
     check_result(res, phi)
+
+
+_PHI = (1 + math.sqrt(5)) / 2
+_POLYHEDRA = {
+    "tetrahedron": np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]),
+    "octahedron": np.vstack([np.eye(3), -np.eye(3)]),
+    "cube": np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]),
+    "icosahedron": np.array(
+        [p for a in (-1, 1) for b in (-_PHI, _PHI) for p in ([0, a, b], [a, b, 0], [b, 0, a])]
+    ),
+    "dodecahedron": np.array(
+        [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+        + [p for a in (-1, 1) for b in (-_PHI, _PHI) for p in ([0, a / _PHI, b], [a / _PHI, b, 0], [b, 0, a / _PHI])]
+    ),
+}
+
+
+@st.composite
+def finite_configurations(draw):
+    """(points, multiplicities) of at most 24 points whose group is finite and whose state is in no infinite class."""
+    kind = draw(st.sampled_from(["ring", "polyhedron", "pair", "composition"]))
+    rng = RNG(draw(st.integers(0, 2**32 - 1)))
+    if kind == "polyhedron":
+        name = draw(st.sampled_from(sorted(_POLYHEDRA)))
+        pts = _POLYHEDRA[name]
+        return pts, [draw(st.integers(1, 24 // len(pts)))] * len(pts)
+    if kind == "ring":
+        # an m-gon of uniform multiplicity plus poles; a bare one-fold ring is class ii
+        m, mult = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+        north, south = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        if m * mult + north + south > 24 or (mult == 1 and north == south == 0):
+            m, mult, north, south = 4, 2, 1, 0
+        z = 0.0 if draw(st.booleans()) else rng.uniform(-0.9, 0.9)
+        if m == 2 and z == 0.0 and north == south and (north == 0 or north == mult == 1):
+            z = 0.5  # two antipodal points are class iv, and a 1-fold square class ii
+        t = 2 * math.pi * np.arange(m) / m
+        ring = np.column_stack([math.sqrt(1 - z * z) * np.cos(t), math.sqrt(1 - z * z) * np.sin(t), np.full(m, z)])
+        poles = [(p, mlt) for p, mlt in (([0, 0, 1], north), ([0, 0, -1], south)) if mlt]
+        return np.vstack([ring] + [p for p, _ in poles]), [mult] * m + [mlt for _, mlt in poles]
+    if kind == "pair":
+        # two equal points, never antipodal: the half turn about their bisector swaps them (two simple points are class ii)
+        angle = rng.uniform(0.2, math.pi - 0.2)
+        return np.array([[0, 0, 1], [math.sin(angle), 0, math.cos(angle)]]), [draw(st.integers(2, 12))] * 2
+    pts = rng.normal(size=(draw(st.integers(2, 4)), 3))
+    mults = [draw(st.integers(1, 24 // len(pts))) for _ in pts]
+    return pts, [mults[0] + max(0, 3 - sum(mults))] + mults[1:]  # every two-qubit state is in an infinite class
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(config=finite_configurations(), seed=st.integers(0, 2**32 - 1))
+def test_finite_groups_are_the_groups_of_the_exact_points(config, seed):
+    pts, mults = config
+    pts = np.asarray(pts, dtype=float)
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    want = rotmatch.symmetry_group(majorana.config_from_points(pts, mults))
+    psi = majorana.points_to_state(pts, mults)
+    phi = states.apply_diag_symmetric(states.random_su2(RNG(seed)), psi)
+    find_points = majorana.majorana_points
+    # by its coefficients, not its distance: the cube's rank-4 multipole is the cube state itself
+    inputs = [c for s in (psi, phi) for c in (s.coeffs, s.phase_normalized().coeffs)]
+
+    def points_of_multipoles_only(state, *args, **kwargs):
+        if any(np.array_equal(state.coeffs, c) for c in inputs):
+            raise AssertionError("the finite class must not find the Majorana points of psi")
+        return find_points(state, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the finite class must not call symmetry_group")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(majorana, "majorana_points", points_of_multipoles_only)
+        patch.setattr(rotmatch, "symmetry_group", refuse)
+        results = [classify.classify_state(s) for s in (psi, phi)]
+    for state, res in zip((psi, phi), results):
+        assert res.sclass.tag == "finite"
+        got = res.sclass.group
+        assert (got.tag, got.m, got.order) == (want.tag, want.m, want.order)
+        moved = states.symmetric_power(rotmatch.so3_to_su2(got.elements), state.n) @ state.coeffs
+        assert states.phase_distances(moved, state.coeffs).max() <= 1e-8
+
+
+# Found by least squares, Dicke coefficients c_0 .. c_{n/2}; the state repeats
+# them backwards (c_{n-k} = c_k), so X^{(x)n} fixes it and its group holds the
+# half turn about x.  Its multipoles below rank k vanish (to 2e-14 at k = 4,
+# 1e-12 at k = 5), and the rank-k one has (k - 1)-fold points at both poles
+# and two simple points: the first multipole is not axial, and its heavy
+# points scatter far past the cluster radius once the state is turned.
+_HEAVY_FIRST_MULTIPOLE = {
+    4: [
+        0.30951070838708394, 0.0022834135043657364 - 0.01563416983126156j,
+        0.014038505725539033 + 0.046188958517151366j, -0.597858753003052 + 0.17623683099772644j,
+        0.014851965454528304 + 0.05057589243284295j, 0.013258780280465097 + 0.0065545362183670255j,
+        -0.07559701232835539 + 0.12061308690601577j,
+    ],
+    5: [
+        0.24966237535419553, -0.16088282433522233 + 0.11459901456108408j,
+        -0.07500209238754618 + 0.22972598277213183j, 0.05083933177451168 - 0.08668064843731414j,
+        0.28440991176070834 + 0.17941883496935165j, 0.18218487007303028 - 0.09233356461339481j,
+        0.10691466626819954 - 0.057176755112960664j, 0.01512588710192424 + 0.38509568509325104j,
+        -0.05913152095645286 - 0.06816897811605277j, -0.08920849736674726 + 0.004001642941560777j,
+    ],
+}
+
+
+@pytest.mark.parametrize("k", sorted(_HEAVY_FIRST_MULTIPOLE))
+def test_a_heavy_point_in_the_first_multipole_keeps_groups_and_maps_exact(k):
+    half = np.array(_HEAVY_FIRST_MULTIPOLE[k])
+    psi = states.SymmetricPureState.from_unnormalized(np.concatenate([half, half[-2::-1]]))
+    n = psi.n
+    blocks = states.SpinBlocks(n, (n / 2,), (1,))
+
+    def first_constellation(state):
+        b, rank, v, _ = mixed.multipole_frame(np.outer(state.coeffs, state.coeffs.conj()), blocks)
+        assert (b, rank) == (0, k)
+        return majorana.majorana_points(states.SymmetricPureState.from_unnormalized(v))
+
+    assert sorted(first_constellation(psi).multiplicities.tolist()) == [1, 1, k - 1, k - 1]
+    assert states.apply_diag_symmetric(states.POLE_FLIP, psi).distance(psi) < 1e-13
+    rng = RNG(190 + k)
+    for _ in range(12):
+        phi = states.apply_diag_symmetric(states.random_su2(rng), psi)
+        scattered = first_constellation(phi).points
+        gaps = np.linalg.norm(scattered[:, None] - scattered[None], axis=2) + 2 * np.eye(len(scattered))
+        assert gaps.min() < 1e-2 and gaps.min() > 1e-5
+        group = classify.classify_state(phi).sclass.group
+        assert (group.tag, group.m, group.order) == ("Cyclic", 2, 2)
+        # psi's own constellation has its heavy points exactly at the poles: equivalence must not match on it
+        g = classify.lu_equivalent_pure(psi, phi)
+        assert g is not None and states.apply_diag_symmetric(g, psi).distance(phi) <= 1e-8
 
 
 def test_rotated_ten_qubit_product_state_is_class_i():

@@ -1,9 +1,10 @@
-"""The library's decisions run without scipy.
+"""The library's decisions run without scipy, and no module reaches into another's private names.
 
 scipy is loaded only by the n = 2 two-factor heuristic (search.refine_minimum
 imports it inside the function) and by the tests as an oracle.  A fresh
 interpreter runs the decisions and must end with no scipy module loaded.
 """
+import ast
 import os
 import subprocess
 import sys
@@ -44,3 +45,19 @@ def test_the_decisions_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_uses_another_modules_private_names():
+    package = Path(symmlu.__file__).resolve().parent
+    modules = {path.stem for path in package.glob("*.py")}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            # mod._name on a symmlu module, or "from .mod import _name"
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules - {path.stem} and node.attr.startswith("_"):
+                    found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.level and node.module in modules - {path.stem}:
+                found += [f"{path.name}:{node.lineno} from .{node.module} import {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not found, found

@@ -202,7 +202,7 @@ def test_pole_turn_is_the_preimage_of_the_minimal_rotation():
             for t in rng.uniform(0, 2 * math.pi, size=4):
                 axes.append(np.array([off * math.cos(t), off * math.sin(t), z * math.sqrt(1 - off * off)]))
     for axis in axes:
-        g = mixed._pole_turn(axis)
+        g = rotmatch.pole_turn(axis)
         want = rotmatch.so3_to_su2(rotmatch.rotation_between(axis, majorana.NORTH_POLE))
         assert np.max(np.abs(g - want)) <= 1e-15
         off = math.hypot(axis[0], axis[1])
@@ -368,8 +368,8 @@ def test_axial_frames_solve_only_the_families_of_their_sign(k, c, negative, seed
     rho_b = c * states._tensor_operators(k + 1, k)[k] + part + part.conj().T
     sigma_b = blocks.rotate(g, rho_b)
     assert np.max(np.abs(blocks.multipole(sigma_b, 0, k) - v)) < 1e-12
-    candidates, frame = mixed.frame_candidates(rho_b, sigma_b, blocks)
-    assert frame == f"frame: rank-{k} multipole of spin {(k + 1) / 2:g}, axial"
+    candidates, frame, axial = mixed.frame_candidates(rho_b, sigma_b, blocks)
+    assert frame == f"frame: rank-{k} multipole of spin {(k + 1) / 2:g}, axial" and axial
     # the flip keeps c T_k0 for even k and negates it for odd k
     assert len(candidates) == (1 if k % 2 else 2)
     assert min(blocks.distance(h, rho_b, sigma_b) for h in candidates) < 1e-10

@@ -89,6 +89,32 @@ def test_su2_to_so3_is_a_homomorphism():
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+_PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
+
+
+def reference_su2_to_so3(g):
+    """R_ij = tr(sigma_i g sigma_j g^+) / 2, one entry at a time."""
+    return np.array([[0.5 * np.trace(si @ g @ sj @ g.conj().T).real for sj in _PAULI] for si in _PAULI])
+
+
+def test_su2_to_so3_on_stacks_is_the_trace_formula():
+    rng = np.random.default_rng(16)
+    # SU(2), U(2) with a global phase, the identity, the pole flip and half turns
+    gs = [states.random_su2(rng) for _ in range(200)]
+    gs += [states.random_su2(rng) * np.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(50)]
+    gs += [np.eye(2), states.POLE_FLIP, states.rz(math.pi), states.rx(math.pi), states.ry(math.pi)]
+    stack = np.array(gs)
+    got = rotmatch.su2_to_so3(stack)
+    assert got.shape == (len(gs), 3, 3)
+    for g, r in zip(gs, got):
+        assert np.max(np.abs(r - reference_su2_to_so3(g))) <= 1e-14
+        assert np.max(np.abs(rotmatch.su2_to_so3(g) - r)) == 0.0
+    # and back: so3_to_su2 of the stack recovers each g up to sign and phase
+    back = rotmatch.su2_to_so3(rotmatch.so3_to_su2(got))
+    assert np.max(np.abs(back - got)) <= 1e-14
+    assert rotmatch.su2_to_so3(stack.reshape(5, -1, 2, 2)).shape == (5, len(gs) // 5, 3, 3)
+
+
 def test_so3_to_su2_round_trip():
     rng = np.random.default_rng(13)
     for _ in range(25):
@@ -379,9 +405,11 @@ def test_matching_accepts_the_rotation_and_rejects_a_moved_point(mults, ngon, se
 
 
 def reference_key(r):
+    # a rotation and its inverse share angle and canonical axis: the sign that made the axis canonical tells them apart
     axis, angle = rotmatch.axis_angle(r)
-    axis = next((axis if c > 0 else -axis for c in axis if abs(c) > 1e-9), axis)
-    return (round(angle, 9), round(axis[0], 9), round(axis[1], 9), round(axis[2], 9))
+    sign = next((1.0 if c > 0 else -1.0 for c in axis if abs(c) > 1e-9), 1.0)
+    axis = sign * axis
+    return (round(angle, 9), round(axis[0], 9), round(axis[1], 9), round(axis[2], 9), int(sign < 0))
 
 
 def reference_assignment_max(apts, amults, bpts, bmults, r, tol):
@@ -618,6 +646,26 @@ def test_point_group_elements_are_one_read_only_stack():
     assert len(grp.elements) == 12 and np.array_equal(grp.elements[3], list(grp.elements)[3])
     assert rotmatch.symmetry_group(random_config(np.random.default_rng(5), 5)).elements.shape == (1, 3, 3)
     assert rotmatch.symmetry_group(ngon_config(1)).elements.shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("config", [tetrahedron_config, octahedron_config, icosahedron_config, lambda: ngon_config(5)])
+def test_point_group_does_not_follow_the_order_of_its_elements(config):
+    # a rotation and its inverse share angle and axis up to sign: the pick must not fall to roundoff or input order
+    want = rotmatch.symmetry_group(config())
+    rng = np.random.default_rng(24)
+    for _ in range(5):
+        got = rotmatch.point_group(want.elements[rng.permutation(len(want.elements))])
+        assert (got.tag, got.m, got.order) == (want.tag, want.m, want.order)
+        assert np.array_equal(got.elements, want.elements)
+        assert len(got.generators) == len(want.generators)
+        assert all(np.array_equal(a, b) for a, b in zip(got.generators, want.generators))
+        assert np.array_equal(got.axis, want.axis)
+    # inverses come in a fixed order too: each turn before its inverse
+    axes, angles = rotmatch.axis_angle(want.elements)
+    for k, r in enumerate(want.elements):
+        inverse = int(np.argmin(np.abs(want.elements - r.T).max(axis=(1, 2))))
+        if 1e-9 < angles[k] < math.pi - 1e-9:
+            assert (inverse > k) == (rotmatch._canonical_axes(axes[k]) @ axes[k] > 0)
 
 
 def test_point_group_rejects_wrong_order_claim():

@@ -449,3 +449,39 @@ def test_spin_blocks_without_a_basis_derive_slices_and_weights():
 def test_spin_blocks_reject_sizes_outside_the_dense_range(n):
     with pytest.raises(DomainError):
         states.spin_blocks(n)
+
+
+def reference_tensor_operators(two_j, k):
+    """T_kk = J_+^k normalized, lowered by [J_-, .]: exact in principle, accurate to roundoff only at small spin."""
+    j_plus = states._j_plus(two_j)
+    top = np.linalg.matrix_power(j_plus, k)
+    ops = [top / np.linalg.norm(top)]
+    for q in range(k, -k, -1):
+        ops.append((j_plus.T @ ops[-1] - ops[-1] @ j_plus.T) / math.sqrt((k + q) * (k - q + 1)))
+    return np.array(ops)
+
+
+def test_tensor_operators_are_the_lowered_powers_of_j_plus_at_small_spin():
+    # the reference drifts past 1e-14 from spin 4 on
+    for two_j in range(7):
+        for k in range(two_j + 1):
+            assert np.max(np.abs(states._tensor_operators(two_j, k) - reference_tensor_operators(two_j, k))) <= 1e-14
+
+
+@pytest.mark.parametrize("two_j, k", [(12, 6), (24, 6), (24, 12), (48, 12), (48, 47), (96, 40)])
+def test_tensor_operators_stay_accurate_at_large_spin(two_j, k):
+    # the lowered powers of J_+ are off by 1e-9 at (24, 6) and not even orthonormal at (48, 12)
+    ops = states._tensor_operators(two_j, k)
+    gram = np.einsum("qab,pab->qp", ops.conj(), ops)
+    assert np.max(np.abs(gram - np.eye(2 * k + 1))) <= 1e-13
+    # each is the eigenoperator of sum_a [J_a, [J_a, .]] of eigenvalue k (k + 1)
+    spin = states.spin_operators(two_j)
+    casimir = sum(a @ (a @ ops - ops @ a) - (a @ ops - ops @ a) @ a for a in spin)
+    assert np.max(np.abs(casimir - k * (k + 1) * ops)) <= 1e-13 * two_j**2
+    # and the multipole of a turned state is the turned multipole
+    rng = np.random.default_rng(two_j + k)
+    psi, g = states.random_symmetric(two_j, rng), states.random_su2(rng)
+    phi = states.apply_diag_symmetric(g, psi)
+    blocks = states.SpinBlocks(two_j, (two_j / 2,), (1,))
+    v, w = (blocks.multipole(np.outer(s.coeffs, s.coeffs.conj()), 0, k) for s in (psi, phi))
+    assert np.max(np.abs(states.symmetric_power(g, 2 * k) @ v - w)) <= 1e-14
