@@ -10,8 +10,9 @@ Kernels:
                            distinct (beta, gamma) of the batch and about
                            (r + s) r 2^n a row, no 2^n x 2^n matrix
   conj_gauss_newton        the same distance squared, with its gradient and
-                           Gauss-Newton matrix in left steps of g
-  su2_left_step            g <- exp(-i d.sigma/2) g
+                           Gauss-Newton matrix in left steps of g, for one g
+                           on every qubit or one factor per qubit
+  su2_left_step            g <- exp(-i d.sigma/2) g, for either form
   polish_roots             guarded Newton refinement of polynomial roots
   diag_phase_residual      stabilization residual of per-qubit diagonal phases
   diag_phase_gauss_newton  its square, with gradient and Gauss-Newton matrix
@@ -92,13 +93,18 @@ def density_factor(rho) -> np.ndarray:
 
 
 def _on_every_qubit(ops, a: np.ndarray, n: int) -> np.ndarray:
-    """ops[b]^{(x)n} applied to the columns of a (B or 1, 2^n, r), one qubit at a time; (B, 2^n, r)."""
+    """ops applied to the columns of a (B or 1, 2^n, r), one qubit at a time; (B, 2^n, r).
+
+    ops is (B, 2, 2), applied as ops[b]^{(x)n}, or (B, n, 2, 2), one factor
+    per qubit, applied as ops[b, 0] (x) ... (x) ops[b, n - 1].
+    """
     rows = ops.shape[0]
     for k in range(n):
+        op = ops if ops.ndim == 3 else ops[:, k]
         legs = a.reshape(a.shape[0], 1 << k, 2, -1)
         out = np.empty((rows,) + legs.shape[1:], dtype=np.complex128)
         for i in (0, 1):
-            out[:, :, i] = ops[:, i, 0, None, None] * legs[:, :, 0] + ops[:, i, 1, None, None] * legs[:, :, 1]
+            out[:, :, i] = op[:, i, 0, None, None] * legs[:, :, 0] + op[:, i, 1, None, None] * legs[:, :, 1]
         a = out
     return a.reshape(rows, 1 << n, -1)
 
@@ -247,18 +253,40 @@ def _spin_components(a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def conj_gauss_newton(gs, factor, target_factor, n):
-    """Least-squares model of D^2 at each SU(2) element of gs (B, 2, 2); (f2, grad, gn).
+def _qubit_spin_components(a: np.ndarray, n: int) -> np.ndarray:
+    """sigma_c^(k) / 2 a for each qubit k and c = x, y, z, on (B, 2^n, r) columns; (3n, B, 2^n, r), row 3k + c.
 
-    factor and target_factor are V and W as in conj_distance_batch.  The
-    residual is R = A A^+ - T with A = g^{(x)n} V and T = Q diag(m) Q^+
-    (_target_split).  Steps are taken on the left, g <- exp(-i d.sigma/2) g,
-    so column c of the Jacobian is C_c = -i [J_c, A A^+] with J_c = sum_k
-    sigma_c^(k) / 2.  Returned per row: f2 = ||R||^2 (_squared_residual),
-    grad_c = Re<C_c, R> = -2 Im tr(B_c^+ R A) with R A = A (A^+ A) - Q
-    diag(m) X, and the Gauss-Newton matrix gn_cd = Re<C_c, C_d> = 2 Re
-    tr(B_c^+ B_d A^+ A - A^+ B_d A^+ B_c), where B_c = J_c A and X = Q^+ A.
-    R is never formed: every product has r columns.
+    The one-qubit terms of _spin_components, from the same gathers:
+    sigma_x^(k) and sigma_y^(k) move entry x ^ bit_k to x, sigma_y^(k) times
+    i (2 b_k(x) - 1), and sigma_z^(k) is the diagonal -(2 b_k(x) - 1).
+    """
+    flips, signs = _bit_flips(n)
+    out = np.empty((n, 3) + a.shape, dtype=np.complex128)
+    for k in range(n):
+        np.take(a, flips[k], axis=1, out=out[k, 0])
+        np.multiply(out[k, 0], 0.5j * signs[k][:, None], out=out[k, 1])
+        np.multiply(a, -0.5 * signs[k][:, None], out=out[k, 2])
+        out[k, 0] *= 0.5
+    return out.reshape((3 * n,) + a.shape)
+
+
+def conj_gauss_newton(gs, factor, target_factor, n):
+    """Least-squares model of D^2 at each row of gs; (f2, grad, gn).
+
+    gs is a (B, 2, 2) stack of SU(2) elements g, one on every qubit, or a
+    (B, n, 2, 2) stack of one factor g_k per qubit.  factor and
+    target_factor are V and W as in conj_distance_batch.  The residual is
+    R = A A^+ - T with A = g^{(x)n} V (or (g_0 (x) ... (x) g_{n-1}) V) and
+    T = Q diag(m) Q^+ (_target_split).  Steps are taken on the left,
+    g <- exp(-i d.sigma/2) g, so column c of the Jacobian is
+    C_c = -i [S_c, A A^+], with S_c = J_c = sum_k sigma_c^(k) / 2 for the
+    3 steps of a tied g and S_{3k+c} = sigma_c^(k) / 2 for the 3n steps of
+    per-qubit factors (su2_left_step).  Returned per row: f2 = ||R||^2
+    (_squared_residual), grad_c = Re<C_c, R> = -2 Im tr(B_c^+ R A) with
+    R A = A (A^+ A) - Q diag(m) X, and the Gauss-Newton matrix
+    gn_cd = Re<C_c, C_d> = 2 Re tr(B_c^+ B_d A^+ A - A^+ B_d A^+ B_c), where
+    B_c = S_c A and X = Q^+ A.  R is never formed: every product has r
+    columns.
     """
     gs = np.asarray(gs, dtype=np.complex128)
     factor = np.asarray(factor, dtype=np.complex128)
@@ -267,7 +295,7 @@ def conj_gauss_newton(gs, factor, target_factor, n):
     def body(chunk):
         a = _on_every_qubit(chunk, factor[None], n)
         f2, x = _squared_residual(a, q, m)
-        spins = _spin_components(a, n)
+        spins = _spin_components(a, n) if chunk.ndim == 3 else _qubit_spin_components(a, n)
         ah = np.conj(np.swapaxes(a, 1, 2))
         gram = ah @ a  # (B, r, r)
         resid_a = a @ gram - q @ (m[:, None] * x)  # R A
@@ -283,8 +311,14 @@ def conj_gauss_newton(gs, factor, target_factor, n):
 
 
 def su2_left_step(gs, deltas):
-    """exp(-i d.sigma/2) g for each SU(2) element g of gs (B, 2, 2) and step d of deltas (B, 3)."""
-    deltas = np.asarray(deltas, dtype=np.float64)
+    """exp(-i d.sigma/2) g for each SU(2) element g of gs and its step d.
+
+    gs is (B, 2, 2) with deltas (B, 3), or (B, n, 2, 2), one factor per
+    qubit, with deltas (B, 3n): factor k steps by columns 3k .. 3k + 2, the
+    coordinates of conj_gauss_newton.
+    """
+    gs = np.asarray(gs)
+    deltas = np.reshape(np.asarray(deltas, dtype=np.float64), (-1, 3))  # one row per factor
     theta = np.sqrt(np.sum(deltas * deltas, axis=1))
     x, y, z = 0.5 * np.sinc(theta / (2 * np.pi)) * deltas.T  # sin(theta/2) d / theta
     c = np.cos(0.5 * theta)
@@ -293,7 +327,7 @@ def su2_left_step(gs, deltas):
     step[:, 0, 1] = -y - 1j * x
     step[:, 1, 0] = y - 1j * x
     step[:, 1, 1] = c + 1j * z
-    return step @ gs
+    return (step @ gs.reshape(-1, 2, 2)).reshape(gs.shape)
 
 
 def horner(coeffs, z):

@@ -32,7 +32,7 @@ lu_equivalent_mixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -230,9 +230,13 @@ class ClassificationResult:
     sclass: StabilizerClass
     canonical: states.SymmetricPureState
     transform: np.ndarray  # g with g^{(x)n} psi ~ canonical up to phase
-    generators: tuple = field(default=())
-    sampler: StabilizerSampler | None = None
+    sampler: StabilizerSampler
     residual: float = 0.0
+
+    @property
+    def generators(self) -> tuple:
+        """The sampler's representative_generators, built when read."""
+        return self.sampler.representative_generators()
 
     def __str__(self):
         return f"{self.sclass} (residual {self.residual:.2e})"
@@ -309,13 +313,11 @@ def _build_result(psi, sclass, g, tol):
         raise AmbiguousClassificationError(
             [f"{sclass} (canonical residual {residual:.3g} exceeds tolerance)"]
         )
-    sampler = StabilizerSampler(sclass, psi.n)
     return ClassificationResult(
         sclass=sclass,
         canonical=canon,
         transform=g,
-        generators=sampler.representative_generators(),
-        sampler=sampler,
+        sampler=StabilizerSampler(sclass, psi.n),
         residual=float(residual),
     )
 

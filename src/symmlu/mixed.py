@@ -32,6 +32,13 @@ other miss is undecided, never a proof of inequivalence.
 The decision has one setting, the acceptance threshold on D
 (default_threshold(n) = 1e-7 2^(n/2) unless given), and every result
 reports the threshold it applied.
+
+Two qubits fall outside the reduction: (g1, g2) need not be equal, and
+two_factor_search searches for them.  It compares the global spectrum and
+both qubits' reduced spectra first, then scans an Euler lattice of each
+factor, refines the lowest local minima by damped Gauss-Newton on the
+per-qubit model (refine_minimum), and re-checks the best pair densely; a
+miss stays undecided.
 """
 from __future__ import annotations
 
@@ -42,8 +49,6 @@ import numpy as np
 
 from . import _kernels, majorana, rotmatch, search, states
 from .errors import DomainError, NotGhzFormError
-# re-exported: perfbench/spans.py traces refine_minimum as mixed.refine_minimum
-from .search import refine_minimum  # noqa: F401
 from .tolerances import DEFAULT_TOLERANCES, checked
 
 __all__ = [
@@ -53,6 +58,7 @@ __all__ = [
     "SupportCheckResult",
     "lu_equivalent_mixed",
     "two_factor_search",
+    "refine_minimum",
     "canonical_ghz_form",
     "ghz_form_density",
     "two_qubit_support_check",
@@ -69,7 +75,9 @@ def default_threshold(n: int) -> float:
     return 1e-7 * 2 ** (n / 2)
 
 
-_TWO_FACTOR_GRID, _TWO_FACTOR_STARTS = 8, 8  # the n = 2 lattice search
+# the n = 2 search: turns per factor (half as many tilts), and lattice minima refined at most, a bound
+# that random states stay under (25 at most on 420 pairs) and plateaus of symmetric states reach
+_TWO_FACTOR_GRID, _TWO_FACTOR_STARTS = 8, 32
 _MULTIPOLE_CUTOFF = 1e-6  # multipole norm, relative to the block form's, that counts as zero
 
 
@@ -112,8 +120,12 @@ class SpectraReport:
 
 def spectra_report(rho: states.DensityMatrix) -> SpectraReport:
     glob = np.sort(np.linalg.eigvalsh(rho.mat))[::-1]
-    red = np.sort(np.linalg.eigvalsh(states.reduced_1qubit(rho, 0)))[::-1]
-    return SpectraReport(tuple(float(v) for v in glob), tuple(float(v) for v in red))
+    return SpectraReport(tuple(float(v) for v in glob), tuple(float(v) for v in _reduced_spectrum(rho, 0)))
+
+
+def _reduced_spectrum(rho: states.DensityMatrix, k: int) -> np.ndarray:
+    """Spectrum of qubit k's reduced state, in descending order."""
+    return np.sort(np.linalg.eigvalsh(states.reduced_1qubit(rho, k)))[::-1]
 
 
 def _two_qubit_spectrum(rho: states.DensityMatrix) -> np.ndarray:
@@ -125,18 +137,22 @@ def _two_qubit_spectrum(rho: states.DensityMatrix) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(red.reshape(4, 4)))[::-1]
 
 
-def _spectrum_mismatch(rho, sigma, reduced=True) -> str | None:
+def _spectrum_mismatch(rho, sigma) -> str | None:
     """Which LU-invariant spectrum differs, a certified negative, or None.
 
-    reduced adds the 1- and 2-qubit reduced spectra (n >= 3) to the global
-    one; the 2-qubit spectra are computed only when the others agree.
+    The global spectrum, then the 1-qubit reduced spectra, then at n >= 3
+    the 2-qubit one, each computed only when the others agree.  A local
+    unitary keeps the spectrum of each qubit: a permutation-invariant state
+    has one, and at n = 2, where the states need not be, both are compared.
     """
     a, b = spectra_report(rho), spectra_report(sigma)
 
     def checks():
         yield a.global_spectrum, b.global_spectrum, "global eigenvalue multisets differ"
-        if reduced:
-            yield a.reduced_spectrum, b.reduced_spectrum, "1-qubit reduced spectra differ"
+        yield a.reduced_spectrum, b.reduced_spectrum, "1-qubit reduced spectra differ"
+        if rho.n == 2:
+            yield _reduced_spectrum(rho, 1), _reduced_spectrum(sigma, 1), "1-qubit reduced spectra differ"
+        else:
             yield _two_qubit_spectrum(rho), _two_qubit_spectrum(sigma), "2-qubit reduced spectra differ"
 
     for ea, eb, detail in checks():
@@ -392,35 +408,60 @@ def lu_equivalent_mixed(
     return MixedEquivalenceResult("undecided", None, dist, thresh, detail)
 
 
+def refine_minimum(model, starts) -> tuple:
+    """The n = 2 refinement: the best (g12, f2) of damped Gauss-Newton from each start.
+
+    starts is a (B, 2, 2, 2) stack of factor pairs (g1, g2), refined in
+    lockstep by search.gauss_newton, each factor by its own left step
+    (_kernels.su2_left_step), until each start stalls; model is
+    _kernels.conj_gauss_newton on such stacks.  A pair that reaches a zero
+    of D converges quadratically, to roundoff.
+    """
+    return search.best(search.gauss_newton(model, _kernels.su2_left_step, starts))
+
+
 def two_factor_search(
     rho: states.DensityMatrix,
     sigma: states.DensityMatrix,
     threshold: float | None = None,
 ) -> MixedEquivalenceResult:
-    """Heuristic (g1, g2) search for 2-qubit states; not covered by the
-    identical-tensor-power reduction, so a miss stays 'undecided'."""
+    """Search (g1, g2) with (g1 (x) g2) rho (g1 (x) g2)^+ = sigma for 2-qubit states.
+
+    n = 2 is outside the identical-tensor-power reduction, so this is a
+    search, and a miss stays 'undecided'.  The global spectrum and each
+    qubit's reduced spectrum are compared first; a difference is a certified
+    negative.  Each factor then runs over an Euler lattice of 8 turns and 4
+    tilts (gamma = 0), the 1024 pairs are scored by the per-qubit
+    least-squares model (_kernels.conj_gauss_newton on (B, 2, 2, 2)
+    stacks), and its lowest 32 local minima are refined (refine_minimum):
+    a random state's lattice has about 9, and the true pair's basin can lie
+    past the lowest 8.  The best pair is equivalent only after a dense
+    re-check of || (g1 (x) g2) rho (g1 (x) g2)^+ - sigma ||_F, whose value
+    is reported.
+    """
     thresh = checked(threshold, default_threshold(2), "threshold")
     if rho.n != 2 or sigma.n != 2:
         raise DomainError("two_factor_search is for n = 2 only")
-    if (mismatch := _spectrum_mismatch(rho, sigma, reduced=False)) is not None:
+    if (mismatch := _spectrum_mismatch(rho, sigma)) is not None:
         return MixedEquivalenceResult("inequivalent_spectrum", None, None, thresh, mismatch)
+    factor, target = _kernels.density_factor(rho.mat), _kernels.density_factor(sigma.mat)
 
-    def objective2(x):
-        big = np.kron(*_kernels.euler_su2_batch(np.reshape(x, (2, 3))))
-        d = float(np.linalg.norm(big @ rho.mat @ big.conj().T - sigma.mat))
-        return d * d
+    def model(gs):
+        return _kernels.conj_gauss_newton(gs, factor, target, 2)
 
     turn = np.linspace(0, 2 * math.pi, _TWO_FACTOR_GRID, endpoint=False)
     tilt = np.linspace(0, math.pi, _TWO_FACTOR_GRID // 2)
-    points = search.lattice(turn, tilt, [0.0], turn, tilt, [0.0])
-    vals = np.array([objective2(x) for x in points])
-    starts = points[np.argsort(vals, kind="stable")[:_TWO_FACTOR_STARTS]]
-    best_x, best_f2 = search.best(search.descend(objective2, starts, thresh**2 / 16))
-    best_f = math.sqrt(max(best_f2, 0.0))
-    if best_f <= thresh:
-        g12 = _kernels.euler_su2_batch(np.reshape(best_x, (2, 3)))
-        return MixedEquivalenceResult("equivalent", g12, float(best_f), thresh, "two-factor heuristic")
-    return MixedEquivalenceResult("undecided", None, float(best_f), thresh, "two-factor heuristic miss")
+    angles = search.lattice(turn, tilt, [0.0], turn, tilt, [0.0]).reshape(-1, 3)
+    pairs = _kernels.euler_su2_batch(angles).reshape(-1, 2, 2, 2)
+    vals = model(pairs)[0].reshape((_TWO_FACTOR_GRID, _TWO_FACTOR_GRID // 2) * 2)
+    minima = search.lowest_minima(vals, (0, 2), _TWO_FACTOR_STARTS)
+    g12, _ = refine_minimum(model, pairs[minima])
+    # soundness: re-check densely, sharing nothing with the factored model
+    big = np.kron(*g12)
+    dist = float(np.linalg.norm(big @ rho.mat @ big.conj().T - sigma.mat))
+    if dist <= thresh:
+        return MixedEquivalenceResult("equivalent", g12, dist, thresh, "two-factor heuristic")
+    return MixedEquivalenceResult("undecided", None, dist, thresh, "two-factor heuristic miss")
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,18 @@
 """Lattice search: scan an objective on a product lattice, pick starts, refine.
 
 Blind stabilizer sampling, brute-force pure equivalence and the n = 2
-two-factor mixed heuristic all search this way; they differ only in how
-they pick starts from the lattice and when they stop.
-Objectives are refined squared so that their zeros are smooth minima.
-
-The dense oracles refine by damped Gauss-Newton (gauss_newton,
-Levenberg-Marquardt): their objectives are squared norms of residuals with
-analytic Jacobians (the _kernels models), and every start of a batch takes
-its steps in lockstep, one batched model call per iteration.  The
-identical-tuple family steps in the Lie algebra, g <- exp(-i d.sigma/2) g,
-so Euler angles are only lattice coordinates and gimbal lock does not
-arise.  The sampling searches refine all their starts in one round;
-brute-force equivalence refines fixed-size rounds and stops as soon as one
-start is good enough.
-
-The n = 2 two-factor heuristic keeps chained Nelder-Mead (refine_minimum,
-one start at a time through descend).
+two-factor mixed search all search this way: scan a lattice, take its
+lowest local minima (lowest_minima) and refine them by damped Gauss-Newton
+(gauss_newton, Levenberg-Marquardt).  They differ only in their lattice and
+when they stop.  Objectives are refined squared so that their zeros are
+smooth minima: squared norms of residuals with analytic Jacobians (the
+_kernels models), and every start of a batch takes its steps in lockstep,
+one batched model call per iteration.  The SU(2) families step in the Lie
+algebra, g <- exp(-i d.sigma/2) g, one g on every qubit or one factor per
+qubit at n = 2, so Euler angles are only lattice coordinates and gimbal
+lock does not arise.  The sampling searches and the n = 2 search refine all
+their starts in one round; brute-force equivalence refines fixed-size
+rounds and stops as soon as one start is good enough.
 """
 from __future__ import annotations
 
@@ -31,9 +27,8 @@ __all__ = [
     "euler_lattice",
     "euler_scan",
     "local_minima",
-    "refine_minimum",
+    "lowest_minima",
     "gauss_newton",
-    "descend",
     "best",
 ]
 
@@ -90,28 +85,10 @@ def local_minima(vals: np.ndarray, wrap: tuple) -> np.ndarray:
     return np.flatnonzero(mask.ravel())
 
 
-_CHAIN = ((1e-26, 1e-12), (1e-28, 1e-13))  # (fatol, xatol) of the chained runs
-_MAXFEV = 4000  # objective evaluations per run
-
-
-def refine_minimum(objective, x0):
-    """Derivative-free local minimization (chained Nelder-Mead runs).
-
-    The second run rebuilds the simplex at the first run's solution, which
-    reliably pushes smooth near-zero minima down to the arithmetic floor.
-    Distance-like objectives should be passed squared so the minimum is
-    smooth rather than conical.
-    """
-    from scipy.optimize import minimize
-
-    x, best = np.asarray(x0, dtype=float), None
-    for fatol, xatol in _CHAIN:
-        opts = {"fatol": fatol, "xatol": xatol, "maxfev": _MAXFEV}
-        res = minimize(objective, x, method="Nelder-Mead", options=opts)
-        if best is None or res.fun <= best.fun:
-            best = res
-        x = res.x
-    return best.x, float(best.fun)
+def lowest_minima(vals: np.ndarray, wrap: tuple, count: int) -> np.ndarray:
+    """Flat indices of the lattice's local minima (local_minima); the count lowest, lowest first."""
+    minima = local_minima(vals, wrap)
+    return minima[np.argsort(vals.ravel()[minima], kind="stable")[:count]]
 
 
 # damped Gauss-Newton (Levenberg-Marquardt): iteration cap per round, initial
@@ -189,22 +166,6 @@ def gauss_newton(model, step, starts, stop_f2: float = -math.inf, rows: int | No
     return out
 
 
-def descend(objective2, starts, stop_f2: float = -math.inf) -> list:
-    """refine_minimum from each start in order; stop once the best f2 <= stop_f2.
-
-    starts may be lazy.  Returns (x, f2) of every refined start, in order.
-    """
-    out = []
-    best_f2 = math.inf
-    for start in starts:
-        x, f2 = refine_minimum(objective2, start)
-        out.append((x, f2))
-        best_f2 = min(best_f2, f2)
-        if best_f2 <= stop_f2:
-            break
-    return out
-
-
 def best(results) -> tuple:
-    """The first lowest (x, f2) of descend's or gauss_newton's results; (None, inf) for none."""
+    """The first lowest (x, f2) of gauss_newton's results; (None, inf) for none."""
     return min(results, key=lambda r: r[1], default=(None, math.inf))

@@ -137,12 +137,6 @@ def _projective_key(u: states.LocalUnitary, resolution: float):
     return tuple(parts)
 
 
-def _lowest_minima(vals, wrap, count: int) -> np.ndarray:
-    """Flat indices of the lattice's local minima; the count lowest, lowest first."""
-    minima = search.local_minima(vals, wrap)
-    return minima[np.argsort(vals.ravel()[minima], kind="stable")[:count]]
-
-
 def _accepted(results) -> list:
     """x of the refined starts ending within _WITNESS_TOL."""
     return [x for x, f2 in results if math.sqrt(max(f2, 0.0)) <= _WITNESS_TOL]
@@ -151,7 +145,7 @@ def _accepted(results) -> list:
 def _identical_witnesses(rho, cfg):
     n = rho.n
     lattice, dists, model = search.euler_scan(rho.mat, rho.mat, n, cfg.grid)
-    minima = _lowest_minima(dists.reshape((cfg.grid,) * 3), (0, 2), cfg.max_descents)
+    minima = search.lowest_minima(dists.reshape((cfg.grid,) * 3), (0, 2), cfg.max_descents)
     starts = _kernels.euler_su2_batch(lattice[minima])
     gs = _accepted(search.gauss_newton(model, _kernels.su2_left_step, starts))
     return [states.LocalUnitary.uniform(g, n) for g in gs]
@@ -204,7 +198,7 @@ def _diag_witnesses(rho, cfg):
     vals, diffs = _difference_classes(vals, diffs)
     phis = search.lattice(*([np.linspace(0.0, 2 * math.pi, p, endpoint=False)] * n))
     res = _kernels.diag_phase_residual(phis, vals, diffs)
-    minima = _lowest_minima(res.reshape((p,) * n), tuple(range(n)), cfg.max_descents)
+    minima = search.lowest_minima(res.reshape((p,) * n), tuple(range(n)), cfg.max_descents)
 
     def model(xs):
         return _kernels.diag_phase_gauss_newton(xs, vals, diffs)
@@ -441,7 +435,7 @@ def lu_equivalent_pure_bruteforce(psi: states.SymmetricPureState, phi: states.Sy
     rho = states.to_density(psi).mat
     sigma = states.to_density(phi).mat
     lattice, dists, model = search.euler_scan(rho, sigma, n, _BRUTEFORCE_GRID)
-    minima = _lowest_minima(dists.reshape((_BRUTEFORCE_GRID,) * 3), (0, 2), _BRUTEFORCE_STARTS)
+    minima = search.lowest_minima(dists.reshape((_BRUTEFORCE_GRID,) * 3), (0, 2), _BRUTEFORCE_STARTS)
     results = search.gauss_newton(
         model,
         _kernels.su2_left_step,

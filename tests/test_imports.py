@@ -1,8 +1,8 @@
 """The library's decisions run without scipy, and no module reaches into another's private names.
 
-scipy is loaded only by the n = 2 two-factor heuristic (search.refine_minimum
-imports it inside the function) and by the tests as an oracle.  A fresh
-interpreter runs the decisions and must end with no scipy module loaded.
+numpy is the library's only runtime dependency; scipy serves the tests as an
+oracle.  A fresh interpreter runs every decision, the n = 2 two-factor search
+included, and must end with no scipy module loaded.
 """
 import ast
 import os
@@ -34,6 +34,10 @@ assert mixed.lu_equivalent_mixed(rho, states.apply_lu(g, rho)).status == "equiva
 psi = states.random_symmetric(3, rng)
 phi = states.apply_diag_symmetric(states.random_su2(rng), psi)
 assert verify.lu_equivalent_pure_bruteforce(psi, phi) is not None
+
+rho = states.random_symmetric_mixed(2, rng, rank=2)
+u = states.LocalUnitary((states.random_su2(rng), states.random_su2(rng)))
+assert mixed.two_factor_search(rho, states.apply_lu(u, rho)).status == "equivalent"
 
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """

@@ -225,6 +225,20 @@ def test_equiv_mixed_two_qubit_note(tmp_path, monkeypatch, capsys):
     assert "heuristic" in rep["note"]
 
 
+def test_equiv_mixed_two_qubit_spectrum_is_a_certified_no(tmp_path, monkeypatch, capsys):
+    # the same global spectrum, but qubit 0 holds (0.8, 0.2) in one and (0.6, 0.4) in the other
+    a, b = np.diag([0.8, 0.2]), np.diag([0.6, 0.4])
+    paths = []
+    for name, mat in (("ab.json", np.kron(a, b)), ("ba.json", np.kron(b, a))):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(io.dumps(io.density_to_dict(states.DensityMatrix(2, mat.astype(complex)))))
+    code, out = run_cli(["equiv-mixed", *map(str, paths)], monkeypatch, capsys)
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["status"] == "inequivalent_spectrum"
+    assert rep["detail"] == "1-qubit reduced spectra differ"
+
+
 def test_verify_command(tmp_path, monkeypatch, capsys):
     p = tmp_path / "ghz3.json"
     p.write_text(io.dumps(io.state_to_dict(states.ghz(3))))

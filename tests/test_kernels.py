@@ -181,9 +181,13 @@ def test_factor_kernel_matches_the_kronecker_formula(rank, monkeypatch):
     assert np.max(np.abs(np.sqrt(f2) - want)) < 2e-15
 
 
-def _density_of_rank(rank, n, rng):
+def _density_of_rank(rank, n, rng, symmetric=True):
     if rank == "full":
         return _full_rank_density(n, rng)
+    if not symmetric:
+        m = rng.normal(size=(1 << n, rank)) + 1j * rng.normal(size=(1 << n, rank))
+        rho = m @ m.conj().T
+        return rho / np.trace(rho).real
     if rank == 1:
         return states.to_density(states.random_symmetric(n, rng)).mat
     return states.random_symmetric_mixed(n, rng, rank=rank).mat
@@ -283,6 +287,7 @@ def test_spin_components_are_the_dense_spin_operators(n):
     rng = np.random.default_rng(49)
     a = rng.normal(size=(4, 1 << n, 3)) + 1j * rng.normal(size=(4, 1 << n, 3))
     got = _kernels._spin_components(a, n)
+    per_qubit = _kernels._qubit_spin_components(a, n).reshape((n, 3) + a.shape)
     for c, pauli in enumerate((states.PAULI_X, states.PAULI_Y, states.PAULI_Z)):
         spin = np.zeros((1 << n, 1 << n), dtype=np.complex128)
         for k in range(n):
@@ -290,6 +295,8 @@ def test_spin_components_are_the_dense_spin_operators(n):
             for j in range(n):
                 term = np.kron(term, pauli if j == k else np.eye(2))
             spin += 0.5 * term
+            # the one-qubit generator sigma_c^(k) / 2 of per-qubit factors
+            assert np.max(np.abs(per_qubit[k, c] - 0.5 * term @ a)) <= 1e-15
         assert np.max(np.abs(got[c] - spin @ a)) <= 1e-14
 
 
@@ -302,8 +309,35 @@ def test_density_factor_keeps_the_eigenvalues_above_the_rank_cutoff():
     assert _kernels.density_factor(mixed).shape == (8, np.linalg.matrix_rank(mixed))
 
 
-def _central_differences(f, x, step, h=1e-6):
-    return np.stack([(f(step(x, h * e)) - f(step(x, -h * e))) / (2 * h) for e in np.eye(3)], axis=1)
+def _central_differences(f, x, step, dim=3, h=1e-6):
+    return np.stack([(f(step(x, h * e)) - f(step(x, -h * e))) / (2 * h) for e in np.eye(dim)], axis=1)
+
+
+def _kron_all(factors):
+    big = np.ones((1, 1), dtype=np.complex128)
+    for f in factors:
+        big = np.kron(big, f)
+    return big
+
+
+def _check_conj_gauss_newton(gs, rho, target, n, dim):
+    """f2, grad and gn of conj_gauss_newton at gs against central differences and the dense Jacobian."""
+    factor, target_factor = _kernels.density_factor(rho), _kernels.density_factor(target)
+    f2, grad, gn = _kernels.conj_gauss_newton(gs, factor, target_factor, n)
+    assert grad.shape == (len(gs), dim) and gn.shape == (len(gs), dim, dim)
+
+    def left(g, e):
+        return _kernels.su2_left_step(g, np.broadcast_to(e, (len(g), dim)))
+
+    def moved(g):  # dense (g_0 (x) ... (x) g_{n-1}) rho (...)^+, flattened
+        factors = [[u] * n for u in g] if g.ndim == 3 else g
+        return np.array([(_kron_all(f) @ rho @ _kron_all(f).conj().T).ravel() for f in factors])
+
+    assert np.max(np.abs(f2 - np.sum(np.abs(moved(gs) - target.ravel()) ** 2, axis=1))) < 1e-13
+    fd = _central_differences(lambda g: _kernels.conj_gauss_newton(g, factor, target_factor, n)[0], gs, left, dim)
+    assert np.max(np.abs(fd - 2 * grad)) < 1e-7
+    jac = np.stack([(moved(left(gs, 1e-6 * e)) - moved(left(gs, -1e-6 * e))) / 2e-6 for e in np.eye(dim)], axis=2)
+    assert np.max(np.abs(np.real(np.einsum("bmc,bmd->bcd", jac.conj(), jac)) - gn)) < 1e-7
 
 
 @pytest.mark.parametrize("rank", [1, 3])
@@ -312,26 +346,26 @@ def test_conj_gauss_newton_derivatives_match_finite_differences(rank):
     n = 3
     rho = states.random_symmetric_mixed(n, rng, rank=rank).mat
     target = states.random_symmetric_mixed(n, rng).mat
-    factor = _kernels.density_factor(rho)
     gs = _kernels.euler_su2_batch(rng.uniform(0, 2 * math.pi, size=(6, 3)))
-    f2, grad, gn = _kernels.conj_gauss_newton(gs, factor, _kernels.density_factor(target), n)
+    _check_conj_gauss_newton(gs, rho, target, n, 3)
+    # one factor per qubit, on 2-qubit states that are not permutation invariant:
+    # a (B, 2, 2, 2) stack and 6 step coordinates
+    rho2, target2 = _density_of_rank(rank, 2, rng, symmetric=False), _full_rank_density(2, rng)
+    pairs = _kernels.euler_su2_batch(rng.uniform(0, 2 * math.pi, size=(12, 3))).reshape(6, 2, 2, 2)
+    _check_conj_gauss_newton(pairs, rho2, target2, 2, 6)
 
-    def left(g, e):
-        return _kernels.su2_left_step(g, np.broadcast_to(e, (len(g), 3)))
 
-    assert np.max(np.abs(_central_differences(lambda g: _kernels.conj_gauss_newton(g, factor, _kernels.density_factor(target), n)[0], gs, left) - 2 * grad)) < 1e-7
-
-    def moved(g):  # dense g^{(x)n} rho g^{(x)n +}, flattened
-        out = []
-        for u in g:
-            big = np.ones((1, 1), dtype=np.complex128)
-            for _ in range(n):
-                big = np.kron(big, u)
-            out.append((big @ rho @ big.conj().T).ravel())
-        return np.array(out)
-
-    jac = np.stack([(moved(left(gs, 1e-6 * e)) - moved(left(gs, -1e-6 * e))) / 2e-6 for e in np.eye(3)], axis=2)
-    assert np.max(np.abs(np.real(np.einsum("bmc,bmd->bcd", jac.conj(), jac)) - gn)) < 1e-7
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_per_qubit_factors_act_as_the_kronecker_product(n):
+    rng = np.random.default_rng(50 + n)
+    ops = _kernels.euler_su2_batch(rng.uniform(0, 2 * math.pi, size=(5 * n, 3))).reshape(5, n, 2, 2)
+    a = rng.normal(size=(1, 1 << n, 3)) + 1j * rng.normal(size=(1, 1 << n, 3))
+    got = _kernels._on_every_qubit(ops, a, n)
+    for b in range(5):
+        assert np.max(np.abs(got[b] - _kron_all(ops[b]) @ a[0])) <= 1e-14
+    # a tied stack is the per-qubit stack with every factor equal
+    tied = ops[:, 0]
+    assert np.array_equal(_kernels._on_every_qubit(tied, a, n), _kernels._on_every_qubit(np.repeat(tied[:, None], n, axis=1), a, n))
 
 
 def test_su2_left_step_is_the_exponential():
@@ -346,6 +380,18 @@ def test_su2_left_step_is_the_exponential():
     paulis = (states.PAULI_X, states.PAULI_Y, states.PAULI_Z)
     for g, d, u in zip(gs, deltas, got):
         assert np.max(np.abs(u - expm(-0.5j * sum(c * p for c, p in zip(d, paulis))) @ g)) < 1e-14
+    # per-qubit stacks (B, n, 2, 2) step factor k by columns 3k .. 3k + 2 of (B, 3n) deltas
+    stack = _kernels.euler_su2_batch(rng.uniform(0, 2 * math.pi, size=(12, 3))).reshape(4, 3, 2, 2)
+    steps = rng.normal(size=(4, 9))
+    steps[0, 3:6] = 0.0
+    moved = _kernels.su2_left_step(stack, steps)
+    assert moved.shape == stack.shape
+    assert np.array_equal(moved[0, 1], stack[0, 1])
+    assert np.array_equal(moved.reshape(12, 2, 2), _kernels.su2_left_step(stack.reshape(12, 2, 2), steps.reshape(12, 3)))
+    for b in range(4):
+        for k in range(3):
+            step = expm(-0.5j * sum(c * p for c, p in zip(steps[b, 3 * k : 3 * k + 3], paulis)))
+            assert np.max(np.abs(moved[b, k] - step @ stack[b, k])) < 1e-14
 
 
 def test_diag_phase_gauss_newton_is_the_squared_residual_with_its_derivatives():

@@ -291,8 +291,7 @@ def test_decisions_run_no_descent(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the n >= 3 decision must not descend")
 
-    for name in ("descend", "refine_minimum"):
-        monkeypatch.setattr(search, name, refuse)
+    monkeypatch.setattr(search, "gauss_newton", refuse)
     monkeypatch.setattr(mixed, "refine_minimum", refuse)
     rng = np.random.default_rng(160)
     for family in ("full_rank", "ghz_form", "multiset_3_3", "tetrahedron"):
@@ -533,6 +532,60 @@ def test_two_factor_search_heuristic():
 
     blurred = states.DensityMatrix(2, 0.9 * rho.mat + 0.1 * np.eye(4) / 4)
     assert mixed.two_factor_search(rho, blurred).status == "inequivalent_spectrum"
+
+
+def _two_qubit_state(kind, rank, rng):
+    """A Ginibre state of the given rank, or a mixture of rank symmetric pure states."""
+    if kind == "symmetric":
+        return states.random_symmetric_mixed(2, rng, rank=rank)
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    mat = g @ g.conj().T
+    return states.DensityMatrix(2, mat / np.trace(mat).real)
+
+
+def _dense_distance(g12, rho, sigma):
+    big = np.kron(*g12)
+    return float(np.linalg.norm(big @ rho.mat @ big.conj().T - sigma.mat))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["ginibre", "symmetric"]),
+    rank=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_factor_search_recovers_every_turned_pair(kind, rank, seed):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, 3) if kind == "symmetric" else rank
+    rho = _two_qubit_state(kind, rank, rng)
+    u = states.LocalUnitary((states.random_su2(rng), states.random_su2(rng)))
+    sigma = states.apply_lu(u, rho)
+    res = mixed.two_factor_search(rho, sigma)
+    assert res.status == "equivalent"
+    assert res.unitary.shape == (2, 2, 2)
+    assert _dense_distance(res.unitary, rho, sigma) == res.distance <= mixed.default_threshold(2)
+    # a pure state is LU-equivalent to its conjugate (real Schmidt form); a
+    # generic mixed one is not: conjugation reflects both Bloch frames
+    if rank > 1:
+        mirror = states.DensityMatrix(2, rho.mat.conj())
+        assert mixed.two_factor_search(rho, mirror).status == "undecided"
+
+
+def test_two_factor_search_compares_each_qubits_spectrum():
+    a, b = np.diag([0.8, 0.2]), np.diag([0.6, 0.4])
+    rho, swapped = states.DensityMatrix(2, np.kron(a, b)), states.DensityMatrix(2, np.kron(b, a))
+    assert mixed.spectra_report(rho).global_spectrum == mixed.spectra_report(swapped).global_spectrum
+    res = mixed.two_factor_search(rho, swapped)
+    assert res.status == "inequivalent_spectrum"
+    assert res.detail == "1-qubit reduced spectra differ"
+    # the same populations in another order: the global spectrum and qubit 0's
+    # agree, and only qubit 1's, (0.7, 0.3) against (0.6, 0.4), tells them apart
+    upper = states.DensityMatrix(2, np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex))
+    lower = states.DensityMatrix(2, np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex))
+    assert mixed.spectra_report(upper) == mixed.spectra_report(lower)
+    res = mixed.two_factor_search(upper, lower)
+    assert res.status == "inequivalent_spectrum"
+    assert res.detail == "1-qubit reduced spectra differ"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The shared lattice search: lattices, local minima, starts and descent."""
+"""The shared lattice search: lattices, local minima, starts and refinement."""
 import itertools
 import math
 
@@ -69,26 +69,23 @@ def test_local_minima_mix_wrapped_and_unwrapped_axes_in_flat_order():
 
 
 # ---------------------------------------------------------------------------
-# starts and descent
+# starts
 # ---------------------------------------------------------------------------
 
 
-def test_descend_refines_in_order_and_stops_at_the_threshold():
-    calls = []
-
-    def objective2(x):
-        calls.append(float(x[0]))
-        return float((x[0] - 1.0) ** 2)
-
-    starts = [np.array([3.0]), np.array([-2.0]), np.array([5.0])]
-    everything = search.descend(objective2, starts)
-    assert len(everything) == 3
-    assert all(abs(x[0] - 1.0) < 1e-6 for x, _ in everything)
-
-    calls.clear()
-    first_only = search.descend(objective2, iter(starts), stop_f2=1e-12)
-    assert len(first_only) == 1
-    assert calls[0] == 3.0  # the first start was refined first
+def test_lowest_minima_take_the_count_lowest_local_minima_lowest_first():
+    vals = np.array(
+        [
+            [3.0, 9.0, 2.0, 9.0],
+            [5.0, 9.0, 5.0, 9.0],
+            [1.0, 9.0, 2.0, 9.0],
+        ]
+    )
+    # local minima (axis 1 wrapped) at flat 0, 2, 8, 10 with values 3, 2, 1, 2;
+    # the tie of 2 keeps flat order
+    assert search.lowest_minima(vals, (1,), 3).tolist() == [8, 2, 10]
+    # a count past the minima takes them all, and never a lower non-minimum (the 5s)
+    assert search.lowest_minima(vals, (1,), 12).tolist() == [8, 2, 10, 0]
 
 
 def test_best_takes_the_first_lowest_result():
@@ -96,12 +93,6 @@ def test_best_takes_the_first_lowest_result():
     x, f2 = search.best([(a, 0.5), (b, 0.1), (c, 0.1)])
     assert x is b and f2 == 0.1
     assert search.best([]) == (None, math.inf)
-
-
-def test_refine_minimum_reaches_the_arithmetic_floor():
-    x, f2 = search.refine_minimum(lambda v: float(np.sum((v - [0.3, -0.7]) ** 2)), [2.0, 2.0])
-    assert f2 < 1e-20
-    assert np.allclose(x, [0.3, -0.7], atol=1e-9)
 
 
 def test_euler_scan_objective_matches_the_lattice_values():
