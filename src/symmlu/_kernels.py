@@ -14,8 +14,9 @@ Kernels:
                            on every qubit or one factor per qubit
   su2_left_step            g <- exp(-i d.sigma/2) g, for either form
   polish_roots             guarded Newton refinement of polynomial roots
-  diag_phase_residual      stabilization residual of per-qubit diagonal phases
-  diag_phase_gauss_newton  its square, with gradient and Gauss-Newton matrix
+  diag_phase_residual      stabilization residual of per-qubit diagonal phases;
+                           verify solves that family exactly, so only tests
+                           call it, as the lattice reference
 
 euler_su2 and conj_distance_single are the one-point forms, computed by the
 batch bodies on a one-row array.  The (f2, grad, gn) models feed
@@ -38,7 +39,6 @@ __all__ = [
     "su2_left_step",
     "polish_roots",
     "diag_phase_residual",
-    "diag_phase_gauss_newton",
 ]
 
 _CHUNK_ROWS, _CHUNK_ENTRIES = 256, 1 << 22  # conjugation kernels: rows per chunk, complex entries per temporary
@@ -361,48 +361,17 @@ def polish_roots(coeffs, roots, iters: int = 5):
     return z
 
 
-def _phase_angles(phis: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    """theta = phis @ diffs.T, summed qubit by qubit in a fixed order.
-
-    A row's angles then do not depend on the other rows of the batch.
-    """
-    theta = phis[:, :1] * diffs[None, :, 0]
-    for k in range(1, phis.shape[1]):
-        theta += phis[:, k : k + 1] * diffs[None, :, k]
-    return theta
-
-
 def diag_phase_residual(phis, vals, diffs):
     """Residual of conjugation by per-qubit diag(1, e^{i phi_k}) phases.
 
     vals are squared moduli of the density matrix's nonzero entries and
     diffs the per-entry bit differences (row bits minus column bits), so the
     returned value equals the Frobenius distance moved by the conjugation.
-    The angles are summed qubit by qubit in a fixed order, so a row's value
-    does not depend on the other rows of the batch.  |e^{i theta} - 1| is
-    taken as 2 |sin(theta/2)|, which keeps its relative accuracy near 0.
+    |e^{i theta} - 1| is taken as 2 |sin(theta/2)|, which keeps its relative
+    accuracy near 0.
     """
     phis = np.atleast_2d(np.asarray(phis, dtype=np.float64))
     vals = np.asarray(vals, dtype=np.float64)
     diffs = np.asarray(diffs, dtype=np.float64)
-    half = np.sin(0.5 * _phase_angles(phis, diffs))
+    half = np.sin(0.5 * (phis @ diffs.T))
     return 2.0 * np.sqrt(np.sum(vals * half * half, axis=1))
-
-
-def diag_phase_gauss_newton(phis, vals, diffs):
-    """Least-squares model of diag_phase_residual^2 at each row of phis; (f2, grad, gn).
-
-    The residual of entry j is sqrt(vals_j) (e^{i theta_j} - 1), with
-    Jacobian i sqrt(vals_j) e^{i theta_j} diffs_j, so f2 = sum 4 vals
-    sin^2(theta/2), grad = (vals sin theta) @ diffs and the Gauss-Newton matrix
-    diffs^T diag(vals) diffs does not depend on phis.
-    """
-    phis = np.atleast_2d(np.asarray(phis, dtype=np.float64))
-    vals = np.asarray(vals, dtype=np.float64)
-    diffs = np.asarray(diffs, dtype=np.float64)
-    theta = _phase_angles(phis, diffs)
-    half = np.sin(0.5 * theta)
-    f2 = 4.0 * np.sum(vals * half * half, axis=1)
-    grad = (vals * np.sin(theta)) @ diffs
-    gn = np.repeat((diffs.T @ (vals[:, None] * diffs))[None], phis.shape[0], axis=0)
-    return f2, grad, gn

@@ -6,7 +6,8 @@ produce byte-identical files.  Readers renormalize states on load.
 
 Formats:
   pure state      {"n": int, "basis": "dicke", "coeffs": [[re, im], ...]}
-                  or {"n": int, "basis": "majorana", "points": [[theta, phi], ...]}
+                  or {"n": int, "basis": "majorana", "points": [[theta, phi], ...]},
+                  n optional, and when given the points' count with multiplicity
   point multiset  {"points": [[theta, phi, multiplicity], ...]}
   density matrix  {"n": int, "matrix": [[[re, im], ...], ...]}
 """
@@ -161,7 +162,12 @@ def state_from_dict(obj) -> states.SymmetricPureState:
             raise DomainError(f"expected {n + 1} coefficients, got {len(coeffs)}")
         return states.SymmetricPureState.from_unnormalized(coeffs)
     if basis == "majorana" or "points" in obj:
-        return _state_from_angle_rows(obj["points"])
+        if "points" not in obj:
+            raise DomainError("majorana-basis state needs a points list")
+        psi = _state_from_angle_rows(obj["points"])
+        if "n" in obj and _qubit_count(obj, psi.n) != psi.n:
+            raise DomainError(f"n={obj['n']} does not match the {psi.n} points counted with multiplicity")
+        return psi
     raise DomainError("unrecognized state format (need dicke coeffs or majorana points)")
 
 

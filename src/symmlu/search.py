@@ -1,18 +1,19 @@
 """Lattice search: scan an objective on a product lattice, pick starts, refine.
 
-Blind stabilizer sampling, brute-force pure equivalence and the n = 2
-two-factor mixed search all search this way: scan a lattice, take its
-lowest local minima (lowest_minima) and refine them by damped Gauss-Newton
-(gauss_newton, Levenberg-Marquardt).  They differ only in their lattice and
-when they stop.  Objectives are refined squared so that their zeros are
-smooth minima: squared norms of residuals with analytic Jacobians (the
-_kernels models), and every start of a batch takes its steps in lockstep,
-one batched model call per iteration.  The SU(2) families step in the Lie
-algebra, g <- exp(-i d.sigma/2) g, one g on every qubit or one factor per
-qubit at n = 2, so Euler angles are only lattice coordinates and gimbal
-lock does not arise.  The sampling searches and the n = 2 search refine all
-their starts in one round; brute-force equivalence refines fixed-size
-rounds and stops as soon as one start is good enough.
+Blind identical-tuple stabilizer sampling, brute-force pure equivalence
+and the n = 2 two-factor mixed search all search this way: scan a lattice,
+take its lowest local minima (lowest_minima) and refine them by damped
+Gauss-Newton (gauss_newton, Levenberg-Marquardt).  They differ only in
+their lattice and when they stop.  (The diagonal-phase stabilizer needs no
+search: verify solves it exactly.)  Objectives are refined squared so that
+their zeros are smooth minima: squared norms of residuals with analytic
+Jacobians (the _kernels models), and every start of a batch takes its steps
+in lockstep, one batched model call per iteration.  Every family steps in
+the Lie algebra, g <- exp(-i d.sigma/2) g, one g on every qubit or one
+factor per qubit at n = 2, so Euler angles are only lattice coordinates and
+gimbal lock does not arise.  The sampling search and the n = 2 search
+refine all their starts in one round; brute-force equivalence refines
+fixed-size rounds and stops as soon as one start is good enough.
 """
 from __future__ import annotations
 

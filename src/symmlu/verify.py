@@ -1,18 +1,17 @@
 """Brute-force oracles over full 2^n-dimensional matrices.
 
 Everything here validates the structured modules independently: residuals are
-computed by dense conjugation, stabilizer elements are found by lattice
-searches (the search module) that know nothing about the classification, and
-equivalence is re-decided by direct optimization.  Dense work is capped at
-n <= 10.
+computed by dense conjugation, stabilizer elements are found by a lattice
+search (the search module) and an exact integer solve, neither of which
+knows anything about the classification, and equivalence is re-decided by
+direct optimization.  Dense work is capped at n <= 10.
 
-sample_stabilizer searches two families:
-  * identical tuples g^{(x)n} over a ZYZ Euler lattice, and
-  * independent per-qubit diagonal phases diag(1, e^{i phi_k}).
-It reports every accepted witness (projectively deduplicated) at the stated
-lattice resolution; it cannot certify the absence of stabilizer elements
-between lattice points.  The lattice minima of each family are refined all
-at once by damped Gauss-Newton (search.gauss_newton).  The identical-tuple
+sample_stabilizer gathers two families:
+  * identical tuples g^{(x)n}, searched over a ZYZ Euler lattice, and
+  * independent per-qubit diagonal phases diag(1, e^{i phi_k}), solved exactly.
+The identical tuples are a sample at the stated lattice resolution: the
+lattice minima are refined all at once by damped Gauss-Newton
+(search.gauss_newton), and nothing is certified between lattice points.  The
 distance is computed from factors V of rho and W of the target (one eigh
 each per search), with no 2^n x 2^n residual formed.  On the lattice,
 g = Rz(alpha) Ry(beta) Rz(gamma): (Ry(beta) Rz(gamma))^{(x)n} is applied
@@ -20,19 +19,25 @@ to V qubit by qubit once per distinct (beta, gamma), n r 2^n products
 (144 of them at grid 12), and Rz(alpha)^{(x)n} is a diagonal phase, so a
 point costs about (r + s) r 2^n products at ranks r and s, where the
 Kronecker power cost about 2 8^n.  Its steps are left steps
-g <- exp(-i d.sigma/2) g in the Lie algebra.  The diagonal family steps in
-its phases, on the entry table summed per bit-difference class (16 classes
-for the tetrahedron's 64 entries).  lu_equivalent_pure_bruteforce refines
-its lowest 40 minima 8 at a time and stops as soon as one reaches 0.01
-threshold.  Every witness is accepted only through the dense
+g <- exp(-i d.sigma/2) g in the Lie algebra.  The diagonal family is exact
+and complete: conjugation moves entry (x, y) of rho by e^{i phi.d} with d
+the bit difference of x and y, so the phases that fix rho are the closed
+subgroup {phi : D phi in 2 pi Z^m} of the torus, D the integer matrix of
+rho's bit-difference classes (16 classes for the tetrahedron's 64 entries).
+Integer row and column operations diagonalise D (Cohen, A Course in
+Computational Algebraic Number Theory, 2.4), and every finite element plus
+one element per continuous direction is reported.  The oracle reads only
+rho's support, never the classification.  lu_equivalent_pure_bruteforce
+refines its lowest 40 minima 8 at a time and stops as soon as one reaches
+0.01 threshold.  Every witness is accepted only through the dense
 check_stabilizes.
 
-StabilizerSearchConfig sets only the size of the sampling search (Euler
-lattice points per angle, lattice minima refined).  The acceptance residual
-(1e-8), the dedupe resolution (1e-6), the auto-sized phase lattice and the
-membership threshold (StabilizerSearchConfig.membership_tol, 1e-5) are
-constants, and lu_equivalent_pure_bruteforce always searches a 12-point
-lattice at default_threshold(n).
+StabilizerSearchConfig sets only the size of the identical-tuple search
+(Euler lattice points per angle, lattice minima refined).  The acceptance
+residual (1e-8), the dedupe resolution (1e-6) and the membership threshold
+(StabilizerSearchConfig.membership_tol, 1e-5) are constants, and
+lu_equivalent_pure_bruteforce always searches a 12-point lattice at
+default_threshold(n).
 
 class_membership_distance needs no search: it finds the nearest element of
 a classified family exactly (per-qubit phase fits with a bisection on the
@@ -42,6 +47,7 @@ witness_anomalies check the sampled witnesses against it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -69,7 +75,6 @@ __all__ = [
 DENSE_ORACLE_CAP = 10
 _WITNESS_TOL = 1e-8  # largest residual of an accepted stabilizer witness
 _DEDUPE = 1e-6  # resolution at which witnesses count as projectively equal
-_PHASE_GRID = 12  # phase lattice points per qubit, fewer where p^n entries would pass 2e8
 # Euler lattice points per angle, lattice minima refined, and refined per round
 _BRUTEFORCE_GRID, _BRUTEFORCE_STARTS, _BRUTEFORCE_ROUND = 12, 40, 8
 
@@ -93,7 +98,7 @@ class StabilizerWitness:
 
 @dataclass(frozen=True)
 class StabilizerSearchConfig:
-    """Size of the blind stabilizer search: Euler lattice points per angle, lattice minima refined."""
+    """Size of the blind identical-tuple search: Euler lattice points per angle, lattice minima refined."""
 
     grid: int = 12
     max_descents: int = 400
@@ -165,10 +170,11 @@ def _entry_table(rho):
 def _difference_classes(vals, diffs):
     """The entry table summed per bit-difference class; (class sums, class diffs).
 
-    An entry enters the phase residual only through sin^2(theta/2) of its
-    angle theta = phis . diff, which is even in theta, so diff and -diff are
-    one class (kept with its first nonzero difference positive).  The zero
-    class never moves and is dropped.
+    Per-qubit phases move an entry by e^{i theta}, theta = phis . diff: it is
+    fixed exactly when theta is in 2 pi Z, and its residual is
+    sin^2(theta/2), even in theta.  So diff and -diff are one class (kept
+    with its first nonzero difference positive).  The zero class never moves
+    and is dropped.
     """
     lead = np.take_along_axis(diffs, np.argmax(diffs != 0, axis=1)[:, None], axis=1)
     canon = np.where(lead < 0, -diffs, diffs)
@@ -178,33 +184,68 @@ def _difference_classes(vals, diffs):
     return sums[moving], classes[moving]
 
 
-def _phase_grid(n: int, entries: int) -> int:
-    """Phase lattice points per qubit for a table of `entries` significant entries.
+def _diagonal_form(rows, n: int):
+    """(s, V) with U D V = diag(s) for the integer matrix D of the given rows, U and V unimodular.
 
-    _PHASE_GRID, fewer where p^n points times the entries would pass 2e8.
-    The count is of entries, not of their classes: the lattice, and so the
-    search, is the one the entry-by-entry residual had.
+    D is diagonalised by integer row and column operations: the smallest
+    nonzero entry left is moved to the next pivot, and its row and column are
+    reduced by it until both are clear.  Only the column operations are kept,
+    in V (n x n, Python ints); s holds the r nonzero pivots |s_i|, so
+    columns r.. of V span the kernel of D.  The s_i need not divide each other.
     """
-    p = _PHASE_GRID
-    while p > 3 and p**n * entries > 2e8:
-        p -= 1
-    return p
+    a = [list(r) for r in rows]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    s = []
+    while True:
+        t = len(s)
+        entries = [(abs(x), i, j) for i in range(t, len(a)) for j, x in enumerate(a[i][t:], t) if x]
+        if not entries:
+            return s, v
+        _, i, j = min(entries)
+        a[t], a[i] = a[i], a[t]
+        for row in a + v:
+            row[t], row[j] = row[j], row[t]
+        p = a[t][t]
+        for i in range(t + 1, len(a)):
+            q = a[i][t] // p
+            a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+        for j in range(t + 1, n):
+            q = a[t][j] // p
+            for row in a + v:
+                row[j] -= q * row[t]
+        if not any(row[t] for row in a[t + 1 :]) and not any(a[t][t + 1 :]):
+            s.append(abs(p))
 
 
-def _diag_witnesses(rho, cfg):
-    n = rho.n
-    vals, diffs = _entry_table(rho)
-    p = _phase_grid(n, vals.size)
-    vals, diffs = _difference_classes(vals, diffs)
-    phis = search.lattice(*([np.linspace(0.0, 2 * math.pi, p, endpoint=False)] * n))
-    res = _kernels.diag_phase_residual(phis, vals, diffs)
-    minima = search.lowest_minima(res.reshape((p,) * n), tuple(range(n)), cfg.max_descents)
+def _diag_subgroup(rho):
+    """The diagonal stabilizer {phi : D phi in 2 pi Z^m} as (finite elements (F, n), directions (n, c)).
 
-    def model(xs):
-        return _kernels.diag_phase_gauss_newton(xs, vals, diffs)
+    D holds rho's bit-difference classes (_difference_classes), after the
+    lightest are dropped for as long as their total weight w moves the
+    residual by at most 2 sqrt(sum w) <= _WITNESS_TOL / 2.  With
+    U D V = diag(s) (_diagonal_form), phi = V psi stabilizes exactly when
+    s_i psi_i is in 2 pi Z for i < r: the finite elements are
+    2 pi V (k_1 / s_1, ..., k_r / s_r, 0, ...) mod 2 pi, every k, and the
+    integer columns V[:, r:] span the continuous part.
+    """
+    vals, diffs = _difference_classes(*_entry_table(rho))
+    order = np.argsort(vals, kind="stable")
+    light = np.count_nonzero(2.0 * np.sqrt(np.cumsum(vals[order])) <= 0.5 * _WITNESS_TOL)
+    s, v = _diagonal_form(diffs[order[light:]].astype(np.int64).tolist(), rho.n)
+    v = np.array(v, dtype=np.int64)
+    ks = np.array(list(itertools.product(*(np.arange(si) / si for si in s))))  # (F, r)
+    return 2 * math.pi * ((ks @ v[:, : len(s)].T) % 1.0), v[:, len(s) :]
 
-    xs = _accepted(search.gauss_newton(model, np.add, phis[minima]))
-    return [states.LocalUnitary(tuple(np.diag([1.0, np.exp(1j * t)]) for t in x)) for x in xs]
+
+def _diag_witnesses(rho):
+    """Every finite element of the diagonal stabilizer, and each continuous direction at 1 rad.
+
+    1 / (2 pi) is irrational, so a direction's element at 1 rad lies in a
+    closed family of phases only if its whole circle does.
+    """
+    finite, directions = _diag_subgroup(rho)
+    phases = np.concatenate([finite, directions.T.astype(np.float64)])
+    return [states.LocalUnitary(tuple(np.diag([1.0, np.exp(1j * t)]) for t in x)) for x in phases]
 
 
 def sample_stabilizer(
@@ -213,16 +254,19 @@ def sample_stabilizer(
 ) -> tuple[StabilizerWitness, ...]:
     """Search for stabilizer elements of a permutation-invariant state.
 
-    The witnesses are a lattice sample, deduplicated at _DEDUPE, not the
-    stabilizer: for a continuous stabilizer family their number follows
-    last-bit roundoff of the search.  Decisions rest on stabilizer_anomalies.
+    The diagonal-phase witnesses are the whole diagonal stabilizer: its
+    finite elements and one element per continuous direction
+    (_diag_witnesses).  The identical-tuple witnesses are a lattice sample,
+    deduplicated at _DEDUPE, not the stabilizer: for a continuous family
+    their number follows last-bit roundoff of the search.  Decisions rest on
+    stabilizer_anomalies.
     """
     if cfg is None:
         cfg = StabilizerSearchConfig()
     _cap(rho.n)
     if not states.is_permutation_invariant(rho):
         raise DomainError("stabilizer sampling expects a permutation-invariant state")
-    candidates = _identical_witnesses(rho, cfg) + _diag_witnesses(rho, cfg)
+    candidates = _identical_witnesses(rho, cfg) + _diag_witnesses(rho)
     seen = {}
     for u in candidates:
         w = check_stabilizes(u, rho)
@@ -402,9 +446,10 @@ def stabilizer_anomalies(
 ) -> tuple:
     """Sampled stabilizer witnesses lying outside the classified family.
 
-    An empty result means every witness found by the blind lattice search is
-    explained (at lattice resolution) by the classification; each anomaly is
-    returned as (witness, membership distance).
+    An empty result means every witness of the blind search (the exact
+    diagonal stabilizer and the identical-tuple lattice sample) is explained
+    by the classification; each anomaly is returned as (witness, membership
+    distance).
     """
     if cfg is None:
         cfg = StabilizerSearchConfig()

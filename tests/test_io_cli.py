@@ -415,6 +415,31 @@ def test_malformed_json_is_a_domain_error(tmp_path, monkeypatch, capsys, cmd, te
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 5, "basis": "majorana", "points": [[0, 0], [1, 1]]}',
+        '{"n": 0.5, "basis": "majorana", "points": [[0, 0], [1, 1]]}',
+        '{"n": 2, "points": [[0, 0, 2], [1, 1]]}',
+        '{"n": 3, "basis": "majorana"}',
+    ],
+    ids=["too-many", "fractional", "multiplicity", "no-points"],
+)
+def test_majorana_file_whose_n_is_not_its_point_count_exits_3(tmp_path, monkeypatch, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out = run_cli(["classify", str(bad)], monkeypatch, capsys)
+    assert code == 3
+    assert "error" in json.loads(out)
+
+
+def test_majorana_file_with_a_matching_n_loads():
+    obj = {"n": 3, "basis": "majorana", "points": [[0, 0], [1, 1, 2]]}
+    assert io.state_from_dict(obj).n == 3
+    del obj["n"]
+    assert io.state_from_dict(obj).n == 3
+
+
 @pytest.mark.parametrize("grid", ["-3", "0", "3"])
 def test_verify_rejects_a_degenerate_search_grid_with_exit_3(tmp_path, monkeypatch, capsys, grid):
     code, out = run_cli(["verify", _ghz3_file(tmp_path), "--search-grid", grid], monkeypatch, capsys)

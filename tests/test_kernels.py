@@ -392,30 +392,3 @@ def test_su2_left_step_is_the_exponential():
         for k in range(3):
             step = expm(-0.5j * sum(c * p for c, p in zip(steps[b, 3 * k : 3 * k + 3], paulis)))
             assert np.max(np.abs(moved[b, k] - step @ stack[b, k])) < 1e-14
-
-
-def test_diag_phase_gauss_newton_is_the_squared_residual_with_its_derivatives():
-    rng = np.random.default_rng(45)
-    n = 3
-    rho = states.random_symmetric_mixed(n, rng)
-    rows, cols = np.nonzero(np.abs(rho.mat) > 1e-14)
-    vals = np.abs(rho.mat[rows, cols]) ** 2
-    bits = ((np.arange(8)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
-    diffs = bits[rows] - bits[cols]
-    phis = rng.uniform(0, 2 * math.pi, size=(6, n))
-    f2, grad, gn = _kernels.diag_phase_gauss_newton(phis, vals, diffs)
-    assert np.max(np.abs(f2 - _kernels.diag_phase_residual(phis, vals, diffs) ** 2)) < 1e-14
-    h = 1e-6
-    fd = np.stack(
-        [
-            (_kernels.diag_phase_gauss_newton(phis + h * e, vals, diffs)[0] - _kernels.diag_phase_gauss_newton(phis - h * e, vals, diffs)[0]) / (2 * h)
-            for e in np.eye(n)
-        ],
-        axis=1,
-    )
-    assert np.max(np.abs(fd - 2 * grad)) < 1e-7
-    resid_jac = 1j * np.sqrt(vals)[:, None] * diffs  # at phis = 0
-    assert np.allclose(gn[0], np.real(resid_jac.conj().T @ resid_jac), atol=1e-14)
-    # near theta = 0 the squared residual keeps its relative accuracy
-    tiny = _kernels.diag_phase_gauss_newton(np.full((1, n), 1e-10), vals, diffs)[0][0]
-    assert tiny == pytest.approx(np.sum(vals * (diffs.sum(axis=1) * 1e-10) ** 2), rel=1e-6)

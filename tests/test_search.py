@@ -162,31 +162,6 @@ def test_refine_all_on_the_tetrahedron_lattice_minima():
     assert sorted(set(reached)) == list(range(12))  # the accepted witnesses are the whole group
 
 
-def test_refine_all_on_the_tetrahedron_diagonal_phases():
-    n = 4
-    rho = _tetrahedron_rho()
-    rows, cols = np.nonzero(np.abs(rho) > 1e-14)
-    vals = np.abs(rho[rows, cols]) ** 2
-    bits = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
-    diffs = bits[rows] - bits[cols]
-    axis = np.linspace(0.0, 2 * math.pi, 6, endpoint=False)
-    points = search.lattice(*([axis] * n))
-    res = _kernels.diag_phase_residual(points, vals, diffs)
-    starts = points[search.local_minima(res.reshape((6,) * n), wrap=tuple(range(n)))]
-    assert len(starts) > 20
-
-    def model(xs):
-        return _kernels.diag_phase_gauss_newton(xs, vals, diffs)
-
-    got = search.gauss_newton(model, np.add, starts)
-    assert len(got) == len(starts)
-    accepted = {tuple(np.round(np.mod(x, 2 * math.pi) / math.pi, 9) % 2) for x, f2 in got if math.sqrt(f2) <= 1e-8}
-    # the diagonal stabilizer elements: the identity and the half turn about z, diag(1, -1) on every qubit
-    assert accepted == {(0.0,) * n, (1.0,) * n}
-    for x, f2 in got:
-        assert math.sqrt(f2) == pytest.approx(_kernels.diag_phase_residual(x[None], vals, diffs)[0], abs=1e-8)
-
-
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_refinement_leaves_gimbal_lock(n):
     # beta = 0 rows of the Euler lattice, where Euler coordinates lose a

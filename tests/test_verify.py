@@ -143,22 +143,97 @@ def test_class_summed_phase_table_gives_the_entry_residual(make):
     assert not np.any(np.all(class_diffs == 0, axis=1))
     phis = np.random.default_rng(57).uniform(0, 2 * math.pi, size=(40, rho.n))
     phis[0] = 0.0
-    for entry, summed in zip(
-        _kernels.diag_phase_gauss_newton(phis, vals, diffs),
-        _kernels.diag_phase_gauss_newton(phis, class_vals, class_diffs),
-    ):
-        assert np.max(np.abs(entry - summed)) <= 1e-14
     residual = _kernels.diag_phase_residual(phis, vals, diffs)
     assert np.max(np.abs(_kernels.diag_phase_residual(phis, class_vals, class_diffs) - residual)) <= 1e-14
 
 
-def test_phase_lattice_is_sized_by_the_entries_not_their_classes():
-    for make, entries, classes, p in ((tetrahedron_state, 64, 16, 12), (octahedron_state, 144, 36, 10)):
-        rho = states.to_density(make())
-        vals, diffs = verify._entry_table(rho)
-        assert (len(vals), len(verify._difference_classes(vals, diffs)[0])) == (entries, classes)
-        assert verify._phase_grid(rho.n, len(vals)) == p
-    assert verify._phase_grid(6, 36) == 12  # the class count would triple the octahedron's lattice
+def _in_diag_subgroup(phi, finite, directions) -> bool:
+    """Whether phi is, mod 2 pi, a finite element plus a real combination of the directions.
+
+    Solved as phi - f - 2 pi z in the span of the directions for an integer z:
+    a point C t of the subtorus with t in [0, 2 pi)^c differs from its wrap
+    into (-pi, pi] by 2 pi z with |z_k| <= 1/2 + sum_i |C_ki|, so a box of z
+    that size decides.
+    """
+    n = len(phi)
+    proj = np.eye(n) - directions @ np.linalg.pinv(directions) if directions.size else np.eye(n)
+    reach = [math.ceil(0.5 + r) for r in np.sum(np.abs(directions), axis=1)]
+    zs = search.lattice(*(np.arange(-r, r + 1) for r in reach))
+    for f in finite:
+        x = (phi - f + math.pi) % (2 * math.pi) - math.pi
+        if np.min(np.linalg.norm((x[None] - 2 * math.pi * zs) @ proj.T, axis=1)) < 1e-9:
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "make, per_qubit, order, continuous",
+    [
+        (tetrahedron_state, 12, 2, 0),
+        (lambda: states.ghz(3), 12, 1, 2),
+        (lambda: states.dicke(4, 2), 12, 1, 1),
+        (lambda: states.dicke(3, 1), 12, 1, 1),
+        (lambda: np.eye(8) / 8, 12, 1, 3),
+        (octahedron_state, 4, 4, 0),  # spacing pi / 2
+    ],
+    ids=["tetrahedron", "ghz3", "dicke42", "dicke31", "maximally-mixed", "octahedron"],
+)
+def test_exact_diagonal_group_holds_every_lattice_witness(make, per_qubit, order, continuous):
+    # the reference is the lattice search's acceptance: the class-free entry
+    # residual, then the dense conjugation, at every point of the phase lattice
+    made = make()
+    rho = states.DensityMatrix(3, made) if isinstance(made, np.ndarray) else states.to_density(made)
+    n = rho.n
+    finite, directions = verify._diag_subgroup(rho)
+    assert (len(finite), directions.shape) == (order, (n, continuous))
+    vals, diffs = verify._entry_table(rho)
+    points = search.lattice(*([np.linspace(0.0, 2 * math.pi, per_qubit, endpoint=False)] * n))
+    residual = _kernels.diag_phase_residual(points, vals, diffs)
+    accepted = points[residual <= 1e-8]
+    assert len(accepted) >= order
+    assert not any(_in_diag_subgroup(phi, finite, directions) for phi in points[residual > 1e-3][:50])
+    for phi in accepted:
+        u = states.LocalUnitary(tuple(np.diag([1.0, np.exp(1j * t)]) for t in phi))
+        assert verify.check_stabilizes(u, rho).residual <= 1e-8
+        assert _in_diag_subgroup(phi, finite, directions), phi
+    # the reported group is no larger than the stabilizer: each element, and
+    # each direction at an arbitrary angle, passes the dense check
+    for phi in np.concatenate([finite, 0.7 * directions.T]):
+        u = states.LocalUnitary(tuple(np.diag([1.0, np.exp(1j * t)]) for t in phi))
+        assert verify.check_stabilizes(u, rho).residual <= 1e-8
+
+
+def test_diagonal_group_of_the_tetrahedron_is_the_z_half_turn():
+    finite, directions = verify._diag_subgroup(states.to_density(tetrahedron_state()))
+    assert directions.size == 0
+    # the identity and diag(1, -1) on every qubit
+    assert sorted(np.round(finite / math.pi, 12).tolist()) == [[0.0] * 4, [1.0] * 4]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_diagonal_group_of_ghz_and_dicke(n):
+    finite, directions = verify._diag_subgroup(states.to_density(states.ghz(n)))
+    assert (len(finite), directions.shape[1]) == (1, n - 1)
+    assert np.all(directions.sum(axis=0) == 0)  # the phases sum to 0
+    finite, directions = verify._diag_subgroup(states.to_density(states.dicke(n, n // 2)))
+    assert (len(finite), directions.shape[1]) == (1, 1)
+    assert abs(directions[:, 0].sum()) == n  # one phase on every qubit
+
+
+def test_diagonal_form_clears_an_integer_matrix():
+    rng = np.random.default_rng(58)
+    for _ in range(20):
+        m, n = rng.integers(1, 7), rng.integers(1, 6)
+        d = rng.integers(-3, 4, size=(m, n))
+        s, v = verify._diagonal_form(d.tolist(), n)
+        v = np.array(v, dtype=np.int64)
+        assert round(abs(np.linalg.det(v))) == 1
+        assert len(s) == np.linalg.matrix_rank(d) and all(si > 0 for si in s)
+        dv = d @ v
+        assert not np.any(dv[:, len(s) :])  # the kernel
+        # D V = U^{-1} diag(s): column i is s_i times an integer column
+        for i, si in enumerate(s):
+            assert np.all(dv[:, i] % si == 0)
 
 
 def test_sample_stabilizer_requires_permutation_invariance():
