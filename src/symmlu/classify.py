@@ -13,21 +13,24 @@ a short list of families, named here by roman tags:
 Everything else has a finite stabilizer described by the rotational symmetry
 group of its point configuration.
 
-psi psi^+ is the single spin-n/2 block of a permutation-invariant state,
-whose multipoles move rigidly under rotations.  classify_state takes its one
-candidate axis from the first multipole above the cutoff
-(mixed.multipole_frame), turns psi once to put that axis at the pole, and
-reads the class off the turned coefficients.  A finite stabilizer fixes
-every multipole, so it lies among the self-matches of psi psi^+ that
-mixed.frame_candidates gives: the turn families of an axial frame, with the
-C_m turns that the turned coefficients allow, or the self-matches of a
-multipole's constellation.  The ones that fix psi are the group, and
-rotmatch.point_group names it.  No class finds the Majorana points of psi,
-so no answer depends on how well its multiple roots are found.  At n = 2 the
-balanced classes iia and iva hold the same states, and classify_state raises
-AmbiguousClassificationError on them.  lu_equivalent_pure scores the
-candidates of the same frames for psi and phi, the decision of
-lu_equivalent_mixed.
+psi psi^+ is the single spin-n/2 block of a permutation-invariant state
+(states.pure_blocks), whose multipoles move rigidly under rotations.
+classify_state takes its one candidate axis from the first multipole above
+the cutoff (mixed.multipole_frame, computed once per call), turns psi once
+to put that axis at the pole, and reads the class off the turned
+coefficients.  A finite stabilizer fixes every multipole, so it lies among
+the self-matches of psi psi^+ that mixed.frame_candidates gives from that
+same frame: on an axial frame the identity and, at even rank, the solved
+flip family, each with the C_m turns that the turned coefficients allow; on
+any other the self-matches of a multipole's constellation.  The ones that
+fix psi are the group, and rotmatch.point_group names it.  No class finds
+the Majorana points of psi, so no answer depends on how well its multiple
+roots are found.  At n = 2 the balanced classes iia and iva hold the same
+states, and classify_state raises AmbiguousClassificationError on them.
+lu_equivalent_pure scores the candidates of the same frames for psi and
+phi, the decision of lu_equivalent_mixed.  psi itself stays a vector: every
+candidate turns it as a matvec chain (states.symmetric_power_apply), and no
+(n+1) x (n+1) matrix of g^{(x)n} is formed.
 """
 from __future__ import annotations
 
@@ -248,21 +251,23 @@ def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> 
     A state of class i, ii or iv has a rotation axis, and every multipole of
     psi psi^+ below rank n is axial about it; so the first one above the
     cutoff (mixed.multipole_frame, on the single spin-n/2 block) gives the
-    one candidate axis.  psi is turned once, axis to the pole, and the class
-    is read off the turned coefficients, each compared with tol: one left is
-    class i or iv, only the two poles left is class ii, and anything else
-    has a finite stabilizer.  Its elements are the self-matches of
-    mixed.frame_candidates(psi psi^+, psi psi^+) that fix psi to tol in
-    phase distance; an axial frame adds the turns by 2 pi / m about its
-    axis, m the gcd of the gaps between the turned coefficients left, and
-    each of them times the solved flip.
+    one candidate axis; that frame is computed once and handed on.  psi is
+    turned once, axis to the pole, and the class is read off the turned
+    coefficients, each compared with tol: one left is class i or iv, only
+    the two poles left is class ii, and anything else has a finite
+    stabilizer.  Its elements are the self-matches of
+    mixed.frame_candidates(psi psi^+, psi psi^+, frame) that fix psi to tol
+    in phase distance; an axial frame gives the identity, exactly, and the
+    solved flip at even rank, each times the turns by 2 pi / m about its
+    axis, m the gcd of the gaps between the turned coefficients left.
     """
     tol = checked(tol, DEFAULT_TOLERANCES.equality)
     n = psi.n
-    blocks = states.SpinBlocks(n, (n / 2,), (1,))
+    blocks = states.pure_blocks(n)
     rho = np.outer(psi.coeffs, psi.coeffs.conj())
-    *_, g = mixed.multipole_frame(rho, blocks)
-    turned = states.apply_diag_symmetric(g, psi).coeffs
+    frame = mixed.multipole_frame(rho, blocks)
+    g = frame.g
+    turned = states.symmetric_power_apply(g, psi.coeffs)
     mags = np.abs(turned)
     left = np.flatnonzero(mags > tol)
     if left.size == 1:
@@ -285,15 +290,15 @@ def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> 
         sclass = StabilizerClass("iia") if abs(a - b) <= tol else StabilizerClass("iib", t=t)
     else:
         # a stabilizer fixes every multipole, so the frame's self-matches hold the whole group
-        candidates, _, axial = mixed.frame_candidates(rho, rho, blocks)
+        candidates, _, axial = mixed.frame_candidates(rho, rho, blocks, frame)
         candidates = np.array(candidates)
         if axial:
             # rz(phi) turns coefficient k by e^{i (n/2 - k) phi}: the turns that fix the turned psi are C_m
             m = math.gcd(*np.diff(left).tolist())
-            turns = np.zeros((m, 2, 2), dtype=np.complex128)
-            turns[:, 0, 0] = np.exp(-1j * math.pi * np.arange(m) / m)
-            turns[:, 1, 1] = turns[:, 0, 0].conj()
-            candidates = (g.conj().T @ turns @ g)[:, None] @ candidates[None]
+            # g^+ rz(2 pi j / m) g = cos(pi j / m) - i sin(pi j / m) g^+ Z g, the identity exactly at j = 0
+            half = math.pi * np.arange(m)[:, None, None] / m
+            turns = np.cos(half) * np.eye(2) - 1j * np.sin(half) * (g.conj().T @ states.PAULI_Z @ g)
+            candidates = turns[:, None] @ candidates[None]
         kept = candidates.reshape(-1, 2, 2)[_phase_distances(candidates, psi, psi) <= tol]
         sclass = StabilizerClass("finite", group=rotmatch.point_group(rotmatch.su2_to_so3(kept)))
         g = np.eye(2, dtype=np.complex128)
@@ -307,8 +312,7 @@ def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> 
 def _build_result(psi, sclass, g, tol):
     # a finite class has no canonical representative: psi stands for itself
     canon = psi.phase_normalized() if sclass.tag == "finite" else canonical_state(sclass, psi.n)
-    moved = states.apply_diag_symmetric(g, psi)
-    residual = moved.distance(canon)
+    residual = float(_phase_distances(g, psi, canon)[0])
     if residual > 10 * tol:
         raise AmbiguousClassificationError(
             [f"{sclass} (canonical residual {residual:.3g} exceeds tolerance)"]
@@ -337,14 +341,14 @@ def lu_equivalent_pure(
     psi psi^+ is a permutation-invariant state with a single spin block,
     j = n/2, so the multipole frames of mixed.frame_candidates give the
     candidate unitaries, with no root finding on psi itself.  All candidates
-    turn psi in one pass, on the stack of their symmetric powers, and the
-    first one nearest phi in phase distance is returned when that distance
-    is at most tol.
+    turn psi in one states.symmetric_power_apply pass, a matvec chain each,
+    and the first one nearest phi in phase distance is returned when that
+    distance is at most tol.
     """
     tol = checked(tol, DEFAULT_TOLERANCES.equality)
     if psi.n != phi.n:
         raise DomainError(f"qubit counts differ: {psi.n} vs {phi.n}")
-    blocks = states.SpinBlocks(psi.n, (psi.n / 2,), (1,))
+    blocks = states.pure_blocks(psi.n)
     rho_b, sigma_b = (np.outer(s.coeffs, s.coeffs.conj()) for s in (psi, phi))
     candidates, *_ = mixed.frame_candidates(rho_b, sigma_b, blocks)
     if not candidates:
@@ -355,8 +359,12 @@ def lu_equivalent_pure(
 
 
 def _phase_distances(candidates: np.ndarray, psi, phi) -> np.ndarray:
-    """Phase distance from phi of g^{(x)n} psi for each g of a (..., 2, 2) stack, in one symmetric_power pass."""
-    moved = states.symmetric_power(candidates.reshape(-1, 2, 2), psi.n) @ psi.coeffs
+    """Phase distance from phi of g^{(x)n} psi for each g of a (..., 2, 2) stack, flat.
+
+    One states.symmetric_power_apply pass turns psi by every g as a matvec
+    chain, with no (n+1) x (n+1) matrix formed.
+    """
+    moved = states.symmetric_power_apply(np.reshape(candidates, (-1, 2, 2)), psi.coeffs)
     return states.phase_distances(moved / np.linalg.norm(moved, axis=1, keepdims=True), phi.coeffs)
 
 

@@ -20,7 +20,8 @@ cutoff the identity.  For a symmetric pure state psi, psi psi^+ is a density
 matrix with the single spin block n/2, so classify.lu_equivalent_pure
 decides with the same candidates, and classify.classify_state reads its one
 candidate axis off the same first multipole (multipole_frame) and its
-finite groups off the same candidates for psi psi^+ and itself.
+finite groups off the same candidates for psi psi^+ and itself, from that
+one frame.
 
 The candidate with the least block distance is reported as equivalent only
 after a dense re-check of || g^{(x)n} rho g^{(x)n +} - sigma ||_F.  Cheap LU
@@ -36,14 +37,16 @@ reports the threshold it applied.
 Two qubits fall outside the reduction: (g1, g2) need not be equal, and
 two_factor_search searches for them.  It compares the global spectrum and
 both qubits' reduced spectra first, then scans an Euler lattice of each
-factor, refines the lowest local minima by damped Gauss-Newton on the
-per-qubit model (refine_minimum), and re-checks the best pair densely; a
-miss stays undecided.
+factor, scored by the squared distance alone, refines the lowest local
+minima by damped Gauss-Newton on the per-qubit model (refine_minimum), and
+re-checks the best pair densely; a miss stays undecided.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +69,7 @@ __all__ = [
     "spectra_report",
     "frame_candidates",
     "multipole_frame",
+    "MultipoleFrame",
 ]
 
 _SPECTRUM_TOL = 1e-8
@@ -186,7 +190,7 @@ def _axial_coefficient(v: np.ndarray, g: np.ndarray) -> float | None:
     v is axial when only the middle coefficient is left after g.
     """
     k = v.size // 2
-    turned = states.symmetric_power(g, 2 * k) @ v / np.linalg.norm(v)
+    turned = states.symmetric_power_apply(g, v) / np.linalg.norm(v)
     axial = np.delete(np.abs(turned), k).max() <= DEFAULT_TOLERANCES.equality
     return float(turned[k].real) if axial else None
 
@@ -259,16 +263,33 @@ def _solve_turn(c: np.ndarray) -> tuple:
     return (0.0 if 0.0 in nearest else max(nearest)), float(c[n].real + top + slack)
 
 
-def _multipoles(form: np.ndarray, blocks: states.SpinBlocks):
-    """(b, k, v) of each multipole of a block form above the cutoff, rank-major, top spin first."""
+def _multipoles(form: np.ndarray, blocks: states.SpinBlocks, after: tuple = (0, 0)):
+    """(b, k, v) of each multipole of a block form above the cutoff, rank-major, top spin first.
+
+    The scan starts past the rank k and block b of after = (k, b).
+    """
     cut = _MULTIPOLE_CUTOFF * np.linalg.norm(form)
     ranks = ((b, k) for k in range(1, blocks.n + 1) for b, j in enumerate(blocks.spins) if 2 * j >= k)
-    multipoles = ((b, k, blocks.multipole(form, b, k)) for b, k in ranks)
+    multipoles = ((b, k, blocks.multipole(form, b, k)) for b, k in ranks if (k, b) > after)
     return ((b, k, v) for b, k, v in multipoles if np.linalg.norm(v) > cut)
 
 
-def multipole_frame(form: np.ndarray, blocks: states.SpinBlocks) -> tuple:
-    """(b, k, v, g) of a block form's first multipole above the cutoff, and its axis.
+class MultipoleFrame(NamedTuple):
+    """A block form's first multipole above the cutoff: block b, rank k, multipole v and its axis turn g.
+
+    c is v's axial coefficient once g has turned it (_axial_coefficient), or
+    None when v is not axial or there is no multipole (k = 0).
+    """
+
+    b: int
+    k: int
+    v: np.ndarray | None
+    g: np.ndarray
+    c: float | None
+
+
+def multipole_frame(form: np.ndarray, blocks: states.SpinBlocks) -> MultipoleFrame:
+    """The MultipoleFrame of a block form's first multipole above the cutoff.
 
     The scan is rank-major, top spin first: v is the rank-k multipole of
     block b, and g (a 2x2 unitary) turns v's axis to the north pole
@@ -276,7 +297,10 @@ def multipole_frame(form: np.ndarray, blocks: states.SpinBlocks) -> tuple:
     g is the identity.
     """
     b, k, v = next(_multipoles(form, blocks), (0, 0, None))
-    return b, k, v, (_axis_turn(v) if k else np.eye(2, dtype=np.complex128))
+    if not k:
+        return MultipoleFrame(b, k, v, np.eye(2, dtype=np.complex128), None)
+    g = _axis_turn(v)
+    return MultipoleFrame(b, k, v, g, _axial_coefficient(v, g))
 
 
 _CONSTELLATION_GAP = 1e-2  # chordal gap below which two constellation points may be one scattered multiple point
@@ -297,7 +321,9 @@ def _separated(cfg: majorana.MajoranaConfiguration) -> bool:
     return len(cfg.points) > 2 and cfg.multiplicities.max() <= 2 and gaps.min() > _CONSTELLATION_GAP
 
 
-def _matched_candidates(rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.SpinBlocks) -> tuple:
+def _matched_candidates(
+    rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.SpinBlocks, frame: MultipoleFrame
+) -> tuple:
     """frame_candidates when rho's first multipole is not axial: the rotations carrying a constellation of rho onto sigma's.
 
     The constellation is that of the first multipole, from the first on,
@@ -308,23 +334,30 @@ def _matched_candidates(rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.S
     a scattered point onto its image; a point that is threefold at the pole
     of rho is found exactly there but scatters in a turned sigma.  Separated
     points are found to roundoff in any orientation, so their matches hold
-    every rotation carrying that multipole, and so rho, onto sigma's.
+    every rotation carrying that multipole, and so rho, onto sigma's.  The
+    scan goes on from rho's frame, the first multipole.
     """
-    found = ((b, k, _constellation(v)) for b, k, v in _multipoles(rho_b, blocks))
+    rest = _multipoles(rho_b, blocks, after=(frame.k, frame.b))
+    found = ((b, k, _constellation(v)) for b, k, v in itertools.chain([frame[:3]], rest))
     first = next(found)
     b, k, cfg_rho = first if _separated(first[2]) else next((f for f in found if _separated(f[2])), first)
-    frame = f"frame: rank-{k} multipole of spin {blocks.spins[b]:g}"
-    v_sigma = blocks.multipole(sigma_b, b, k)
-    if np.linalg.norm(v_sigma) <= _MULTIPOLE_CUTOFF * np.linalg.norm(sigma_b):
-        return [], frame, False
+    label = f"frame: rank-{k} multipole of spin {blocks.spins[b]:g}"
     # rho's own self-matches (classify.classify_state) find its constellation once
-    cfg_sigma = cfg_rho if sigma_b is rho_b else _constellation(v_sigma)
+    if sigma_b is rho_b:
+        cfg_sigma = cfg_rho
+    else:
+        v_sigma = blocks.multipole(sigma_b, b, k)
+        if np.linalg.norm(v_sigma) <= _MULTIPOLE_CUTOFF * np.linalg.norm(sigma_b):
+            return [], label, False
+        cfg_sigma = _constellation(v_sigma)
     rots = np.reshape(rotmatch.all_matching_rotations(cfg_rho, cfg_sigma), (-1, 3, 3))
     # separate arrays: the one an answer returns keeps no stack alive
-    return [g.copy() for g in rotmatch.so3_to_su2(rots)], frame, False
+    return [g.copy() for g in rotmatch.so3_to_su2(rots)], label, False
 
 
-def frame_candidates(rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.SpinBlocks) -> tuple:
+def frame_candidates(
+    rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.SpinBlocks, frame: MultipoleFrame | None = None
+) -> tuple:
     """(candidate unitaries, the frame they come from, whether it is axial) for carrying rho onto sigma.
 
     rho_b and sigma_b are block forms on blocks (states.SpinBlocks).  When
@@ -342,26 +375,39 @@ def frame_candidates(rho_b: np.ndarray, sigma_b: np.ndarray, blocks: states.Spin
     deciders use it: lu_equivalent_mixed on the spin blocks of n qubits and
     classify.lu_equivalent_pure on the single spin-n/2 block of psi psi^+;
     classify.classify_state takes psi psi^+'s self-matches from it.
+
+    frame is rho's multipole_frame, when the caller has it.  When sigma_b is
+    rho_b (a self-match), sigma's frame is rho's, and the plain family's
+    member is the identity, exactly and with no turn solved: every c_q of a
+    form against itself is >= 0, so f(phi) <= sum_q c_q = f(0), and
+    _solve_turn picks phi = 0 on that tie.  Only the flipped family is
+    solved, and only at even k.
     """
-    b, k, v_rho, g_rho = multipole_frame(rho_b, blocks)
+    frame = multipole_frame(rho_b, blocks) if frame is None else frame
+    b, k, _, g_rho, c_rho = frame
     if k == 0:
         return [g_rho], "no multipole above the cutoff", False
-    frame = f"frame: rank-{k} multipole of spin {blocks.spins[b]:g}"
-    v_sigma = blocks.multipole(sigma_b, b, k)
-    if np.linalg.norm(v_sigma) <= _MULTIPOLE_CUTOFF * np.linalg.norm(sigma_b):
-        return [], frame, False
-    g_sigma = _axis_turn(v_sigma)
-    c_rho, c_sigma = _axial_coefficient(v_rho, g_rho), _axial_coefficient(v_sigma, g_sigma)
+    label = f"frame: rank-{k} multipole of spin {blocks.spins[b]:g}"
+    self_match = sigma_b is rho_b
+    if self_match:
+        g_sigma, c_sigma = g_rho, c_rho
+    else:
+        v_sigma = blocks.multipole(sigma_b, b, k)
+        if np.linalg.norm(v_sigma) <= _MULTIPOLE_CUTOFF * np.linalg.norm(sigma_b):
+            return [], label, False
+        g_sigma = _axis_turn(v_sigma)
+        c_sigma = _axial_coefficient(v_sigma, g_sigma)
     if c_rho is None or c_sigma is None:
-        return _matched_candidates(rho_b, sigma_b, blocks)
-    sigma_t = blocks.rotate(g_sigma, sigma_b)
-    out = []
+        return _matched_candidates(rho_b, sigma_b, blocks, frame)
     # the flip takes T_k0 at the pole to (-1)^k T_k0; a family that moves c off sigma's sign cannot match
-    for flip, sign in ((np.eye(2), 1), (states.POLE_FLIP, (-1) ** k)):
-        if sign * c_rho * c_sigma > 0:
-            phi = _best_turn(blocks.rotate(flip @ g_rho, rho_b), sigma_t, blocks)
-            out.append(g_sigma.conj().T @ states.rz(phi) @ flip @ g_rho)
-    return out, f"{frame}, axial", True
+    families = ((np.eye(2), 1), (states.POLE_FLIP, (-1) ** k))[self_match:]
+    solved = [flip for flip, sign in families if sign * c_rho * c_sigma > 0]
+    sigma_t = blocks.rotate(g_sigma, sigma_b) if solved else None
+    out = [np.eye(2, dtype=np.complex128)] if self_match else []
+    for flip in solved:
+        phi = _best_turn(blocks.rotate(flip @ g_rho, rho_b), sigma_t, blocks)
+        out.append(g_sigma.conj().T @ states.rz(phi) @ flip @ g_rho)
+    return out, f"{label}, axial", True
 
 
 def lu_equivalent_mixed(
@@ -420,6 +466,13 @@ def refine_minimum(model, starts) -> tuple:
     return search.best(search.gauss_newton(model, _kernels.su2_left_step, starts))
 
 
+def _pair_squared_distances(pairs: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """|| (g1 (x) g2) rho (g1 (x) g2)^+ - sigma ||_F^2 for each (g1, g2) of a (B, 2, 2, 2) stack, on dense 4 x 4 matrices."""
+    big = np.einsum("bij,bkl->bikjl", pairs[:, 0], pairs[:, 1]).reshape(-1, 4, 4)
+    diff = (big @ rho @ np.conj(np.swapaxes(big, 1, 2)) - sigma).reshape(-1, 16)
+    return np.einsum("bi,bi->b", diff.conj(), diff).real
+
+
 def two_factor_search(
     rho: states.DensityMatrix,
     sigma: states.DensityMatrix,
@@ -431,9 +484,10 @@ def two_factor_search(
     search, and a miss stays 'undecided'.  The global spectrum and each
     qubit's reduced spectrum are compared first; a difference is a certified
     negative.  Each factor then runs over an Euler lattice of 8 turns and 4
-    tilts (gamma = 0), the 1024 pairs are scored by the per-qubit
-    least-squares model (_kernels.conj_gauss_newton on (B, 2, 2, 2)
-    stacks), and its lowest 32 local minima are refined (refine_minimum):
+    tilts (gamma = 0), the 1024 pairs are scored by their squared distance
+    D^2 alone, a dense 4 x 4 conjugation each (_pair_squared_distances), and
+    the lowest 32 local minima are refined (refine_minimum) on the per-qubit
+    least-squares model (_kernels.conj_gauss_newton on (B, 2, 2, 2) stacks):
     a random state's lattice has about 9, and the true pair's basin can lie
     past the lowest 8.  The best pair is equivalent only after a dense
     re-check of || (g1 (x) g2) rho (g1 (x) g2)^+ - sigma ||_F, whose value
@@ -453,7 +507,8 @@ def two_factor_search(
     tilt = np.linspace(0, math.pi, _TWO_FACTOR_GRID // 2)
     angles = search.lattice(turn, tilt, [0.0], turn, tilt, [0.0]).reshape(-1, 3)
     pairs = _kernels.euler_su2_batch(angles).reshape(-1, 2, 2, 2)
-    vals = model(pairs)[0].reshape((_TWO_FACTOR_GRID, _TWO_FACTOR_GRID // 2) * 2)
+    shape = (_TWO_FACTOR_GRID, _TWO_FACTOR_GRID // 2) * 2
+    vals = _pair_squared_distances(pairs, rho.mat, sigma.mat).reshape(shape)
     minima = search.lowest_minima(vals, (0, 2), _TWO_FACTOR_STARTS)
     g12, _ = refine_minimum(model, pairs[minima])
     # soundness: re-check densely, sharing nothing with the factored model

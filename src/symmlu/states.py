@@ -50,6 +50,7 @@ __all__ = [
     "expand",
     "to_density",
     "symmetric_power",
+    "symmetric_power_apply",
     "spin_operators",
     "apply_diag_symmetric",
     "apply_lu",
@@ -58,6 +59,7 @@ __all__ = [
     "permutation_defect",
     "SpinBlocks",
     "spin_blocks",
+    "pure_blocks",
     "reduced_1qubit",
     "random_su2",
     "random_local_unitary",
@@ -430,14 +432,38 @@ def _euler_angles(g: np.ndarray) -> list:
     return euler
 
 
+def _euler_phases(euler: list, n: int) -> tuple:
+    """(s^n e^{-i alpha m}, e^{i beta m}, e^{-i gamma m}), each (K, n+1), of K elements given by their _euler_angles.
+
+    D^{n/2} is diag(first) V diag(second) V^+ diag(third), V of _jy_eigenbasis:
+    J_y's eigenvalues, in ascending order, are -m.
+    """
+    factors = np.array([(root**n, *slopes) for root, *slopes in euler], dtype=np.complex128).reshape(-1, 4)
+    turns = np.exp(factors[:, 1:, None] * _jy_eigenbasis(n)[2])
+    return factors[:, :1] * turns[:, 0], turns[:, 1], turns[:, 2]
+
+
 def _wigner_d(euler: list, n: int) -> np.ndarray:
     """The (K, n+1, n+1) stack of D^{n/2} of K elements given by their _euler_angles."""
-    factors = np.array([(root**n, *slopes) for root, *slopes in euler], dtype=np.complex128).reshape(-1, 4)
-    vecs, vecs_h, m = _jy_eigenbasis(n)
-    # J_y's eigenvalues, in ascending order, are -m
-    turns = np.exp(factors[:, 1:, None] * m)  # e^{-i alpha m}, e^{i beta m}, e^{-i gamma m}
-    left = (factors[:, :1] * turns[:, 0])[:, :, None] * vecs * turns[:, 1, None, :]
-    return left @ (vecs_h * turns[:, 2, None, :])
+    left, mid, right = _euler_phases(euler, n)
+    vecs, vecs_h, _ = _jy_eigenbasis(n)
+    return (left[:, :, None] * vecs * mid[:, None, :]) @ (vecs_h * right[:, None, :])
+
+
+def symmetric_power_apply(g: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """symmetric_power(g, n) @ coeffs, n = len(coeffs) - 1, without forming the matrix.
+
+    A (K, 2, 2) stack of g gives the (K, n+1) stack of turned vectors.  Each
+    is the chain s^n e^{-i alpha m} V (e^{i beta m} V^+ (e^{-i gamma m} c)) of
+    symmetric_power's factors, in the same J_y eigenbasis V: O(K n^2), where
+    the matrices cost O(K n^3).  A g that is not unitary raises DomainError.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    n = coeffs.size - 1
+    left, mid, right = _euler_phases(_euler_angles(g), n)
+    vecs, vecs_h, _ = _jy_eigenbasis(n)
+    out = left * ((mid * ((right * coeffs) @ vecs_h.T)) @ vecs.T)
+    return out.reshape(np.shape(g)[:-2] + (n + 1,))
 
 
 def _j_plus(two_j: int) -> np.ndarray:
@@ -466,8 +492,7 @@ def _jy_eigenbasis(two_j: int) -> tuple:
 
 def apply_diag_symmetric(g: np.ndarray, state: SymmetricPureState) -> SymmetricPureState:
     """Apply g^{(x)n} to a symmetric state without leaving the weight basis."""
-    out = symmetric_power(g, state.n) @ state.coeffs
-    return SymmetricPureState.from_unnormalized(out)
+    return SymmetricPureState.from_unnormalized(symmetric_power_apply(g, state.coeffs))
 
 
 def apply_lu(u: LocalUnitary, rho: DensityMatrix) -> DensityMatrix:
@@ -533,7 +558,8 @@ class SpinBlocks:
 
     Only compress needs basis, the 2^n x d columns spanning one copy of each
     block (spin_blocks(n) has all of them).  A symmetric pure state psi is
-    the single block SpinBlocks(n, (n / 2,), (1,)) with form psi psi^+.
+    the single block SpinBlocks(n, (n / 2,), (1,)) with form psi psi^+, built
+    once per n by pure_blocks(n).
     """
 
     n: int
@@ -638,6 +664,12 @@ def spin_blocks(n: int) -> SpinBlocks:
     spins = tuple((size - 1) / 2 for size in sizes)
     mults = tuple(math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(len(sizes)))
     return SpinBlocks(n, spins, mults, _freeze(np.column_stack(cols)))
+
+
+@functools.lru_cache(maxsize=None)
+def pure_blocks(n: int) -> SpinBlocks:
+    """The single spin-n/2 block of a symmetric pure state psi of n qubits, whose form is psi psi^+; built once per n."""
+    return SpinBlocks(n, (n / 2,), (1,))
 
 
 def reduced_1qubit(rho: DensityMatrix, k: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 """Stabilizer-class decisions and pure-state equivalence."""
+import collections
 import math
 
 import numpy as np
@@ -295,9 +296,9 @@ def test_a_heavy_point_in_the_first_multipole_keeps_groups_and_maps_exact(k):
     blocks = states.SpinBlocks(n, (n / 2,), (1,))
 
     def first_constellation(state):
-        b, rank, v, _ = mixed.multipole_frame(np.outer(state.coeffs, state.coeffs.conj()), blocks)
-        assert (b, rank) == (0, k)
-        return majorana.majorana_points(states.SymmetricPureState.from_unnormalized(v))
+        frame = mixed.multipole_frame(np.outer(state.coeffs, state.coeffs.conj()), blocks)
+        assert (frame.b, frame.k) == (0, k)
+        return majorana.majorana_points(states.SymmetricPureState.from_unnormalized(frame.v))
 
     assert sorted(first_constellation(psi).multiplicities.tolist()) == [1, 1, k - 1, k - 1]
     assert states.apply_diag_symmetric(states.POLE_FLIP, psi).distance(psi) < 1e-13
@@ -515,3 +516,49 @@ def test_every_tol_must_be_positive_and_finite(tol):
     for call in calls:
         with pytest.raises(DomainError, match="tol must be positive and finite"):
             call()
+
+
+def _one_frame_states():
+    rng = RNG(2201)
+    tetrahedron = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+    pair = rng.normal(size=(2, 3))
+    triangle = np.array([[math.cos(a), math.sin(a), 0.0] for a in 2 * math.pi * np.arange(3) / 3])
+    return {
+        "generic": states.random_symmetric(6, rng),
+        "dicke": states.dicke(4, 2),
+        "tetrahedron": majorana.points_to_state(tetrahedron),
+        "degenerate": majorana.points_to_state(pair / np.linalg.norm(pair, axis=1)[:, None], [3, 3]),
+        "bipyramid": majorana.points_to_state(np.vstack([triangle, [[0, 0, 1], [0, 0, -1]]])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_one_frame_states()))
+def test_classify_state_scans_psi_psi_dagger_once(monkeypatch, name):
+    psi = scrambled(_one_frame_states()[name], RNG(2202))
+    rho = np.outer(psi.coeffs, psi.coeffs.conj())
+    frame = mixed.multipole_frame(rho, states.pure_blocks(psi.n))
+    calls = collections.Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(mixed, "multipole_frame", counted("frame", mixed.multipole_frame))
+    monkeypatch.setattr(mixed, "_axis_turn", counted("axis", mixed._axis_turn))
+    monkeypatch.setattr(mixed, "_best_turn", counted("turn", mixed._best_turn))
+    scanned, kept = [], []
+    multipole, su2_to_so3 = states.SpinBlocks.multipole, rotmatch.su2_to_so3
+    monkeypatch.setattr(states.SpinBlocks, "multipole", lambda self, form, b, k: scanned.append((b, k)) or multipole(self, form, b, k))
+    monkeypatch.setattr(rotmatch, "su2_to_so3", lambda g: kept.append(np.array(g)) or su2_to_so3(g))
+    sclass = classify.classify_state(psi).sclass
+    assert (calls["frame"], calls["axis"]) == (1, 1)
+    assert len(scanned) == len(set(scanned))  # no multipole of psi psi^+ is computed twice
+    assert sclass.tag == ("iva" if name == "dicke" else "finite")
+    axial = frame.c is not None
+    # the plain self-match is the identity with no turn solved; only an even-rank flip family is
+    assert calls["turn"] == int(sclass.tag == "finite" and axial and frame.k % 2 == 0)
+    if sclass.tag == "finite" and axial:
+        assert any(np.array_equal(g, np.eye(2)) for g in kept[0])

@@ -548,6 +548,19 @@ def _dense_distance(g12, rho, sigma):
     return float(np.linalg.norm(big @ rho.mat @ big.conj().T - sigma.mat))
 
 
+@pytest.mark.parametrize("kind, rank, seed", [("ginibre", 2, 71), ("ginibre", 4, 72), ("symmetric", 1, 73), ("symmetric", 3, 74)])
+def test_two_factor_lattice_scores_are_the_models_squared_distance(kind, rank, seed):
+    rng = np.random.default_rng(seed)
+    rho = _two_qubit_state(kind, rank, rng)
+    sigma = states.apply_lu(states.LocalUnitary((states.random_su2(rng), states.random_su2(rng))), rho)
+    pairs = np.array([[states.random_su2(rng), states.random_su2(rng)] for _ in range(64)])
+    dense = mixed._pair_squared_distances(pairs, rho.mat, sigma.mat)
+    factor, target = _kernels.density_factor(rho.mat), _kernels.density_factor(sigma.mat)
+    model = _kernels.conj_gauss_newton(pairs, factor, target, 2)[0]
+    assert np.max(np.abs(dense - model)) < 1e-13
+    assert np.max(np.abs(dense - [_dense_distance(p, rho, sigma) ** 2 for p in pairs])) < 1e-13
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(["ginibre", "symmetric"]),

@@ -221,6 +221,35 @@ def test_symmetric_power_of_a_stack_is_the_stack_of_symmetric_powers(n):
         states.symmetric_power(bad, n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 48, 96])
+def test_symmetric_power_apply_is_the_matrix_times_the_vector(n):
+    rng = np.random.default_rng(61 + n)
+    # U(2) elements: a det phase as well as the SU(2) part
+    gs = np.array([states.random_su2(rng) * np.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(6)])
+    psi = states.random_symmetric(n, rng)
+    turned = states.symmetric_power_apply(gs, psi.coeffs)
+    assert turned.shape == (6, n + 1)
+    assert np.max(np.abs(turned - states.symmetric_power(gs, n) @ psi.coeffs)) < 1e-13
+    one = states.symmetric_power_apply(gs[2], psi.coeffs)
+    assert one.shape == (n + 1,) and np.max(np.abs(one - turned[2])) < 1e-15
+    assert states.symmetric_power_apply(gs[:0], psi.coeffs).shape == (0, n + 1)
+    # apply_diag_symmetric runs on it, with the coefficients of the matrix route
+    moved = states.apply_diag_symmetric(gs[3], psi).coeffs
+    want = states.symmetric_power(gs[3], n) @ psi.coeffs
+    assert np.max(np.abs(moved - want / np.linalg.norm(want))) < 1e-13
+    bad = gs.copy()
+    bad[4, 0] *= 1.001
+    for g in (bad, bad[4], np.eye(3)):
+        with pytest.raises(DomainError, match="unitary"):
+            states.symmetric_power_apply(g, psi.coeffs)
+
+
+def test_pure_blocks_are_built_once_per_n():
+    blocks = states.pure_blocks(6)
+    assert blocks is states.pure_blocks(6)
+    assert (blocks.n, blocks.spins, blocks.mults) == (6, (3.0,), (1,))
+
+
 def reference_phase_distance(u, v):
     """||u - e^{ia} v|| for one pair, v's phase aligned to np.vdot(v, u)."""
     ip = np.vdot(v, u)
