@@ -2,32 +2,35 @@
 
 For permutation-invariant density matrices of n >= 3 qubits, local-unitary
 equivalence reduces to conjugation by g^{(x)n} for one 2x2 unitary g, that
-is to one rotation R.  On the spin blocks of the states (states.SpinBlocks)
-the rank-k multipole of a block moves as a 2k-qubit symmetric state, so it
-pins R down (Serrano-Ensastiga and Braun, PRA 101, 022332 (2020)).  The
-first multipole of rho above a relative cutoff (rank 1 first, top spin
-first) gives the candidates (frame_candidates).  When it is axial, about the
-bottom eigenvector of its spin-k quadrupole, they are the families
-g = g_sigma^+ rz(phi) [X] g_rho that keep its real axial coefficient's sign,
-each at its best phi.  The overlap is a trigonometric polynomial of degree
-n in phi: one FFT evaluates it on a grid whose spacing bounds how far its
-maximum can lie above the best grid value, and only the grid maxima within
-that slack are Newton-polished (_solve_turn).  Otherwise they are the
-rotations carrying a Majorana constellation of rho onto sigma's, that of
-the first multipole from there whose points lie apart, so that no multiple
-point scattered by root finding is matched; with no multipole above the
-cutoff the identity.  For a symmetric pure state psi, psi psi^+ is a density
-matrix with the single spin block n/2, so classify.lu_equivalent_pure
-decides with the same candidates, and classify.classify_state reads its one
-candidate axis off the same first multipole (multipole_frame) and its
-finite groups off the same candidates for psi psi^+ and itself, from that
-one frame.
+is to one rotation R; at n = 1 there is only one g.  On the spin blocks of
+the states (states.SpinBlocks) the rank-k multipole of a block moves as a
+2k-qubit symmetric state, so it pins R down (Serrano-Ensastiga and Braun,
+PRA 101, 022332 (2020)).  The first multipole of rho above a relative cutoff
+(rank 1 first, top spin first) gives the candidates (frame_candidates).
+When it is axial, about the bottom eigenvector of its spin-k quadrupole,
+they are the families g = g_sigma^+ rz(phi) [X] g_rho that keep its real
+axial coefficient's sign, each at its best phi.  The overlap is a
+trigonometric polynomial of degree n in phi: one FFT evaluates it on a grid
+whose spacing bounds how far its maximum can lie above the best grid value,
+and only the grid maxima within that slack are Newton-polished
+(_solve_turn).  Otherwise they are the rotations carrying a Majorana
+constellation of rho onto sigma's, that of the first multipole from there
+whose points lie apart, so that no multiple point scattered by root finding
+is matched; with no multipole above the cutoff the identity.  For a
+symmetric pure state psi, psi psi^+ is a density matrix with the single spin
+block n/2, so classify.lu_equivalent_pure decides with the same candidates,
+and classify.classify_state reads its one candidate axis off the same first
+multipole (multipole_frame) and its finite groups off the same candidates
+for psi psi^+ and itself, from that one frame.
 
 The candidate with the least block distance is reported as equivalent only
-after a dense re-check of || g^{(x)n} rho g^{(x)n +} - sigma ||_F.  Cheap LU
-invariants run first and give certified negatives: the global and 1-qubit
-reduced spectra (spectra_report) and the 2-qubit reduced spectrum, which
-tells GHZ_4 ({1/2, 1/2, 0, 0}) from Dicke_4,2 ({2/3, 1/6, 1/6, 0}).  Any
+after a dense re-check of || g^{(x)n} rho g^{(x)n +} - sigma ||_F, by
+states.conjugate_local on the 2^n x 2^n matrices.  Cheap g^{(x)n}
+invariants run first and give certified negatives (_spectrum_mismatch): the
+global spectrum, read off the spin blocks (SpinBlocks.spectrum, no 2^n
+eigensolve), then the 1-qubit reduced spectrum and, from n = 3 on, the
+2-qubit one, which tells GHZ_4 ({1/2, 1/2, 0, 0}) from Dicke_4,2
+({2/3, 1/6, 1/6, 0}); both are partial traces of the dense matrix.  Any
 other miss is undecided, never a proof of inequivalence.
 
 The decision has one setting, the acceptance threshold on D
@@ -35,7 +38,8 @@ The decision has one setting, the acceptance threshold on D
 reports the threshold it applied.
 
 Two qubits fall outside the reduction: (g1, g2) need not be equal, and
-two_factor_search searches for them.  It compares the global spectrum and
+two_factor_search searches for them.  Its states need not be permutation
+invariant, so it compares the dense global spectrum (spectra_report's) and
 both qubits' reduced spectra first, then scans an Euler lattice of each
 factor, scored by the squared distance alone, refines the lowest local
 minima by damped Gauss-Newton on the per-qubit model (refine_minimum), and
@@ -123,8 +127,14 @@ class SpectraReport:
 
 
 def spectra_report(rho: states.DensityMatrix) -> SpectraReport:
-    glob = np.sort(np.linalg.eigvalsh(rho.mat))[::-1]
-    return SpectraReport(tuple(float(v) for v in glob), tuple(float(v) for v in _reduced_spectrum(rho, 0)))
+    """The global spectrum, from a dense eigensolve of the 2^n x 2^n matrix, and qubit 0's reduced spectrum."""
+    return SpectraReport(
+        tuple(float(v) for v in _dense_spectrum(rho)), tuple(float(v) for v in _reduced_spectrum(rho, 0))
+    )
+
+
+def _dense_spectrum(rho: states.DensityMatrix) -> np.ndarray:
+    return np.sort(np.linalg.eigvalsh(rho.mat))[::-1]
 
 
 def _reduced_spectrum(rho: states.DensityMatrix, k: int) -> np.ndarray:
@@ -141,36 +151,28 @@ def _two_qubit_spectrum(rho: states.DensityMatrix) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(red.reshape(4, 4)))[::-1]
 
 
-def _spectrum_mismatch(rho, sigma) -> str | None:
+def _spectrum_mismatch(rho, sigma, global_rho: np.ndarray, global_sigma: np.ndarray) -> str | None:
     """Which LU-invariant spectrum differs, a certified negative, or None.
 
-    The global spectrum, then the 1-qubit reduced spectra, then at n >= 3
-    the 2-qubit one, each computed only when the others agree.  A local
-    unitary keeps the spectrum of each qubit: a permutation-invariant state
-    has one, and at n = 2, where the states need not be, both are compared.
+    The global spectra, descending, come from the caller.  Then the 1-qubit
+    reduced spectra, and at n >= 3 the 2-qubit one, each computed only when
+    the others agree.  A local unitary keeps the spectrum of each qubit: a
+    permutation-invariant state has one, and at n = 2, where the states need
+    not be, both are compared.
     """
-    a, b = spectra_report(rho), spectra_report(sigma)
 
     def checks():
-        yield a.global_spectrum, b.global_spectrum, "global eigenvalue multisets differ"
-        yield a.reduced_spectrum, b.reduced_spectrum, "1-qubit reduced spectra differ"
+        yield global_rho, global_sigma, "global eigenvalue multisets differ"
+        yield _reduced_spectrum(rho, 0), _reduced_spectrum(sigma, 0), "1-qubit reduced spectra differ"
         if rho.n == 2:
             yield _reduced_spectrum(rho, 1), _reduced_spectrum(sigma, 1), "1-qubit reduced spectra differ"
-        else:
+        elif rho.n >= 3:
             yield _two_qubit_spectrum(rho), _two_qubit_spectrum(sigma), "2-qubit reduced spectra differ"
 
     for ea, eb, detail in checks():
         if float(np.max(np.abs(np.subtract(ea, eb)))) > _SPECTRUM_TOL:
             return detail
     return None
-
-
-def _conjugate(g: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
-    """g^{(x)n} mat g^{(x)n +}, g applied to each of the 2n axes of the (2,)*2n tensor."""
-    t = mat.reshape((2,) * (2 * n))
-    for ax in range(2 * n):
-        t = np.moveaxis(np.tensordot(g if ax < n else g.conj(), t, axes=(1, ax)), 0, ax)
-    return t.reshape(mat.shape)
 
 
 def _axis_turn(v: np.ndarray) -> np.ndarray:
@@ -415,19 +417,20 @@ def lu_equivalent_mixed(
     sigma: states.DensityMatrix,
     threshold: float | None = None,
 ) -> MixedEquivalenceResult:
-    """Decide LU equivalence of two permutation-invariant mixed states (n >= 3).
+    """Decide LU equivalence of two permutation-invariant mixed states (n = 1 or n >= 3).
 
     threshold bounds the distance D of an equivalence (default_threshold(n)
-    when None).
+    when None).  Both states are compressed to their spin blocks before the
+    spectrum prefilter, which takes the global spectra off them.
     """
     thresh = checked(threshold, default_threshold(rho.n), "threshold")
     if rho.n != sigma.n:
         raise DomainError(f"qubit counts differ: {rho.n} vs {sigma.n}")
     n = rho.n
-    if n < 3:
+    if n == 2:
         raise DomainError(
-            "identical-tensor-power reduction requires n >= 3; "
-            "use two_factor_search for n = 2 (explicitly heuristic)"
+            "the identical-tensor-power reduction does not hold at n = 2; "
+            "use two_factor_search (explicitly heuristic)"
         )
     tol = DEFAULT_TOLERANCES.hermiticity * 10
     for name, state in (("first state", rho), ("second state", sigma)):
@@ -435,18 +438,18 @@ def lu_equivalent_mixed(
             k, dev = defect
             swap = f"swapping qubits {k} and {k + 1} moves it by {dev:.3g}"
             raise DomainError(f"{name} is not permutation invariant: {swap}")
-    if (mismatch := _spectrum_mismatch(rho, sigma)) is not None:
-        return MixedEquivalenceResult("inequivalent_spectrum", None, None, thresh, mismatch)
-
     blocks = states.spin_blocks(n)
     rho_b, sigma_b = blocks.compress(rho), blocks.compress(sigma)
+    if (mismatch := _spectrum_mismatch(rho, sigma, blocks.spectrum(rho_b), blocks.spectrum(sigma_b))) is not None:
+        return MixedEquivalenceResult("inequivalent_spectrum", None, None, thresh, mismatch)
+
     candidates, frame, _ = frame_candidates(rho_b, sigma_b, blocks)
     if not candidates:
         return MixedEquivalenceResult("undecided", None, None, thresh, f"no candidate rotation, {frame}")
     dist, g = min(((blocks.distance(g, rho_b, sigma_b), g) for g in candidates), key=lambda c: c[0])
     if dist <= thresh:
         # soundness: re-check densely, sharing nothing with the block forms
-        dist = float(np.linalg.norm(_conjugate(g, rho.mat, n) - sigma.mat))
+        dist = float(np.linalg.norm(states.conjugate_local((g,) * n, rho.mat) - sigma.mat))
         if dist <= thresh:
             return MixedEquivalenceResult("equivalent", g, dist, thresh)
     count = f"{len(candidates)} candidate{'' if len(candidates) == 1 else 's'}"
@@ -496,7 +499,8 @@ def two_factor_search(
     thresh = checked(threshold, default_threshold(2), "threshold")
     if rho.n != 2 or sigma.n != 2:
         raise DomainError("two_factor_search is for n = 2 only")
-    if (mismatch := _spectrum_mismatch(rho, sigma)) is not None:
+    # not the block spectra: these states need not be permutation invariant
+    if (mismatch := _spectrum_mismatch(rho, sigma, _dense_spectrum(rho), _dense_spectrum(sigma))) is not None:
         return MixedEquivalenceResult("inequivalent_spectrum", None, None, thresh, mismatch)
     factor, target = _kernels.density_factor(rho.mat), _kernels.density_factor(sigma.mat)
 
@@ -512,8 +516,7 @@ def two_factor_search(
     minima = search.lowest_minima(vals, (0, 2), _TWO_FACTOR_STARTS)
     g12, _ = refine_minimum(model, pairs[minima])
     # soundness: re-check densely, sharing nothing with the factored model
-    big = np.kron(*g12)
-    dist = float(np.linalg.norm(big @ rho.mat @ big.conj().T - sigma.mat))
+    dist = float(np.linalg.norm(states.conjugate_local(g12, rho.mat) - sigma.mat))
     if dist <= thresh:
         return MixedEquivalenceResult("equivalent", g12, dist, thresh, "two-factor heuristic")
     return MixedEquivalenceResult("undecided", None, dist, thresh, "two-factor heuristic miss")

@@ -115,14 +115,14 @@ class StabilizerSearchConfig:
 def check_stabilizes(u: states.LocalUnitary, rho: states.DensityMatrix) -> StabilizerWitness:
     """Residual || U rho U+ - rho ||_F by dense conjugation.
 
-    U rho U+ is PSD by construction, so it is not validated as a
-    DensityMatrix (states.apply_lu would run a hermiticity, trace and
-    eigenvalue check on it).
+    U rho U+ comes from states.conjugate_local, the factors applied qubit by
+    qubit to the 2^n x 2^n matrix, with no Kronecker product formed.  It is
+    PSD by construction, so it is not validated as a DensityMatrix
+    (states.apply_lu would run a hermiticity, trace and eigenvalue check on it).
     """
     if u.n != rho.n:
         raise DomainError(f"arity mismatch: unitary on {u.n} qubits, state on {rho.n}")
-    big = u.matrix()
-    return StabilizerWitness(u, float(np.linalg.norm(big @ rho.mat @ big.conj().T - rho.mat)))
+    return StabilizerWitness(u, float(np.linalg.norm(states.conjugate_local(u.factors, rho.mat) - rho.mat)))
 
 
 # ---------------------------------------------------------------------------

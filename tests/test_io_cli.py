@@ -215,6 +215,30 @@ def test_equiv_mixed_undecided_has_its_own_exit_code(tmp_path, monkeypatch, caps
     assert rep["distance"] > rep["threshold"]
 
 
+def test_equiv_mixed_decides_one_qubit_pairs(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(210)
+    rho = states.random_symmetric_mixed(1, rng, rank=2)
+    sigma = states.apply_lu(states.LocalUnitary.uniform(states.random_su2(rng), 1), rho)
+    other = states.random_symmetric_mixed(1, rng, rank=2)
+    paths = []
+    for name, state in (("rho.json", rho), ("sigma.json", sigma), ("other.json", other)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(io.dumps(io.density_to_dict(state)))
+
+    code, out = run_cli(["equiv-mixed", str(paths[0]), str(paths[1])], monkeypatch, capsys)
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["status"] == "equivalent"
+    (g,) = [np.array([[complex(*v) for v in row] for row in m]) for m in rep["unitaries"]]
+    moved = states.apply_lu(states.LocalUnitary.uniform(g, 1), rho)
+    assert np.linalg.norm(moved.mat - sigma.mat) <= rep["threshold"]
+
+    code, out = run_cli(["equiv-mixed", str(paths[0]), str(paths[2])], monkeypatch, capsys)
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["status"] == "inequivalent_spectrum"
+
+
 def test_equiv_mixed_two_qubit_note(tmp_path, monkeypatch, capsys):
     rho = states.to_density(states.ghz(2))
     p = tmp_path / "bell.json"

@@ -446,6 +446,88 @@ def test_two_qubit_spectra_certify_ghz4_against_dicke4():
     assert mixed.lu_equivalent_mixed(dicke42, ghz4).status == "inequivalent_spectrum"
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(3, 8), rank=st.sampled_from(["full", 1, 2, 3, 4, 5]), seed=st.integers(0, 2**32 - 1))
+def test_block_global_spectrum_is_the_dense_spectrum(n, rank, seed):
+    rng = np.random.default_rng(seed)
+    rho = full_rank_invariant(n, rng) if rank == "full" else states.random_symmetric_mixed(n, rng, rank)
+    blocks = states.spin_blocks(n)
+    want = np.sort(np.linalg.eigvalsh(rho.mat))[::-1]
+    assert np.max(np.abs(blocks.spectrum(blocks.compress(rho)) - want)) < 1e-12
+
+
+def _rotated(rho, rng):
+    return states.apply_lu(states.LocalUnitary.uniform(states.random_su2(rng), rho.n), rho)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rank_three_against_rank_two_differs_in_the_global_spectrum(n):
+    rng = np.random.default_rng(180 + n)
+    rho = states.random_symmetric_mixed(n, rng, rank=3)
+    sigma = _rotated(states.random_symmetric_mixed(n, rng, rank=2), rng)
+    for a, b in ((rho, sigma), (sigma, rho)):
+        res = mixed.lu_equivalent_mixed(a, b)
+        assert res.status == "inequivalent_spectrum"
+        assert res.detail == "global eigenvalue multisets differ"
+
+
+def test_mixed_decisions_form_no_dense_eigensolve_and_no_kronecker_product(monkeypatch):
+    rng = np.random.default_rng(190)
+    cases = []
+    for n in (3, 4, 5, 6):
+        rho = states.random_symmetric_mixed(n, rng)
+        cases.append((rho, _rotated(rho, rng), "equivalent", ""))
+        other = _rotated(states.random_symmetric_mixed(n, rng, rank=2), rng)
+        cases.append((rho, other, "inequivalent_spectrum", "global eigenvalue multisets differ"))
+    ghz4, dicke42 = states.to_density(states.ghz(4)), states.to_density(states.dicke(4, 2))
+    cases.append((ghz4, _rotated(dicke42, rng), "inequivalent_spectrum", "2-qubit reduced spectra differ"))
+    cases.append((*_mirror_pair(4, 7), "undecided", None))
+    for rho, *_ in cases:
+        states.spin_blocks(rho.n)  # its basis, cached per n, is built with np.kron
+
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mixed decision must not form a Kronecker product")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(states.LocalUnitary, "matrix", refuse)
+    for rho, sigma, status, detail in cases:
+        sizes.clear()
+        res = mixed.lu_equivalent_mixed(rho, sigma)
+        assert res.status == status
+        assert detail is None or res.detail == detail
+        assert sizes and max(sizes) <= max(4, rho.n + 1)
+
+
+def test_one_qubit_pairs_are_decided_by_the_same_route():
+    rng = np.random.default_rng(200)
+    for _ in range(20):
+        rho = states.random_symmetric_mixed(1, rng, rank=2)
+        sigma = _rotated(rho, rng)
+        res = mixed.lu_equivalent_mixed(rho, sigma)
+        assert res.status == "equivalent"
+        assert res.distance <= mixed.default_threshold(1)
+        check = states.apply_lu(states.LocalUnitary.uniform(res.unitary, 1), rho)
+        assert np.linalg.norm(check.mat - sigma.mat) <= mixed.default_threshold(1)
+        # a one-qubit state is fixed up to a turn by its spectrum
+        res = mixed.lu_equivalent_mixed(rho, states.random_symmetric_mixed(1, rng, rank=2))
+        assert res.status == "inequivalent_spectrum"
+        assert res.detail == "global eigenvalue multisets differ"
+        pure = [states.to_density(states.random_symmetric(1, rng)) for _ in range(2)]
+        assert mixed.lu_equivalent_mixed(*pure).status == "equivalent"
+    # no multipole: the identity
+    center = states.DensityMatrix(1, np.eye(2, dtype=np.complex128) / 2)
+    res = mixed.lu_equivalent_mixed(center, center)
+    assert res.status == "equivalent" and res.distance == 0.0
+
+
 def test_result_reports_the_threshold_it_applied():
     rng = np.random.default_rng(45)
     rho = states.random_symmetric_mixed(3, rng)
@@ -576,7 +658,11 @@ def test_two_factor_search_recovers_every_turned_pair(kind, rank, seed):
     res = mixed.two_factor_search(rho, sigma)
     assert res.status == "equivalent"
     assert res.unitary.shape == (2, 2, 2)
-    assert _dense_distance(res.unitary, rho, sigma) == res.distance <= mixed.default_threshold(2)
+    # the reported distance is, bit for bit, that of the reported pair; the
+    # Kronecker product, which rounds in another order, agrees to roundoff
+    assert res.distance == float(np.linalg.norm(states.conjugate_local(res.unitary, rho.mat) - sigma.mat))
+    assert abs(_dense_distance(res.unitary, rho, sigma) - res.distance) <= 1e-15
+    assert res.distance <= mixed.default_threshold(2)
     # a pure state is LU-equivalent to its conjugate (real Schmidt form); a
     # generic mixed one is not: conjugation reflects both Bloch frames
     if rank > 1:

@@ -310,6 +310,32 @@ def test_apply_lu_matches_kron_oracle():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def reference_conjugate(g, mat, n):
+    """g^{(x)n} mat g^{(x)n +}, g applied by tensordot to each of the 2n axes of the (2,)*2n tensor, g^* on the columns."""
+    t = mat.reshape((2,) * (2 * n))
+    for ax in range(2 * n):
+        t = np.moveaxis(np.tensordot(g if ax < n else g.conj(), t, axes=(1, ax)), 0, ax)
+    return t.reshape(mat.shape)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_conjugate_local_is_conjugation_by_the_kronecker_product(n, seed):
+    rng = np.random.default_rng(seed)
+    # a different U(2) factor per qubit, det phases included, on a matrix with no permutation symmetry
+    factors = tuple(states.random_su2(rng) * np.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(n))
+    ginibre = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    mat = ginibre @ ginibre.conj().T
+    mat /= np.trace(mat).real
+    big = states.LocalUnitary(factors).matrix()
+    assert np.max(np.abs(states.conjugate_local(factors, mat) - big @ mat @ big.conj().T)) < 1e-13
+    # one g on every qubit: bit for bit the tensordot formula, so no reported mixed distance moves
+    g = factors[0]
+    assert np.array_equal(states.conjugate_local((g,) * n, mat), reference_conjugate(g, mat, n))
+    with pytest.raises(DomainError, match="shape"):
+        states.conjugate_local(factors + (g,), mat)
+
+
 def test_local_unitary_validation_and_compose():
     rng = np.random.default_rng(14)
     u = states.random_local_unitary(3, rng)
