@@ -27,6 +27,9 @@ fix psi are the group, and rotmatch.point_group names it.  No class finds
 the Majorana points of psi, so no answer depends on how well its multiple
 roots are found.  At n = 2 the balanced classes iia and iva hold the same
 states, and classify_state raises AmbiguousClassificationError on them.
+rotation_group is the one routine for a state's rotation group: the finite
+class's group, the same group for class ii, and an axial tag about the
+frame's axis for classes i and iv, n = 2 included; symmlu symmetry prints it.
 lu_equivalent_pure scores the candidates of the same frames for psi and
 phi, the decision of lu_equivalent_mixed.  psi itself stays a vector: every
 candidate turns it as a matvec chain (states.symmetric_power_apply), and no
@@ -49,6 +52,7 @@ __all__ = [
     "ClassificationResult",
     "ClassCensus",
     "classify_state",
+    "rotation_group",
     "lu_equivalent_pure",
     "stabilizer_generators",
     "canonical_state",
@@ -80,8 +84,7 @@ class StabilizerClass:
         if self.tag == "ivb":
             return f"ivb(k={self.k})"
         if self.tag == "finite":
-            g = self.group
-            return f"finite({g.tag}{'' if g.m is None else g.m})"
+            return f"finite({self.group})"
         return self.tag
 
 
@@ -255,21 +258,12 @@ def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> 
     turned once, axis to the pole, and the class is read off the turned
     coefficients, each compared with tol: one left is class i or iv, only
     the two poles left is class ii, and anything else has a finite
-    stabilizer.  Its elements are the self-matches of
-    mixed.frame_candidates(psi psi^+, psi psi^+, frame) that fix psi to tol
-    in phase distance; an axial frame gives the identity, exactly, and the
-    solved flip at even rank, each times the turns by 2 pi / m about its
-    axis, m the gcd of the gaps between the turned coefficients left.
+    stabilizer, whose group is rotation_group's, from the same frame.
     """
     tol = checked(tol, DEFAULT_TOLERANCES.equality)
     n = psi.n
-    blocks = states.pure_blocks(n)
-    rho = np.outer(psi.coeffs, psi.coeffs.conj())
-    frame = mixed.multipole_frame(rho, blocks)
+    rho, frame, turned, left = _frame_read(psi, tol)
     g = frame.g
-    turned = states.symmetric_power_apply(g, psi.coeffs)
-    mags = np.abs(turned)
-    left = np.flatnonzero(mags > tol)
     if left.size == 1:
         k = int(left[0])
         kc = min(k, n - k)
@@ -280,7 +274,7 @@ def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> 
         else:
             sclass = StabilizerClass("iva") if 2 * kc == n else StabilizerClass("ivb", k=kc)
     elif left.tolist() == [0, n]:
-        if mags[0] < mags[n] - tol:
+        if abs(turned[0]) < abs(turned[n]) - tol:
             # the flip reverses the Dicke coefficients, up to a global phase
             g, turned = states.POLE_FLIP @ g, turned[::-1]
         a, b = np.abs(turned[[0, n]])
@@ -289,24 +283,59 @@ def classify_state(psi: states.SymmetricPureState, tol: float | None = None) -> 
         t = 4 / math.pi * math.atan2(b, a)
         sclass = StabilizerClass("iia") if abs(a - b) <= tol else StabilizerClass("iib", t=t)
     else:
-        # a stabilizer fixes every multipole, so the frame's self-matches hold the whole group
-        candidates, _, axial = mixed.frame_candidates(rho, rho, blocks, frame)
-        candidates = np.array(candidates)
-        if axial:
-            # rz(phi) turns coefficient k by e^{i (n/2 - k) phi}: the turns that fix the turned psi are C_m
-            m = math.gcd(*np.diff(left).tolist())
-            # g^+ rz(2 pi j / m) g = cos(pi j / m) - i sin(pi j / m) g^+ Z g, the identity exactly at j = 0
-            half = math.pi * np.arange(m)[:, None, None] / m
-            turns = np.cos(half) * np.eye(2) - 1j * np.sin(half) * (g.conj().T @ states.PAULI_Z @ g)
-            candidates = turns[:, None] @ candidates[None]
-        kept = candidates.reshape(-1, 2, 2)[_phase_distances(candidates, psi, psi) <= tol]
-        sclass = StabilizerClass("finite", group=rotmatch.point_group(rotmatch.su2_to_so3(kept)))
+        sclass = StabilizerClass("finite", group=_finite_group(psi, tol, rho, frame, left))
         g = np.eye(2, dtype=np.complex128)
     if n == 2 and sclass.tag in ("iia", "iva"):
         # two antipodal points are a balanced Dicke pair about their axis and
         # a balanced two-pole pair about every axis perpendicular to it
         raise AmbiguousClassificationError(["iva", "iia"])
     return _build_result(psi, sclass, g, tol)
+
+
+def rotation_group(psi: states.SymmetricPureState, tol: float | None = None) -> rotmatch.PointGroup:
+    """The rotations R(g) whose g^{(x)n} fixes psi up to phase, as a rotmatch.PointGroup.
+
+    By the geometric result these are the rotations that fix psi's Majorana
+    configuration, yet no point of psi is found: psi is turned to the first
+    multipole of psi psi^+ above the cutoff, as classify_state turns it.
+    When one turned coefficient is left, k, the group is continuous about
+    that frame's axis: AxialContinuousFlip when 2k = n, else AxialContinuous.
+    Otherwise it is finite (class ii included, C_n or D_n): the self-matches
+    of mixed.frame_candidates(psi psi^+, psi psi^+, frame) that fix psi to
+    tol in phase distance.  An axial frame gives the identity, exactly, and
+    the solved flip at even rank, each times the turns by 2 pi / m about its
+    axis, m the gcd of the gaps between the turned coefficients left.
+    rotmatch.point_group names them.  classify_state's finite class holds
+    the same group, but here n = 2 raises no AmbiguousClassificationError.
+    """
+    tol = checked(tol, DEFAULT_TOLERANCES.equality)
+    rho, frame, _, left = _frame_read(psi, tol)
+    if left.size == 1:
+        tag = "AxialContinuousFlip" if 2 * left[0] == psi.n else "AxialContinuous"
+        return rotmatch.PointGroup(tag, None, None, rotmatch.su2_to_so3(frame.g)[2], ())
+    return _finite_group(psi, tol, rho, frame, left)
+
+
+def _frame_read(psi, tol):
+    """(psi psi^+, its multipole_frame, psi turned by the frame's g, the indices of the turned coefficients above tol)."""
+    rho = np.outer(psi.coeffs, psi.coeffs.conj())
+    frame = mixed.multipole_frame(rho, states.pure_blocks(psi.n))
+    turned = states.symmetric_power_apply(frame.g, psi.coeffs)
+    return rho, frame, turned, np.flatnonzero(np.abs(turned) > tol)
+
+
+def _finite_group(psi, tol, rho, frame, left):
+    # a stabilizer fixes every multipole, so the frame's self-matches hold the whole group
+    candidates, _, axial = mixed.frame_candidates(rho, rho, states.pure_blocks(psi.n), frame)
+    if axial:
+        # rz(phi) turns coefficient k by e^{i (n/2 - k) phi}: the turns that fix the turned psi are C_m
+        m = math.gcd(*np.diff(left).tolist())
+        # g^+ rz(2 pi j / m) g = cos(pi j / m) - i sin(pi j / m) g^+ Z g, the identity exactly at j = 0
+        half = math.pi * np.arange(m)[:, None, None] / m
+        turns = np.cos(half) * np.eye(2) - 1j * np.sin(half) * (frame.g.conj().T @ states.PAULI_Z @ frame.g)
+        candidates = turns[:, None] @ np.array(candidates)[None]
+    kept = np.reshape(candidates, (-1, 2, 2))[_phase_distances(candidates, psi, psi) <= tol]
+    return rotmatch.point_group(rotmatch.su2_to_so3(kept))
 
 
 def _build_result(psi, sclass, g, tol):

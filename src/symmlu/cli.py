@@ -6,12 +6,14 @@ so subcommands compose into pipelines.  Output is deterministic for a fixed
 argv and seed; exit codes: 0 success/equivalent, 1 not-equivalent (for
 equiv: no candidate rotation of the multipole frames within --tol) or
 anomalies found, 2 usage errors, 3 domain errors (with {"error": ...} JSON),
-4 undecided (equiv-mixed found no equivalence and no certificate against it).
+4 undecided (equiv-mixed found no equivalence and no certificate against it),
+141 stdout closed before the answer was written (128 + SIGPIPE, no verdict).
 """
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -75,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sy = sub.add_parser("symmetry", help="rotational symmetry group of a state")
     sy.add_argument("path")
-    sy.add_argument("--tol", type=_positive_float, default=None)
+    sy.add_argument("--tol", type=_positive_float, default=None, help="classify's tol, on turned coefficients and phase distances")
     _add_mode(sy, csv_ok=True)
 
     cl = sub.add_parser("classify", help="stabilizer class of a state")
@@ -105,8 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _class_label(sclass: classify.StabilizerClass) -> str:
     if sclass.tag == "finite":
-        g = sclass.group
-        return f"finite:{g.tag}{'' if g.m is None else g.m}"
+        return f"finite:{sclass.group}"
     return sclass.tag
 
 
@@ -151,9 +152,7 @@ def _run_majorana(args) -> int:
 
 
 def _run_symmetry(args) -> int:
-    psi = io.state_from_dict(io.load_json(args.path))
-    cfg = majorana.majorana_points(psi)
-    grp = rotmatch.symmetry_group(cfg, tol=args.tol)
+    grp = classify.rotation_group(io.state_from_dict(io.load_json(args.path)), tol=args.tol)
     axes, angles = rotmatch.axis_angle(grp.elements)
     rows = [(axis, angle, rotmatch.snap_angle(angle)) for axis, angle in zip(axes, angles.tolist())]
     if args.mode == "csv":
@@ -162,8 +161,7 @@ def _run_symmetry(args) -> int:
             lines.append(",".join("%.17g" % v for v in axis) + ",%.17g" % angle)
         print("\n".join(lines))
     elif args.mode == "human":
-        name = f"{grp.tag}{'' if grp.m is None else grp.m}"
-        print(f"group {name}, order {grp.order}")
+        print(f"group {grp}, order {grp.order}")
         for axis, angle, snapped in rows:
             ax = " ".join(f"{v:+.4f}" for v in axis)
             print(f"  axis [{ax}]  angle {math.degrees(snapped):9.4f} deg")
@@ -318,10 +316,17 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.cmd](args)
-    except SymmluError as exc:
-        print(io.dumps({"error": str(exc)}))
-        return 3
+        try:
+            code = _HANDLERS[args.cmd](args)
+        except SymmluError as exc:
+            print(io.dumps({"error": str(exc)}))
+            code = 3
+        sys.stdout.flush()  # a reader gone early shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # no answer reached the reader; stdout goes to devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, outside the verdict codes 0-4
 
 
 if __name__ == "__main__":

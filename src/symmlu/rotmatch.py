@@ -22,8 +22,11 @@ matched pair beyond tol.  The point-group layer (closure, the axis census,
 the generator pick) works on such stacks too.
 
 Groups: point_group names a finite group given by its elements, whichever
-way they were found: symmetry_group passes a configuration's self-matches,
-classify.classify_state the rotations that fix a state.  Elements are sorted
+way they were found: symmetry_group passes the self-matches of a
+configuration given as points (the tests' exact-points reference), and
+classify.rotation_group, the one routine for a state's group, the multipole
+frame's self-matches that fix the state.  PointGroup keeps its axis signed
+as _canonical_axes signs it.  Elements are sorted
 by (angle, canonical axis, sense), where the sense tells a rotation from its
 inverse, so the element order and the generators follow the group, not the
 order the elements came in or their last bits.
@@ -459,7 +462,7 @@ class PointGroup:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "generators", tuple(np.array(g, dtype=float) for g in self.generators))
         if self.axis is not None:
-            object.__setattr__(self, "axis", np.array(self.axis, dtype=float))
+            object.__setattr__(self, "axis", _canonical_axes(self.axis))
         if self.order is not None:
             gen = closure(self.generators)
             if len(gen) != self.order:
@@ -471,6 +474,9 @@ class PointGroup:
     @property
     def is_finite(self) -> bool:
         return self.order is not None
+
+    def __str__(self):
+        return f"{self.tag}{'' if self.m is None else self.m}"
 
 
 _CLOSURE_TOL, _CLOSURE_CAP = 1e-6, 200  # closure: entrywise dedupe, and largest group
@@ -572,8 +578,7 @@ def point_group(elements) -> PointGroup:
     gens = _pick_generators(elements[angles > 1e-9], n_el)
 
     if len(census) == 1 and n_el == max_fold:
-        axis = _canonical_axes(by_fold[max_fold][0])
-        return PointGroup("Cyclic", max_fold, n_el, axis, gens, elements)
+        return PointGroup("Cyclic", max_fold, n_el, by_fold[max_fold][0], gens, elements)
     if n_el == 12 and folds.count(3) == 4 and folds.count(2) == 3:
         axis = min(by_fold[3], key=lambda a: tuple(np.round(a, 9)))
         return PointGroup("Tetrahedral", None, 12, axis, gens, elements)
@@ -595,9 +600,7 @@ def point_group(elements) -> PointGroup:
             if len(principal) == 1 and len(twofolds) == max_fold:
                 p = principal[0]
                 if all(abs(float(np.dot(p, t))) < 1e-6 for t in twofolds):
-                    return PointGroup(
-                        "Dihedral", max_fold, n_el, _canonical_axes(p), gens, elements
-                    )
+                    return PointGroup("Dihedral", max_fold, n_el, p, gens, elements)
     raise SymmluError(
         f"unrecognized rotation-group census (order {n_el}, folds {folds}); refusing to guess"
     )

@@ -233,7 +233,12 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """2^n x 2^n density matrix (hermitian, unit trace, PSD within tolerance)."""
+    """2^n x 2^n density matrix (hermitian, unit trace, PSD within tolerance).
+
+    mat is the Hermitian part of the matrix given, with the trace checked,
+    not divided out: taking the Hermitian part of a Hermitian matrix is
+    exact, so DensityMatrix(n, rho.mat) keeps every bit of rho.mat.
+    """
 
     n: int
     mat: np.ndarray
@@ -251,7 +256,7 @@ class DensityMatrix:
         tr = m.trace().real
         if abs(tr - 1.0) > 1e-9:
             raise NormalizationError(f"trace {tr} is not 1")
-        m = 0.5 * (m + m.conj().T) / tr
+        m = 0.5 * (m + m.conj().T)
         lo = float(np.linalg.eigvalsh(m)[0])
         if lo < -1e-9:
             raise DomainError(f"matrix not PSD: lowest eigenvalue {lo}")

@@ -1,18 +1,22 @@
 """Centralized numerical tolerances.
 
 DEFAULT_TOLERANCES holds the package's default thresholds in one place, and
-no operation takes a Tolerances record.  Only the operations behind the CLI's
---tol flags (majorana_points, symmetry_group, classify_state,
-lu_equivalent_pure, and the rotation matching symmetry_group calls) take a
-single float tolerance, which left at None falls back to the matching field;
-so do is_unitary and permutation_defect, which the package itself calls at
-more than one tolerance.  lu_equivalent_pure's tol bounds only the phase
-distance of its answer, and classify_state's tol gates the coefficients of
-psi turned to its candidate axis, the phase distance by which each element
-of a finite group fixes psi, and the canonical residual, at ten times tol:
-the multipole frames both take their rotations from
-(mixed.frame_candidates, mixed.multipole_frame) read every field, and the
-multipole cutoff, at its default, as the mixed decision does.  Every other
+no operation takes a Tolerances record.  The CLI's --tol flags feed one
+float tolerance each, which left at None falls back to a field:
+  majorana --tol  majorana_points' cluster radius (cluster);
+  symmetry --tol  classify.rotation_group (equality);
+  classify --tol  classify_state (equality);
+  equiv --tol     lu_equivalent_pure (equality).
+symmetry_group and the rotation matching it calls (match), which serve
+configurations given as points, take one too, as do is_unitary and
+permutation_defect, which the package itself calls at more than one
+tolerance.  lu_equivalent_pure's tol bounds only the phase distance of its
+answer.  rotation_group's tol gates the coefficients of psi turned to its
+candidate axis and the phase distance by which each element of a finite
+group fixes psi; classify_state's gates the same two, and the canonical
+residual, at ten times tol.  The multipole frames they take their rotations
+from (mixed.frame_candidates, mixed.multipole_frame) read every field, and
+the multipole cutoff, at its default, as the mixed decision does.  Every other
 comparison reads its field directly.  The operations behind the --tol flags,
 match_rotation and the mixed decisions' threshold pass what they are given
 through checked, which refuses a value that is not positive and finite.

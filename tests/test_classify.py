@@ -265,6 +265,79 @@ def test_finite_groups_are_the_groups_of_the_exact_points(config, seed):
         assert states.phase_distances(moved, state.coeffs).max() <= 1e-8
 
 
+@st.composite
+def states_with_points(draw):
+    """(psi, its exact points, their multiplicities): a polyhedron, a GHZ state, a Dicke state, or up to four random points of multiplicity at most 5."""
+    kind = draw(st.sampled_from(["polyhedron", "ghz", "dicke", "random"]))
+    rng = RNG(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ghz":
+        # a|0..0> + b|1..1> has its points where z^n = -a / b: an n-gon at height z = (r^2 - 1) / (r^2 + 1), r = |a / b|^(1/n)
+        n, t = draw(st.integers(2, 10)), math.pi / 4 if draw(st.booleans()) else rng.uniform(0.1, 0.7)
+        r = (math.cos(t) / math.sin(t)) ** (1 / n)
+        z, phi = (r * r - 1) / (r * r + 1), 2 * math.pi * np.arange(n) / n
+        ring = np.column_stack([math.sqrt(1 - z * z) * np.cos(phi), math.sqrt(1 - z * z) * np.sin(phi), np.full(n, z)])
+        return states.ghz(n, math.cos(t), math.sin(t)), ring, [1] * n
+    if kind == "dicke":
+        n = draw(st.integers(1, 12))
+        k = draw(st.integers(0, n))
+        poles = [(p, m) for p, m in (([0.0, 0.0, 1.0], k), ([0.0, 0.0, -1.0], n - k)) if m]
+        return states.dicke(n, k), np.array([p for p, _ in poles]), [m for _, m in poles]
+    if kind == "polyhedron":
+        pts = _POLYHEDRA[draw(st.sampled_from(sorted(_POLYHEDRA)))]
+        mults = [draw(st.integers(1, 24 // len(pts)))] * len(pts)
+    else:
+        pts = rng.normal(size=(draw(st.integers(1, 4)), 3))
+        mults = [draw(st.integers(1, 5)) for _ in pts]
+    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    return majorana.points_to_state(pts, mults), pts, mults
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(config=states_with_points(), seed=st.integers(0, 2**32 - 1))
+def test_rotation_group_is_the_group_of_the_exact_points(config, seed):
+    psi, pts, mults = config
+    want = rotmatch.symmetry_group(majorana.config_from_points(pts, mults))
+    phi = states.apply_diag_symmetric(states.random_su2(RNG(seed)), psi)
+    for state in (psi, phi):
+        got = classify.rotation_group(state)
+        assert (got.tag, got.m, got.order) == (want.tag, want.m, want.order)
+        # every element fixes the state; an axial group, every turn about its axis
+        rots = got.elements if got.is_finite else rotmatch.rotation_about(got.axis, 1.0)[None]
+        moved = states.symmetric_power_apply(rotmatch.so3_to_su2(rots), state.coeffs)
+        assert states.phase_distances(moved, state.coeffs).max() <= 1e-8
+
+
+@pytest.mark.parametrize(
+    ("psi", "tag"),
+    [
+        (states.ghz(2), "AxialContinuousFlip"),
+        (states.dicke(2, 1), "AxialContinuousFlip"),
+        (states.dicke(5, 0), "AxialContinuous"),
+        (states.dicke(5, 1), "AxialContinuous"),
+    ],
+    ids=["ghz2", "dicke21", "product5", "dicke51"],
+)
+def test_rotation_group_of_axial_states_includes_two_qubits(psi, tag):
+    # classify_state calls the balanced two-qubit states ambiguous (iia or iva); their group is not
+    for state in (psi, scrambled(psi, RNG(44))):
+        got = classify.rotation_group(state)
+        assert (got.tag, got.m, got.order, got.elements.shape) == (tag, None, None, (0, 3, 3))
+        moved = states.apply_diag_symmetric(rotmatch.so3_to_su2(rotmatch.rotation_about(got.axis, 0.7)), state)
+        assert states.phase_distance(moved.coeffs, state.coeffs) <= 1e-12
+
+
+def test_classify_state_and_rotation_group_name_the_same_finite_group():
+    # the finite class is the routine's group, built once from the same frame
+    rng = RNG(45)
+    for psi in _one_frame_states().values():
+        state = scrambled(psi, rng)
+        res = classify.classify_state(state)
+        if res.sclass.tag == "finite":
+            got, want = classify.rotation_group(state), res.sclass.group
+            assert (got.tag, got.m, got.order) == (want.tag, want.m, want.order)
+            assert np.array_equal(got.elements, want.elements)
+
+
 # Found by least squares, Dicke coefficients c_0 .. c_{n/2}; the state repeats
 # them backwards (c_{n-k} = c_k), so X^{(x)n} fixes it and its group holds the
 # half turn about x.  Its multipoles below rank k vanish (to 2e-14 at k = 4,

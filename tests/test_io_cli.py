@@ -2,11 +2,16 @@
 import io as stdio
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from symmlu import cli, io, states, verify
+import symmlu
+from symmlu import cli, io, majorana, rotmatch, states, verify
 from symmlu.errors import DomainError
 
 
@@ -145,6 +150,89 @@ def test_symmetry_command(tmp_path, monkeypatch, capsys):
     snapped = sorted(e["snapped_angle"] for e in rep["elements"])
     assert snapped[0] == 0.0
     assert any(abs(s - 2 * math.pi / 3) < 1e-15 for s in snapped)
+
+
+def _degenerate_probe(draws):
+    """{draw: (psi, a turned psi)} for the given draws of the degenerate probe.
+
+    default_rng(2026); each draw takes n in [3, 13), at most four parts, the
+    multiplicities from parts - 1 sorted cuts of [1, n), normal points, and
+    one random_su2 turn, in that order.
+    """
+    rng = np.random.default_rng(2026)
+    out = {}
+    for draw in range(max(draws) + 1):
+        n = int(rng.integers(3, 13))
+        parts = min(int(rng.integers(1, 5)), n)
+        cuts = np.sort(rng.choice(np.arange(1, n), parts - 1, replace=False))
+        pts = rng.normal(size=(parts, 3))
+        g = states.random_su2(rng)
+        if draw in draws:
+            mults = np.diff(np.concatenate([[0], cuts, [n]]))
+            psi = majorana.points_to_state(pts / np.linalg.norm(pts, axis=1, keepdims=True), mults)
+            out[draw] = (psi, states.apply_diag_symmetric(g, psi))
+    return out
+
+
+_PROBE_DRAWS = _degenerate_probe({3, 16, 62, 127})
+
+
+@pytest.mark.parametrize("draw", sorted(_PROBE_DRAWS))
+def test_symmetry_prints_the_group_classify_prints(tmp_path, monkeypatch, capsys, draw):
+    # symmetry once found the Majorana roots of psi: it printed Trivial for the
+    # C_2 of draws 3 and 16 (two threefold, two fourfold points) and failed on
+    # one side of draws 62 and 127; classify read the group off the multipole frame
+    for side, psi in zip(("psi", "turned"), _PROBE_DRAWS[draw]):
+        p = tmp_path / f"{side}.json"
+        p.write_text(io.dumps(io.state_to_dict(psi)))
+        code, out = run_cli(["classify", str(p)], monkeypatch, capsys)
+        assert code == 0
+        want = json.loads(out)["group"]
+        find_points = majorana.majorana_points
+
+        def multipoles_only(state, *args, **kwargs):
+            if state.n == psi.n and states.phase_distance(state.coeffs, psi.coeffs) < 1e-9:
+                raise AssertionError("symmetry must not find the Majorana points of the state")
+            return find_points(state, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(majorana, "majorana_points", multipoles_only)
+            patch.setattr(rotmatch, "symmetry_group", lambda *a, **k: pytest.fail("symmetry_group called"))
+            code, out = run_cli(["symmetry", str(p)], monkeypatch, capsys)
+        assert code == 0
+        got = json.loads(out)
+        assert (got["group"], got["m"], got["order"]) == (want["tag"], want["m"], want["order"])
+        assert len(got["elements"]) == got["order"]
+        assert (want["tag"], want["m"]) == (("Cyclic", 2) if draw in (3, 16) else ("Trivial", None))
+
+
+@pytest.mark.parametrize("psi", [states.ghz(2), states.dicke(2, 1)], ids=["ghz2", "dicke21"])
+def test_symmetry_of_a_balanced_two_qubit_state_is_axial_with_flip(tmp_path, monkeypatch, capsys, psi):
+    # classify calls these ambiguous (exit 3); their symmetry group is not
+    p = tmp_path / "two.json"
+    p.write_text(io.dumps(io.state_to_dict(psi)))
+    code, out = run_cli(["symmetry", str(p)], monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out) == {"group": "AxialContinuousFlip", "m": None, "order": None, "elements": []}
+    assert run_cli(["classify", str(p)], monkeypatch, capsys)[0] == 3
+
+
+def test_closed_stdout_is_no_verdict(tmp_path):
+    # exit 1 reads as "not equivalent"; a reader that closed the pipe early got no answer at all
+    p = tmp_path / "two33.json"
+    p.write_text('{"basis": "majorana", "points": [[0.7, 0.2, 3], [2.0, 1.9, 3]]}')
+    src = str(pathlib.Path(symmlu.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (["classify", str(p)], ["symmetry", str(p), "--human"], ["classify", str(tmp_path / "missing.json")]):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "symmlu.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=300
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_equiv_exit_codes(tmp_path, monkeypatch, capsys):

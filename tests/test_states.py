@@ -102,6 +102,27 @@ def test_normalization_guard():
     assert abs(np.linalg.norm(psi.coeffs) - 1.0) < 1e-15
 
 
+def test_density_matrix_of_a_density_matrix_keeps_its_bits():
+    # the constructor once divided by the trace every time, moving the last bits of 7 of these 50
+    rng = np.random.default_rng(45)
+    for _ in range(50):
+        rho = states.random_symmetric_mixed(4, rng)
+        assert np.array_equal(states.DensityMatrix(rho.n, rho.mat).mat, rho.mat)
+
+
+def test_density_matrix_checks_its_trace_hermiticity_and_positivity():
+    mat = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    with pytest.raises(NormalizationError):
+        states.DensityMatrix(2, mat * (1 + 2e-9))
+    assert np.array_equal(states.DensityMatrix(2, mat * (1 + 5e-10)).mat, mat * (1 + 5e-10))
+    skew = mat.copy()
+    skew[0, 1] = 1e-6
+    with pytest.raises(DomainError, match="hermitian"):
+        states.DensityMatrix(2, skew)
+    with pytest.raises(DomainError, match="PSD"):
+        states.DensityMatrix(2, np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+
+
 def test_phase_normalize_first_significant_entry():
     v = np.array([0.0, -1j, 1.0]) / math.sqrt(2)
     w = states.phase_normalize(v)
