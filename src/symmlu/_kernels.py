@@ -190,15 +190,15 @@ def conj_distance_batch(angles, factor, target_factor, n):
     """D = || g^{(x)n} V V^+ g^{(x)n +} - W W^+ ||_F for each Euler row g.
 
     factor is V (2^n, r) of rho = V V^+ and target_factor W (2^n, s) of the
-    target T = W W^+, both as density_factor gives them (W's columns must be
-    orthogonal).  With g = Rz(alpha) Ry(beta) Rz(gamma), (Ry(beta)
-    Rz(gamma))^{(x)n} V is applied qubit by qubit once per distinct
-    (beta, gamma) of the batch, n r 2^n complex products each, and
-    Rz(alpha)^{(x)n} is one diagonal phase a row; the distance is taken
-    through _squared_residual, about (r + s) r 2^n products a row.  On a
-    product lattice such as search.euler_lattice most rows share their
-    (beta, gamma) (144 pairs of 1728 rows at grid 12), and no 2^n x 2^n
-    matrix is formed.
+    target T = W W^+, both as density_factor gives them or a pure state's
+    vector as one column (W's columns must be orthogonal).  With
+    g = Rz(alpha) Ry(beta) Rz(gamma), (Ry(beta) Rz(gamma))^{(x)n} V is
+    applied qubit by qubit once per distinct (beta, gamma) of the batch,
+    n r 2^n complex products each, and Rz(alpha)^{(x)n} is one diagonal
+    phase a row; the distance is taken through _squared_residual, about
+    (r + s) r 2^n products a row.  On a product lattice such as
+    search.euler_lattice most rows share their (beta, gamma) (144 pairs of
+    1728 rows at grid 12), and no 2^n x 2^n matrix is formed.
     """
     return _conj_distance(np.asarray(angles, dtype=np.float64), factor, target_factor, n)
 
@@ -341,7 +341,10 @@ def horner(coeffs, z):
 def polish_roots(coeffs, roots, iters: int = 5):
     """Refine roots of the polynomial with descending coefficients.
 
-    Newton steps on each root; a step is kept only if |P| decreases.
+    Newton steps on each root; a step is kept only if |P| decreases.  A
+    pass that improves no root leaves the roots as they were, so every
+    later pass would repeat it: the passes stop there, with the roots that
+    all iters passes would give.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     z = np.array(roots, dtype=np.complex128)
@@ -356,6 +359,8 @@ def polish_roots(coeffs, roots, iters: int = 5):
         cand = z - step
         val = np.abs(horner(coeffs, cand))
         better = val < best
+        if not better.any():
+            break
         z = np.where(better, cand, z)
         best = np.where(better, val, best)
     return z

@@ -162,6 +162,8 @@ def _run_symmetry(args) -> int:
         print("\n".join(lines))
     elif args.mode == "human":
         print(f"group {grp}, order {grp.order}")
+        if grp.axis is not None:
+            print("axis [" + " ".join(f"{v:+.4f}" for v in grp.axis) + "]")
         for axis, angle, snapped in rows:
             ax = " ".join(f"{v:+.4f}" for v in axis)
             print(f"  axis [{ax}]  angle {math.degrees(snapped):9.4f} deg")
@@ -172,6 +174,7 @@ def _run_symmetry(args) -> int:
                     "group": grp.tag,
                     "m": grp.m,
                     "order": grp.order,
+                    "axis": None if grp.axis is None else [float(v) for v in grp.axis],
                     "elements": [
                         {
                             "axis": [float(v) for v in axis],

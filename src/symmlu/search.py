@@ -46,19 +46,19 @@ def euler_lattice(grid: int) -> np.ndarray:
     return lattice(turn, np.linspace(0.0, math.pi, grid), turn)
 
 
-def euler_scan(rho, target, n: int, grid: int):
-    """Euler lattice, D on it, and the least-squares model of D^2; D = || g^{(x)n} rho g^{(x)n +} - target ||.
+def euler_scan(factor, target_factor, n: int, grid: int):
+    """Euler lattice, D on it, and the least-squares model of D^2; D = || g^{(x)n} V V^+ g^{(x)n +} - W W^+ ||.
 
-    rho and target are each factored once (_kernels.density_factor); the
-    model maps SU(2) elements (B, 2, 2) to (f2, grad, gn) in left steps
+    factor V (2^n, r) and target_factor W (2^n, s) are factors of the two
+    states, W's columns orthogonal: _kernels.density_factor of a density
+    matrix, or a pure state's vector as its one column.  The model maps
+    SU(2) elements (B, 2, 2) to (f2, grad, gn) in left steps
     (_kernels.su2_left_step), as gauss_newton takes it.  The oracles' form
     of the scan.  The lattice has grid^2 distinct (beta, gamma), and
-    _kernels.conj_distance_batch turns rho's factor once for each of them,
-    taking each alpha as a diagonal phase.
+    _kernels.conj_distance_batch turns V once for each of them, taking each
+    alpha as a diagonal phase.
     """
     points = euler_lattice(grid)
-    factor = _kernels.density_factor(rho)
-    target_factor = _kernels.density_factor(target)
 
     def model(gs):
         return _kernels.conj_gauss_newton(gs, factor, target_factor, n)

@@ -511,25 +511,35 @@ def apply_lu(u: LocalUnitary, rho: DensityMatrix) -> DensityMatrix:
 def conjugate_local(factors, mat: np.ndarray) -> np.ndarray:
     """U mat U^+ for U = factors[0] (x) ... (x) factors[n-1] and a 2^n x 2^n mat, without forming U.
 
-    Qubit k's 2x2 factor f multiplies the 2^k stacked (2, rest) slices of
+    factors is n 2x2 factors, or a (W, n, 2, 2) stack of W such tuples,
+    whose W conjugates come back as one (W, 2^n, 2^n) stack.  Qubit k's
+    factors multiply the 2^k stacked (2, rest) slices of
     mat.reshape(2^k, 2, rest) in one batched matmul, contiguous and with no
     axis moved, so U mat takes n passes; the columns take the same passes on
-    the adjoint, U mat U^+ = (U (U mat)^+)^+.  That is O(n 4^n), where U
-    and the products with it cost O(8^n).  For one g on every qubit the
-    result equals, bit for bit, g applied by tensordot to each of the 2n
-    axes of the (2,)*2n tensor, g^* on the column axes.
+    the adjoint, U mat U^+ = (U (U mat)^+)^+.  That is O(n 4^n) a tuple,
+    where U and the products with it cost O(8^n).  For one g on every qubit
+    the result equals, bit for bit, g applied by tensordot to each of the 2n
+    axes of the (2,)*2n tensor, g^* on the column axes, and a tuple's
+    conjugate is the same in a stack as alone.
     """
+    stack = np.asarray(factors, dtype=np.complex128)
+    single = stack.ndim == 3
+    if single:
+        stack = stack[None]
     mat = np.asarray(mat, dtype=np.complex128)
-    if mat.shape != (1 << len(factors),) * 2:
-        raise DomainError(f"matrix shape {mat.shape} wrong for {len(factors)} factors")
-    return _apply_local(factors, _apply_local(factors, mat).conj().T).conj().T
+    if mat.shape != (1 << stack.shape[1],) * 2:
+        raise DomainError(f"matrix shape {mat.shape} wrong for {stack.shape[1]} factors")
+    half = _apply_local(stack, mat[None]).conj().transpose(0, 2, 1)
+    out = _apply_local(stack, half).conj().transpose(0, 2, 1)
+    return out[0] if single else out
 
 
-def _apply_local(factors, mat: np.ndarray) -> np.ndarray:
-    """(factors[0] (x) ... (x) factors[n-1]) mat, qubit by qubit."""
-    for k, f in enumerate(factors):
-        mat = (f @ mat.reshape(1 << k, 2, -1)).reshape(mat.shape)
-    return mat
+def _apply_local(stack, mats: np.ndarray) -> np.ndarray:
+    """(stack[w, 0] (x) ... (x) stack[w, n-1]) mats[w] for each w, qubit by qubit; mats (W or 1, 2^n, 2^n)."""
+    shape = stack.shape[:1] + mats.shape[1:]
+    for k in range(stack.shape[1]):
+        mats = (stack[:, k, None] @ mats.reshape(len(mats), 1 << k, 2, -1)).reshape(shape)
+    return mats
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ sample_stabilizer gathers two families:
 The identical tuples are a sample at the stated lattice resolution: the
 lattice minima are refined all at once by damped Gauss-Newton
 (search.gauss_newton), and nothing is certified between lattice points.  The
-distance is computed from factors V of rho and W of the target (one eigh
-each per search), with no 2^n x 2^n residual formed.  On the lattice,
-g = Rz(alpha) Ry(beta) Rz(gamma): (Ry(beta) Rz(gamma))^{(x)n} is applied
-to V qubit by qubit once per distinct (beta, gamma), n r 2^n products
+distance is computed from factors V of rho and W of the target, with no
+2^n x 2^n residual formed: sample_stabilizer factors rho once (one eigh)
+and takes V as both, and lu_equivalent_pure_bruteforce takes each pure
+state's 2^n vector as its factor, with no projector and no eigh.  On the
+lattice, g = Rz(alpha) Ry(beta) Rz(gamma): (Ry(beta) Rz(gamma))^{(x)n} is
+applied to V qubit by qubit once per distinct (beta, gamma), n r 2^n products
 (144 of them at grid 12), and Rz(alpha)^{(x)n} is a diagonal phase, so a
 point costs about (r + s) r 2^n products at ranks r and s, where the
 Kronecker power cost about 2 8^n.  Its steps are left steps
@@ -29,8 +31,16 @@ Computational Algebraic Number Theory, 2.4), and every finite element plus
 one element per continuous direction is reported.  The oracle reads only
 rho's support, never the classification.  lu_equivalent_pure_bruteforce
 refines its lowest 40 minima 8 at a time and stops as soon as one reaches
-0.01 threshold.  Every witness is accepted only through the dense
-check_stabilizes.
+0.01 threshold.
+
+Every witness is accepted only through a dense residual || U rho U+ - rho ||_F.
+sample_stabilizer puts all its candidates in one (W, n, 2, 2) stack,
+conjugates it chunk by chunk with states.conjugate_local (_residuals), and
+keys and deduplicates the stack as arrays; check_stabilizes is the
+one-tuple case of the same check.  The check stays dense on purpose: a
+residual taken from the factors (as the search's _kernels model takes it)
+is not exact at the identity, and it would tie the check to the search it
+checks.
 
 StabilizerSearchConfig sets only the size of the identical-tuple search
 (Euler lattice points per angle, lattice minima refined).  The acceptance
@@ -75,6 +85,9 @@ __all__ = [
 DENSE_ORACLE_CAP = 10
 _WITNESS_TOL = 1e-8  # largest residual of an accepted stabilizer witness
 _DEDUPE = 1e-6  # resolution at which witnesses count as projectively equal
+# complex entries per conjugated chunk of a witness stack: 256 KiB, so a chunk
+# stays in cache (chunks of 2^22 entries ran 2-4x slower at n = 6..8)
+_CHUNK_ENTRIES = 1 << 14
 # Euler lattice points per angle, lattice minima refined, and refined per round
 _BRUTEFORCE_GRID, _BRUTEFORCE_STARTS, _BRUTEFORCE_ROUND = 12, 40, 8
 
@@ -113,16 +126,28 @@ class StabilizerSearchConfig:
 
 
 def check_stabilizes(u: states.LocalUnitary, rho: states.DensityMatrix) -> StabilizerWitness:
-    """Residual || U rho U+ - rho ||_F by dense conjugation.
-
-    U rho U+ comes from states.conjugate_local, the factors applied qubit by
-    qubit to the 2^n x 2^n matrix, with no Kronecker product formed.  It is
-    PSD by construction, so it is not validated as a DensityMatrix
-    (states.apply_lu would run a hermiticity, trace and eigenvalue check on it).
-    """
+    """Residual || U rho U+ - rho ||_F by dense conjugation: _residuals of a one-tuple stack."""
     if u.n != rho.n:
         raise DomainError(f"arity mismatch: unitary on {u.n} qubits, state on {rho.n}")
-    return StabilizerWitness(u, float(np.linalg.norm(states.conjugate_local(u.factors, rho.mat) - rho.mat)))
+    return StabilizerWitness(u, float(_residuals(np.array(u.factors)[None], rho.mat)[0]))
+
+
+def _residuals(stack: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """|| U mat U+ - mat ||_F for each tuple U of a (W, n, 2, 2) stack of factors.
+
+    U mat U+ comes from states.conjugate_local, the factors applied qubit by
+    qubit to the 2^n x 2^n matrix, with no Kronecker product formed and no
+    DensityMatrix validation (states.apply_lu would run a hermiticity, trace
+    and eigenvalue check on each).  The stack is conjugated
+    _CHUNK_ENTRIES >> 2n tuples at a time, at least one, so no temporary
+    holds more than max(_CHUNK_ENTRIES, 4^n) entries.
+    """
+    n = stack.shape[1]
+    rows = max(1, _CHUNK_ENTRIES >> (2 * n))
+    out = np.empty(len(stack))
+    for lo in range(0, len(stack), rows):
+        out[lo : lo + rows] = np.linalg.norm(states.conjugate_local(stack[lo : lo + rows], mat) - mat, axis=(1, 2))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -130,30 +155,28 @@ def check_stabilizes(u: states.LocalUnitary, rho: states.DensityMatrix) -> Stabi
 # ---------------------------------------------------------------------------
 
 
-def _projective_key(u: states.LocalUnitary, resolution: float):
-    parts = []
-    for f in u.factors:
-        flat = f.ravel()
-        scale = np.max(np.abs(flat))
-        idx = int(np.argmax(np.abs(flat) > 0.5 * scale))
-        phase = flat[idx] / abs(flat[idx])
-        aligned = (f / phase).ravel().view(np.float64)  # interleaved re/im
-        parts.append(tuple(np.round(aligned / resolution).astype(np.int64).tolist()))
-    return tuple(parts)
+def _projective_keys(stack: np.ndarray, resolution: float) -> np.ndarray:
+    """Integer keys (W, 8n) of the tuples of a (W, n, 2, 2) stack, equal for projectively equal tuples.
+
+    Each factor is divided by the phase of its first entry (row-major)
+    above half its largest modulus, and its interleaved re/im parts are
+    rounded at resolution.
+    """
+    flat = stack.reshape(len(stack), -1, 4)
+    size = np.abs(flat)
+    first = np.argmax(size > 0.5 * np.max(size, axis=2, keepdims=True), axis=2)[..., None]
+    lead = np.take_along_axis(flat, first, axis=2)
+    aligned = (flat / (lead / np.take_along_axis(size, first, axis=2))).view(np.float64)
+    return np.round(aligned / resolution).astype(np.int64).reshape(len(stack), -1)
 
 
-def _accepted(results) -> list:
-    """x of the refined starts ending within _WITNESS_TOL."""
-    return [x for x, f2 in results if math.sqrt(max(f2, 0.0)) <= _WITNESS_TOL]
-
-
-def _identical_witnesses(rho, cfg):
-    n = rho.n
-    lattice, dists, model = search.euler_scan(rho.mat, rho.mat, n, cfg.grid)
+def _identical_witnesses(factor, n: int, cfg) -> np.ndarray:
+    """g (A, 2, 2) of the refined lattice starts whose g^{(x)n} moves V V^+ by at most _WITNESS_TOL."""
+    lattice, dists, model = search.euler_scan(factor, factor, n, cfg.grid)
     minima = search.lowest_minima(dists.reshape((cfg.grid,) * 3), (0, 2), cfg.max_descents)
     starts = _kernels.euler_su2_batch(lattice[minima])
-    gs = _accepted(search.gauss_newton(model, _kernels.su2_left_step, starts))
-    return [states.LocalUnitary.uniform(g, n) for g in gs]
+    results = search.gauss_newton(model, _kernels.su2_left_step, starts)
+    return np.array([x for x, f2 in results if math.sqrt(max(f2, 0.0)) <= _WITNESS_TOL]).reshape(-1, 2, 2)
 
 
 def _entry_table(rho):
@@ -174,12 +197,17 @@ def _difference_classes(vals, diffs):
     fixed exactly when theta is in 2 pi Z, and its residual is
     sin^2(theta/2), even in theta.  So diff and -diff are one class (kept
     with its first nonzero difference positive).  The zero class never moves
-    and is dropped.
+    and is dropped.  Rows are grouped by the base-3 code
+    sum_k (d_k + 1) 3^{n-1-k} of their entries d_k in {-1, 0, 1}, whose
+    order is the rows' lexicographic order, so the classes come sorted as
+    rows.
     """
     lead = np.take_along_axis(diffs, np.argmax(diffs != 0, axis=1)[:, None], axis=1)
     canon = np.where(lead < 0, -diffs, diffs)
-    classes, inverse = np.unique(canon, axis=0, return_inverse=True)
-    sums = np.bincount(inverse.ravel(), weights=vals, minlength=len(classes))
+    digits = 3 ** np.arange(canon.shape[1] - 1, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique((canon.astype(np.int64) + 1) @ digits, return_index=True, return_inverse=True)
+    classes = canon[first]
+    sums = np.bincount(inverse, weights=vals, minlength=len(classes))
     moving = np.any(classes != 0, axis=1)
     return sums[moving], classes[moving]
 
@@ -237,15 +265,19 @@ def _diag_subgroup(rho):
     return 2 * math.pi * ((ks @ v[:, : len(s)].T) % 1.0), v[:, len(s) :]
 
 
-def _diag_witnesses(rho):
-    """Every finite element of the diagonal stabilizer, and each continuous direction at 1 rad.
+def _diag_witnesses(rho) -> np.ndarray:
+    """Every finite element of the diagonal stabilizer, and each continuous direction at 1 rad, as a stack.
 
-    1 / (2 pi) is irrational, so a direction's element at 1 rad lies in a
-    closed family of phases only if its whole circle does.
+    Each is a tuple of diag(1, e^{i phi_k}), one row (n, 2, 2) of the
+    returned stack.  1 / (2 pi) is irrational, so a direction's element at
+    1 rad lies in a closed family of phases only if its whole circle does.
     """
     finite, directions = _diag_subgroup(rho)
     phases = np.concatenate([finite, directions.T.astype(np.float64)])
-    return [states.LocalUnitary(tuple(np.diag([1.0, np.exp(1j * t)]) for t in x)) for x in phases]
+    out = np.zeros(phases.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = np.exp(1j * phases)
+    return out
 
 
 def sample_stabilizer(
@@ -260,22 +292,32 @@ def sample_stabilizer(
     deduplicated at _DEDUPE, not the stabilizer: for a continuous family
     their number follows last-bit roundoff of the search.  Decisions rest on
     stabilizer_anomalies.
+
+    Both families form one (W, n, 2, 2) stack, identical tuples first.  Its
+    residuals come from one stacked dense conjugation (_residuals), the
+    candidates within _WITNESS_TOL are keyed (_projective_keys), and each key
+    keeps its least residual, the first candidate on ties.  The witnesses
+    come sorted by key, and only they become LocalUnitary objects.
     """
     if cfg is None:
         cfg = StabilizerSearchConfig()
-    _cap(rho.n)
+    n = rho.n
+    _cap(n)
     if not states.is_permutation_invariant(rho):
         raise DomainError("stabilizer sampling expects a permutation-invariant state")
-    candidates = _identical_witnesses(rho, cfg) + _diag_witnesses(rho)
-    seen = {}
-    for u in candidates:
-        w = check_stabilizes(u, rho)
-        if w.residual > _WITNESS_TOL:
-            continue
-        key = _projective_key(u, _DEDUPE)
-        if key not in seen or w.residual < seen[key].residual:
-            seen[key] = w
-    return tuple(seen[k] for k in sorted(seen))
+    gs = _identical_witnesses(_kernels.density_factor(rho.mat), n, cfg)
+    stack = np.concatenate([np.broadcast_to(gs[:, None], (len(gs), n, 2, 2)), _diag_witnesses(rho)])
+    residuals = _residuals(stack, rho.mat)
+    kept = np.flatnonzero(residuals <= _WITNESS_TOL)
+    keys = _projective_keys(stack[kept], _DEDUPE)
+    # by key, then residual, then position: lexsort is stable and sorts by its last key first
+    order = np.lexsort((residuals[kept],) + tuple(keys[:, ::-1].T))
+    keys = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    return tuple(
+        StabilizerWitness(states.LocalUnitary(tuple(stack[i])), float(residuals[i])) for i in kept[order[first]]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +512,16 @@ def lu_equivalent_pure_bruteforce(psi: states.SymmetricPureState, phi: states.Sy
     distance of the conjugated projector over an Euler lattice, then refines
     the lowest lattice minima by damped Gauss-Newton, _BRUTEFORCE_ROUND at
     a time, until one reaches 0.01 threshold.  The threshold is
-    default_threshold(n).
+    default_threshold(n).  The projectors are never formed: the 2^n vectors
+    of psi and phi are their factors (search.euler_scan).
     """
     if psi.n != phi.n:
         raise DomainError(f"qubit counts differ: {psi.n} vs {phi.n}")
     _cap(psi.n)
     n = psi.n
     threshold = default_threshold(n)
-    rho = states.to_density(psi).mat
-    sigma = states.to_density(phi).mat
-    lattice, dists, model = search.euler_scan(rho, sigma, n, _BRUTEFORCE_GRID)
+    vec, target = (states.expand(s).amps[:, None] for s in (psi, phi))
+    lattice, dists, model = search.euler_scan(vec, target, n, _BRUTEFORCE_GRID)
     minima = search.lowest_minima(dists.reshape((_BRUTEFORCE_GRID,) * 3), (0, 2), _BRUTEFORCE_STARTS)
     results = search.gauss_newton(
         model,

@@ -206,15 +206,42 @@ def test_symmetry_prints_the_group_classify_prints(tmp_path, monkeypatch, capsys
         assert (want["tag"], want["m"]) == (("Cyclic", 2) if draw in (3, 16) else ("Trivial", None))
 
 
-@pytest.mark.parametrize("psi", [states.ghz(2), states.dicke(2, 1)], ids=["ghz2", "dicke21"])
-def test_symmetry_of_a_balanced_two_qubit_state_is_axial_with_flip(tmp_path, monkeypatch, capsys, psi):
-    # classify calls these ambiguous (exit 3); their symmetry group is not
+@pytest.mark.parametrize(
+    "psi, axis",
+    [(states.ghz(2), [0.0, 1.0, 0.0]), (states.dicke(2, 1), [0.0, 0.0, 1.0])],
+    ids=["ghz2", "dicke21"],
+)
+def test_symmetry_of_a_balanced_two_qubit_state_is_axial_with_flip(tmp_path, monkeypatch, capsys, psi, axis):
+    # classify calls these ambiguous (exit 3); their symmetry group is not.
+    # GHZ_2's two Majorana points are +-y, Dicke_2,1's are +-z
     p = tmp_path / "two.json"
     p.write_text(io.dumps(io.state_to_dict(psi)))
     code, out = run_cli(["symmetry", str(p)], monkeypatch, capsys)
     assert code == 0
-    assert json.loads(out) == {"group": "AxialContinuousFlip", "m": None, "order": None, "elements": []}
+    got = json.loads(out)
+    assert np.max(np.abs(np.array(got["axis"]) - axis)) <= 1e-15
+    assert got == {"group": "AxialContinuousFlip", "m": None, "order": None, "axis": got["axis"], "elements": []}
+    assert list(got) == ["group", "m", "order", "axis", "elements"]
+    code, out = run_cli(["symmetry", str(p), "--human"], monkeypatch, capsys)
+    assert code == 0
+    head, axis_line = out.splitlines()
+    assert head == "group AxialContinuousFlip, order None"
+    assert axis_line.startswith("axis [") and axis_line.endswith("]")
+    assert [float(v) for v in axis_line[6:-1].split()] == axis
     assert run_cli(["classify", str(p)], monkeypatch, capsys)[0] == 3
+
+
+def test_symmetry_prints_the_axis_of_a_finite_group_and_null_for_none(tmp_path, monkeypatch, capsys):
+    def symmetry(psi):
+        p = tmp_path / "state.json"
+        p.write_text(io.dumps(io.state_to_dict(psi)))
+        return json.loads(run_cli(["symmetry", str(p)], monkeypatch, capsys)[1])
+
+    got = symmetry(states.ghz(3))
+    assert (got["group"], got["m"], got["order"]) == ("Dihedral", 3, 6)
+    assert np.max(np.abs(np.abs(got["axis"]) - [0.0, 0.0, 1.0])) <= 1e-12
+    got = symmetry(states.random_symmetric(4, np.random.default_rng(3)))
+    assert (got["group"], got["order"], got["axis"]) == ("Trivial", 1, None)
 
 
 def test_closed_stdout_is_no_verdict(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmlu import _kernels, search, states
+from symmlu import _kernels, majorana, search, states
 
 
 def dense_conj_distance(angles, rho, target, n):
@@ -104,6 +104,60 @@ def test_polish_roots_never_worsens_residual():
     before = np.abs(np.polyval(coeffs, start))
     after = np.abs(np.polyval(coeffs, polished))
     assert np.all(after <= before + 1e-15)
+
+
+def fixed_pass_polish(coeffs, roots, iters=5):
+    """polish_roots without its early exit: all iters Newton passes."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    z = np.array(roots, dtype=np.complex128)
+    if z.size == 0 or coeffs.size < 2:
+        return z
+    deriv = coeffs[:-1] * np.arange(len(coeffs) - 1, 0, -1)
+    best = np.abs(_kernels.horner(coeffs, z))
+    for _ in range(iters):
+        pz = _kernels.horner(coeffs, z)
+        dz = _kernels.horner(deriv, z)
+        cand = z - np.where(dz != 0, pz / np.where(dz == 0, 1, dz), 0)
+        val = np.abs(_kernels.horner(coeffs, cand))
+        better = val < best
+        z = np.where(better, cand, z)
+        best = np.where(better, val, best)
+    return z
+
+
+def test_polish_roots_stops_where_the_fixed_passes_end(monkeypatch):
+    rng = np.random.default_rng(27)
+    cases = []
+    for deg in (2, 6, 12):
+        roots = rng.normal(size=deg) + 1j * rng.normal(size=deg)
+        coeffs = np.poly(roots)
+        for noise, iters in ((1e-5, 20), (1e-2, 5), (0.0, 8)):
+            cases.append((coeffs, roots + noise * (rng.normal(size=deg) + 1j * rng.normal(size=deg)), iters))
+    cases.append((rng.normal(size=8) + 1j * rng.normal(size=8), rng.normal(size=7) + 1j * rng.normal(size=7), 5))
+    # every call root finding makes on the four polyhedra, each also turned
+    calls = []
+    original = _kernels.polish_roots
+
+    def recording(coeffs, roots, iters=5):
+        calls.append((np.array(coeffs), np.array(roots), iters))
+        return original(coeffs, roots, iters)
+
+    corners = {
+        "tetrahedron": np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3),
+        "octahedron": np.vstack([np.eye(3), -np.eye(3)]),
+        "cube": np.array([[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]) / math.sqrt(3),
+    }
+    phi = (1 + math.sqrt(5)) / 2
+    ico = [pt for a in (-1.0, 1.0) for b in (-phi, phi) for pt in ([0, a, b], [a, b, 0], [b, 0, a])]
+    corners["icosahedron"] = np.array(ico) / math.sqrt(1 + phi**2)
+    monkeypatch.setattr(_kernels, "polish_roots", recording)
+    for pts in corners.values():
+        psi = majorana.points_to_state(pts)
+        for state in (psi, states.apply_diag_symmetric(states.random_su2(rng), psi)):
+            majorana.majorana_points(state)
+    assert len(calls) >= 8
+    for coeffs, roots, iters in cases + calls:
+        assert np.array_equal(original(coeffs, roots, iters), fixed_pass_polish(coeffs, roots, iters))
 
 
 def test_polish_roots_empty_and_constant():

@@ -99,7 +99,7 @@ def test_euler_scan_objective_matches_the_lattice_values():
     rng = np.random.default_rng(5)
     rho = states.random_symmetric_mixed(3, rng).mat
     target = states.random_symmetric_mixed(3, rng).mat
-    points, dists, model = search.euler_scan(rho, target, 3, 4)
+    points, dists, model = search.euler_scan(_kernels.density_factor(rho), _kernels.density_factor(target), 3, 4)
     assert np.array_equal(points, search.euler_lattice(4))
     for i in (0, 17, 63):
         f2 = model(_kernels.euler_su2_batch(points[i : i + 1]))[0][0]
@@ -112,7 +112,7 @@ def test_block_distance_matches_the_dense_scan():
     target = states.random_symmetric_mixed(4, rng)
     blocks = states.spin_blocks(4)
     rho_b, target_b = blocks.compress(rho), blocks.compress(target)
-    points, dense, _ = search.euler_scan(rho.mat, target.mat, 4, 4)
+    points, dense, _ = search.euler_scan(_kernels.density_factor(rho.mat), _kernels.density_factor(target.mat), 4, 4)
     block = [blocks.distance(_kernels.euler_su2(*x), rho_b, target_b) for x in points]
     assert np.max(np.abs(np.array(block) - dense)) < 1e-12
 
@@ -149,8 +149,8 @@ def _group_index(g, group):
 
 
 def test_refine_all_on_the_tetrahedron_lattice_minima():
-    rho = _tetrahedron_rho()
-    points, dists, model = search.euler_scan(rho, rho, 4, 12)
+    factor = _kernels.density_factor(_tetrahedron_rho())
+    points, dists, model = search.euler_scan(factor, factor, 4, 12)
     starts = points[search.local_minima(dists.reshape((12,) * 3), wrap=(0, 2))]
     assert len(starts) > 40
     got = search.gauss_newton(model, _kernels.su2_left_step, _kernels.euler_su2_batch(starts))
@@ -166,8 +166,8 @@ def test_refine_all_on_the_tetrahedron_lattice_minima():
 def test_refinement_leaves_gimbal_lock(n):
     # beta = 0 rows of the Euler lattice, where Euler coordinates lose a
     # direction; the left steps do not, and reach rz(2 pi k / n) of GHZ_n
-    rho = states.to_density(states.ghz(n)).mat
-    _, _, model = search.euler_scan(rho, rho, n, 4)
+    factor = _kernels.density_factor(states.to_density(states.ghz(n)).mat)
+    _, _, model = search.euler_scan(factor, factor, n, 4)
     calls = [0]
 
     def counted(gs):
@@ -190,8 +190,8 @@ def test_refinement_leaves_gimbal_lock(n):
 
 def test_refinement_from_gimbal_lock_reaches_the_identity():
     rng = np.random.default_rng(34)
-    rho = states.to_density(states.random_symmetric(4, rng)).mat
-    _, _, model = search.euler_scan(rho, rho, 4, 4)
+    vec = states.expand(states.random_symmetric(4, rng)).amps[:, None]  # a pure state's factor
+    _, _, model = search.euler_scan(vec, vec, 4, 4)
     starts = np.array([[0.1, 0.0, -0.05], [0.2, 0.0, 0.0], [0.0, 0.0, -0.15]])
     for g, f2 in search.gauss_newton(model, _kernels.su2_left_step, _kernels.euler_su2_batch(starts)):
         assert math.sqrt(f2) <= 1e-12

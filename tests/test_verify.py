@@ -1,6 +1,7 @@
 """Brute-force dense oracles: stabilizer residuals, sampling, spectra."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,19 @@ def test_class_summed_phase_table_gives_the_entry_residual(make):
     phis[0] = 0.0
     residual = _kernels.diag_phase_residual(phis, vals, diffs)
     assert np.max(np.abs(_kernels.diag_phase_residual(phis, class_vals, class_diffs) - residual)) <= 1e-14
+
+
+def test_difference_classes_are_the_row_unique_classes():
+    # the reference groups the canonical rows by np.unique(axis=0)
+    for n in range(1, 9):
+        rho = states.random_symmetric_mixed(n, np.random.default_rng(59 + n))
+        vals, diffs = verify._entry_table(rho)
+        lead = np.take_along_axis(diffs, np.argmax(diffs != 0, axis=1)[:, None], axis=1)
+        classes, inverse = np.unique(np.where(lead < 0, -diffs, diffs), axis=0, return_inverse=True)
+        sums = np.bincount(inverse.ravel(), weights=vals, minlength=len(classes))
+        moving = np.any(classes != 0, axis=1)
+        got_sums, got_classes = verify._difference_classes(vals, diffs)
+        assert np.array_equal(got_sums, sums[moving]) and np.array_equal(got_classes, classes[moving])
 
 
 def _in_diag_subgroup(phi, finite, directions) -> bool:
@@ -540,3 +554,143 @@ def test_highest_level_matches_a_plain_bisection():
         boundary = top * float(rng.choice([rng.uniform(), 1.0 - rng.uniform() * 1e-15, 0.0]))
         feasible = lambda q, b=boundary: q <= b  # noqa: E731
         assert verify._highest_level(feasible, top) == _plain_bisection(feasible, top)
+
+
+# ---------------------------------------------------------------------------
+# the stacked witness check
+# ---------------------------------------------------------------------------
+
+
+def _kron_residual(factors, mat) -> float:
+    """|| U mat U+ - mat ||_F with U the Kronecker product, in extended precision (np.clongdouble)."""
+    big = np.ones((1, 1), dtype=np.clongdouble)
+    for f in factors:
+        big = np.kron(big, np.asarray(f).astype(np.clongdouble))
+    m = mat.astype(np.clongdouble)
+    d = big @ m @ big.conj().T - m
+    return float(np.sqrt(np.sum(d.real**2 + d.imag**2)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(1, 6), rank=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_stacked_residuals_are_the_kronecker_residuals(n, rank, seed):
+    rng = np.random.default_rng(seed)
+    rho = states.random_symmetric_mixed(n, rng, min(rank, n + 1))
+    identical = np.broadcast_to(np.array([states.random_su2(rng) for _ in range(4)])[:, None], (4, n, 2, 2))
+    phases = np.exp(1j * rng.uniform(0, 7, size=(4, n, 1, 1)))  # det phases
+    per_qubit = np.array([[states.random_su2(rng) for _ in range(n)] for _ in range(4)]) * phases
+    diagonal = np.zeros((4, n, 2, 2), dtype=np.complex128)
+    diagonal[..., 0, 0] = 1.0
+    diagonal[..., 1, 1] = np.exp(1j * rng.uniform(0, 2 * math.pi, size=(4, n)))
+    identity = np.broadcast_to(np.eye(2, dtype=np.complex128), (1, n, 2, 2))
+    stack = np.concatenate([identity, identical, per_qubit, diagonal])
+    got = verify._residuals(stack, rho.mat)
+    assert got[0] == 0.0
+    assert np.max(np.abs(got - [_kron_residual(w, rho.mat) for w in stack])) <= 2e-15
+    # a tuple's residual does not depend on the stack it is checked in
+    for i, w in enumerate(stack):
+        assert verify.check_stabilizes(states.LocalUnitary(tuple(w)), rho).residual == got[i]
+
+
+def _factor_key(factors, resolution: float) -> tuple:
+    """The key of a tuple of factors, factor by factor: the per-factor reference of _projective_keys."""
+    parts = []
+    for f in factors:
+        flat = f.ravel()
+        scale = np.max(np.abs(flat))
+        idx = int(np.argmax(np.abs(flat) > 0.5 * scale))
+        phase = flat[idx] / abs(flat[idx])
+        aligned = (f / phase).ravel().view(np.float64)  # interleaved re/im
+        parts.append(tuple(np.round(aligned / resolution).astype(np.int64).tolist()))
+    return tuple(parts)
+
+
+def test_stacked_keys_are_the_per_factor_keys():
+    rng = np.random.default_rng(61)
+    n = 4
+    stack = np.array([[states.random_su2(rng) * np.exp(1j * rng.uniform(0, 7)) for _ in range(n)] for _ in range(50)])
+    # diagonal, antidiagonal and equal-modulus factors, where the leading entry is decided by the half-scale rule
+    stack[:10, :, 0, 1] = stack[:10, :, 1, 0] = 0.0
+    stack[10:20, :, 0, 0] = stack[10:20, :, 1, 1] = 0.0
+    stack[20:25] = np.array([[1, 1], [1, -1]]) * np.exp(1j * rng.uniform(0, 7, size=(5, n, 1, 1))) / math.sqrt(2)
+    got = verify._projective_keys(stack, verify._DEDUPE)
+    for w, key in zip(stack, got):
+        want = _factor_key(w, verify._DEDUPE)
+        assert tuple(map(tuple, key.reshape(n, 8).tolist())) == want
+
+
+def _sample_one_by_one(rho, cfg):
+    """sample_stabilizer's witnesses as (key, residual), tuple by tuple: its reference.
+
+    Each candidate is a LocalUnitary checked alone by states.conjugate_local
+    and keyed factor by factor; each key keeps its least residual, the
+    first candidate on ties, and the keys come sorted.
+    """
+    n = rho.n
+    gs = verify._identical_witnesses(_kernels.density_factor(rho.mat), n, cfg)
+    candidates = [states.LocalUnitary.uniform(g, n) for g in gs]
+    candidates += [states.LocalUnitary(tuple(w)) for w in verify._diag_witnesses(rho)]
+    seen = {}
+    for u in candidates:
+        residual = float(np.linalg.norm(states.conjugate_local(u.factors, rho.mat) - rho.mat))
+        if residual > 1e-8:
+            continue
+        key = _factor_key(u.factors, verify._DEDUPE)
+        if key not in seen or residual < seen[key]:
+            seen[key] = residual
+    return sorted(seen.items())
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        (tetrahedron_state, 12),
+        (octahedron_state, 24),
+        (lambda: states.ghz(3), 8),
+        (lambda: states.ghz(5), 14),
+        (lambda: states.dicke(3, 1), 9),
+        (lambda: states.dicke(4, 2), 25),
+    ],
+    ids=["tetrahedron", "octahedron", "ghz3", "ghz5", "dicke31", "dicke42"],
+)
+def test_stacked_sampling_keeps_the_witnesses_of_the_one_by_one_check(make, count):
+    psi = make()
+    rho = states.to_density(psi)
+    cfg = verify.StabilizerSearchConfig()
+    got = verify.sample_stabilizer(rho, cfg)
+    want = _sample_one_by_one(rho, cfg)
+    assert len(got) == len(want) == count
+    assert [_factor_key(w.unitary.factors, verify._DEDUPE) for w in got] == [key for key, _ in want]
+    assert max(abs(w.residual - r) for w, (_, r) in zip(got, want)) <= 1e-15
+    assert verify.stabilizer_anomalies(psi) == ()
+
+
+def test_stacked_check_holds_its_chunk_bound():
+    n, count = 8, 128
+    rng = np.random.default_rng(62)
+    mat = states.to_density(states.random_symmetric(n, rng)).mat
+    stack = np.array([[states.random_su2(rng) for _ in range(n)] for _ in range(count)])
+    chunk = max(verify._CHUNK_ENTRIES, 4**n) * 16  # bytes of one conjugated chunk
+    tracemalloc.start()
+    try:
+        got = verify._residuals(stack, mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (count,)
+    # the whole stack conjugated at once would hold count 4^n entries a temporary
+    assert peak <= 8 * chunk < count * 4**n * 16 // 4
+
+
+def test_bruteforce_works_on_vectors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense projector or an eigensolve")
+
+    rng = np.random.default_rng(63)
+    psi = states.random_symmetric(4, rng)
+    phi = states.apply_diag_symmetric(states.random_su2(rng), psi)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(states, "to_density", refuse)
+    assert verify.lu_equivalent_pure_bruteforce(psi, phi) is not None
+    assert verify.lu_equivalent_pure_bruteforce(psi, states.random_symmetric(4, rng)) is None
