@@ -23,10 +23,12 @@ the self-matches of psi psi^+ that mixed.frame_candidates gives from that
 same frame: on an axial frame the identity and, at even rank, the solved
 flip family, each with the C_m turns that the turned coefficients allow; on
 any other the self-matches of a multipole's constellation.  The ones that
-fix psi are the group, and rotmatch.point_group names it.  No class finds
-the Majorana points of psi, so no answer depends on how well its multiple
-roots are found.  At n = 2 the balanced classes iia and iva hold the same
-states, and classify_state raises AmbiguousClassificationError on them.
+fix psi generate the group, and rotmatch.point_group names it: near the
+tolerance edge they need not be closed, and a word of k of them moves psi
+by at most k tol in phase distance.  No class finds the Majorana points
+of psi, so no answer depends on how well its multiple roots are found.  At
+n = 2 the balanced classes iia and iva hold the same states, and
+classify_state raises AmbiguousClassificationError on them.
 rotation_group is the one routine for a state's rotation group: the finite
 class's group, the same group for class ii, and an axial tag about the
 frame's axis for classes i and iv, n = 2 included; symmlu symmetry prints it.
@@ -305,8 +307,9 @@ def rotation_group(psi: states.SymmetricPureState, tol: float | None = None) -> 
     tol in phase distance.  An axial frame gives the identity, exactly, and
     the solved flip at even rank, each times the turns by 2 pi / m about its
     axis, m the gcd of the gaps between the turned coefficients left.
-    rotmatch.point_group names them.  classify_state's finite class holds
-    the same group, but here n = 2 raises no AmbiguousClassificationError.
+    rotmatch.point_group names the group they generate.  classify_state's
+    finite class holds the same group, but here n = 2 raises no
+    AmbiguousClassificationError.
     """
     tol = checked(tol, DEFAULT_TOLERANCES.equality)
     rho, frame, _, left = _frame_read(psi, tol)

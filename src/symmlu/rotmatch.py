@@ -21,15 +21,21 @@ point of b (masked argmins along both axes), and drops the candidates with a
 matched pair beyond tol.  The point-group layer (closure, the axis census,
 the generator pick) works on such stacks too.
 
-Groups: point_group names a finite group given by its elements, whichever
-way they were found: symmetry_group passes the self-matches of a
-configuration given as points (the tests' exact-points reference), and
-classify.rotation_group, the one routine for a state's group, the multipole
-frame's self-matches that fix the state.  PointGroup keeps its axis signed
-as _canonical_axes signs it.  Elements are sorted
-by (angle, canonical axis, sense), where the sense tells a rotation from its
-inverse, so the element order and the generators follow the group, not the
-order the elements came in or their last bits.
+Matching and symmetry_group read one tolerance, DEFAULT_TOLERANCES.match,
+and take none per call; matches, closure and the generator pick all merge
+rotations within _CLOSURE_TOL of each other, entrywise.
+
+Groups: point_group names the finite group that a set of rotations
+generates, whichever way they were found: symmetry_group passes the
+self-matches of a configuration given as points (the tests' exact-points
+reference), and classify.rotation_group, the one routine for a state's
+group, the multipole frame's self-matches that fix the state.  The set need
+not be closed: a missing product or a near-duplicate changes nothing, since
+the group is named from the elements it generates.  PointGroup keeps its
+axis signed as _canonical_axes signs it.  Elements are sorted by (angle,
+canonical axis, sense), where the sense tells a rotation from its inverse,
+so the element order and the generators follow the group, not the order the
+elements came in or their last bits.
 """
 from __future__ import annotations
 
@@ -40,7 +46,7 @@ import numpy as np
 
 from .errors import DomainError, SymmluError
 from .majorana import MajoranaConfiguration
-from .tolerances import DEFAULT_TOLERANCES, checked
+from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "PointGroup",
@@ -248,12 +254,12 @@ def _rotation_keys(axes: np.ndarray, angles: np.ndarray) -> list:
     return [(round(angle, 9), *axis, int(f)) for angle, axis, f in zip(angles.tolist(), rounded, flipped)]
 
 
-def _sorted_by_key(rots: np.ndarray) -> np.ndarray:
-    """A (K, 3, 3) stack sorted by _rotation_keys; the sort is stable."""
-    if len(rots) < 2:
-        return rots
-    keys = _rotation_keys(*axis_angle(rots))
-    return rots[sorted(range(len(keys)), key=keys.__getitem__)]
+def _ranked(rots: np.ndarray) -> tuple:
+    """A (K, 3, 3) stack sorted by _rotation_keys (a stable sort), and its axis_angle in that order."""
+    axes, angles = axis_angle(rots)
+    keys = _rotation_keys(axes, angles)
+    rank = sorted(range(len(keys)), key=keys.__getitem__)
+    return rots[rank], axes[rank], angles[rank]
 
 
 _MATCH_BLOCK = 1 << 16  # _assignment_max: (candidate, a, b) distances at once, 1.5 MB of differences
@@ -297,11 +303,11 @@ def _assignment_max(apts, amults, bpts, bmults, rots, tol) -> np.ndarray:
     return worst
 
 
-def _is_axial(cfg: MajoranaConfiguration, tol: float):
-    """Axis if all points lie on one line through the origin, else None."""
+def _is_axial(cfg: MajoranaConfiguration):
+    """Axis if all points lie on one line through the origin (to the match tolerance), else None."""
     if cfg.points.shape[0] == 1:
         return cfg.points[0]
-    if cfg.points.shape[0] == 2 and np.linalg.norm(cfg.points[0] + cfg.points[1]) <= tol:
+    if cfg.points.shape[0] == 2 and np.linalg.norm(cfg.points[0] + cfg.points[1]) <= DEFAULT_TOLERANCES.match:
         return cfg.points[0]
     return None
 
@@ -335,23 +341,32 @@ def _frame(p1, p2) -> np.ndarray:
     return frame
 
 
-_CLOSE_BLOCK = 1 << 15  # _close: rotation pairs compared at once, 2.4 MB of differences
+_CLOSURE_TOL = 1e-6  # entrywise: matches, closure and the generator pick merge rotations this close
+_CLOSE_DIRECT = 256  # _close: tables of at most this many pairs compare every pair outright
 
 
-def _close(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """(K, L) table: rotation k of stack a lies within tol of rotation l of stack b, entrywise.
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(K, L) table: rotation k of stack a lies within _CLOSURE_TOL of rotation l of stack b, entrywise.
 
-    Rows of a are taken a block at a time, so the (rows, L, 3, 3) differences stay small.
+    A table of at most _CLOSE_DIRECT pairs compares every pair outright.  A
+    larger one first picks candidate pairs from one (K, 9) x (9, L) product:
+    entrywise within t puts the squared Frobenius distance
+    |a|^2 + |b|^2 - 2 <a, b> at most 9 t^2, and the margin on that bound is
+    far above its rounding.  Only the candidates are compared entrywise, so
+    no (K, L, 3, 3) differences are formed.
     """
-    out = np.empty((len(a), len(b)), dtype=bool)
-    step = max(1, _CLOSE_BLOCK // max(1, len(b)))
-    for start in range(0, len(a), step):
-        out[start : start + step] = np.max(np.abs(a[start : start + step, None] - b[None]), axis=(2, 3)) <= tol
+    a, b = a.reshape(-1, 9), b.reshape(-1, 9)
+    if len(a) * len(b) <= _CLOSE_DIRECT:
+        return np.abs(a[:, None] - b[None]).max(axis=2) <= _CLOSURE_TOL
+    norms = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)
+    out = norms - 2 * (a @ b.T) <= 9 * _CLOSURE_TOL**2 + 1e-12 * norms
+    k, l = np.nonzero(out)
+    out[k, l] = np.abs(a[k] - b[l]).max(axis=1) <= _CLOSURE_TOL
     return out
 
 
-def _drop_repeats(rots: np.ndarray, tol: float, keep: np.ndarray) -> np.ndarray:
-    """keep, with each rotation within tol of a kept one before it also dropped.
+def _drop_repeats(rots: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """keep, with each rotation within _CLOSURE_TOL of a kept one before it also dropped.
 
     The first-come rule of a scan that keeps a rotation unless it is close to
     one kept so far.  Rows keep already drops neither count nor block, and
@@ -360,7 +375,7 @@ def _drop_repeats(rots: np.ndarray, tol: float, keep: np.ndarray) -> np.ndarray:
     live = np.flatnonzero(keep)
     if len(live) < 2:
         return keep
-    earlier = np.tril(_close(rots[live], rots[live], tol), -1)
+    earlier = np.tril(_close(rots[live], rots[live]), -1)
     kept = np.ones(len(live), dtype=bool)
     for k in np.flatnonzero(earlier.any(axis=1)):
         kept[k] = not (earlier[k] & kept).any()
@@ -385,15 +400,14 @@ def _anchor_rotations(a: MajoranaConfiguration, b: MajoranaConfiguration, tol: f
     return _frame(b.points[i], b.points[j]) @ _frame(a1, a2).T
 
 
-def all_matching_rotations(a: MajoranaConfiguration, b: MajoranaConfiguration, tol: float | None = None):
-    """Every rotation carrying configuration a onto b, deduplicated at 1e-8 and sorted by (angle, axis)."""
-    tol = checked(tol, DEFAULT_TOLERANCES.match)
+def all_matching_rotations(a: MajoranaConfiguration, b: MajoranaConfiguration):
+    """Every rotation carrying configuration a onto b, deduplicated at _CLOSURE_TOL and sorted by (angle, axis)."""
+    tol = DEFAULT_TOLERANCES.match
     if a.n != b.n:
         raise DomainError(f"configurations have different sizes {a.n} and {b.n}")
     if sorted(a.multiplicities) != sorted(b.multiplicities):
         return []
-    axis_a = _is_axial(a, tol)
-    axis_b = _is_axial(b, tol)
+    axis_a, axis_b = _is_axial(a), _is_axial(b)
     if (axis_a is None) != (axis_b is None):
         return []
     if axis_a is not None:
@@ -402,17 +416,17 @@ def all_matching_rotations(a: MajoranaConfiguration, b: MajoranaConfiguration, t
         rots = _anchor_rotations(a, b, tol)
     worst = _assignment_max(a.points, a.multiplicities, b.points, b.multiplicities, rots, tol)
     found = rots[worst <= tol]
-    found = found[_drop_repeats(found, 1e-8, np.ones(len(found), dtype=bool))]
-    return list(_sorted_by_key(found))
+    found = found[_drop_repeats(found, np.ones(len(found), dtype=bool))]
+    return list(_ranked(found)[0] if len(found) > 1 else found)
 
 
-def match_rotation(a: MajoranaConfiguration, b: MajoranaConfiguration, tol: float | None = None):
+def match_rotation(a: MajoranaConfiguration, b: MajoranaConfiguration):
     """A rotation carrying a onto b, or None.
 
     When several rotations match, the one with the smallest canonical key
     (rotation angle, then lexicographic axis) is returned.
     """
-    matches = all_matching_rotations(a, b, tol)
+    matches = all_matching_rotations(a, b)
     return matches[0] if matches else None
 
 
@@ -479,7 +493,7 @@ class PointGroup:
         return f"{self.tag}{'' if self.m is None else self.m}"
 
 
-_CLOSURE_TOL, _CLOSURE_CAP = 1e-6, 200  # closure: entrywise dedupe, and largest group
+_CLOSURE_CAP = 200  # closure: largest group
 
 
 def closure(mats) -> np.ndarray:
@@ -494,8 +508,8 @@ def closure(mats) -> np.ndarray:
     elems = frontier = np.eye(3)[None]
     while len(frontier):
         products = (frontier[:, None] @ gens[None]).reshape(-1, 3, 3)
-        keep = ~_close(products, elems, _CLOSURE_TOL).any(axis=1)
-        frontier = products[_drop_repeats(products, _CLOSURE_TOL, keep)]
+        keep = ~_close(products, elems).any(axis=1)
+        frontier = products[_drop_repeats(products, keep)]
         if len(elems) + len(frontier) > _CLOSURE_CAP:
             raise SymmluError(f"closure exceeded {_CLOSURE_CAP} elements; not a small finite group")
         elems = np.concatenate([elems, frontier])
@@ -520,29 +534,27 @@ def _axis_census(axes: np.ndarray, angles: np.ndarray) -> list:
     return census
 
 
-def _pick_generators(ranked: np.ndarray, order: int) -> tuple:
-    """Greedy small generating set of a group of the given order, from its non-identity elements.
+def _pick_generators(ranked: np.ndarray) -> tuple:
+    """Greedy small generating set of the rotations of ranked: (generators, their group, ranked's _close table against it).
 
-    ranked is sorted by _rotation_keys; each element that the generators so
-    far do not already reach is taken, in that order.
+    ranked is sorted by _rotation_keys; each rotation that the generators so
+    far do not already reach is taken, in that order, until the group they
+    generate holds every rotation of ranked.
     """
     gens: list = []
-    generated = np.eye(3)[None]
+    group = np.eye(3)[None]
     while True:
-        outside = np.flatnonzero(~_close(ranked, generated, 1e-6).any(axis=1))
+        inside = _close(ranked, group)
+        outside = np.flatnonzero(~inside.any(axis=1))
         if not outside.size:
-            raise SymmluError("could not reproduce group order from its own elements")
+            return tuple(gens), group, inside
         gens.append(ranked[outside[0]])
-        generated = closure(gens)
-        if len(generated) == order:
-            return tuple(gens)
-        ranked = ranked[outside[0] + 1:]
+        group = closure(gens)
 
 
-def symmetry_group(cfg: MajoranaConfiguration, tol: float | None = None) -> PointGroup:
+def symmetry_group(cfg: MajoranaConfiguration) -> PointGroup:
     """Classify the rotational symmetry group of a configuration: an axial tag, or point_group of its self-matches."""
-    tol = checked(tol, DEFAULT_TOLERANCES.match)
-    axis = _is_axial(cfg, tol)
+    axis = _is_axial(cfg)
     if axis is not None:
         flip = (
             cfg.points.shape[0] == 2
@@ -550,22 +562,25 @@ def symmetry_group(cfg: MajoranaConfiguration, tol: float | None = None) -> Poin
         )
         tag = "AxialContinuousFlip" if flip else "AxialContinuous"
         return PointGroup(tag, None, None, _canonical_axes(axis), ())
-    return point_group(all_matching_rotations(cfg, cfg, tol))
+    return point_group(all_matching_rotations(cfg, cfg))
 
 
-def point_group(elements) -> PointGroup:
-    """The PointGroup of a finite rotation group given by its elements, a (K, 3, 3) stack.
+def point_group(rotations) -> PointGroup:
+    """The PointGroup of the finite group that the rotations of a (K, 3, 3) stack generate.
 
-    The elements must be distinct and closed under products; the generator
-    pick and PointGroup's closure check fail on a stack that is not.  They
-    are sorted by _rotation_keys first, so the result does not depend on the
-    order they come in.
+    The rotations are sorted by _rotation_keys, so the result does not
+    depend on the order they come in, and the generators are picked from
+    them (_pick_generators).  When they are not that group itself (a
+    product is missing, or two lie within _CLOSURE_TOL of each other), the
+    group is named from its own elements instead, sorted the same way, so
+    the answer depends only on the group.  A set of rotations that
+    generates no small finite group raises closure's SymmluError.
     """
-    elements = np.asarray(elements, dtype=float).reshape(-1, 3, 3)
-    axes, angles = axis_angle(elements)
-    keys = _rotation_keys(axes, angles)
-    rank = sorted(range(len(keys)), key=keys.__getitem__)
-    elements, axes, angles = elements[rank], axes[rank], angles[rank]
+    elements, axes, angles = _ranked(np.asarray(rotations, dtype=float).reshape(-1, 3, 3))
+    gens, group, inside = _pick_generators(elements)
+    if len(group) != len(elements) or not inside.any(axis=0).all():
+        elements, axes, angles = _ranked(group)
+        gens = _pick_generators(elements)[0]
     n_el = len(elements)
     if n_el == 1:
         return PointGroup("Trivial", None, 1, None, (), np.eye(3)[None])
@@ -575,7 +590,6 @@ def point_group(elements) -> PointGroup:
     by_fold = {}
     for ax, fold in census:
         by_fold.setdefault(fold, []).append(ax)
-    gens = _pick_generators(elements[angles > 1e-9], n_el)
 
     if len(census) == 1 and n_el == max_fold:
         return PointGroup("Cyclic", max_fold, n_el, by_fold[max_fold][0], gens, elements)

@@ -7,18 +7,18 @@ float tolerance each, which left at None falls back to a field:
   symmetry --tol  classify.rotation_group (equality);
   classify --tol  classify_state (equality);
   equiv --tol     lu_equivalent_pure (equality).
-symmetry_group and the rotation matching it calls (match), which serve
-configurations given as points, take one too, as do is_unitary and
-permutation_defect, which the package itself calls at more than one
-tolerance.  lu_equivalent_pure's tol bounds only the phase distance of its
-answer.  rotation_group's tol gates the coefficients of psi turned to its
-candidate axis and the phase distance by which each element of a finite
-group fixes psi; classify_state's gates the same two, and the canonical
-residual, at ten times tol.  The multipole frames they take their rotations
-from (mixed.frame_candidates, mixed.multipole_frame) read every field, and
-the multipole cutoff, at its default, as the mixed decision does.  Every other
-comparison reads its field directly.  The operations behind the --tol flags,
-match_rotation and the mixed decisions' threshold pass what they are given
+symmetry_group and the rotation matching it calls, which serve
+configurations given as points, read match and take no per-call tol.
+is_unitary and permutation_defect take one, since the package itself calls
+them at more than one tolerance.  lu_equivalent_pure's tol bounds only the
+phase distance of its answer.  rotation_group's tol gates the coefficients of
+psi turned to its candidate axis and the phase distance by which each
+element of a finite group fixes psi; classify_state's gates the same two,
+and the canonical residual, at ten times tol.  The multipole frames they take
+their rotations from (mixed.frame_candidates, mixed.multipole_frame) read
+every field, and the multipole cutoff, at its default, as the mixed decision
+does.  Every other comparison reads its field directly.  The operations behind
+the --tol flags and the mixed decisions' threshold pass what they are given
 through checked, which refuses a value that is not positive and finite.
 """
 from __future__ import annotations

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import symmlu
-from symmlu import cli, io, majorana, rotmatch, states, verify
+from symmlu import classify, cli, io, majorana, rotmatch, states, verify
 from symmlu.errors import DomainError
 
 
@@ -414,6 +414,22 @@ def test_verify_class_check_samples_once(tmp_path, monkeypatch, capsys):
     rep = json.loads(out)
     assert code == 0 and rep["ok"] is True
     assert len(calls) == 1  # the class check reuses the witnesses it reports
+
+
+def test_verify_class_check_exits_1_on_anomalies(tmp_path, monkeypatch, capsys):
+    # the tetrahedron's witnesses checked against a trivial class: every one but the identity is an anomaly
+    corners = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+    p = tmp_path / "tetrahedron.json"
+    p.write_text(io.dumps(io.state_to_dict(majorana.points_to_state(corners))))
+    trivial = classify.classify_state(states.random_symmetric(4, np.random.default_rng(1)))
+    assert str(trivial.sclass) == "finite(Trivial)"
+    monkeypatch.setattr(classify, "classify_state", lambda psi, tol=None: trivial)
+    code, out = run_cli(["verify", str(p), "--class-check"], monkeypatch, capsys)
+    rep = json.loads(out)
+    assert code == 1 and rep["ok"] is False
+    assert (rep["witness_count"], len(rep["anomalies"])) == (12, 11)
+    code, out = run_cli(["verify", str(p), "--class-check", "--human"], monkeypatch, capsys)
+    assert code == 1 and "ANOMALIES" in out
 
 
 def test_mkstate_random_is_seed_deterministic(monkeypatch, capsys):

@@ -673,6 +673,112 @@ def test_point_group_rejects_wrong_order_claim():
         rotmatch.PointGroup("Cyclic", 4, 4, np.array([0.0, 0.0, 1.0]), (), ())
 
 
+def named_group(name):
+    """The elements of C_m, D_m (as 'C3', 'D4', ...) or the rotation group of T, O or I, a (K, 3, 3) stack."""
+    if name in "TOI":
+        config = {"T": tetrahedron_config, "O": octahedron_config, "I": icosahedron_config}[name]
+        return rotmatch.symmetry_group(config()).elements
+    m = int(name[1:])
+    gens = [rotmatch.rotation_about([0, 0, 1], 2 * math.pi / m)]
+    if name[0] == "D":
+        gens.append(rotmatch.rotation_about([1, 0, 0], math.pi))
+    return rotmatch.closure(gens)
+
+
+def same_elements(a, b, tol):
+    """Each rotation of a within tol of one of b and back, entrywise."""
+    gap = np.abs(a[:, None] - b[None]).max(axis=(2, 3)) <= tol
+    return len(a) == len(b) and gap.any(axis=0).all() and gap.any(axis=1).all()
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    name=st.sampled_from([f"C{m}" for m in range(1, 7)] + [f"D{m}" for m in range(2, 7)] + ["T", "O", "I"]),
+    keep=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_point_group_names_the_group_its_rotations_generate(name, keep, seed):
+    # any subset, in any order, names the group it generates; a near-duplicate changes nothing
+    rng = np.random.default_rng(seed)
+    frame = Rotation.random(None, rng).as_matrix()
+    group = frame @ named_group(name) @ frame.T
+    subset = group[rng.permutation(len(group))[: max(1, round(keep * len(group)))]]
+    generated = rotmatch.closure(subset)
+    want = rotmatch.point_group(generated)
+    assert want.order == len(generated) and same_elements(want.elements, generated, 0.0)
+    got = rotmatch.point_group(subset)
+    assert (got.tag, got.m, got.order) == (want.tag, want.m, want.order)
+    if len(generated) == len(group):
+        assert (got.tag, got.order) == (rotmatch.point_group(group).tag, len(group))
+    assert np.allclose(got.elements, want.elements, rtol=0, atol=1e-9)
+    assert len(got.generators) == len(want.generators)
+    assert all(np.allclose(a, b, rtol=0, atol=1e-9) for a, b in zip(got.generators, want.generators))
+    assert (got.axis is None) == (want.axis is None)
+    if got.axis is not None:
+        assert np.allclose(got.axis, want.axis, rtol=0, atol=1e-9)
+    # a member turned by at most 1e-8 rad, put in at a random place
+    member = subset[rng.integers(len(subset))]
+    twin = member @ rotmatch.rotation_about(rng.normal(size=3), rng.uniform(0, 1e-8))
+    noisy = np.insert(subset, rng.integers(len(subset) + 1), twin, axis=0)
+    got = rotmatch.point_group(noisy)
+    assert (got.tag, got.m, got.order) == (want.tag, want.m, want.order)
+    assert same_elements(got.elements, want.elements, 1e-6)
+
+
+def test_point_group_of_a_set_that_is_not_closed():
+    # two of the tetrahedron's threefold turns generate it; the identity is not needed
+    group = rotmatch.symmetry_group(tetrahedron_config())
+    axes, angles = rotmatch.axis_angle(group.elements)
+    threefold = group.elements[np.abs(angles - 2 * math.pi / 3) < 1e-9]
+    got = rotmatch.point_group(threefold[[0, 3]])
+    assert (got.tag, got.order) == ("Tetrahedral", 12)
+    assert same_elements(got.elements, group.elements, 1e-12)
+    assert rotmatch.point_group(np.zeros((0, 3, 3))).tag == "Trivial"
+    # a near-identity rotation is the identity
+    near = rotmatch.rotation_about([0.3, 0.4, 0.5], 5e-7)
+    assert rotmatch.point_group([np.eye(3), near]).order == 1
+
+
+@pytest.mark.parametrize("size", [4, 12, 40])
+def test_close_table_is_the_entrywise_table(size):
+    # both sides of the outright / product-prefiltered split, with pairs on either side of the 1e-6 edge;
+    # every entry moved by the full amount puts a pair at the edge of the prefilter's Frobenius bound too
+    rng = np.random.default_rng(size)
+    a = Rotation.random(size, rng).as_matrix().reshape(-1, 3, 3)
+    a = np.concatenate([a, a @ Rotation.random(size, rng).as_matrix().reshape(-1, 3, 3)])
+    scale = rng.uniform(0.9e-6, 1.1e-6, size=(len(a), 1, 1))
+    b = a[rng.permutation(len(a))] + scale * rng.choice([-1.0, 1.0], size=a.shape)
+    want = np.abs(a[:, None] - b[None]).max(axis=(2, 3)) <= 1e-6
+    assert 0 < want.sum() < len(a)
+    assert np.array_equal(rotmatch._close(a, b), want)
+    assert np.array_equal(rotmatch._close(a[:3], b), want[:3])
+
+
+def degenerate_probe_draw(draw):
+    """psi and its turn at draw `draw` of the degenerate probe: default_rng(2026), n in 3..12, up to four parts."""
+    rng = np.random.default_rng(2026)
+    for _ in range(draw + 1):
+        n = int(rng.integers(3, 13))
+        parts = min(int(rng.integers(1, 5)), n)
+        cuts = np.sort(rng.choice(np.arange(1, n), parts - 1, replace=False))
+        mults = np.diff(np.concatenate([[0], cuts, [n]]))
+        pts = rng.normal(size=(parts, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        psi = majorana.points_to_state(pts, mults)
+        g = states.random_su2(rng)
+    return psi, states.apply_diag_symmetric(g, psi)
+
+
+@pytest.mark.parametrize("draw", [62, 96])
+def test_self_matches_of_found_roots_hold_no_near_duplicates(draw):
+    # roots of one cluster about 1e-6 apart once gave the identity and a turn by under 1e-6 rad as two self-matches
+    for state in degenerate_probe_draw(draw):
+        cfg = majorana.majorana_points(state)
+        rots = np.array(rotmatch.all_matching_rotations(cfg, cfg)).reshape(-1, 3, 3)
+        gap = np.abs(rots[:, None] - rots[None]).max(axis=(2, 3))
+        assert (gap[~np.eye(len(rots), dtype=bool)] > 1e-6).all()
+
+
 def test_closure_generates_dihedral_three():
     turn = rotmatch.rotation_about([0, 0, 1], 2 * math.pi / 3)
     flip = rotmatch.rotation_about([1, 0, 0], math.pi)

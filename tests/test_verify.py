@@ -457,6 +457,20 @@ def test_no_anomalies_for_random_trivial_state():
     assert verify.stabilizer_anomalies(psi) == ()
 
 
+@pytest.mark.parametrize(
+    ("other", "count"),
+    [(states.random_symmetric(4, np.random.default_rng(1)), 11), (states.ghz(4), 8)],
+    ids=["trivial", "ghz4"],
+)
+def test_witnesses_outside_a_wrong_class_are_anomalies(other, count):
+    # the tetrahedron's 12 rotations against a trivial group (all but the identity) and GHZ_4's class iia
+    witnesses = verify.sample_stabilizer(states.to_density(tetrahedron_state()))
+    assert len(witnesses) == 12
+    anomalies = verify.witness_anomalies(witnesses, classify.classify_state(other))
+    assert len(anomalies) == count
+    assert all(d > 1e3 * verify.StabilizerSearchConfig.membership_tol for _, d in anomalies)
+
+
 # ---------------------------------------------------------------------------
 # spectra and brute-force equivalence
 # ---------------------------------------------------------------------------
