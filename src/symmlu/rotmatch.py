@@ -342,26 +342,18 @@ def _frame(p1, p2) -> np.ndarray:
 
 
 _CLOSURE_TOL = 1e-6  # entrywise: matches, closure and the generator pick merge rotations this close
-_CLOSE_DIRECT = 256  # _close: tables of at most this many pairs compare every pair outright
+_CLOSE_BLOCK = 1 << 15  # _close: rotation pairs compared at once, 2.4 MB of differences
 
 
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(K, L) table: rotation k of stack a lies within _CLOSURE_TOL of rotation l of stack b, entrywise.
 
-    A table of at most _CLOSE_DIRECT pairs compares every pair outright.  A
-    larger one first picks candidate pairs from one (K, 9) x (9, L) product:
-    entrywise within t puts the squared Frobenius distance
-    |a|^2 + |b|^2 - 2 <a, b> at most 9 t^2, and the margin on that bound is
-    far above its rounding.  Only the candidates are compared entrywise, so
-    no (K, L, 3, 3) differences are formed.
+    Rows of a are taken a block at a time, so the (rows, L, 3, 3) differences stay small.
     """
-    a, b = a.reshape(-1, 9), b.reshape(-1, 9)
-    if len(a) * len(b) <= _CLOSE_DIRECT:
-        return np.abs(a[:, None] - b[None]).max(axis=2) <= _CLOSURE_TOL
-    norms = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)
-    out = norms - 2 * (a @ b.T) <= 9 * _CLOSURE_TOL**2 + 1e-12 * norms
-    k, l = np.nonzero(out)
-    out[k, l] = np.abs(a[k] - b[l]).max(axis=1) <= _CLOSURE_TOL
+    out = np.empty((len(a), len(b)), dtype=bool)
+    step = max(1, _CLOSE_BLOCK // max(1, len(b)))
+    for start in range(0, len(a), step):
+        out[start : start + step] = (np.abs(a[start : start + step, None] - b[None]) <= _CLOSURE_TOL).all(axis=(2, 3))
     return out
 
 

@@ -12,14 +12,17 @@ configurations given as points, read match and take no per-call tol.
 is_unitary and permutation_defect take one, since the package itself calls
 them at more than one tolerance.  lu_equivalent_pure's tol bounds only the
 phase distance of its answer.  rotation_group's tol gates the coefficients of
-psi turned to its candidate axis and the phase distance by which each
-element of a finite group fixes psi; classify_state's gates the same two,
-and the canonical residual, at ten times tol.  The multipole frames they take
-their rotations from (mixed.frame_candidates, mixed.multipole_frame) read
-every field, and the multipole cutoff, at its default, as the mixed decision
-does.  Every other comparison reads its field directly.  The operations behind
-the --tol flags and the mixed decisions' threshold pass what they are given
-through checked, which refuses a value that is not positive and finite.
+psi turned to its candidate axis and the phase distance by which each frame
+self-match it keeps fixes psi; the finite group it names is the one the kept
+self-matches generate, so its elements are bounded only as words: a product
+of k kept self-matches moves psi by at most k tol.  classify_state's tol
+gates the same two, and the canonical residual at ten times tol.  The
+multipole frames they take their rotations from (mixed.frame_candidates,
+mixed.multipole_frame) read every field, and the multipole cutoff, at its
+default, as the mixed decision does.  Every other comparison reads its field
+directly.  The operations behind the --tol flags and the mixed decisions'
+threshold pass what they are given through checked, which refuses a value
+that is not positive and finite.
 """
 from __future__ import annotations
 

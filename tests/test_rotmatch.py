@@ -486,7 +486,7 @@ def reference_matching_rotations(a, b, tol=1e-6):
     for r in cands:
         if reference_assignment_max(a.points, a.multiplicities, b.points, b.multiplicities, r, tol) is None:
             continue
-        if not any(np.max(np.abs(u - r)) <= 1e-8 for u in unique):
+        if not any(np.max(np.abs(u - r)) <= 1e-6 for u in unique):
             unique.append(r)
     return sorted(unique, key=reference_key)
 
@@ -739,10 +739,9 @@ def test_point_group_of_a_set_that_is_not_closed():
     assert rotmatch.point_group([np.eye(3), near]).order == 1
 
 
-@pytest.mark.parametrize("size", [4, 12, 40])
+@pytest.mark.parametrize("size", [4, 12, 100])
 def test_close_table_is_the_entrywise_table(size):
-    # both sides of the outright / product-prefiltered split, with pairs on either side of the 1e-6 edge;
-    # every entry moved by the full amount puts a pair at the edge of the prefilter's Frobenius bound too
+    # pairs on either side of the 1e-6 edge; at size 100 the 200 x 200 table takes more than one row block
     rng = np.random.default_rng(size)
     a = Rotation.random(size, rng).as_matrix().reshape(-1, 3, 3)
     a = np.concatenate([a, a @ Rotation.random(size, rng).as_matrix().reshape(-1, 3, 3)])
