@@ -40,10 +40,13 @@ reports the threshold it applied.
 Two qubits fall outside the reduction: (g1, g2) need not be equal, and
 two_factor_search searches for them.  Its states need not be permutation
 invariant, so it compares the dense global spectrum (spectra_report's) and
-both qubits' reduced spectra first, then scans an Euler lattice of each
-factor, scored by the squared distance alone, refines the lowest local
-minima by damped Gauss-Newton on the per-qubit model (refine_minimum), and
-re-checks the best pair densely; a miss stays undecided.
+both qubits' reduced spectra first.  g1 (x) g2 moves the correlation matrix
+beta_ab = tr(rho sigma_a (x) sigma_b) to R1 beta R2^T, so the four pairs
+that carry the signed-SVD frames of rho's beta onto sigma's are its starts
+(_frame_starts).  It refines them by damped Gauss-Newton on the per-qubit
+model (refine_minimum), which moves along the family a tie in beta's
+singular values leaves, and re-checks the best pair densely; a miss stays
+undecided.
 """
 from __future__ import annotations
 
@@ -83,9 +86,6 @@ def default_threshold(n: int) -> float:
     return 1e-7 * 2 ** (n / 2)
 
 
-# the n = 2 search: turns per factor (half as many tilts), and lattice minima refined at most, a bound
-# that random states stay under (25 at most on 420 pairs) and plateaus of symmetric states reach
-_TWO_FACTOR_GRID, _TWO_FACTOR_STARTS = 8, 32
 _MULTIPOLE_CUTOFF = 1e-6  # multipole norm, relative to the block form's, that counts as zero
 
 
@@ -469,11 +469,27 @@ def refine_minimum(model, starts) -> tuple:
     return search.best(search.gauss_newton(model, _kernels.su2_left_step, starts))
 
 
-def _pair_squared_distances(pairs: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """|| (g1 (x) g2) rho (g1 (x) g2)^+ - sigma ||_F^2 for each (g1, g2) of a (B, 2, 2, 2) stack, on dense 4 x 4 matrices."""
-    big = np.einsum("bij,bkl->bikjl", pairs[:, 0], pairs[:, 1]).reshape(-1, 4, 4)
-    diff = (big @ rho @ np.conj(np.swapaxes(big, 1, 2)) - sigma).reshape(-1, 16)
-    return np.einsum("bi,bi->b", diff.conj(), diff).real
+# the sign flips of a frame that keep it right-handed: the n = 2 search's four starts
+_FRAME_FLIPS = np.array([np.diag(d) for d in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))], dtype=float)
+
+
+def _frame_starts(rho: states.DensityMatrix, sigma: states.DensityMatrix) -> np.ndarray:
+    """The four (g1, g2) that carry the signed-SVD frames of rho's correlation matrix onto sigma's; (4, 2, 2, 2).
+
+    beta_ab = tr(rho sigma_a (x) sigma_b), and g1 (x) g2 moves it to
+    R1 beta R2^T.  With beta = U diag(d) V^T, U and V in SO(3) (d_3 takes
+    the sign of det beta), the starts are R1 = U_sigma F U_rho^T and
+    R2 = V_sigma F V_rho^T for each flip F of _FRAME_FLIPS.
+    """
+    pair = np.stack([rho.mat, sigma.mat]).reshape((2,) * 5)
+    paulis = np.stack([states.PAULI_X, states.PAULI_Y, states.PAULI_Z])
+    u, _, vt = np.linalg.svd(np.einsum("xikjl,aji,blk->xab", pair, paulis, paulis).real)
+    v = np.swapaxes(vt, 1, 2)
+    # right-handed frames: flipping a last column flips the sign of d_3
+    u[:, :, 2] *= np.sign(np.linalg.det(u))[:, None]
+    v[:, :, 2] *= np.sign(np.linalg.det(v))[:, None]
+    rots = np.stack([u[1] @ _FRAME_FLIPS @ u[0].T, v[1] @ _FRAME_FLIPS @ v[0].T], axis=1)
+    return rotmatch.so3_to_su2(rots)
 
 
 def two_factor_search(
@@ -486,15 +502,15 @@ def two_factor_search(
     n = 2 is outside the identical-tensor-power reduction, so this is a
     search, and a miss stays 'undecided'.  The global spectrum and each
     qubit's reduced spectrum are compared first; a difference is a certified
-    negative.  Each factor then runs over an Euler lattice of 8 turns and 4
-    tilts (gamma = 0), the 1024 pairs are scored by their squared distance
-    D^2 alone, a dense 4 x 4 conjugation each (_pair_squared_distances), and
-    the lowest 32 local minima are refined (refine_minimum) on the per-qubit
-    least-squares model (_kernels.conj_gauss_newton on (B, 2, 2, 2) stacks):
-    a random state's lattice has about 9, and the true pair's basin can lie
-    past the lowest 8.  The best pair is equivalent only after a dense
-    re-check of || (g1 (x) g2) rho (g1 (x) g2)^+ - sigma ||_F, whose value
-    is reported.
+    negative.  The starts come from the correlation matrices: the four
+    pairs that carry the signed-SVD frames of rho's onto sigma's
+    (_frame_starts).  When the singular values are distinct and nonzero,
+    they hold every pair that carries rho's correlation matrix onto
+    sigma's; when some tie, the answer is a family, and the refinement
+    moves along it.  They are refined (refine_minimum) on the per-qubit
+    least-squares model (_kernels.conj_gauss_newton on (B, 2, 2, 2)
+    stacks).  The best pair is equivalent only after a dense re-check of
+    || (g1 (x) g2) rho (g1 (x) g2)^+ - sigma ||_F, whose value is reported.
     """
     thresh = checked(threshold, default_threshold(2), "threshold")
     if rho.n != 2 or sigma.n != 2:
@@ -507,14 +523,7 @@ def two_factor_search(
     def model(gs):
         return _kernels.conj_gauss_newton(gs, factor, target, 2)
 
-    turn = np.linspace(0, 2 * math.pi, _TWO_FACTOR_GRID, endpoint=False)
-    tilt = np.linspace(0, math.pi, _TWO_FACTOR_GRID // 2)
-    angles = search.lattice(turn, tilt, [0.0], turn, tilt, [0.0]).reshape(-1, 3)
-    pairs = _kernels.euler_su2_batch(angles).reshape(-1, 2, 2, 2)
-    shape = (_TWO_FACTOR_GRID, _TWO_FACTOR_GRID // 2) * 2
-    vals = _pair_squared_distances(pairs, rho.mat, sigma.mat).reshape(shape)
-    minima = search.lowest_minima(vals, (0, 2), _TWO_FACTOR_STARTS)
-    g12, _ = refine_minimum(model, pairs[minima])
+    g12, _ = refine_minimum(model, _frame_starts(rho, sigma))
     # soundness: re-check densely, sharing nothing with the factored model
     dist = float(np.linalg.norm(states.conjugate_local(g12, rho.mat) - sigma.mat))
     if dist <= thresh:

@@ -1,19 +1,23 @@
 """Lattice search: scan an objective on a product lattice, pick starts, refine.
 
-Blind identical-tuple stabilizer sampling, brute-force pure equivalence
-and the n = 2 two-factor mixed search all search this way: scan a lattice,
-take its lowest local minima (lowest_minima) and refine them by damped
-Gauss-Newton (gauss_newton, Levenberg-Marquardt).  They differ only in
-their lattice and when they stop.  (The diagonal-phase stabilizer needs no
-search: verify solves it exactly.)  Objectives are refined squared so that
-their zeros are smooth minima: squared norms of residuals with analytic
-Jacobians (the _kernels models), and every start of a batch takes its steps
-in lockstep, one batched model call per iteration.  Every family steps in
-the Lie algebra, g <- exp(-i d.sigma/2) g, one g on every qubit or one
-factor per qubit at n = 2, so Euler angles are only lattice coordinates and
-gimbal lock does not arise.  The sampling search and the n = 2 search
-refine all their starts in one round; brute-force equivalence refines
-fixed-size rounds and stops as soon as one start is good enough.
+The lattice serves only the dense oracles: blind identical-tuple stabilizer
+sampling and brute-force pure equivalence scan an Euler lattice, take its
+lowest local minima (lowest_minima) and refine them by damped Gauss-Newton
+(gauss_newton, Levenberg-Marquardt).  They differ only in when they stop.
+(The diagonal-phase stabilizer needs no search: verify solves it exactly.)
+The n = 2 two-factor mixed search takes its starts from the frames of the
+correlation matrices, with no lattice, and refines them here too.
+Objectives are refined squared so that their zeros are smooth minima:
+squared norms of residuals with analytic Jacobians (the _kernels models),
+and every start of a batch takes its steps in lockstep, one batched model
+call per iteration.  Every family steps in the Lie algebra,
+g <- exp(-i d.sigma/2) g, one g on every qubit or one factor per qubit at
+n = 2, so Euler angles are only lattice coordinates and gimbal lock does
+not arise.  The damping has a floor relative to the Gauss-Newton matrix, so
+a refinement along a flat family, where that matrix is singular, still
+solves a regular system.  The sampling search and the n = 2 search refine
+all their starts in one round; brute-force equivalence refines fixed-size
+rounds and stops as soon as one start is good enough.
 """
 from __future__ import annotations
 
@@ -93,11 +97,11 @@ def lowest_minima(vals: np.ndarray, wrap: tuple, count: int) -> np.ndarray:
 
 
 # damped Gauss-Newton (Levenberg-Marquardt): iteration cap per round, initial
-# damping relative to the largest diagonal entry of the Gauss-Newton matrix,
-# damping factors after an accepted and a rejected step, and the step size
-# and relative decrease below which a start is done
+# damping and its floor relative to the largest diagonal entry of the
+# Gauss-Newton matrix, damping factors after an accepted and a rejected step,
+# and the step size and relative decrease below which a start is done
 _GN_ITERATIONS = 100
-_GN_DAMPING = 1e-3
+_GN_DAMPING, _GN_FLOOR = 1e-3, 1e-12
 _GN_DOWN, _GN_UP = 0.1, 10.0
 _GN_XTOL, _GN_FTOL = 1e-14, 1e-8
 
@@ -136,7 +140,10 @@ def _gauss_newton_round(model, step, x, stop_f2: float):
         stalled = better & (f2 - f2_new <= _GN_FTOL * f2)
         x[better], grad[better], gn[better] = x_new[better], grad_new[better], gn_new[better]
         f2 = np.where(better, f2_new, f2)
-        lam = np.where(better, _GN_DOWN, _GN_UP) * lam
+        # the floor keeps gn + lam I regular along a flat family, where gn is
+        # singular and its roundoff eigenvalues can be negative
+        floor = _GN_FLOOR * gn.diagonal(axis1=1, axis2=2).max(axis=1)
+        lam = np.maximum(np.where(better, _GN_DOWN, _GN_UP) * lam, floor)
         x_out[live], f2_out[live] = x, f2
         if stalled.any():
             keep = ~stalled

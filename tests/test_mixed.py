@@ -279,6 +279,22 @@ def _mirror_pair(n, seed):
     return rho, states.DensityMatrix(n, rho.mat.conj())
 
 
+def test_a_multipole_sigma_lacks_gives_no_candidate():
+    # the tetrahedron's first multipole is rank 3; the maximally mixed block has none
+    blocks = states.pure_blocks(4)
+    psi = majorana.points_to_state(np.array(_TETRAHEDRON, dtype=float))
+    rho_b = np.outer(psi.coeffs, psi.coeffs.conj())
+    assert mixed.frame_candidates(rho_b, np.eye(5) / 5, blocks) == ([], "frame: rank-3 multipole of spin 2", False)
+
+
+def test_no_candidate_rotation_is_undecided(monkeypatch):
+    monkeypatch.setattr(mixed, "frame_candidates", lambda rho_b, sigma_b, blocks: ([], "frame: none", False))
+    rho = states.random_symmetric_mixed(3, np.random.default_rng(48))
+    res = mixed.lu_equivalent_mixed(rho, rho)
+    assert (res.status, res.unitary, res.distance) == ("undecided", None, None)
+    assert res.detail == "no candidate rotation, frame: none"
+
+
 def test_dense_recheck_gates_every_equivalent(monkeypatch):
     # a block distance that reads 0 for every candidate must not turn into "equivalent"
     monkeypatch.setattr(states.SpinBlocks, "distance", lambda self, g, form, target: 0.0)
@@ -630,19 +646,6 @@ def _dense_distance(g12, rho, sigma):
     return float(np.linalg.norm(big @ rho.mat @ big.conj().T - sigma.mat))
 
 
-@pytest.mark.parametrize("kind, rank, seed", [("ginibre", 2, 71), ("ginibre", 4, 72), ("symmetric", 1, 73), ("symmetric", 3, 74)])
-def test_two_factor_lattice_scores_are_the_models_squared_distance(kind, rank, seed):
-    rng = np.random.default_rng(seed)
-    rho = _two_qubit_state(kind, rank, rng)
-    sigma = states.apply_lu(states.LocalUnitary((states.random_su2(rng), states.random_su2(rng))), rho)
-    pairs = np.array([[states.random_su2(rng), states.random_su2(rng)] for _ in range(64)])
-    dense = mixed._pair_squared_distances(pairs, rho.mat, sigma.mat)
-    factor, target = _kernels.density_factor(rho.mat), _kernels.density_factor(sigma.mat)
-    model = _kernels.conj_gauss_newton(pairs, factor, target, 2)[0]
-    assert np.max(np.abs(dense - model)) < 1e-13
-    assert np.max(np.abs(dense - [_dense_distance(p, rho, sigma) ** 2 for p in pairs])) < 1e-13
-
-
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(["ginibre", "symmetric"]),
@@ -665,9 +668,88 @@ def test_two_factor_search_recovers_every_turned_pair(kind, rank, seed):
     assert res.distance <= mixed.default_threshold(2)
     # a pure state is LU-equivalent to its conjugate (real Schmidt form); a
     # generic mixed one is not: conjugation reflects both Bloch frames
-    if rank > 1:
-        mirror = states.DensityMatrix(2, rho.mat.conj())
-        assert mixed.two_factor_search(rho, mirror).status == "undecided"
+    mirror = states.DensityMatrix(2, rho.mat.conj())
+    assert mixed.two_factor_search(rho, mirror).status == ("equivalent" if rank == 1 else "undecided")
+
+
+_LOCAL_BASIS = (np.eye(2), states.PAULI_X, states.PAULI_Y, states.PAULI_Z)
+
+
+def _bloch_state(s, p, beta):
+    """(1 + s.sigma (x) 1 + 1 (x) p.sigma + sum_ab beta_ab sigma_a (x) sigma_b) / 4."""
+    coeffs = np.block([[np.ones((1, 1)), np.reshape(p, (1, 3))], [np.reshape(s, (3, 1)), np.asarray(beta)]])
+    mat = sum(coeffs[a, b] * np.kron(_LOCAL_BASIS[a], _LOCAL_BASIS[b]) for a in range(4) for b in range(4)) / 4
+    assert np.linalg.eigvalsh(mat).min() >= -1e-12
+    return states.DensityMatrix(2, mat)
+
+
+def _bell_diagonal(*weights):
+    """The correlation matrix of weights on Phi+, Phi-, Psi+ and Psi-: diag(XX, YY, ZZ)."""
+    return np.diag(np.asarray(weights) @ [[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
+
+
+def _correlation(rho):
+    """beta_ab = tr(rho sigma_a (x) sigma_b)."""
+    return np.array([[np.trace(rho.mat @ np.kron(a, b)).real for b in _LOCAL_BASIS[1:]] for a in _LOCAL_BASIS[1:]])
+
+
+_UP, _TILTED = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
+_TWO_QUBIT_FAMILIES = {
+    # ties in the correlation matrix's singular values make the answer a family
+    "pure product": ((_UP, _TILTED, np.outer(_UP, _TILTED)), 101),
+    "mixed product": ((0.5 * _UP, 0.3 * _TILTED, 0.15 * np.outer(_UP, _TILTED)), 102),
+    "werner 0.3": (((0, 0, 0), (0, 0, 0), -0.3 * np.eye(3)), 103),
+    "werner 0.7": (((0, 0, 0), (0, 0, 0), -0.7 * np.eye(3)), 104),
+    # the tied pair that the CI runtime job decides
+    "bell tied": (((0, 0, 0), (0, 0, 0), _bell_diagonal(0.4, 0.4, 0.1, 0.1)), 111),
+    "bell distinct": (((0, 0, 0), (0, 0, 0), _bell_diagonal(0.5, 0.25, 0.15, 0.1)), 105),
+    "werner with fields": ((0.1 * _UP, 0.05 * _TILTED, -0.5 * np.eye(3)), 106),
+    "bell tied with fields": ((0.1 * _TILTED, 0.1 * _UP, _bell_diagonal(0.4, 0.4, 0.1, 0.1)), 107),
+    "identity with a field": ((0.4 * _UP, (0, 0, 0), np.zeros((3, 3))), 108),
+    "ghz2": (((0, 0, 0), (0, 0, 0), _bell_diagonal(1, 0, 0, 0)), 109),
+    "singlet": (((0, 0, 0), (0, 0, 0), -np.eye(3)), 110),
+    "werner near a tie": (((0, 0, 0), (0, 0, 0), -0.5 * np.diag([1 + 1e-9, 1, 1 - 1e-9])), 112),
+    "bell near a tie": (((0, 0, 0), (0, 0, 0), _bell_diagonal(0.4 + 1e-9, 0.4, 0.1, 0.1 - 1e-9)), 113),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_TWO_QUBIT_FAMILIES))
+def test_two_factor_search_recovers_tied_correlation_frames(family):
+    bloch, seed = _TWO_QUBIT_FAMILIES[family]
+    rng = np.random.default_rng(seed)
+    rho = _bloch_state(*bloch)
+    sigma = states.apply_lu(states.LocalUnitary((states.random_su2(rng), states.random_su2(rng))), rho)
+    res = mixed.two_factor_search(rho, sigma)
+    assert res.status == "equivalent", res.detail
+    assert _dense_distance(res.unitary, rho, sigma) <= mixed.default_threshold(2)
+
+
+@pytest.mark.parametrize("kind", ["ginibre", "diagonal"])
+def test_two_factor_search_refines_exactly_the_four_frame_starts(monkeypatch, kind):
+    rng = np.random.default_rng(46)
+    # numpy's SVD gives this diagonal correlation matrix and its turn frames of opposite handedness
+    diagonal = _bloch_state(0.1 * _UP, 0.1 * _TILTED, np.diag([-0.2, 0.25, 0.1]))
+    rho = _two_qubit_state("ginibre", 2, rng) if kind == "ginibre" else diagonal
+    g12 = np.array([states.random_su2(rng), states.random_su2(rng)])
+    sigma = states.apply_lu(states.LocalUnitary(tuple(g12)), rho)
+    refine, seen = mixed.refine_minimum, []
+
+    def spy(model, starts):
+        seen.append(np.array(starts))
+        return refine(model, starts)
+
+    monkeypatch.setattr(mixed, "refine_minimum", spy)
+    assert mixed.two_factor_search(rho, sigma).status == "equivalent"
+    [starts] = seen
+    assert starts.shape == (4, 2, 2, 2)
+    beta_rho, beta_sigma = _correlation(rho), _correlation(sigma)
+    # distinct singular values: exactly four pairs (R1, R2) carry beta_rho onto
+    # beta_sigma, one for each sign flip of the frames, and they are the starts
+    assert np.diff(np.linalg.svd(beta_rho, compute_uv=False)).max() < -1e-3
+    rots = rotmatch.su2_to_so3(starts)
+    assert max(np.abs(r1 @ beta_rho @ r2.T - beta_sigma).max() for r1, r2 in rots) < 1e-12
+    assert min(np.abs(rots[i] - rots[j]).max() for i in range(4) for j in range(i)) > 0.1
+    assert np.abs(rots - rotmatch.su2_to_so3(g12)).max(axis=(1, 2, 3)).min() < 1e-12
 
 
 def test_two_factor_search_compares_each_qubits_spectrum():

@@ -135,6 +135,18 @@ def test_flat_objective_takes_no_step_and_keeps_the_identity():
     assert max(w.residual for w in witnesses) <= 1e-8
 
 
+@pytest.mark.parametrize("n, k", [(4, 1), (4, 3), (6, 2), (6, 3), (6, 4)])
+def test_flat_stabilizer_families_keep_the_damped_solve_regular(n, k):
+    # along a continuous stabilizer family the Gauss-Newton matrix is
+    # singular, with roundoff eigenvalues below zero: a damping that shrinks
+    # with no floor leaves gn + lam I singular, and the solve raised
+    psi = states.dicke(n, k)
+    witnesses = verify.sample_stabilizer(states.to_density(psi))
+    assert witnesses
+    assert max(w.residual for w in witnesses) <= 1e-8
+    assert verify.stabilizer_anomalies(psi) == ()
+
+
 @pytest.mark.parametrize("make", [tetrahedron_state, octahedron_state, lambda: states.ghz(5), lambda: states.dicke(4, 2)])
 def test_class_summed_phase_table_gives_the_entry_residual(make):
     rho = states.to_density(make())
