@@ -6,9 +6,15 @@ Kernels:
   conj_distance_batch      Frobenius distance || g^{(x)n} rho g^{(x)n +} - target ||
                            for a batch of ZYZ Euler triples, from the factors
                            V of rho and W of the target (rank s): the oracle
-                           form, used by verify; n r 2^n complex products per
-                           distinct (beta, gamma) of the batch and about
-                           (r + s) r 2^n a row, no 2^n x 2^n matrix
+                           form, used by verify; (n + r + (n + 1) s) r 2^n
+                           complex products per distinct (beta, gamma) of the
+                           batch and (n + 1) s r a row, summed over the
+                           Hamming-weight classes of Rz(alpha)^{(x)n}; rows
+                           with D^2 below S / 16, S = ||rho||^2 + ||T||^2,
+                           where that sum cancels, are scored again by the
+                           non-cancelling (r + s) r 2^n form, so the sum's
+                           error in D stays below 2 e sqrt(S) for terms
+                           rounded to e.  No 2^n x 2^n matrix
   conj_gauss_newton        the same distance squared, with its gradient and
                            Gauss-Newton matrix in left steps of g, for one g
                            on every qubit or one factor per qubit
@@ -42,6 +48,7 @@ __all__ = [
 ]
 
 _CHUNK_ROWS, _CHUNK_ENTRIES = 256, 1 << 22  # conjugation kernels: rows per chunk, complex entries per temporary
+_RESCORE = 1 / 16  # conj_distance_batch: share of ||rho||^2 + ||T||^2 below which a row's D^2 is scored again
 
 
 def _chunk_rows(n: int) -> int:
@@ -51,8 +58,8 @@ def _chunk_rows(n: int) -> int:
     most 2^22 (64 MiB of complex entries): 256 rows up to n = 7, 4 at
     n = 10.  A chunk's temporaries are (rows, 2^n, r) and smaller at ranks r
     and s, so the rule bounds them at full rank; at low rank they are far
-    below it.  conj_distance_batch takes its distinct (beta, gamma) pairs,
-    and then the rows of each chunk of pairs, this many at a time.
+    below it.  conj_distance_batch sizes its chunks of pairs and rows from
+    the same rows x 4^n entries.
     """
     return max(1, min(_CHUNK_ROWS, _CHUNK_ENTRIES >> (2 * n)))
 
@@ -156,34 +163,68 @@ def _conj_distance(angles, factor, target_factor, n: int) -> np.ndarray:
 
     Kept apart from them so a one-point call is not also counted as a batch
     call by wrappers installed on the public names.  Each row is factored
-    as g = Rz(alpha) Ry(beta) Rz(gamma): (Ry(beta) Rz(gamma))^{(x)n} V is
-    formed once per distinct (beta, gamma), _chunk_rows(n) pairs at a time,
-    and Rz(alpha)^{(x)n} is the diagonal e^{-i alpha (n - 2|x|) / 2}, one
-    row of a phase table per distinct alpha.  The rows of a chunk of pairs
-    are scored _chunk_rows(n) at a time, so no temporary is larger than
-    (_chunk_rows(n), 2^n, r).
+    as g = Rz(alpha) Ry(beta) Rz(gamma), and B = (Ry(beta) Rz(gamma))^{(x)n} V
+    is formed once per distinct (beta, gamma).  Rz(alpha)^{(x)n} is the
+    diagonal e^{-i alpha (n/2 - |x|)}, which depends on the Hamming weight
+    |x| only.  With Y_w = W_w^+ B_w (W and B restricted to the indices of
+    weight w), A = Rz(alpha)^{(x)n} B has W^+ A = sum_w e^{-i alpha (n/2 - w)} Y_w,
+    and as ||A^+ A|| = ||B^+ B|| and ||W W^+|| = ||m|| (_target_split),
+
+        D^2 = S - 2 ||W^+ A||^2,  S = ||B^+ B||^2 + ||m||^2 = ||rho||^2 + ||T||^2.
+
+    Per pair that is one stacked product with the weight-split W^+ of shape
+    ((n + 1) s, 2^n) and one Gram matrix; per row, (n + 1) s r products.
+
+    The sum cancels near D = 0.  Its terms are at most S and carry a
+    relative rounding error e of a few units of roundoff, so D^2 is off by
+    about e S and D by e S / (2 D).  A row with D^2 >= _RESCORE S = S / 16
+    is thus off by at most 2 e sqrt(S), the non-cancelling form's order;
+    every row below it is scored again by _squared_residual, whose sums of
+    squares do not cancel, so zeros stay exact to roundoff.  Chunks of pairs
+    keep the table (2^n r a pair) and Y ((n + 1) s r a pair) within
+    _chunk_rows(n) x 4^n entries, and so do chunks of rows, with (n + 1) s r
+    entries a row; one pair may exceed it, at full rank for n = 10 only.
+    Each row's value depends on its own (alpha, beta, gamma) alone, so it
+    does not move with the order of the rows or the chunk seams.
     """
     factor = np.asarray(factor, dtype=np.complex128)
-    q, m = _target_split(target_factor)
+    target = np.asarray(target_factor, dtype=np.complex128)
+    q, m = _target_split(target)
+    rank, cols = factor.shape[1], target.shape[1]
     step = _chunk_rows(n)
+    budget = step << (2 * n)  # _chunk_rows(n) x 4^n complex entries
+    row_step = max(1, budget // ((n + 1) * cols * rank))  # a row gathers its pair's (n + 1) s r entries of Y
+    pair_step = min(step, row_step)  # as many pairs of Y; their tables, 2^n r <= 4^n entries a pair, fit step pairs
     alphas, alpha_of = np.unique(angles[:, 0], return_inverse=True)
     # (beta, gamma) read as one complex number: a 1-D unique, exact in every bit
     pairs, pair_of = np.unique(np.ascontiguousarray(angles[:, 1:]).view(np.complex128)[:, 0], return_inverse=True)
-    phases = np.exp(-1j * alphas[:, None] * _spin_z(n))  # (distinct alpha, 2^n)
+    weight = _hamming_weight(n)
+    classes = np.exp(-1j * alphas[:, None] * (0.5 * n - np.arange(n + 1)))  # (distinct alpha, n + 1)
+    split = (np.conj(target.T) * (weight == np.arange(n + 1)[:, None, None])).reshape((n + 1) * cols, 1 << n)
     turns = euler_su2_batch(np.stack([np.zeros(len(pairs)), pairs.real, pairs.imag], axis=1))
     order = np.argsort(pair_of, kind="stable")
     bounds = np.searchsorted(pair_of[order], np.arange(len(pairs) + 1))  # pair p's rows: order[bounds[p]:bounds[p + 1]]
-    out = np.empty(angles.shape[0])
-    for lo in range(0, len(pairs), step):
-        hi = min(lo + step, len(pairs))
+    d2 = np.empty(angles.shape[0])
+    for lo in range(0, len(pairs), pair_step):
+        hi = min(lo + pair_step, len(pairs))
         table = _on_every_qubit(turns[lo:hi], factor[None], n)  # (pairs, 2^n, r)
+        blocks = (split @ table).reshape(hi - lo, n + 1, cols, rank)  # Y_w of each pair
+        scale = _squared_norms(np.conj(np.swapaxes(table, 1, 2)) @ table) + m @ m
         rows = order[bounds[lo] : bounds[hi]]
-        for start in range(0, len(rows), step):
-            chunk = rows[start : start + step]
-            a = table[pair_of[chunk] - lo]
-            a *= phases[alpha_of[chunk], :, None]
-            out[chunk] = np.sqrt(_squared_residual(a, q, m)[0])
-    return out
+        local = pair_of[rows] - lo
+        for start in range(0, len(rows), row_step):
+            at = slice(start, start + row_step)
+            ys, phase = blocks[local[at]], classes[alpha_of[rows[at]]]
+            x = ys[:, 0] * phase[:, 0, None, None]
+            for w in range(1, n + 1):
+                x += ys[:, w] * phase[:, w, None, None]
+            d2[rows[at]] = scale[local[at]] - 2.0 * _squared_norms(x)
+        near = rows[d2[rows] < _RESCORE * scale[local]]
+        for start in range(0, len(near), step):
+            chunk = near[start : start + step]
+            a = table[pair_of[chunk] - lo] * classes[alpha_of[chunk]][:, weight, None]
+            d2[chunk] = _squared_residual(a, q, m)[0]
+    return np.sqrt(d2)
 
 
 def conj_distance_batch(angles, factor, target_factor, n):
@@ -194,11 +235,17 @@ def conj_distance_batch(angles, factor, target_factor, n):
     vector as one column (W's columns must be orthogonal).  With
     g = Rz(alpha) Ry(beta) Rz(gamma), (Ry(beta) Rz(gamma))^{(x)n} V is
     applied qubit by qubit once per distinct (beta, gamma) of the batch,
-    n r 2^n complex products each, and Rz(alpha)^{(x)n} is one diagonal
-    phase a row; the distance is taken through _squared_residual, about
-    (r + s) r 2^n products a row.  On a product lattice such as
-    search.euler_lattice most rows share their (beta, gamma) (144 pairs of
-    1728 rows at grid 12), and no 2^n x 2^n matrix is formed.
+    n r 2^n complex products each, and split into its n + 1 Hamming-weight
+    classes against W, Y_w = W_w^+ B_w.  Rz(alpha)^{(x)n} is one phase per
+    class, so a row costs (n + 1) s r products:
+    D^2 = ||rho||^2 + ||T||^2 - 2 ||sum_w e^{-i alpha (n/2 - w)} Y_w||^2.
+    A row where that falls below 1/16 of ||rho||^2 + ||T||^2 is scored again
+    through _squared_residual, (r + s) r 2^n products, which does not
+    cancel near D = 0; above it the cancellation costs at most 2 e
+    sqrt(||rho||^2 + ||T||^2) for terms rounded to e (_conj_distance).  On
+    a product lattice such as search.euler_lattice most rows share their
+    (beta, gamma) (144 pairs of 1728 rows at grid 12), and no 2^n x 2^n
+    matrix is formed.
     """
     return _conj_distance(np.asarray(angles, dtype=np.float64), factor, target_factor, n)
 
@@ -224,9 +271,17 @@ def _bit_flips(n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
+def _hamming_weight(n: int) -> np.ndarray:
+    """|x|, the number of set bits of each basis index x of n qubits, read-only."""
+    ones = np.count_nonzero(_bit_flips(n)[1] > 0, axis=0)
+    ones.setflags(write=False)
+    return ones
+
+
+@functools.lru_cache(maxsize=None)
 def _spin_z(n: int) -> np.ndarray:
     """Diagonal of J_z = sum_k sigma_z^(k) / 2 on n qubits, read-only: (n - 2|x|) / 2 at basis index x."""
-    jz = 0.5 * n - np.count_nonzero(_bit_flips(n)[1] > 0, axis=0)
+    jz = 0.5 * n - _hamming_weight(n)
     jz.setflags(write=False)
     return jz
 

@@ -299,6 +299,11 @@ def sample_stabilizer(
     keeps its least residual, the first candidate on ties.  The witnesses
     come sorted by key, and only they become LocalUnitary objects.
     """
+    if not isinstance(rho, states.DensityMatrix):
+        raise DomainError(
+            f"stabilizer sampling expects a DensityMatrix, got {type(rho).__name__}; "
+            "states.to_density gives the projector of a pure state"
+        )
     if cfg is None:
         cfg = StabilizerSearchConfig()
     n = rho.n

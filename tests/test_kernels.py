@@ -446,3 +446,75 @@ def test_su2_left_step_is_the_exponential():
         for k in range(3):
             step = expm(-0.5j * sum(c * p for c, p in zip(steps[b, 3 * k : 3 * k + 3], paulis)))
             assert np.max(np.abs(moved[b, k] - step @ stack[b, k])) < 1e-14
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    rank=st.sampled_from([1, 2, "full"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rows_on_both_sides_of_the_rescore_cutoff_keep_the_dense_accuracy(n, rank, seed):
+    # the target is rho turned by a small g: rows at g and near it fall below the cutoff
+    # and are scored again, rows farther out keep the weight-class sum
+    rng = np.random.default_rng(seed)
+    rho = _density_of_rank(rank, n, rng)
+    turn = 0.3 * rng.normal(size=3)
+    big = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(n):
+        big = np.kron(big, _kernels.euler_su2(*turn))
+    target = big @ rho @ big.conj().T
+    steps = 10.0 ** rng.uniform(-6, 0.5, size=(40, 1)) * rng.normal(size=(40, 3))
+    angles = np.concatenate([turn[None], turn + steps, search.euler_lattice(4)])
+    got = _kernels.conj_distance_batch(angles, _kernels.density_factor(rho), _kernels.density_factor(target), n)
+    want = np.array([dense_conj_distance(row, rho, target, n) for row in angles])
+    below = want**2 < _kernels._RESCORE * (np.linalg.norm(rho) ** 2 + np.linalg.norm(target) ** 2)
+    assert below.any() and not below.all()
+    assert np.max(np.abs(got - want)) <= 2e-15 * n * max(np.linalg.norm(rho), np.linalg.norm(target))
+    assert max(got[0], want[0]) < 1e-12
+
+
+def _spy_on_the_residual(monkeypatch):
+    """Stacks that _kernels._squared_residual receives, recorded as it is called."""
+    sent = []
+    original = _kernels._squared_residual
+
+    def spy(a, q, m):
+        sent.append(a.copy())
+        return original(a, q, m)
+
+    monkeypatch.setattr(_kernels, "_squared_residual", spy)
+    return sent
+
+
+def test_generic_lattice_rows_skip_the_2n_residual(monkeypatch):
+    # phi is psi turned by a g at the centre of a grid-12 lattice cell, so no lattice
+    # row comes within the cutoff of it, and every row keeps the weight-class sum
+    rng = np.random.default_rng(60)
+    h = 2 * math.pi / 12
+    g = _kernels.euler_su2(3.5 * h, 5.5 * math.pi / 11, 7.5 * h)
+    sent = _spy_on_the_residual(monkeypatch)
+    for _ in range(5):
+        psi = states.random_symmetric(5, rng)
+        vec, target = (states.expand(s).amps[:, None] for s in (psi, states.apply_diag_symmetric(g, psi)))
+        _, dists, _ = search.euler_scan(vec, target, 5, 12)
+        assert dists.min() ** 2 >= _kernels._RESCORE * 2.0
+    assert sent == []
+
+
+def test_a_self_scan_rescores_only_rows_below_the_cutoff(monkeypatch):
+    corners = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+    vec = states.expand(majorana.points_to_state(corners)).amps[:, None]
+    sent = _spy_on_the_residual(monkeypatch)
+    _, dists, _ = search.euler_scan(vec, vec, 4, 12)
+    rows = np.concatenate(sent)
+    scale = 2.0 * np.sum(np.abs(vec) ** 2) ** 2  # ||rho||^2 + ||T||^2
+    below = dists**2 < _kernels._RESCORE * scale
+    assert len(rows) == np.count_nonzero(below) < len(dists) // 10
+    q, m = _kernels._target_split(vec)
+    for a in rows:
+        d2 = np.sum(np.abs(a @ a.conj().T - (q * m) @ q.conj().T) ** 2)
+        assert d2 < _kernels._RESCORE * scale
+    # the identity row, g = 1: the turned factor is the factor itself, bit for bit
+    assert any(np.array_equal(a, vec) for a in rows)
+    assert dists[0] < 1e-12

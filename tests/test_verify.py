@@ -270,6 +270,13 @@ def test_sample_stabilizer_requires_permutation_invariance():
         verify.sample_stabilizer(rho)
 
 
+@pytest.mark.parametrize("state", [states.dicke(4, 1), states.expand(states.ghz(3))], ids=["symmetric", "expanded"])
+def test_sample_stabilizer_names_the_density_matrix_it_expects(state):
+    with pytest.raises(DomainError, match=r"expects a DensityMatrix, got \w*PureState; states\.to_density"):
+        verify.sample_stabilizer(state)
+    assert verify.sample_stabilizer(states.to_density(state))
+
+
 def test_dense_cap_blocks_large_n():
     coeffs = np.zeros(12, dtype=np.complex128)
     coeffs[0] = 1.0
