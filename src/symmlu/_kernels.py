@@ -6,14 +6,18 @@ Kernels:
   conj_distance_batch      Frobenius distance || g^{(x)n} rho g^{(x)n +} - target ||
                            for a batch of ZYZ Euler triples, from the factors
                            V of rho and W of the target (rank s): the oracle
-                           form, used by verify; (n + r + (n + 1) s) r 2^n
-                           complex products per distinct (beta, gamma) of the
-                           batch and (n + 1) s r a row, summed over the
-                           Hamming-weight classes of Rz(alpha)^{(x)n}; rows
-                           with D^2 below S / 16, S = ||rho||^2 + ||T||^2,
-                           where that sum cancels, are scored again by the
-                           non-cancelling (r + s) r 2^n form, so the sum's
-                           error in D stays below 2 e sqrt(S) for terms
+                           form, used by verify.  D^2 fills a table with one
+                           row per distinct (beta, gamma) of the batch,
+                           (n + r + (n + 1) s) r 2^n complex products each, and
+                           one column per distinct alpha, (n + 1) s r each,
+                           summed over the Hamming-weight classes of
+                           Rz(alpha)^{(x)n}: (distinct pairs) x (distinct
+                           alpha) entries, filled in chunks of pairs, the one
+                           chunk size, and each row reads its entry.  Asked
+                           entries with D^2 below S / 16, S = ||rho||^2 +
+                           ||T||^2, where that sum cancels, are scored again
+                           by the non-cancelling (r + s) r 2^n form, so the
+                           sum's error in D stays below 2 e sqrt(S) for terms
                            rounded to e.  No 2^n x 2^n matrix
   conj_gauss_newton        the same distance squared, with its gradient and
                            Gauss-Newton matrix in left steps of g, for one g
@@ -58,8 +62,8 @@ def _chunk_rows(n: int) -> int:
     most 2^22 (64 MiB of complex entries): 256 rows up to n = 7, 4 at
     n = 10.  A chunk's temporaries are (rows, 2^n, r) and smaller at ranks r
     and s, so the rule bounds them at full rank; at low rank they are far
-    below it.  conj_distance_batch sizes its chunks of pairs and rows from
-    the same rows x 4^n entries.
+    below it.  conj_distance_batch sizes its chunks of pairs from the same
+    rows x 4^n entries.
     """
     return max(1, min(_CHUNK_ROWS, _CHUNK_ENTRIES >> (2 * n)))
 
@@ -172,29 +176,35 @@ def _conj_distance(angles, factor, target_factor, n: int) -> np.ndarray:
 
         D^2 = S - 2 ||W^+ A||^2,  S = ||B^+ B||^2 + ||m||^2 = ||rho||^2 + ||T||^2.
 
-    Per pair that is one stacked product with the weight-split W^+ of shape
-    ((n + 1) s, 2^n) and one Gram matrix; per row, (n + 1) s r products.
+    D^2 is a table with one row per distinct (beta, gamma) and one column
+    per distinct alpha.  Per pair that is one stacked product with the
+    weight-split W^+ of shape ((n + 1) s, 2^n) and one Gram matrix; the
+    sum over w is broadcast over every distinct alpha, (n + 1) s r products
+    an entry, and each row of the batch reads its entry.  So the cost is
+    (distinct pairs) x (distinct alpha) entries: on a product lattice such
+    as search.euler_lattice that is the number of rows, and for arbitrary
+    rows it can reach rows^2 (the tests' batches; conj_distance_single is
+    one entry).
 
     The sum cancels near D = 0.  Its terms are at most S and carry a
     relative rounding error e of a few units of roundoff, so D^2 is off by
-    about e S and D by e S / (2 D).  A row with D^2 >= _RESCORE S = S / 16
+    about e S and D by e S / (2 D).  An entry with D^2 >= _RESCORE S = S / 16
     is thus off by at most 2 e sqrt(S), the non-cancelling form's order;
-    every row below it is scored again by _squared_residual, whose sums of
-    squares do not cancel, so zeros stay exact to roundoff.  Chunks of pairs
-    keep the table (2^n r a pair) and Y ((n + 1) s r a pair) within
-    _chunk_rows(n) x 4^n entries, and so do chunks of rows, with (n + 1) s r
-    entries a row; one pair may exceed it, at full rank for n = 10 only.
-    Each row's value depends on its own (alpha, beta, gamma) alone, so it
-    does not move with the order of the rows or the chunk seams.
+    every asked entry below it is scored again by _squared_residual, whose
+    sums of squares do not cancel, so zeros stay exact to roundoff.  The
+    pairs come in chunks, the one chunk size here: a pair's turned factor
+    (2^n r entries), Y ((n + 1) s r) and row of X (s r per distinct alpha)
+    stay within _chunk_rows(n) x 4^n entries for a chunk; one pair may
+    exceed it, at full rank for n = 10 only.  A chunk's entries are scored
+    again from its own turned factors, through _by_chunks, the row rule of
+    every conjugation kernel.  Each entry's value depends on its own
+    (alpha, beta, gamma) alone, so it does not move with the order of the
+    rows or the chunk seams.
     """
     factor = np.asarray(factor, dtype=np.complex128)
     target = np.asarray(target_factor, dtype=np.complex128)
     q, m = _target_split(target)
     rank, cols = factor.shape[1], target.shape[1]
-    step = _chunk_rows(n)
-    budget = step << (2 * n)  # _chunk_rows(n) x 4^n complex entries
-    row_step = max(1, budget // ((n + 1) * cols * rank))  # a row gathers its pair's (n + 1) s r entries of Y
-    pair_step = min(step, row_step)  # as many pairs of Y; their tables, 2^n r <= 4^n entries a pair, fit step pairs
     alphas, alpha_of = np.unique(angles[:, 0], return_inverse=True)
     # (beta, gamma) read as one complex number: a 1-D unique, exact in every bit
     pairs, pair_of = np.unique(np.ascontiguousarray(angles[:, 1:]).view(np.complex128)[:, 0], return_inverse=True)
@@ -202,29 +212,28 @@ def _conj_distance(angles, factor, target_factor, n: int) -> np.ndarray:
     classes = np.exp(-1j * alphas[:, None] * (0.5 * n - np.arange(n + 1)))  # (distinct alpha, n + 1)
     split = (np.conj(target.T) * (weight == np.arange(n + 1)[:, None, None])).reshape((n + 1) * cols, 1 << n)
     turns = euler_su2_batch(np.stack([np.zeros(len(pairs)), pairs.real, pairs.imag], axis=1))
-    order = np.argsort(pair_of, kind="stable")
-    bounds = np.searchsorted(pair_of[order], np.arange(len(pairs) + 1))  # pair p's rows: order[bounds[p]:bounds[p + 1]]
-    d2 = np.empty(angles.shape[0])
+    # a pair's turned factor, Y and row of X: (2^n + (n + 1 + distinct alpha) s) r entries
+    pair_step = max(1, (_chunk_rows(n) << (2 * n)) // (((1 << n) + (n + 1 + len(alphas)) * cols) * rank))
+    table = np.empty((len(pairs), len(alphas)))  # D^2, one row a pair and one column an alpha
+    wanted = np.zeros(table.shape, dtype=bool)
+    wanted[pair_of, alpha_of] = True
     for lo in range(0, len(pairs), pair_step):
         hi = min(lo + pair_step, len(pairs))
-        table = _on_every_qubit(turns[lo:hi], factor[None], n)  # (pairs, 2^n, r)
-        blocks = (split @ table).reshape(hi - lo, n + 1, cols, rank)  # Y_w of each pair
-        scale = _squared_norms(np.conj(np.swapaxes(table, 1, 2)) @ table) + m @ m
-        rows = order[bounds[lo] : bounds[hi]]
-        local = pair_of[rows] - lo
-        for start in range(0, len(rows), row_step):
-            at = slice(start, start + row_step)
-            ys, phase = blocks[local[at]], classes[alpha_of[rows[at]]]
-            x = ys[:, 0] * phase[:, 0, None, None]
-            for w in range(1, n + 1):
-                x += ys[:, w] * phase[:, w, None, None]
-            d2[rows[at]] = scale[local[at]] - 2.0 * _squared_norms(x)
-        near = rows[d2[rows] < _RESCORE * scale[local]]
-        for start in range(0, len(near), step):
-            chunk = near[start : start + step]
-            a = table[pair_of[chunk] - lo] * classes[alpha_of[chunk]][:, weight, None]
-            d2[chunk] = _squared_residual(a, q, m)[0]
-    return np.sqrt(d2)
+        turned = _on_every_qubit(turns[lo:hi], factor[None], n)  # (pairs, 2^n, r)
+        blocks = (split @ turned).reshape(hi - lo, n + 1, 1, cols, rank)  # Y_w of each pair
+        scale = _squared_norms(np.conj(np.swapaxes(turned, 1, 2)) @ turned) + m @ m
+        # (pairs, distinct alpha, s, r), from two 4-D factors: numpy rounds a one-entry product that it
+        # broadcasts up from 3-D differently, which would move conj_distance_single off the batch's bits
+        x = blocks[:, 0] * classes[None, :, 0, None, None]
+        for w in range(1, n + 1):
+            x += blocks[:, w] * classes[None, :, w, None, None]
+        table[lo:hi] = scale[:, None] - 2.0 * _squared_norms(x.reshape(-1, cols, rank)).reshape(hi - lo, -1)
+        pair, alpha = np.nonzero(wanted[lo:hi] & (table[lo:hi] < _RESCORE * scale[:, None]))
+        if pair.size:
+            table[lo + pair, alpha] = _by_chunks(
+                lambda p, a: _squared_residual(turned[p] * classes[a][:, weight, None], q, m), len(pair), n, pair, alpha
+            )[0]
+    return np.sqrt(table[pair_of, alpha_of])
 
 
 def conj_distance_batch(angles, factor, target_factor, n):
@@ -233,19 +242,22 @@ def conj_distance_batch(angles, factor, target_factor, n):
     factor is V (2^n, r) of rho = V V^+ and target_factor W (2^n, s) of the
     target T = W W^+, both as density_factor gives them or a pure state's
     vector as one column (W's columns must be orthogonal).  With
-    g = Rz(alpha) Ry(beta) Rz(gamma), (Ry(beta) Rz(gamma))^{(x)n} V is
-    applied qubit by qubit once per distinct (beta, gamma) of the batch,
-    n r 2^n complex products each, and split into its n + 1 Hamming-weight
-    classes against W, Y_w = W_w^+ B_w.  Rz(alpha)^{(x)n} is one phase per
-    class, so a row costs (n + 1) s r products:
+    g = Rz(alpha) Ry(beta) Rz(gamma), D^2 is scored as a table with one row
+    per distinct (beta, gamma) of the batch and one column per distinct
+    alpha, and each row reads its entry.  (Ry(beta) Rz(gamma))^{(x)n} V is
+    applied qubit by qubit once per table row, n r 2^n complex products,
+    and split into its n + 1 Hamming-weight classes against W,
+    Y_w = W_w^+ B_w.  Rz(alpha)^{(x)n} is one phase per class, so an entry
+    costs (n + 1) s r products:
     D^2 = ||rho||^2 + ||T||^2 - 2 ||sum_w e^{-i alpha (n/2 - w)} Y_w||^2.
-    A row where that falls below 1/16 of ||rho||^2 + ||T||^2 is scored again
-    through _squared_residual, (r + s) r 2^n products, which does not
-    cancel near D = 0; above it the cancellation costs at most 2 e
-    sqrt(||rho||^2 + ||T||^2) for terms rounded to e (_conj_distance).  On
-    a product lattice such as search.euler_lattice most rows share their
-    (beta, gamma) (144 pairs of 1728 rows at grid 12), and no 2^n x 2^n
-    matrix is formed.
+    An asked entry where that falls below 1/16 of ||rho||^2 + ||T||^2 is
+    scored again through _squared_residual, (r + s) r 2^n products, which
+    does not cancel near D = 0; above it the cancellation costs at most
+    2 e sqrt(||rho||^2 + ||T||^2) for terms rounded to e (_conj_distance).
+    The table costs (distinct pairs) x (distinct alpha) entries: on a
+    product lattice such as search.euler_lattice that is the row count
+    (144 pairs by 12 alpha for the 1728 rows at grid 12), while arbitrary
+    rows can reach rows^2.  No 2^n x 2^n matrix is formed.
     """
     return _conj_distance(np.asarray(angles, dtype=np.float64), factor, target_factor, n)
 

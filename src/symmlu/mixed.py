@@ -391,14 +391,14 @@ def frame_candidates(
         return [g_rho], "no multipole above the cutoff", False
     label = f"frame: rank-{k} multipole of spin {blocks.spins[b]:g}"
     self_match = sigma_b is rho_b
-    if self_match:
-        g_sigma, c_sigma = g_rho, c_rho
-    else:
+    g_sigma, c_sigma = g_rho, c_rho
+    if not self_match:
         v_sigma = blocks.multipole(sigma_b, b, k)
         if np.linalg.norm(v_sigma) <= _MULTIPOLE_CUTOFF * np.linalg.norm(sigma_b):
             return [], label, False
-        g_sigma = _axis_turn(v_sigma)
-        c_sigma = _axial_coefficient(v_sigma, g_sigma)
+        if c_rho is not None:  # a frame that is not axial goes to _matched_candidates unturned
+            g_sigma = _axis_turn(v_sigma)
+            c_sigma = _axial_coefficient(v_sigma, g_sigma)
     if c_rho is None or c_sigma is None:
         return _matched_candidates(rho_b, sigma_b, blocks, frame)
     # the flip takes T_k0 at the pole to (-1)^k T_k0; a family that moves c off sigma's sign cannot match

@@ -58,10 +58,12 @@ def euler_scan(factor, target_factor, n: int, grid: int):
     matrix, or a pure state's vector as its one column.  The model maps
     SU(2) elements (B, 2, 2) to (f2, grad, gn) in left steps
     (_kernels.su2_left_step), as gauss_newton takes it.  The oracles' form
-    of the scan.  The lattice has grid^2 distinct (beta, gamma), and
-    _kernels.conj_distance_batch turns V once for each of them and splits it
-    into Hamming-weight classes against W, Y_w = W_w^+ B_w.  Each alpha is
-    one phase a class, so a point costs (n + 1) s r products:
+    of the scan.  The lattice is a product of grid alpha and grid^2
+    distinct (beta, gamma), and _kernels.conj_distance_batch scores it as
+    that (beta, gamma) x alpha table, one entry a point: it turns V once for
+    each pair and splits it into Hamming-weight classes against W,
+    Y_w = W_w^+ B_w.  Each alpha is one phase a class, broadcast over the
+    pair's row, so a point costs (n + 1) s r products:
     D^2 = S - 2 ||sum_w e^{-i alpha (n/2 - w)} Y_w||^2, S = ||V V^+||^2 + ||W W^+||^2.
     Points with D^2 < S / 16, where that difference cancels, are scored
     again by the non-cancelling (r + s) r 2^n form; above it the difference

@@ -18,14 +18,17 @@ and takes V as both, and lu_equivalent_pure_bruteforce takes each pure
 state's 2^n vector as its factor, with no projector and no eigh.  On the
 lattice, g = Rz(alpha) Ry(beta) Rz(gamma): (Ry(beta) Rz(gamma))^{(x)n} is
 applied to V qubit by qubit once per distinct (beta, gamma), n r 2^n products
-(144 of them at grid 12), and Rz(alpha)^{(x)n} is a diagonal phase, so a
-point costs about (r + s) r 2^n products at ranks r and s, where the
-Kronecker power cost about 2 8^n.  Its steps are left steps
-g <- exp(-i d.sigma/2) g in the Lie algebra.  The diagonal family is exact
-and complete: conjugation moves entry (x, y) of rho by e^{i phi.d} with d
-the bit difference of x and y, so the phases that fix rho are the closed
-subgroup {phi : D phi in 2 pi Z^m} of the torus, D the integer matrix of
-rho's bit-difference classes (16 classes for the tetrahedron's 64 entries).
+(144 of them at grid 12), and Rz(alpha)^{(x)n} is one phase per Hamming-weight
+class, so a point of the (beta, gamma) x alpha table costs (n + 1) s r
+products at ranks r and s, where the Kronecker power cost about 2 8^n; a
+point below S / 16 of S = ||rho||^2 + ||T||^2 is scored again by the
+(r + s) r 2^n residual (_kernels.conj_distance_batch).  The refinement
+takes left steps g <- exp(-i d.sigma/2) g in the Lie algebra.  The
+diagonal family is exact and complete: conjugation moves entry (x, y) of
+rho by e^{i phi.d} with d the bit difference of x and y, so the phases
+that fix rho are the closed subgroup {phi : D phi in 2 pi Z^m} of the
+torus, D the integer matrix of rho's bit-difference classes (16 classes
+for the tetrahedron's 64 entries).
 Integer row and column operations diagonalise D (Cohen, A Course in
 Computational Algebraic Number Theory, 2.4), and every finite element plus
 one element per continuous direction is reported.  The oracle reads only
@@ -97,6 +100,15 @@ def _cap(n: int):
         raise DomainError(f"dense oracles are capped at n <= {DENSE_ORACLE_CAP}, got {n}")
 
 
+_TO_DENSITY = "states.to_density gives the projector of a pure state"
+
+
+def _require(what: str, state, kind: type, conversion: str) -> None:
+    """DomainError naming kind and the conversion to it, unless state is a kind."""
+    if not isinstance(state, kind):
+        raise DomainError(f"{what} expects a {kind.__name__}, got {type(state).__name__}; {conversion}")
+
+
 @dataclass(frozen=True)
 class StabilizerWitness:
     """A local unitary together with how far it moves the state."""
@@ -127,6 +139,7 @@ class StabilizerSearchConfig:
 
 def check_stabilizes(u: states.LocalUnitary, rho: states.DensityMatrix) -> StabilizerWitness:
     """Residual || U rho U+ - rho ||_F by dense conjugation: _residuals of a one-tuple stack."""
+    _require("the stabilizer check", rho, states.DensityMatrix, _TO_DENSITY)
     if u.n != rho.n:
         raise DomainError(f"arity mismatch: unitary on {u.n} qubits, state on {rho.n}")
     return StabilizerWitness(u, float(_residuals(np.array(u.factors)[None], rho.mat)[0]))
@@ -299,11 +312,7 @@ def sample_stabilizer(
     keeps its least residual, the first candidate on ties.  The witnesses
     come sorted by key, and only they become LocalUnitary objects.
     """
-    if not isinstance(rho, states.DensityMatrix):
-        raise DomainError(
-            f"stabilizer sampling expects a DensityMatrix, got {type(rho).__name__}; "
-            "states.to_density gives the projector of a pure state"
-        )
+    _require("stabilizer sampling", rho, states.DensityMatrix, _TO_DENSITY)
     if cfg is None:
         cfg = StabilizerSearchConfig()
     n = rho.n
@@ -498,6 +507,7 @@ def stabilizer_anomalies(
     by the classification; each anomaly is returned as (witness, membership
     distance).
     """
+    _require("stabilizer_anomalies", psi, states.SymmetricPureState, "sample_stabilizer takes a density matrix")
     if cfg is None:
         cfg = StabilizerSearchConfig()
     if result is None:
@@ -520,6 +530,10 @@ def lu_equivalent_pure_bruteforce(psi: states.SymmetricPureState, phi: states.Sy
     default_threshold(n).  The projectors are never formed: the 2^n vectors
     of psi and phi are their factors (search.euler_scan).
     """
+    for state in (psi, phi):
+        _require(
+            "the brute-force check", state, states.SymmetricPureState, "mixed.lu_equivalent_mixed compares density matrices"
+        )
     if psi.n != phi.n:
         raise DomainError(f"qubit counts differ: {psi.n} vs {phi.n}")
     _cap(psi.n)

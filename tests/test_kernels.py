@@ -197,7 +197,7 @@ def test_chunk_seams_do_not_change_the_dense_distance(monkeypatch):
     whole = _kernels.conj_distance_batch(angles, factor, _kernels.density_factor(target), 4)
     order = rng.permutation(len(angles))
     assert np.array_equal(_kernels.conj_distance_batch(angles[order], factor, _kernels.density_factor(target), 4), whole[order])
-    for rows in (1, 3, 7):  # seams inside the chunks of pairs and inside the rows of a chunk of pairs
+    for rows in (1, 3, 7):  # 1, 4 and 10 pairs a chunk: seams between the table's chunks of pairs
         monkeypatch.setattr(_kernels, "_CHUNK_ENTRIES", rows * 4**4)
         assert _kernels._chunk_rows(4) == rows
         assert np.array_equal(_kernels.conj_distance_batch(angles, factor, _kernels.density_factor(target), 4), whole)
@@ -326,7 +326,7 @@ def test_scan_never_builds_the_whole_table_of_turned_factors(monkeypatch):
     target_factor = _kernels.density_factor(states.to_density(states.random_symmetric(n, rng)).mat)
     angles = search.euler_lattice(16)
     table = 16 * 16 * factor.size * 16  # bytes of every distinct (beta, gamma)'s turned factor
-    monkeypatch.setattr(_kernels, "_CHUNK_ENTRIES", 2 * 4**n)  # 2 pairs, then 2 rows, a chunk
+    monkeypatch.setattr(_kernels, "_CHUNK_ENTRIES", 2 * 4**n)  # 1 pair a chunk: its factor, Y and X fit 2 x 4^n
     tracemalloc.start()
     try:
         _kernels.conj_distance_batch(angles, factor, target_factor, n)
@@ -472,6 +472,31 @@ def test_rows_on_both_sides_of_the_rescore_cutoff_keep_the_dense_accuracy(n, ran
     assert below.any() and not below.all()
     assert np.max(np.abs(got - want)) <= 2e-15 * n * max(np.linalg.norm(rho), np.linalg.norm(target))
     assert max(got[0], want[0]) < 1e-12
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    rank=st.sampled_from([1, 2, "full"]),
+    grid=st.integers(4, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_row_reads_the_entry_a_single_point_scores(n, rank, grid, seed):
+    # a batch is scored as one (beta, gamma) x alpha table and each row reads its entry, so a
+    # row's bits do not depend on the batch: not on duplicates, shared angles or re-scored entries
+    rng = np.random.default_rng(seed)
+    rho = _density_of_rank(rank, n, rng)
+    angles, _ = _scan_rows(grid, rng)
+    angles = rng.permutation(np.concatenate([angles, angles[rng.integers(0, len(angles), size=10)]]))
+    factor = _kernels.density_factor(rho)
+    turned = _kernels._on_every_qubit(_kernels.euler_su2_batch(rng.uniform(0, 2 * math.pi, size=(1, 3))), factor[None], n)[0]
+    for target_factor in (factor, turned):
+        got = _kernels.conj_distance_batch(angles, factor, target_factor, n)
+        single = [_kernels.conj_distance_single(*row, factor, target_factor, n) for row in angles]
+        assert np.array_equal(got, single)
+    # the self target's identity rows, and any stabilizer rows, lie below the cutoff and are scored again
+    self_scan = _kernels.conj_distance_batch(angles, factor, factor, n)
+    assert np.any(self_scan**2 < _kernels._RESCORE * 2.0 * np.linalg.norm(rho) ** 2)
 
 
 def _spy_on_the_residual(monkeypatch):

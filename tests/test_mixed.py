@@ -287,6 +287,23 @@ def test_a_multipole_sigma_lacks_gives_no_candidate():
     assert mixed.frame_candidates(rho_b, np.eye(5) / 5, blocks) == ([], "frame: rank-3 multipole of spin 2", False)
 
 
+def test_a_frame_that_is_not_axial_turns_only_rho(monkeypatch):
+    # the tetrahedron's rank-3 multipole is not axial, so sigma's goes to the root matches unturned
+    turned = []
+    original = mixed._axis_turn
+
+    def spy(v):
+        turned.append(v)
+        return original(v)
+
+    monkeypatch.setattr(mixed, "_axis_turn", spy)
+    psi = majorana.points_to_state(np.array(_TETRAHEDRON, dtype=float))
+    phi = states.apply_diag_symmetric(states.random_su2(np.random.default_rng(49)), psi)
+    g = classify.lu_equivalent_pure(psi, phi)
+    assert g is not None and states.apply_diag_symmetric(g, psi).distance(phi) <= 1e-8
+    assert len(turned) == 1
+
+
 def test_no_candidate_rotation_is_undecided(monkeypatch):
     monkeypatch.setattr(mixed, "frame_candidates", lambda rho_b, sigma_b, blocks: ([], "frame: none", False))
     rho = states.random_symmetric_mixed(3, np.random.default_rng(48))

@@ -277,6 +277,22 @@ def test_sample_stabilizer_names_the_density_matrix_it_expects(state):
     assert verify.sample_stabilizer(states.to_density(state))
 
 
+def test_the_other_entry_points_name_the_state_they_expect():
+    psi = states.dicke(4, 1)
+    rho = states.to_density(psi)
+    pure = r"expects a SymmetricPureState, got DensityMatrix; "
+    with pytest.raises(DomainError, match=pure + r"mixed\.lu_equivalent_mixed"):
+        verify.lu_equivalent_pure_bruteforce(rho, rho)
+    with pytest.raises(DomainError, match=pure + r"mixed\.lu_equivalent_mixed"):
+        verify.lu_equivalent_pure_bruteforce(psi, rho)
+    with pytest.raises(DomainError, match=pure + r"sample_stabilizer"):
+        verify.stabilizer_anomalies(rho)
+    u = states.LocalUnitary.uniform(states.rz(0.3), 4)
+    with pytest.raises(DomainError, match=r"expects a DensityMatrix, got SymmetricPureState; states\.to_density"):
+        verify.check_stabilizes(u, psi)
+    assert verify.check_stabilizes(u, rho).residual <= 1e-12
+
+
 def test_dense_cap_blocks_large_n():
     coeffs = np.zeros(12, dtype=np.complex128)
     coeffs[0] = 1.0
