@@ -35,6 +35,7 @@ search.gauss_newton.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -109,15 +110,15 @@ def _on_every_qubit(ops, a: np.ndarray, n: int) -> np.ndarray:
     ops is (B, 2, 2), applied as ops[b]^{(x)n}, or (B, n, 2, 2), one factor
     per qubit, applied as ops[b, 0] (x) ... (x) ops[b, n - 1].
     """
-    rows = ops.shape[0]
+    rows, cols = ops.shape[0], a.shape[-1]  # sizes spelt out: a -1 axis is ambiguous on 0 rows
     for k in range(n):
         op = ops if ops.ndim == 3 else ops[:, k]
-        legs = a.reshape(a.shape[0], 1 << k, 2, -1)
+        legs = a.reshape(a.shape[0], 1 << k, 2, (1 << (n - 1 - k)) * cols)
         out = np.empty((rows,) + legs.shape[1:], dtype=np.complex128)
         for i in (0, 1):
             out[:, :, i] = op[:, i, 0, None, None] * legs[:, :, 0] + op[:, i, 1, None, None] * legs[:, :, 1]
         a = out
-    return a.reshape(rows, 1 << n, -1)
+    return a.reshape(rows, 1 << n, cols)
 
 
 def _target_split(target_factor):
@@ -148,7 +149,7 @@ def _squared_residual(a, q, m):
 
 def _squared_norms(m: np.ndarray) -> np.ndarray:
     """||m_b||_F^2 of each complex array of a (B, ...) stack, in one pass."""
-    flat = np.ascontiguousarray(m).reshape(m.shape[0], -1).view(np.float64)
+    flat = np.ascontiguousarray(m).reshape(m.shape[0], math.prod(m.shape[1:])).view(np.float64)
     return np.einsum("ij,ij->i", flat, flat)
 
 

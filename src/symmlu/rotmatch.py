@@ -18,8 +18,15 @@ is evaluated on a (K, 3, 3) stack of them, a block of candidates at a time,
 with a (K, a, b) stack of distance tables: each round matches, per candidate,
 every free pair that is the closest free pair of both its point of a and its
 point of b (masked argmins along both axes), and drops the candidates with a
-matched pair beyond tol.  The point-group layer (closure, the axis census,
-the generator pick) works on such stacks too.
+matched pair beyond tol.  The point-group layer works on such stacks too.
+closure, the generator pick and PointGroup's own check fill one kind of
+product table (_fill_products): a stack of rotations and one integer column
+per generator, row i of column j naming the row that rotation i times
+generator j matches within _CLOSURE_TOL.  A round fills the missing columns with one stacked matmul
+and one _close table and appends only the products that match no row; the
+group is the identity's orbit over the columns.  On a closed set nothing is
+appended, so naming its group costs one product table per generator, and
+the axis census groups the axes in one pass.
 
 Matching and symmetry_group read one tolerance, DEFAULT_TOLERANCES.match,
 and take none per call; matches, closure and the generator pick all merge
@@ -342,7 +349,7 @@ def _frame(p1, p2) -> np.ndarray:
 
 
 _CLOSURE_TOL = 1e-6  # entrywise: matches, closure and the generator pick merge rotations this close
-_CLOSE_BLOCK = 1 << 15  # _close: rotation pairs compared at once, 2.4 MB of differences
+_CLOSE_BLOCK = 1 << 12  # _close: rotation pairs compared at once, 0.3 MB of differences
 
 
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -449,9 +456,12 @@ class PointGroup:
 
     tag is one of: Trivial, Cyclic, Dihedral, Tetrahedral, Octahedral,
     Icosahedral, AxialContinuous, AxialContinuousFlip.  elements is one
-    read-only (order, 3, 3) array, empty for the axial tags.  For finite
-    tags the number of elements generated by `generators` is re-verified
-    against `order` at construction.
+    read-only (order, 3, 3) array, empty for the axial tags.  A finite tag
+    is checked at construction by the orbit over its own elements: the
+    product table seeded with `elements` and filled for `generators`
+    (_fill_products) must gain no row, and the identity's orbit over it must
+    reach every row.  So the elements are `order` rotations, one per element
+    of the group the generators generate, or SymmluError is raised.
     """
 
     tag: str
@@ -470,11 +480,14 @@ class PointGroup:
         if self.axis is not None:
             object.__setattr__(self, "axis", _canonical_axes(self.axis))
         if self.order is not None:
-            gen = closure(self.generators)
-            if len(gen) != self.order:
+            gens = np.array(self.generators).reshape(-1, 3, 3)
+            elems, start = _seeded(elements)
+            elems, cols = _fill_products(elems, np.full((len(elems), len(gens)), -1), gens)
+            orbit = _orbit(cols, start)
+            if not (len(elements) == self.order == len(elems) and orbit.all()):
                 raise SymmluError(
-                    f"{self.tag} group claims order {self.order} but generators "
-                    f"close on {len(gen)} elements"
+                    f"{self.tag} group claims order {self.order}, but its {len(elements)} elements "
+                    f"are not the {orbit.sum()} rotations its generators generate"
                 )
 
     @property
@@ -488,60 +501,112 @@ class PointGroup:
 _CLOSURE_CAP = 200  # closure: largest group
 
 
+def _fill_products(elems: np.ndarray, cols: np.ndarray, gens: np.ndarray) -> tuple:
+    """The product table (elems, cols) with every -1 of cols filled: cols[i, j] is the row of elems[i] @ gens[j].
+
+    A round multiplies every (row, generator) pair still at -1 in one stacked
+    matmul, in row-major order, and matches the products against the stack
+    with _close: a product takes the first row within _CLOSURE_TOL.  The
+    products that no row matches are appended, the first of each set of
+    repeats (_drop_repeats), with their columns at -1 for the next round.
+    On a closed stack no round appends, so each generator costs one product
+    table.  More than _CLOSURE_CAP rows raise SymmluError.
+    """
+    rows, which = np.nonzero(cols < 0)
+    while len(rows):
+        products = elems[rows] @ gens[which]
+        close = _close(products, elems)
+        cols[rows, which] = close.argmax(axis=1)
+        unmatched = ~close.any(axis=1)
+        if not unmatched.any():
+            break
+        fresh = _drop_repeats(products, unmatched.copy())
+        if len(elems) + fresh.sum() > _CLOSURE_CAP:
+            raise SymmluError(f"closure exceeded {_CLOSURE_CAP} elements; not a small finite group")
+        # each unmatched product takes the first appended one within _CLOSURE_TOL: itself, or the one it repeats
+        cols[rows[unmatched], which[unmatched]] = len(elems) + _close(products[unmatched], products[fresh]).argmax(axis=1)
+        elems = np.concatenate([elems, products[fresh]])
+        cols = np.concatenate([cols, np.full((int(fresh.sum()), cols.shape[1]), -1)])
+        rows, which = np.nonzero(cols < 0)
+    return elems, cols
+
+
+def _orbit(cols: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the rows that row start, the identity, reaches through the product columns cols.
+
+    Breadth-first over the integer table in Python: at most _CLOSURE_CAP
+    rows, each read once, cost less than the numpy calls of a layer.
+    """
+    table = cols.tolist()
+    reached = [False] * len(table)
+    reached[start] = True
+    todo = [start]
+    for row in todo:
+        for product in table[row]:
+            if not reached[product]:
+                reached[product] = True
+                todo.append(product)
+    return np.array(reached)
+
+
+def _seeded(rots: np.ndarray) -> tuple:
+    """rots as the rows of a product table, and the row of the identity: the first rotation at it, else an appended identity."""
+    at = np.flatnonzero(_close(rots, np.eye(3)[None])[:, 0])
+    if at.size:
+        return rots, int(at[0])
+    return np.concatenate([rots, np.eye(3)[None]]), len(rots)
+
+
 def closure(mats) -> np.ndarray:
     """The group generated by the given rotations, as a (K, 3, 3) stack (deduplicated at _CLOSURE_TOL).
 
-    Breadth-first orbit of the identity under right multiplication by the
-    generators, a layer at a time: the last layer's elements times every
-    generator, less those close to an element already found or to an earlier
-    product of the layer.  In a finite group that orbit holds every product.
+    The product table (_fill_products) seeded with the identity alone: each
+    round multiplies the rows the last round appended by every generator,
+    so the rows come a breadth-first layer at a time, and every row is in
+    the identity's orbit.  In a finite group that orbit holds every product.
     """
     gens = np.asarray(mats, dtype=float).reshape(-1, 3, 3)
-    elems = frontier = np.eye(3)[None]
-    while len(frontier):
-        products = (frontier[:, None] @ gens[None]).reshape(-1, 3, 3)
-        keep = ~_close(products, elems).any(axis=1)
-        frontier = products[_drop_repeats(products, keep)]
-        if len(elems) + len(frontier) > _CLOSURE_CAP:
-            raise SymmluError(f"closure exceeded {_CLOSURE_CAP} elements; not a small finite group")
-        elems = np.concatenate([elems, frontier])
-    return elems
+    return _fill_products(np.eye(3)[None], np.full((1, len(gens)), -1), gens)[0]
 
 
 def _axis_census(axes: np.ndarray, angles: np.ndarray) -> list:
     """Group the non-identity rotations of a stack's axis_angle by unoriented axis; return (axis, fold) in order of first appearance.
 
-    A rotation joins the first axis found within 1e-6 of its own, either sign.
+    A rotation joins the first axis within 1e-6 of its own, either sign, in
+    one pass over the table of |cosines| between the unit axes: distance
+    1e-6 is |cos| = 1 - 5e-13.
     """
     axes = _canonical_axes(axes[angles >= 1e-9])
-    gap = np.linalg.norm(axes[:, None] - axes[None], axis=2)
-    close = np.minimum(gap, np.linalg.norm(axes[:, None] + axes[None], axis=2)) < 1e-6
-    left = np.ones(len(axes), dtype=bool)
-    census = []
-    while left.any():
-        first = int(np.argmax(left))
-        members = left & close[first]
-        census.append((axes[first], int(members.sum()) + 1))  # fold = rotations + identity
-        left &= ~members
-    return census
+    close = np.abs(axes @ axes.T) > 1.0 - 5e-13
+    first, count = np.unique(close.argmax(axis=1), return_counts=True)
+    return [(axes[f], c + 1) for f, c in zip(first.tolist(), count.tolist())]  # fold = rotations + identity
 
 
 def _pick_generators(ranked: np.ndarray) -> tuple:
-    """Greedy small generating set of the rotations of ranked: (generators, their group, ranked's _close table against it).
+    """Greedy small generating set of the rotations of ranked, and whether ranked is the group it generates.
 
-    ranked is sorted by _rotation_keys; each rotation that the generators so
-    far do not already reach is taken, in that order, until the group they
-    generate holds every rotation of ranked.
+    ranked is sorted by _rotation_keys.  One product table, seeded with
+    ranked (_seeded), grows a column per generator: the first rotation that
+    the identity's orbit over the columns so far does not reach is taken,
+    unless it lies within _CLOSURE_TOL of a reached row (a repeat), until
+    every rotation of ranked is reached or a repeat.  ranked is the group
+    when the orbit is every row and no row was appended.
     """
+    elems, start = _seeded(ranked)
+    cols = np.empty((len(elems), 0), dtype=int)
+    orbit = _orbit(cols, start)
     gens: list = []
-    group = np.eye(3)[None]
+    repeat = np.zeros(len(ranked), dtype=bool)
     while True:
-        inside = _close(ranked, group)
-        outside = np.flatnonzero(~inside.any(axis=1))
+        outside = np.flatnonzero(~orbit[: len(ranked)] & ~repeat)
         if not outside.size:
-            return tuple(gens), group, inside
+            return tuple(gens), len(elems) == len(ranked) and bool(orbit.all())
+        if _close(ranked[outside[:1]], elems[orbit]).any():
+            repeat[outside[0]] = True
+            continue
         gens.append(ranked[outside[0]])
-        group = closure(gens)
+        elems, cols = _fill_products(elems, np.column_stack([cols, np.full(len(cols), -1)]), np.array(gens))
+        orbit = _orbit(cols, start)
 
 
 def symmetry_group(cfg: MajoranaConfiguration) -> PointGroup:
@@ -560,22 +625,26 @@ def symmetry_group(cfg: MajoranaConfiguration) -> PointGroup:
 def point_group(rotations) -> PointGroup:
     """The PointGroup of the finite group that the rotations of a (K, 3, 3) stack generate.
 
-    The rotations are sorted by _rotation_keys, so the result does not
-    depend on the order they come in, and the generators are picked from
-    them (_pick_generators).  When they are not that group itself (a
-    product is missing, or two lie within _CLOSURE_TOL of each other), the
-    group is named from its own elements instead, sorted the same way, so
-    the answer depends only on the group.  A set of rotations that
-    generates no small finite group raises closure's SymmluError.
+    Rotations all within _CLOSURE_TOL of the identity (or none) are the
+    Trivial group.  Otherwise they are sorted by _rotation_keys, so the
+    result does not depend on the order they come in, and the generators
+    are picked from them on a product table seeded with them
+    (_pick_generators).  When they are not that group itself (a product is
+    missing, or two lie within _CLOSURE_TOL of each other), the group is
+    named from its own elements instead, closure of the generators sorted
+    the same way, so the answer depends only on the group.  A set of
+    rotations that generates no small finite group raises closure's
+    SymmluError.
     """
-    elements, axes, angles = _ranked(np.asarray(rotations, dtype=float).reshape(-1, 3, 3))
-    gens, group, inside = _pick_generators(elements)
-    if len(group) != len(elements) or not inside.any(axis=0).all():
-        elements, axes, angles = _ranked(group)
+    rotations = np.asarray(rotations, dtype=float).reshape(-1, 3, 3)
+    if _close(rotations, np.eye(3)[None]).all():
+        return PointGroup("Trivial", None, 1, None, (), np.eye(3)[None])
+    elements, axes, angles = _ranked(rotations)
+    gens, closed = _pick_generators(elements)
+    if not closed:
+        elements, axes, angles = _ranked(closure(gens))
         gens = _pick_generators(elements)[0]
     n_el = len(elements)
-    if n_el == 1:
-        return PointGroup("Trivial", None, 1, None, (), np.eye(3)[None])
     census = _axis_census(axes, angles)
     folds = sorted((fold for _, fold in census), reverse=True)
     max_fold = folds[0]

@@ -409,6 +409,20 @@ def test_conj_gauss_newton_derivatives_match_finite_differences(rank):
     _check_conj_gauss_newton(pairs, rho2, target2, 2, 6)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("per_qubit", [False, True])
+def test_conj_gauss_newton_of_an_empty_stack_is_empty(n, per_qubit):
+    # zero rows once failed to reshape with a -1 axis; conj_distance_batch already answers them with an empty array
+    rng = np.random.default_rng(60 + n)
+    factor = _kernels.density_factor(states.random_symmetric_mixed(n, rng, rank=2).mat)
+    target_factor = _kernels.density_factor(states.random_symmetric_mixed(n, rng).mat)
+    gs, dim = (np.zeros((0, n, 2, 2)), 3 * n) if per_qubit else (np.zeros((0, 2, 2)), 3)
+    f2, grad, gn = _kernels.conj_gauss_newton(gs, factor, target_factor, n)
+    assert (f2.shape, grad.shape, gn.shape) == ((0,), (0, dim), (0, dim, dim))
+    assert f2.dtype == grad.dtype == gn.dtype == np.float64
+    assert _kernels.conj_distance_batch(np.zeros((0, 3)), factor, target_factor, n).shape == (0,)
+
+
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_per_qubit_factors_act_as_the_kronecker_product(n):
     rng = np.random.default_rng(50 + n)

@@ -673,6 +673,26 @@ def test_point_group_rejects_wrong_order_claim():
         rotmatch.PointGroup("Cyclic", 4, 4, np.array([0.0, 0.0, 1.0]), (), ())
 
 
+def test_point_group_rejects_elements_that_contradict_its_order():
+    # a finite group's elements must be `order` rotations that its generators generate
+    z = np.array([0.0, 0.0, 1.0])
+    sixfold = rotmatch.closure([rotmatch.rotation_about(z, math.pi / 3)])  # turns by 0, 60, ..., 300 degrees
+    third = sixfold[2]
+    with pytest.raises(SymmluError, match="claims order 3, but its 6 elements are not the 3 rotations"):
+        rotmatch.PointGroup("Cyclic", 3, 3, z, (third,), sixfold)
+    with pytest.raises(SymmluError, match="claims order 3, but its 0 elements are not the 3 rotations"):
+        rotmatch.PointGroup("Cyclic", 3, 3, z, (third,), ())
+    with pytest.raises(SymmluError, match="claims order 3"):
+        rotmatch.PointGroup("Cyclic", 3, 3, z, (third,), sixfold[[0, 1, 2]])
+    with pytest.raises(SymmluError, match="claims order 3"):
+        rotmatch.PointGroup("Cyclic", 3, 3, z, (sixfold[1],), sixfold[[0, 2, 4]])
+    # as many elements as the order claims, closed under the generator, but it reaches only half of them
+    with pytest.raises(SymmluError, match="claims order 6, but its 6 elements are not the 3 rotations"):
+        rotmatch.PointGroup("Cyclic", 6, 6, z, (third,), sixfold)
+    grp = rotmatch.PointGroup("Cyclic", 3, 3, z, (third,), sixfold[[4, 0, 2]])
+    assert grp.order == 3 and np.array_equal(grp.elements, sixfold[[4, 0, 2]])
+
+
 def named_group(name):
     """The elements of C_m, D_m (as 'C3', 'D4', ...) or the rotation group of T, O or I, a (K, 3, 3) stack."""
     if name in "TOI":
@@ -737,6 +757,84 @@ def test_point_group_of_a_set_that_is_not_closed():
     # a near-identity rotation is the identity
     near = rotmatch.rotation_about([0.3, 0.4, 0.5], 5e-7)
     assert rotmatch.point_group([np.eye(3), near]).order == 1
+
+
+def reference_generators(ranked):
+    """The generators of the breadth-first pick: each rotation of ranked that the closure of those before does not reach."""
+    gens, group = [], np.eye(3)[None]
+    while True:
+        outside = np.flatnonzero(~rotmatch._close(ranked, group).any(axis=1))
+        if not outside.size:
+            return gens
+        gens.append(ranked[outside[0]])
+        group = rotmatch.closure(gens)
+
+
+def reference_census(axes, angles):
+    """(axis, fold) of the greedy census: the first axis left takes every axis left within 1e-6 of it, either sign."""
+    axes = rotmatch._canonical_axes(axes[angles >= 1e-9])
+    gap = np.linalg.norm(axes[:, None] - axes[None], axis=2)
+    close = np.minimum(gap, np.linalg.norm(axes[:, None] + axes[None], axis=2)) < 1e-6
+    left, census = np.ones(len(axes), dtype=bool), []
+    while left.any():
+        first = int(np.argmax(left))
+        members = left & close[first]
+        census.append((axes[first], int(members.sum()) + 1))
+        left &= ~members
+    return census
+
+
+_NAMED = {"T": ("Tetrahedral", None, 12), "O": ("Octahedral", None, 24), "I": ("Icosahedral", None, 60)}
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "C5", "D2", "D3", "D6", "T", "O", "I"])
+def test_a_closed_set_fills_one_product_table_per_generator(name, monkeypatch):
+    # in a random frame and order; the answer is the one the breadth-first pick and the greedy census give, bit for bit
+    rng = np.random.default_rng(sum(map(ord, name)))
+    frame = Rotation.random(None, rng).as_matrix()
+    group = frame @ named_group(name) @ frame.T
+    group = group[rng.permutation(len(group))]
+    ranked, axes, angles = rotmatch._ranked(group)
+    want_gens, want_census = reference_generators(ranked), reference_census(axes, angles)
+    tables = []
+    fill = rotmatch._fill_products
+
+    def spy(elems, cols, gens):
+        missing = int((cols < 0).sum())
+        out = fill(elems, cols, gens)
+        tables.append((len(elems), missing, len(out[0])))
+        return out
+
+    monkeypatch.setattr(rotmatch, "_fill_products", spy)
+    monkeypatch.setattr(rotmatch, "closure", lambda mats: pytest.fail("a closed set is not closed again"))
+    got = rotmatch.point_group(group)
+    k, order = len(want_gens), len(group)
+    # the pick fills one column of the K rows per generator, PointGroup's check all k at once; no row is appended
+    assert tables == [(order, order, order)] * k + [(order, k * order, order)]
+    m = int(name[1:]) if name[0] in "CD" else None
+    want = _NAMED.get(name) or ("Cyclic" if name[0] == "C" else "Dihedral", m, m if name[0] == "C" else 2 * m)
+    assert (got.tag, got.m, got.order) == want
+    assert np.array_equal(got.elements, ranked)
+    assert len(got.generators) == k and all(np.array_equal(a, b) for a, b in zip(got.generators, want_gens))
+    census = rotmatch._axis_census(axes, angles)
+    assert [(a.tobytes(), f) for a, f in census] == [(a.tobytes(), f) for a, f in want_census]
+    by_fold = {}
+    for axis, fold in want_census:
+        by_fold.setdefault(fold, []).append(axis)
+    assert np.array_equal(got.axis, min(by_fold[max(by_fold)], key=lambda a: tuple(np.round(a, 9))))
+
+
+def test_rotations_at_the_identity_are_trivial_before_any_product_table(monkeypatch):
+    fill = rotmatch._fill_products
+    tables = []
+    monkeypatch.setattr(rotmatch, "_fill_products", lambda e, c, g: tables.append(c.shape) or fill(e, c, g))
+    monkeypatch.setattr(rotmatch, "_ranked", lambda rots: pytest.fail("nothing to rank"))
+    near = rotmatch.rotation_about([0.3, 0.4, 0.5], 5e-7)
+    for rots in (np.eye(3)[None], near[None], np.stack([near, np.eye(3)]), np.zeros((0, 3, 3))):
+        got = rotmatch.point_group(rots)
+        assert (got.tag, got.order, got.generators) == ("Trivial", 1, ())
+        assert np.array_equal(got.elements, np.eye(3)[None])
+    assert tables == [(1, 0)] * 4  # PointGroup's check, with no generator
 
 
 @pytest.mark.parametrize("size", [4, 12, 100])
