@@ -2,7 +2,15 @@
 
 For permutation-invariant density matrices of n >= 3 qubits, local-unitary
 equivalence reduces to conjugation by g^{(x)n} for one 2x2 unitary g, that
-is to one rotation R; at n = 1 there is only one g.  On the spin blocks of
+is to one rotation R; at n = 1 there is only one g.  The reduction needs
+permutation-invariant input, so lu_equivalent_mixed checks both states
+first (states.permutation_defect).  The swap s of qubits 0, 1 and the cyclic
+shift c generate S_n, and the swap of qubits k, k + 1 is c^k s c^-k, so it
+moves rho by at most delta_s + 2 min(k, n - k) delta_c in the largest entry:
+delta_s + 2 floor(n / 2) delta_c within the tolerance certifies every swap
+from two comparisons of rho with transposed views of itself.  A state that
+fails the bound is scanned swap by swap, and the error names the first swap
+that moves it.  On the spin blocks of
 the states (states.SpinBlocks) the rank-k multipole of a block moves as a
 2k-qubit symmetric state, so it pins R down (Serrano-Ensastiga and Braun,
 PRA 101, 022332 (2020)).  The first multipole of rho above a relative cutoff
@@ -207,15 +215,13 @@ _TURN_TIE, _TURN_TIE_PHI = 16 * np.finfo(np.float64).eps, 1e-6
 def _best_turn(rho_t: np.ndarray, sigma_t: np.ndarray, blocks) -> float:
     """The phi maximizing the weighted overlap of D(rz(phi)) rho_t D(rz(phi))^+ with sigma_t.
 
-    Entry (a, b) turns by e^{-i q phi}, q = m_a - m_b, so the overlap is the
+    Entry (a, b) turns by e^{-i q phi}, q = m_a - m_b (blocks.turns), so the overlap is the
     trigonometric polynomial f(phi) = Re sum_{|q| <= n} c_q e^{-i q phi},
     maximized by _solve_turn.
     """
-    n = blocks.n
-    mz = np.concatenate([j - np.arange(sl.stop - sl.start) for j, sl in zip(blocks.spins, blocks.slices)])
-    q = np.rint(mz[:, None] - mz[None, :]).astype(int).ravel() + n
+    size, q = 2 * blocks.n + 1, blocks.turns
     terms = (blocks.weight * rho_t * sigma_t.conj()).ravel()
-    return _solve_turn(np.bincount(q, terms.real, 2 * n + 1) + 1j * np.bincount(q, terms.imag, 2 * n + 1))[0]
+    return _solve_turn(np.bincount(q, terms.real, size) + 1j * np.bincount(q, terms.imag, size))[0]
 
 
 def _solve_turn(c: np.ndarray) -> tuple:

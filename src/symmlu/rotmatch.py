@@ -209,17 +209,13 @@ def axis_angle(r: np.ndarray):
     """
     q = quaternion_from_rotation(r)
     rows = q.reshape(-1, 4)
-    axes, angles = [], []
-    # math.atan2, one angle at a time: numpy's arctan2 rounds some angles differently
-    for (w, x, y, z), nv in zip(rows.tolist(), np.sqrt(_dot(rows[:, 1:], rows[:, 1:])).tolist()):
-        if nv >= 1e-12:
-            axes.append((x / nv, y / nv, z / nv))
-            angles.append(2.0 * math.atan2(nv, w))
-        else:
-            axes.append((0.0, 0.0, 1.0))
-            angles.append(0.0)
-    axes = np.array(axes).reshape(q.shape[:-1] + (3,))
-    return (axes, np.array(angles)) if q.ndim > 1 else (axes, angles[0])
+    nv = np.sqrt(_dot(rows[:, 1:], rows[:, 1:]))
+    turned = nv >= 1e-12
+    axes = np.where(turned[:, None], rows[:, 1:] / np.where(turned, nv, 1.0)[:, None], (0.0, 0.0, 1.0))
+    # math.atan2 mapped over floats, not numpy's arctan2, which rounds some angles differently
+    angles = np.where(turned, 2.0 * np.array(list(map(math.atan2, nv.tolist(), rows[:, 0].tolist())), float), 0.0)
+    axes = axes.reshape(q.shape[:-1] + (3,))
+    return (axes, angles) if q.ndim > 1 else (axes, float(angles[0]))
 
 
 _SNAP_TOL, _SNAP_DENOMINATOR = 1e-9, 64  # snap_angle: reach, and largest denominator of angle / pi

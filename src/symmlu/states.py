@@ -562,11 +562,41 @@ def _permuted(mat: np.ndarray, n: int, perm: list) -> np.ndarray:
     return np.transpose(t, axes).reshape(1 << n, 1 << n)
 
 
+_GENERATOR_MARGIN = 1e-12  # permutation_defect: relative slack of the bound for the rounding of the computed deviations
+
+
+def _generator_defects(mat: np.ndarray) -> tuple:
+    """(delta_s, delta_c): the max |P rho P^T - rho| entry for the swap of qubits 0, 1 and for the cyclic shift.
+
+    The shift moves qubit 0 to the last place.  Each compares mat with a
+    transposed view of itself, so no permuted copy is made.
+    """
+    half, quarter = mat.shape[0] >> 1, mat.shape[0] >> 2
+    pairs = mat.reshape(2, 2, quarter, 2, 2, quarter)
+    swap = np.max(np.abs(pairs.transpose(1, 0, 2, 4, 3, 5) - pairs))
+    shifted = mat.reshape(2, half, 2, half).transpose(1, 0, 3, 2)
+    return float(swap), float(np.max(np.abs(shifted - mat.reshape(half, 2, half, 2))))
+
+
 def permutation_defect(rho: DensityMatrix, tol: float | None = None) -> tuple | None:
-    """(k, deviation) of the first swap of qubits k, k + 1 moving rho by more than tol, or None."""
+    """(k, deviation) of the first swap of qubits k, k + 1 moving rho by more than tol, or None.
+
+    The swap s of qubits 0, 1 and the cyclic shift c generate S_n, and the
+    swap of qubits k, k + 1 is c^k s c^-k.  The max-entry norm does not
+    change under permutations, so that swap moves rho by at most
+    delta_s + 2 min(k, n - k) delta_c (_generator_defects).  When
+    delta_s + 2 floor(n / 2) delta_c is within tol, less a relative 1e-12
+    for rounding, every adjacent swap passes and the answer is None from two
+    comparisons.  Otherwise the adjacent swaps are scanned in order, one
+    permuted copy each, which names the first that fails.
+    """
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
     n = rho.n
+    if n >= 2:
+        swap, shift = _generator_defects(rho.mat)
+        if swap + 2 * (n // 2) * shift <= tol * (1 - _GENERATOR_MARGIN):
+            return None
     for k in range(n - 1):
         perm = list(range(n))
         perm[k], perm[k + 1] = perm[k + 1], perm[k]
@@ -593,7 +623,9 @@ class SpinBlocks:
     Block j's columns are |j, m> for m = j, j - 1, ..., -j, the Dicke basis of
     2j qubits, so D^j(g) = symmetric_power(g, 2j).  The forms are
     d x d, d = sum_j (2j + 1): slices[b] indexes block b, and weight[a, c] is
-    m_j when columns a and c both lie in block j and 0 otherwise.
+    m_j when columns a and c both lie in block j and 0 otherwise.  turns holds
+    m_a - m_c + n for the entries (a, c) of a form, flattened: rz(phi) turns
+    entry (a, c) by e^{-i q phi}, q = m_a - m_c (mixed._best_turn bins by q + n).
 
     Only compress needs basis, the 2^n x d columns spanning one copy of each
     block (spin_blocks(n) has all of them).  A symmetric pure state psi is
@@ -607,6 +639,7 @@ class SpinBlocks:
     basis: np.ndarray | None = None
     slices: tuple = field(init=False)
     weight: np.ndarray = field(init=False)
+    turns: np.ndarray = field(init=False)
 
     def __post_init__(self):
         sizes = [round(2 * j) + 1 for j in self.spins]
@@ -615,8 +648,11 @@ class SpinBlocks:
         block = np.repeat(np.arange(len(sizes)), sizes)
         per_block = np.array(self.mults, float)[block]
         weight = np.where(block[:, None] == block[None, :], per_block[:, None], 0.0)
+        mz = np.concatenate([j - np.arange(size) for j, size in zip(self.spins, sizes)])
+        turns = np.rint(mz[:, None] - mz[None, :]).astype(int).ravel() + self.n
         object.__setattr__(self, "slices", slices)
         object.__setattr__(self, "weight", _freeze(weight))
+        object.__setattr__(self, "turns", _freeze(turns))
 
     def compress(self, rho: DensityMatrix) -> np.ndarray:
         """The d x d block form basis^+ rho basis, whose blocks are the rho_j."""

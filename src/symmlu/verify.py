@@ -317,8 +317,12 @@ def sample_stabilizer(
         cfg = StabilizerSearchConfig()
     n = rho.n
     _cap(n)
-    if not states.is_permutation_invariant(rho):
-        raise DomainError("stabilizer sampling expects a permutation-invariant state")
+    if (defect := states.permutation_defect(rho)) is not None:
+        k, dev = defect
+        raise DomainError(
+            "stabilizer sampling expects a permutation-invariant state: "
+            f"swapping qubits {k} and {k + 1} moves it by {dev:.3g}"
+        )
     gs = _identical_witnesses(_kernels.density_factor(rho.mat), n, cfg)
     stack = np.concatenate([np.broadcast_to(gs[:, None], (len(gs), n, 2, 2)), _diag_witnesses(rho)])
     residuals = _residuals(stack, rho.mat)

@@ -330,6 +330,21 @@ def test_equiv_mixed_undecided_has_its_own_exit_code(tmp_path, monkeypatch, caps
     assert rep["distance"] > rep["threshold"]
 
 
+def test_equiv_mixed_names_the_one_swap_that_breaks_invariance(tmp_path, monkeypatch, capsys):
+    # tau_a^{(x)3} (x) tau_b^{(x)2} is invariant under the swaps of qubits 0, 1, 2
+    # and of 3, 4, but not between 2 and 3: the generator bound fails, and
+    # the adjacent-swap scan names that swap
+    rng = np.random.default_rng(90)
+    tau_a, tau_b = (states.random_symmetric_mixed(1, rng, rank=2).mat for _ in range(2))
+    broken = states.DensityMatrix(5, np.kron(np.kron(np.kron(tau_a, tau_a), np.kron(tau_a, tau_b)), tau_b))
+    pa, pb = tmp_path / "broken.json", tmp_path / "sym.json"
+    pa.write_text(io.dumps(io.density_to_dict(broken)))
+    pb.write_text(io.dumps(io.density_to_dict(states.random_symmetric_mixed(5, rng))))
+    code, out = run_cli(["equiv-mixed", str(pa), str(pb)], monkeypatch, capsys)
+    assert code == 3
+    assert "first state is not permutation invariant: swapping qubits 2 and 3 moves it by" in json.loads(out)["error"]
+
+
 def test_equiv_mixed_decides_one_qubit_pairs(tmp_path, monkeypatch, capsys):
     rng = np.random.default_rng(210)
     rho = states.random_symmetric_mixed(1, rng, rank=2)

@@ -617,6 +617,106 @@ def test_permutation_invariance_is_required():
         mixed.lu_equivalent_mixed(sym, rho)
 
 
+def reference_defect(rho, tol):
+    """The adjacent-swap scan: (k, deviation) of the first swap of qubits k, k + 1 moving rho by more than tol."""
+    n = rho.n
+    tensor = rho.mat.reshape((2,) * (2 * n))
+    for k in range(n - 1):
+        perm = list(range(n))
+        perm[k], perm[k + 1] = perm[k + 1], perm[k]
+        moved = np.transpose(tensor, perm + [n + p for p in perm]).reshape(rho.mat.shape)
+        dev = float(np.max(np.abs(moved - rho.mat)))
+        if dev > tol:
+            return k, dev
+    return None
+
+
+def added_perturbation(n, kind, rng):
+    """A Hermitian, traceless perturbation of n qubits with largest entry 1.
+
+    "bump": one random off-diagonal entry and its mirror.  "cyclic": that
+    bump at every cyclic image of its entry, which the cyclic shift leaves
+    in place and the swaps do not.  "ramp" (n >= 2): the antisymmetric pair
+    terms a_j (X_j Z_j+1 - Z_j X_j+1) around the ring, a_j = min(j, n - j),
+    so the swap defects grow away from qubit 0 while the shift changes each
+    a_j by 1: the 2 min(k, n - k) delta_c term of the generator bound is needed.
+    """
+    dim = 1 << n
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    if kind == "ramp":
+        x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+
+        def pair(j, first, second):
+            ops = [np.eye(2)] * n
+            ops[j], ops[(j + 1) % n] = first, second
+            return functools.reduce(np.kron, ops)
+
+        for j in range(n):
+            out += min(j, n - j) * (pair(j, x, z) - pair(j, z, x))
+    else:
+        i = int(rng.integers(dim))
+        j = (i + 1 + int(rng.integers(dim - 1))) % dim
+        value = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        for shift in range(n if kind == "cyclic" else 1):
+            a, b = (((x << shift) | (x >> (n - shift))) & (dim - 1) for x in (i, j))
+            out[a, b] += value
+            out[b, a] += value.conjugate()
+    return out / np.max(np.abs(out))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    n=st.sampled_from(range(8, 0, -1)),
+    seed=st.integers(0, 2**32 - 1),
+    source=st.sampled_from(["rank1", "rank2", "rank3", "full_rank", "mixed_with_identity"]),
+    perturbation=st.sampled_from(["none", "rz", "bump", "cyclic", "ramp"]),
+    tol=st.sampled_from([DEFAULT_TOLERANCES.equality, DEFAULT_TOLERANCES.hermiticity * 10]),
+)
+def test_permutation_defect_matches_the_adjacent_swap_scan(n, seed, source, perturbation, tol):
+    # the generator bound decides only when every swap passes; whatever it
+    # reads, the answer is the scan's, deviation and all, for perturbations
+    # that move the state by a log-uniform factor of tol either way
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    if source == "full_rank":
+        mat = full_rank_invariant(n, rng).mat
+    else:
+        rank = {"rank1": 1, "rank2": 2}.get(source, 3)
+        mat = states.random_symmetric_mixed(n, rng, rank=rank).mat
+    added = perturbation in ("bump", "cyclic") or (perturbation == "ramp" and n >= 2)
+    if source == "mixed_with_identity" or added:
+        # the identity fills the blocks with m_j > 1, and keeps an added Hermitian perturbation PSD
+        p = rng.uniform(0.2, 0.8)
+        mat = p * mat + (1 - p) * np.eye(dim) / dim
+    size = tol * 10 ** rng.uniform(-1, 1)
+    if perturbation == "rz":
+        factors = [np.eye(2, dtype=np.complex128)] * n
+        factors[rng.integers(n)] = states.rz(size)
+        mat = states.conjugate_local(tuple(factors), mat)
+    elif added:
+        mat = mat + size * added_perturbation(n, perturbation, rng)
+    rho = states.DensityMatrix(n, mat)
+    assert states.permutation_defect(rho, tol) == reference_defect(rho, tol)
+
+
+def test_an_invariant_state_is_certified_without_a_permuted_copy(monkeypatch):
+    rng = np.random.default_rng(7)
+    invariant = full_rank_invariant(7, rng)
+    calls = []
+    permuted = states._permuted
+    monkeypatch.setattr(states, "_permuted", lambda *args: calls.append(args) or permuted(*args))
+    assert states.permutation_defect(invariant) is None
+    assert states.is_permutation_invariant(invariant)
+    assert calls == []
+    # a defect still comes from the scan, which names the first failing swap
+    factors = [np.eye(2, dtype=np.complex128)] * 7
+    factors[4] = states.rz(1e-3)
+    broken = states.DensityMatrix(7, states.conjugate_local(tuple(factors), invariant.mat))
+    k, dev = states.permutation_defect(broken)
+    assert k == 3 and dev > 1e-8
+    assert calls
+
+
 def test_small_n_is_rejected():
     rho = states.to_density(states.ghz(2))
     with pytest.raises(DomainError):

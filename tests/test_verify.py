@@ -266,7 +266,8 @@ def test_sample_stabilizer_requires_permutation_invariance():
     vec = np.zeros(8, dtype=np.complex128)
     vec[1] = 1.0
     rho = states.DensityMatrix(3, np.outer(vec, vec.conj()))
-    with pytest.raises(DomainError):
+    # |001> is fixed by the swap of qubits 0 and 1, and moved by that of 1 and 2
+    with pytest.raises(DomainError, match="permutation-invariant state: swapping qubits 1 and 2 moves it by 1$"):
         verify.sample_stabilizer(rho)
 
 
