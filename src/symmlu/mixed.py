@@ -33,13 +33,16 @@ for psi psi^+ and itself, from that one frame.
 
 The candidate with the least block distance is reported as equivalent only
 after a dense re-check of || g^{(x)n} rho g^{(x)n +} - sigma ||_F, by
-states.conjugate_local on the 2^n x 2^n matrices.  Cheap g^{(x)n}
-invariants run first and give certified negatives (_spectrum_mismatch): the
-global spectrum, read off the spin blocks (SpinBlocks.spectrum, no 2^n
-eigensolve), then the 1-qubit reduced spectrum and, from n = 3 on, the
-2-qubit one, which tells GHZ_4 ({1/2, 1/2, 0, 0}) from Dicke_4,2
-({2/3, 1/6, 1/6, 0}); both are partial traces of the dense matrix.  Any
-other miss is undecided, never a proof of inequivalence.
+states.conjugate_local on the 2^n x 2^n matrices.  The block distance turns
+rho's form by the direct sum of the D^j(g), built as one block-diagonal
+product (SpinBlocks.rep).  Cheap g^{(x)n} invariants run first and give
+certified negatives (_spectrum_mismatch): the global spectra, read off the
+stacked block forms of both states with one eigensolve per spin
+(SpinBlocks.spectrum, no 2^n eigensolve), then the 1-qubit reduced
+spectrum and, from n = 3 on, the 2-qubit one, which tells GHZ_4
+({1/2, 1/2, 0, 0}) from Dicke_4,2 ({2/3, 1/6, 1/6, 0}); both are partial
+traces of the dense matrix.  Any other miss is undecided, never a proof of
+inequivalence.
 
 The decision has one setting, the acceptance threshold on D
 (default_threshold(n) = 1e-7 2^(n/2) unless given), and every result
@@ -427,7 +430,8 @@ def lu_equivalent_mixed(
 
     threshold bounds the distance D of an equivalence (default_threshold(n)
     when None).  Both states are compressed to their spin blocks before the
-    spectrum prefilter, which takes the global spectra off them.
+    spectrum prefilter, which takes both global spectra off them in one
+    stacked call.
     """
     thresh = checked(threshold, default_threshold(rho.n), "threshold")
     if rho.n != sigma.n:
@@ -446,7 +450,7 @@ def lu_equivalent_mixed(
             raise DomainError(f"{name} is not permutation invariant: {swap}")
     blocks = states.spin_blocks(n)
     rho_b, sigma_b = blocks.compress(rho), blocks.compress(sigma)
-    if (mismatch := _spectrum_mismatch(rho, sigma, blocks.spectrum(rho_b), blocks.spectrum(sigma_b))) is not None:
+    if (mismatch := _spectrum_mismatch(rho, sigma, *blocks.spectrum(np.stack([rho_b, sigma_b])))) is not None:
         return MixedEquivalenceResult("inequivalent_spectrum", None, None, thresh, mismatch)
 
     candidates, frame, _ = frame_candidates(rho_b, sigma_b, blocks)

@@ -414,7 +414,7 @@ def symmetric_power(g: np.ndarray, n: int) -> np.ndarray:
     Jin, PRE 92, 043307 (2015)), which keeps every entry accurate to roundoff
     at any n.  A g that is not unitary raises DomainError.
     """
-    return _wigner_d(_euler_angles(g), n).reshape(np.shape(g)[:-2] + (n + 1, n + 1))
+    return _wigner_d(g, n, *_jy_eigenbasis(n))
 
 
 def _euler_angles(g: np.ndarray) -> list:
@@ -438,22 +438,22 @@ def _euler_angles(g: np.ndarray) -> list:
     return euler
 
 
-def _euler_phases(euler: list, n: int) -> tuple:
-    """(s^n e^{-i alpha m}, e^{i beta m}, e^{-i gamma m}), each (K, n+1), of K elements given by their _euler_angles.
+def _euler_phases(g: np.ndarray, n: int, m: np.ndarray) -> tuple:
+    """(s^n e^{-i alpha m}, e^{i beta m}, e^{-i gamma m}), each (K, len(m)), of g or a (K, 2, 2) stack of g.
 
-    D^{n/2} is diag(first) V diag(second) V^+ diag(third), V of _jy_eigenbasis:
-    J_y's eigenvalues, in ascending order, are -m.
+    On a J_y eigenbasis (V, V^+, m), J_y = V diag(-m) V^+ (_jy_eigenbasis),
+    g^{(x)n} is diag(first) V diag(second) V^+ diag(third).
     """
-    factors = np.array([(root**n, *slopes) for root, *slopes in euler], dtype=np.complex128).reshape(-1, 4)
-    turns = np.exp(factors[:, 1:, None] * _jy_eigenbasis(n)[2])
+    factors = np.array([(root**n, *slopes) for root, *slopes in _euler_angles(g)], dtype=np.complex128).reshape(-1, 4)
+    turns = np.exp(factors[:, 1:, None] * m)
     return factors[:, :1] * turns[:, 0], turns[:, 1], turns[:, 2]
 
 
-def _wigner_d(euler: list, n: int) -> np.ndarray:
-    """The (K, n+1, n+1) stack of D^{n/2} of K elements given by their _euler_angles."""
-    left, mid, right = _euler_phases(euler, n)
-    vecs, vecs_h, _ = _jy_eigenbasis(n)
-    return (left[:, :, None] * vecs * mid[:, None, :]) @ (vecs_h * right[:, None, :])
+def _wigner_d(g: np.ndarray, n: int, vecs: np.ndarray, vecs_h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """g^{(x)n} of n qubits on the columns of a J_y eigenbasis (V, V^+, m): one matrix, or a (K, d, d) stack."""
+    left, mid, right = _euler_phases(g, n, m)
+    out = (left[:, :, None] * vecs * mid[:, None, :]) @ (vecs_h * right[:, None, :])
+    return out.reshape(np.shape(g)[:-2] + vecs.shape)
 
 
 def symmetric_power_apply(g: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -466,8 +466,8 @@ def symmetric_power_apply(g: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     n = coeffs.size - 1
-    left, mid, right = _euler_phases(_euler_angles(g), n)
-    vecs, vecs_h, _ = _jy_eigenbasis(n)
+    vecs, vecs_h, m = _jy_eigenbasis(n)
+    left, mid, right = _euler_phases(g, n, m)
     out = left * ((mid * ((right * coeffs) @ vecs_h.T)) @ vecs.T)
     return out.reshape(np.shape(g)[:-2] + (n + 1,))
 
@@ -621,11 +621,17 @@ class SpinBlocks:
     g^{(x)n} is the direct sum of D^j(g) (x) 1, so
     || g^{(x)n} rho g^{(x)n +} - sigma ||^2 = sum_j m_j || D^j rho_j D^j+ - sigma_j ||^2.
     Block j's columns are |j, m> for m = j, j - 1, ..., -j, the Dicke basis of
-    2j qubits, so D^j(g) = symmetric_power(g, 2j).  The forms are
+    2j qubits, so D^j(g) is symmetric_power(g, 2j) up to the phase
+    det(g)^{n/2 - j} of the n - 2j qubits outside them.  The forms are
     d x d, d = sum_j (2j + 1): slices[b] indexes block b, and weight[a, c] is
     m_j when columns a and c both lie in block j and 0 otherwise.  turns holds
     m_a - m_c + n for the entries (a, c) of a form, flattened: rz(phi) turns
     entry (a, c) by e^{-i q phi}, q = m_a - m_c (mixed._best_turn bins by q + n).
+
+    eigenbasis is (V, V^+, m) for the block-diagonal V whose block j is
+    _jy_eigenbasis(2j)'s and the m of every column, so rep builds the whole
+    direct sum of D^j(g) as one product of symmetric_power's form, with exact
+    zeros off the blocks; one block shares _jy_eigenbasis(n)'s arrays.
 
     Only compress needs basis, the 2^n x d columns spanning one copy of each
     block (spin_blocks(n) has all of them).  A symmetric pure state psi is
@@ -640,19 +646,23 @@ class SpinBlocks:
     slices: tuple = field(init=False)
     weight: np.ndarray = field(init=False)
     turns: np.ndarray = field(init=False)
+    eigenbasis: tuple = field(init=False)
 
     def __post_init__(self):
         sizes = [round(2 * j) + 1 for j in self.spins]
-        ends = np.cumsum(sizes)
-        slices = tuple(slice(int(end - size), int(end)) for end, size in zip(ends, sizes))
+        slices = tuple(slice(int(end - size), int(end)) for end, size in zip(np.cumsum(sizes), sizes))
         block = np.repeat(np.arange(len(sizes)), sizes)
-        per_block = np.array(self.mults, float)[block]
-        weight = np.where(block[:, None] == block[None, :], per_block[:, None], 0.0)
-        mz = np.concatenate([j - np.arange(size) for j, size in zip(self.spins, sizes)])
-        turns = np.rint(mz[:, None] - mz[None, :]).astype(int).ravel() + self.n
+        same = block[:, None] == block[None, :]
+        parts = [_jy_eigenbasis(size - 1) for size in sizes]
+        eigenbasis, m = parts[0], np.concatenate([part[2] for part in parts])  # one block shares the cached arrays
+        if len(parts) > 1:
+            vecs = np.zeros(same.shape, dtype=np.complex128)
+            vecs[same] = np.concatenate([part[0].ravel() for part in parts])  # row-major: block by block
+            eigenbasis = (_freeze(vecs), _freeze(vecs.conj().T), _freeze(m))
         object.__setattr__(self, "slices", slices)
-        object.__setattr__(self, "weight", _freeze(weight))
-        object.__setattr__(self, "turns", _freeze(turns))
+        object.__setattr__(self, "weight", _freeze(np.where(same, np.array(self.mults, float)[block][:, None], 0.0)))
+        object.__setattr__(self, "turns", _freeze(np.rint(m[:, None] - m).astype(int).ravel() + self.n))
+        object.__setattr__(self, "eigenbasis", eigenbasis)
 
     def compress(self, rho: DensityMatrix) -> np.ndarray:
         """The d x d block form basis^+ rho basis, whose blocks are the rho_j."""
@@ -663,12 +673,13 @@ class SpinBlocks:
         return self.basis.T @ rho.mat @ self.basis
 
     def rep(self, g: np.ndarray) -> np.ndarray:
-        """g^{(x)n} on the blocks: the sum of symmetric_power(g, 2j), exact on SU(2), else up to phases."""
-        out = np.zeros(self.weight.shape, dtype=np.complex128)
-        euler = _euler_angles(g)  # once for every block
-        for sl in self.slices:
-            out[sl, sl] = _wigner_d(euler, sl.stop - sl.start - 1)[0]
-        return out
+        """g^{(x)n} on the blocks, the direct sum of the D^j(g), for any 2x2 unitary g or a (K, 2, 2) stack.
+
+        One product s^n diag(e^{-i alpha m}) V diag(e^{i beta m}) V^+
+        diag(e^{-i gamma m}) on eigenbasis (V, V^+, m), the body of
+        symmetric_power, which it equals bit for bit on one block.
+        """
+        return _wigner_d(g, self.n, *self.eigenbasis)
 
     def rotate(self, g: np.ndarray, form: np.ndarray) -> np.ndarray:
         """The block form of g^{(x)n} rho g^{(x)n +} from that of rho."""
@@ -680,16 +691,18 @@ class SpinBlocks:
         diff = np.abs(self.rotate(g, form) - target)
         return float(np.sqrt(np.sum(self.weight * diff * diff)))
 
-    def spectrum(self, form: np.ndarray) -> np.ndarray:
-        """The eigenvalues of the state, descending: those of each block rho_j, repeated m_j times.
+    def spectrum(self, forms: np.ndarray) -> np.ndarray:
+        """The eigenvalues of each state of a (..., d, d) stack of forms, descending: those of each rho_j, m_j times.
 
         g^{(x)n} moves block j's basis copy by D^j(g), so each block's
         spectrum is an exact g^{(x)n} invariant of any input; for a
-        permutation-invariant rho the union is rho's whole spectrum, from
-        eigensolves of at most (n + 1) x (n + 1).
+        permutation-invariant rho the union is rho's whole spectrum.  One
+        eigensolve per spin, of at most (n + 1) x (n + 1), takes that block of
+        every form in the stack, and each form's spectrum is the same, bit for
+        bit, as alone.
         """
-        parts = [np.tile(np.linalg.eigvalsh(form[sl, sl]), m) for sl, m in zip(self.slices, self.mults)]
-        return np.sort(np.concatenate(parts))[::-1]
+        values = np.concatenate([np.linalg.eigvalsh(forms[..., sl, sl]) for sl in self.slices], axis=-1)
+        return np.sort(np.repeat(values, np.diagonal(self.weight).astype(int), axis=-1), axis=-1)[..., ::-1]
 
     def multipole(self, form: np.ndarray, block: int, k: int) -> np.ndarray:
         """Rank-k multipole v_q = tr(T_kq^+ rho_j), q = k..-k, of one block of a form.

@@ -13,6 +13,7 @@ from pathlib import Path
 import symmlu
 
 SCRIPT = """
+import functools
 import sys
 import numpy as np
 import symmlu
@@ -38,6 +39,13 @@ assert verify.lu_equivalent_pure_bruteforce(psi, phi) is not None
 rho = states.random_symmetric_mixed(2, rng, rank=2)
 u = states.LocalUnitary((states.random_su2(rng), states.random_su2(rng)))
 assert mixed.two_factor_search(rho, states.apply_lu(u, rho)).status == "equivalent"
+
+# tau^(x)5 fills all three spin blocks (5/2, 3/2, 1/2): one block-diagonal D(g), both states' block spectra in one stack
+tau = states.random_symmetric_mixed(1, rng, rank=2).mat
+power = functools.reduce(np.kron, [tau] * 5)
+rho = states.DensityMatrix(5, 0.5 * power + 0.5 * states.random_symmetric_mixed(5, rng, rank=3).mat)
+g = states.LocalUnitary.uniform(states.random_su2(rng), 5)
+assert mixed.lu_equivalent_mixed(rho, states.apply_lu(g, rho)).status == "equivalent"
 
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """

@@ -521,6 +521,61 @@ def test_spin_blocks_without_a_basis_derive_slices_and_weights():
     assert blocks.distance(g, form, target) < 1e-12
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 10), phase=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
+def test_spin_block_rep_is_the_tensor_power_of_any_u2_element(n, phase, seed):
+    g = np.exp(1j * phase) * states.random_su2(np.random.default_rng(seed))
+    blocks = states.spin_blocks(n)
+    rep = blocks.rep(g)
+    want = blocks.basis.T @ states.LocalUnitary.uniform(g, n).matrix() @ blocks.basis
+    assert np.max(np.abs(rep - want)) < 1e-12
+    assert np.all(rep[blocks.weight == 0] == 0)  # one product for every block, exact zeros between them
+
+
+def test_spin_block_rep_gives_every_block_the_phase_of_the_tensor_power():
+    # (i I)^{(x)n} is i^n on every block, the spin-1 block of 4 qubits included
+    for n, phase in ((4, 1), (5, 1j), (6, -1)):
+        rep = states.spin_blocks(n).rep(1j * np.eye(2))
+        assert np.max(np.abs(rep - phase * np.eye(len(rep)))) < 1e-14
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 64), count=st.integers(1, 4), phase=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
+def test_one_block_rep_is_symmetric_power_bit_for_bit(n, count, phase, seed):
+    rng = np.random.default_rng(seed)
+    gs = np.array([np.exp(1j * phase) * states.random_su2(rng) for _ in range(count)])
+    blocks = states.pure_blocks(n)
+    assert blocks.eigenbasis is states._jy_eigenbasis(n)  # shared with symmetric_power, not copied
+    assert np.array_equal(blocks.rep(gs[0]), states.symmetric_power(gs[0], n))
+    assert np.array_equal(blocks.rep(gs), states.symmetric_power(gs, n))
+
+
+def _spectrum_test_state(family, n, rng):
+    if family == "full_rank":  # p tau^{(x)n} + (1 - p) rho_sym: every spin block filled
+        power = functools.reduce(np.kron, [states.random_symmetric_mixed(1, rng, rank=2).mat] * n)
+        p = rng.uniform(0.2, 0.8)
+        return states.DensityMatrix(n, p * power + (1 - p) * states.random_symmetric_mixed(n, rng).mat)
+    if family == "maximally_mixed":  # each block j is a multiple of 1, repeated m_j times
+        p = rng.uniform(0.2, 0.8)
+        return states.DensityMatrix(n, p * states.random_symmetric_mixed(n, rng).mat + (1 - p) * np.eye(2**n) / 2**n)
+    return states.random_symmetric_mixed(n, rng, rank=family)
+
+
+_SPECTRUM_FAMILIES = st.sampled_from([1, 2, 3, "full_rank", "maximally_mixed"])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), first=_SPECTRUM_FAMILIES, second=_SPECTRUM_FAMILIES, seed=st.integers(0, 2**32 - 1))
+def test_stacked_spectra_are_each_forms_own_bit_for_bit(n, first, second, seed):
+    rng = np.random.default_rng(seed)
+    blocks = states.spin_blocks(n)
+    forms = [blocks.compress(_spectrum_test_state(family, n, rng)) for family in (first, second)]
+    stacked = blocks.spectrum(np.stack(forms))
+    assert stacked.shape == (2, 2**n)
+    for got, form in zip(stacked, forms):
+        assert np.array_equal(got, blocks.spectrum(form))
+
+
 @pytest.mark.parametrize("n", [0, 13])
 def test_spin_blocks_reject_sizes_outside_the_dense_range(n):
     with pytest.raises(DomainError):
