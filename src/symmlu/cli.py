@@ -270,6 +270,7 @@ def _run_equiv_mixed(args) -> int:
 
 def _run_verify(args) -> int:
     psi = io.state_from_dict(io.load_json(args.path))
+    verify.check_dense_cap(psi.n)
     rho = states.to_density(psi)
     witnesses = verify.sample_stabilizer(rho, verify.StabilizerSearchConfig(grid=args.search_grid))
     out = {

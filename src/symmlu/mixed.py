@@ -140,7 +140,7 @@ class SpectraReport:
 def spectra_report(rho: states.DensityMatrix) -> SpectraReport:
     """The global spectrum, from a dense eigensolve of the 2^n x 2^n matrix, and qubit 0's reduced spectrum."""
     return SpectraReport(
-        tuple(float(v) for v in _dense_spectrum(rho)), tuple(float(v) for v in _reduced_spectrum(rho, 0))
+        tuple(float(v) for v in _dense_spectrum(rho)), tuple(float(v) for v in _reduced_spectrum(rho, (0,)))
     )
 
 
@@ -148,18 +148,15 @@ def _dense_spectrum(rho: states.DensityMatrix) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(rho.mat))[::-1]
 
 
-def _reduced_spectrum(rho: states.DensityMatrix, k: int) -> np.ndarray:
-    """Spectrum of qubit k's reduced state, in descending order."""
-    return np.sort(np.linalg.eigvalsh(states.reduced_1qubit(rho, k)))[::-1]
-
-
-def _two_qubit_spectrum(rho: states.DensityMatrix) -> np.ndarray:
-    """Spectrum of the reduced state of qubits 0 and 1, traced down from the (2,)*2n tensor."""
-    n = rho.n
-    rows = list(range(n))
-    cols = [n, n + 1] + rows[2:]
-    red = np.einsum(rho.mat.reshape((2,) * (2 * n)), rows + cols, [0, 1, n, n + 1])
-    return np.sort(np.linalg.eigvalsh(red.reshape(4, 4)))[::-1]
+def _reduced_spectrum(rho: states.DensityMatrix, qubits: tuple) -> np.ndarray:
+    """Spectrum of the reduced state of the given qubits, in descending order, traced down from the (2,)*2n tensor."""
+    n, kept = rho.n, range(rho.n, rho.n + len(qubits))
+    cols = list(range(n))
+    for k, c in zip(qubits, kept):
+        cols[k] = c
+    red = np.einsum(rho.mat.reshape((2,) * (2 * n)), list(range(n)) + cols, [*qubits, *kept])
+    d = 1 << len(qubits)
+    return np.sort(np.linalg.eigvalsh(red.reshape(d, d)))[::-1]
 
 
 def _spectrum_mismatch(rho, sigma, global_rho: np.ndarray, global_sigma: np.ndarray) -> str | None:
@@ -174,11 +171,11 @@ def _spectrum_mismatch(rho, sigma, global_rho: np.ndarray, global_sigma: np.ndar
 
     def checks():
         yield global_rho, global_sigma, "global eigenvalue multisets differ"
-        yield _reduced_spectrum(rho, 0), _reduced_spectrum(sigma, 0), "1-qubit reduced spectra differ"
+        yield _reduced_spectrum(rho, (0,)), _reduced_spectrum(sigma, (0,)), "1-qubit reduced spectra differ"
         if rho.n == 2:
-            yield _reduced_spectrum(rho, 1), _reduced_spectrum(sigma, 1), "1-qubit reduced spectra differ"
+            yield _reduced_spectrum(rho, (1,)), _reduced_spectrum(sigma, (1,)), "1-qubit reduced spectra differ"
         elif rho.n >= 3:
-            yield _two_qubit_spectrum(rho), _two_qubit_spectrum(sigma), "2-qubit reduced spectra differ"
+            yield _reduced_spectrum(rho, (0, 1)), _reduced_spectrum(sigma, (0, 1)), "2-qubit reduced spectra differ"
 
     for ea, eb, detail in checks():
         if float(np.max(np.abs(np.subtract(ea, eb)))) > _SPECTRUM_TOL:

@@ -1,9 +1,10 @@
 """Lattice search: scan an objective on a product lattice, pick starts, refine.
 
 The lattice serves only the dense oracles: blind identical-tuple stabilizer
-sampling and brute-force pure equivalence scan an Euler lattice, take its
-lowest local minima (lowest_minima) and refine them by damped Gauss-Newton
-(gauss_newton, Levenberg-Marquardt).  They differ only in when they stop.
+sampling and brute-force pure equivalence both run euler_descent, which
+scans an Euler lattice, takes its lowest local minima (lowest_minima) and
+refines them by damped Gauss-Newton (gauss_newton, Levenberg-Marquardt).
+They differ only in when they stop.
 (The diagonal-phase stabilizer needs no search: verify solves it exactly.)
 The n = 2 two-factor mixed search takes its starts from the frames of the
 correlation matrices, with no lattice, and refines them here too.
@@ -30,10 +31,10 @@ from . import _kernels
 __all__ = [
     "lattice",
     "euler_lattice",
-    "euler_scan",
     "local_minima",
     "lowest_minima",
     "gauss_newton",
+    "euler_descent",
     "best",
 ]
 
@@ -48,33 +49,6 @@ def euler_lattice(grid: int) -> np.ndarray:
     """ZYZ Euler triples (alpha, beta, gamma): periodic alpha, gamma; beta in [0, pi]."""
     turn = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
     return lattice(turn, np.linspace(0.0, math.pi, grid), turn)
-
-
-def euler_scan(factor, target_factor, n: int, grid: int):
-    """Euler lattice, D on it, and the least-squares model of D^2; D = || g^{(x)n} V V^+ g^{(x)n +} - W W^+ ||.
-
-    factor V (2^n, r) and target_factor W (2^n, s) are factors of the two
-    states, W's columns orthogonal: _kernels.density_factor of a density
-    matrix, or a pure state's vector as its one column.  The model maps
-    SU(2) elements (B, 2, 2) to (f2, grad, gn) in left steps
-    (_kernels.su2_left_step), as gauss_newton takes it.  The oracles' form
-    of the scan.  The lattice is a product of grid alpha and grid^2
-    distinct (beta, gamma), and _kernels.conj_distance_batch scores it as
-    that (beta, gamma) x alpha table, one entry a point: it turns V once for
-    each pair and splits it into Hamming-weight classes against W,
-    Y_w = W_w^+ B_w.  Each alpha is one phase a class, broadcast over the
-    pair's row, so a point costs (n + 1) s r products:
-    D^2 = S - 2 ||sum_w e^{-i alpha (n/2 - w)} Y_w||^2, S = ||V V^+||^2 + ||W W^+||^2.
-    Points with D^2 < S / 16, where that difference cancels, are scored
-    again by the non-cancelling (r + s) r 2^n form; above it the difference
-    is off in D by at most 2 e sqrt(S) for terms rounded to e.
-    """
-    points = euler_lattice(grid)
-
-    def model(gs):
-        return _kernels.conj_gauss_newton(gs, factor, target_factor, n)
-
-    return points, _kernels.conj_distance_batch(points, factor, target_factor, n), model
 
 
 def local_minima(vals: np.ndarray, wrap: tuple) -> np.ndarray:
@@ -179,6 +153,40 @@ def gauss_newton(model, step, starts, stop_f2: float = -math.inf, rows: int | No
         if f2.min() <= stop_f2:
             break
     return out
+
+
+def euler_descent(
+    factor, target_factor, n: int, grid: int, count: int, stop_f2: float = -math.inf, rows: int | None = None
+) -> list:
+    """The oracles' search of D = || g^{(x)n} V V^+ g^{(x)n +} - W W^+ || over SU(2); gauss_newton's (g, D^2) list.
+
+    factor V (2^n, r) and target_factor W (2^n, s) are factors of the two
+    states, W's columns orthogonal: _kernels.density_factor of a density
+    matrix, or a pure state's vector as its one column.  D is scored on the
+    grid^3 Euler lattice (euler_lattice), the count lowest of its local
+    minima (alpha and gamma periodic) become SU(2) starts, and
+    gauss_newton refines them in left steps (_kernels.su2_left_step) on the
+    least-squares model of D^2 (_kernels.conj_gauss_newton), rows at a time
+    until one reaches stop_f2.  _kernels.conj_distance_batch scores the
+    lattice as a (beta, gamma) x alpha table, one entry a point: it turns V
+    once for each of the grid^2 distinct (beta, gamma) and splits it into
+    Hamming-weight classes against W, Y_w = W_w^+ B_w.  Each alpha is one
+    phase a class, broadcast over the pair's row, so a point costs
+    (n + 1) s r products:
+    D^2 = S - 2 ||sum_w e^{-i alpha (n/2 - w)} Y_w||^2, S = ||V V^+||^2 + ||W W^+||^2.
+    Points with D^2 < S / 16, where that difference cancels, are scored
+    again by the non-cancelling (r + s) r 2^n form; above it the difference
+    is off in D by at most 2 e sqrt(S) for terms rounded to e.
+    """
+    points = euler_lattice(grid)
+    dists = _kernels.conj_distance_batch(points, factor, target_factor, n)
+    minima = lowest_minima(dists.reshape((grid,) * 3), (0, 2), count)
+
+    def model(gs):
+        return _kernels.conj_gauss_newton(gs, factor, target_factor, n)
+
+    starts = _kernels.euler_su2_batch(points[minima])
+    return gauss_newton(model, _kernels.su2_left_step, starts, stop_f2, rows)
 
 
 def best(results) -> tuple:

@@ -73,6 +73,7 @@ from .mixed import SpectraReport, default_threshold, spectra_report
 
 __all__ = [
     "DENSE_ORACLE_CAP",
+    "check_dense_cap",
     "StabilizerWitness",
     "StabilizerSearchConfig",
     "SpectraReport",
@@ -95,7 +96,8 @@ _CHUNK_ENTRIES = 1 << 14
 _BRUTEFORCE_GRID, _BRUTEFORCE_STARTS, _BRUTEFORCE_ROUND = 12, 40, 8
 
 
-def _cap(n: int):
+def check_dense_cap(n: int) -> None:
+    """DomainError for n > DENSE_ORACLE_CAP; callers run it before any 2^n array is built."""
     if n > DENSE_ORACLE_CAP:
         raise DomainError(f"dense oracles are capped at n <= {DENSE_ORACLE_CAP}, got {n}")
 
@@ -185,10 +187,7 @@ def _projective_keys(stack: np.ndarray, resolution: float) -> np.ndarray:
 
 def _identical_witnesses(factor, n: int, cfg) -> np.ndarray:
     """g (A, 2, 2) of the refined lattice starts whose g^{(x)n} moves V V^+ by at most _WITNESS_TOL."""
-    lattice, dists, model = search.euler_scan(factor, factor, n, cfg.grid)
-    minima = search.lowest_minima(dists.reshape((cfg.grid,) * 3), (0, 2), cfg.max_descents)
-    starts = _kernels.euler_su2_batch(lattice[minima])
-    results = search.gauss_newton(model, _kernels.su2_left_step, starts)
+    results = search.euler_descent(factor, factor, n, cfg.grid, cfg.max_descents)
     return np.array([x for x, f2 in results if math.sqrt(max(f2, 0.0)) <= _WITNESS_TOL]).reshape(-1, 2, 2)
 
 
@@ -316,7 +315,7 @@ def sample_stabilizer(
     if cfg is None:
         cfg = StabilizerSearchConfig()
     n = rho.n
-    _cap(n)
+    check_dense_cap(n)
     if (defect := states.permutation_defect(rho)) is not None:
         k, dev = defect
         raise DomainError(
@@ -512,6 +511,7 @@ def stabilizer_anomalies(
     distance).
     """
     _require("stabilizer_anomalies", psi, states.SymmetricPureState, "sample_stabilizer takes a density matrix")
+    check_dense_cap(psi.n)
     if cfg is None:
         cfg = StabilizerSearchConfig()
     if result is None:
@@ -532,7 +532,7 @@ def lu_equivalent_pure_bruteforce(psi: states.SymmetricPureState, phi: states.Sy
     the lowest lattice minima by damped Gauss-Newton, _BRUTEFORCE_ROUND at
     a time, until one reaches 0.01 threshold.  The threshold is
     default_threshold(n).  The projectors are never formed: the 2^n vectors
-    of psi and phi are their factors (search.euler_scan).
+    of psi and phi are their factors (search.euler_descent).
     """
     for state in (psi, phi):
         _require(
@@ -540,19 +540,12 @@ def lu_equivalent_pure_bruteforce(psi: states.SymmetricPureState, phi: states.Sy
         )
     if psi.n != phi.n:
         raise DomainError(f"qubit counts differ: {psi.n} vs {phi.n}")
-    _cap(psi.n)
+    check_dense_cap(psi.n)
     n = psi.n
     threshold = default_threshold(n)
     vec, target = (states.expand(s).amps[:, None] for s in (psi, phi))
-    lattice, dists, model = search.euler_scan(vec, target, n, _BRUTEFORCE_GRID)
-    minima = search.lowest_minima(dists.reshape((_BRUTEFORCE_GRID,) * 3), (0, 2), _BRUTEFORCE_STARTS)
-    results = search.gauss_newton(
-        model,
-        _kernels.su2_left_step,
-        _kernels.euler_su2_batch(lattice[minima]),
-        stop_f2=(0.01 * threshold) ** 2,
-        rows=_BRUTEFORCE_ROUND,
-    )
+    stop_f2 = (0.01 * threshold) ** 2
+    results = search.euler_descent(vec, target, n, _BRUTEFORCE_GRID, _BRUTEFORCE_STARTS, stop_f2, _BRUTEFORCE_ROUND)
     best_g, best_f2 = search.best(results)
     if math.sqrt(max(best_f2, 0.0)) <= threshold:
         return best_g

@@ -536,7 +536,7 @@ def test_generic_lattice_rows_skip_the_2n_residual(monkeypatch):
     for _ in range(5):
         psi = states.random_symmetric(5, rng)
         vec, target = (states.expand(s).amps[:, None] for s in (psi, states.apply_diag_symmetric(g, psi)))
-        _, dists, _ = search.euler_scan(vec, target, 5, 12)
+        dists = _kernels.conj_distance_batch(search.euler_lattice(12), vec, target, 5)
         assert dists.min() ** 2 >= _kernels._RESCORE * 2.0
     assert sent == []
 
@@ -545,7 +545,7 @@ def test_a_self_scan_rescores_only_rows_below_the_cutoff(monkeypatch):
     corners = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
     vec = states.expand(majorana.points_to_state(corners)).amps[:, None]
     sent = _spy_on_the_residual(monkeypatch)
-    _, dists, _ = search.euler_scan(vec, vec, 4, 12)
+    dists = _kernels.conj_distance_batch(search.euler_lattice(12), vec, vec, 4)
     rows = np.concatenate(sent)
     scale = 2.0 * np.sum(np.abs(vec) ** 2) ** 2  # ||rho||^2 + ||T||^2
     below = dists**2 < _kernels._RESCORE * scale

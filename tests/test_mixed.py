@@ -464,6 +464,22 @@ def test_reduced_spectrum_prefilter():
     assert "reduced" in res.detail
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_reduced_spectra_are_the_partial_traces(n):
+    rng = np.random.default_rng(90 + n)
+    # independent factors on each qubit, so the qubits' reductions differ
+    u = states.LocalUnitary(tuple(states.random_su2(rng) for _ in range(n)))
+    rho = states.apply_lu(u, states.random_symmetric_mixed(n, rng, rank=3))
+    for k in range(n):
+        want = np.sort(np.linalg.eigvalsh(states.reduced_1qubit(rho, k)))[::-1]
+        assert np.array_equal(mixed._reduced_spectrum(rho, (k,)), want)  # bit for bit
+    # qubits 0 and 1 by an index sum over the rest
+    t = rho.mat.reshape(4, 1 << (n - 2), 4, 1 << (n - 2))
+    red = np.einsum("aibi->ab", t)
+    want = np.sort(np.linalg.eigvalsh(red))[::-1]
+    assert np.max(np.abs(mixed._reduced_spectrum(rho, (0, 1)) - want)) < 1e-14
+
+
 def test_two_qubit_spectra_certify_ghz4_against_dicke4():
     # same global {1, 0, ...} and 1-qubit {1/2, 1/2} spectra; the 2-qubit
     # reductions are {1/2, 1/2, 0, 0} and {2/3, 1/6, 1/6, 0}

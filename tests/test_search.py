@@ -95,15 +95,37 @@ def test_best_takes_the_first_lowest_result():
     assert search.best([]) == (None, math.inf)
 
 
-def test_euler_scan_objective_matches_the_lattice_values():
+def _model(factor, target_factor, n):
+    """The least-squares model of D^2 that euler_descent refines on."""
+    return lambda gs: _kernels.conj_gauss_newton(gs, factor, target_factor, n)
+
+
+def test_euler_descent_refines_the_lowest_lattice_minima_on_the_lattice_objective(monkeypatch):
     rng = np.random.default_rng(5)
-    rho = states.random_symmetric_mixed(3, rng).mat
-    target = states.random_symmetric_mixed(3, rng).mat
-    points, dists, model = search.euler_scan(_kernels.density_factor(rho), _kernels.density_factor(target), 3, 4)
-    assert np.array_equal(points, search.euler_lattice(4))
-    for i in (0, 17, 63):
-        f2 = model(_kernels.euler_su2_batch(points[i : i + 1]))[0][0]
-        assert math.sqrt(f2) == pytest.approx(dists[i], abs=1e-12)
+    factor = _kernels.density_factor(states.random_symmetric_mixed(3, rng).mat)
+    target = _kernels.density_factor(states.random_symmetric_mixed(3, rng).mat)
+    calls = []
+    refine = search.gauss_newton
+
+    def spy(model, step, starts, stop_f2, rows):
+        calls.append((model, starts, stop_f2, rows))
+        return refine(model, step, starts, stop_f2, rows)
+
+    monkeypatch.setattr(search, "gauss_newton", spy)
+    got = search.euler_descent(factor, target, 3, 4, 5, stop_f2=1e-3, rows=2)
+    [(model, starts, stop_f2, rows)] = calls
+    points = search.euler_lattice(4)
+    dists = _kernels.conj_distance_batch(points, factor, target, 3)
+    minima = search.lowest_minima(dists.reshape((4,) * 3), (0, 2), 5)
+    assert np.array_equal(starts, _kernels.euler_su2_batch(points[minima]))
+    assert (stop_f2, rows) == (1e-3, 2)
+    # the refined objective is the scanned one, on every lattice point
+    f2 = model(_kernels.euler_su2_batch(points))[0]
+    assert np.max(np.abs(np.sqrt(f2) - dists)) < 1e-12
+    refined = refine(_model(factor, target, 3), _kernels.su2_left_step, starts, 1e-3, 2)
+    assert len(got) == len(refined)
+    for (x, f2), (x_want, f2_want) in zip(got, refined):
+        assert np.array_equal(x, x_want) and f2 == f2_want
 
 
 def test_block_distance_matches_the_dense_scan():
@@ -112,7 +134,8 @@ def test_block_distance_matches_the_dense_scan():
     target = states.random_symmetric_mixed(4, rng)
     blocks = states.spin_blocks(4)
     rho_b, target_b = blocks.compress(rho), blocks.compress(target)
-    points, dense, _ = search.euler_scan(_kernels.density_factor(rho.mat), _kernels.density_factor(target.mat), 4, 4)
+    points = search.euler_lattice(4)
+    dense = _kernels.conj_distance_batch(points, _kernels.density_factor(rho.mat), _kernels.density_factor(target.mat), 4)
     block = [blocks.distance(_kernels.euler_su2(*x), rho_b, target_b) for x in points]
     assert np.max(np.abs(np.array(block) - dense)) < 1e-12
 
@@ -150,11 +173,11 @@ def _group_index(g, group):
 
 def test_refine_all_on_the_tetrahedron_lattice_minima():
     factor = _kernels.density_factor(_tetrahedron_rho())
-    points, dists, model = search.euler_scan(factor, factor, 4, 12)
-    starts = points[search.local_minima(dists.reshape((12,) * 3), wrap=(0, 2))]
-    assert len(starts) > 40
-    got = search.gauss_newton(model, _kernels.su2_left_step, _kernels.euler_su2_batch(starts))
-    assert len(got) == len(starts)
+    points = search.euler_lattice(12)
+    minima = search.local_minima(_kernels.conj_distance_batch(points, factor, factor, 4).reshape((12,) * 3), wrap=(0, 2))
+    assert len(minima) > 40
+    got = search.euler_descent(factor, factor, 4, 12, len(minima))  # every minimum, lowest first
+    assert len(got) == len(minima)
     assert max(f2 for _, f2 in got) < 1e-20  # every start reaches a stabilizer element
     group = _tetrahedral_group()
     reached = [_group_index(g, group) for g, _ in got]
@@ -167,7 +190,7 @@ def test_refinement_leaves_gimbal_lock(n):
     # beta = 0 rows of the Euler lattice, where Euler coordinates lose a
     # direction; the left steps do not, and reach rz(2 pi k / n) of GHZ_n
     factor = _kernels.density_factor(states.to_density(states.ghz(n)).mat)
-    _, _, model = search.euler_scan(factor, factor, n, 4)
+    model = _model(factor, factor, n)
     calls = [0]
 
     def counted(gs):
@@ -191,7 +214,7 @@ def test_refinement_leaves_gimbal_lock(n):
 def test_refinement_from_gimbal_lock_reaches_the_identity():
     rng = np.random.default_rng(34)
     vec = states.expand(states.random_symmetric(4, rng)).amps[:, None]  # a pure state's factor
-    _, _, model = search.euler_scan(vec, vec, 4, 4)
+    model = _model(vec, vec, 4)
     starts = np.array([[0.1, 0.0, -0.05], [0.2, 0.0, 0.0], [0.0, 0.0, -0.15]])
     for g, f2 in search.gauss_newton(model, _kernels.su2_left_step, _kernels.euler_su2_batch(starts)):
         assert math.sqrt(f2) <= 1e-12

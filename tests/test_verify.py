@@ -1,5 +1,6 @@
 """Brute-force dense oracles: stabilizer residuals, sampling, spectra."""
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from symmlu import _kernels, classify, majorana, mixed, search, states, verify
+from symmlu import _kernels, classify, cli, io, majorana, mixed, search, states, verify
 from symmlu.classify import StabilizerClass
 from symmlu.errors import DomainError
 
@@ -300,6 +301,28 @@ def test_dense_cap_blocks_large_n():
     psi = states.SymmetricPureState.from_unnormalized(coeffs)  # n = 11
     with pytest.raises(DomainError):
         verify.lu_equivalent_pure_bruteforce(psi, psi)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_the_dense_cap_refuses_before_a_dense_state_is_built(n, tmp_path, monkeypatch, capsys):
+    # symmlu verify built the 2^n x 2^n DensityMatrix, with its PSD eigensolve,
+    # before the cap refused it: 14.9 s and 805 MB at n = 12
+    psi = states.random_symmetric(n, np.random.default_rng(n))
+    path = tmp_path / "psi.json"
+    path.write_text(io.dumps(io.state_to_dict(psi)))
+
+    def refuse(*args):
+        raise AssertionError("a dense state was built past the cap")
+
+    monkeypatch.setattr(states, "to_density", refuse)
+    monkeypatch.setattr(states, "expand", refuse)
+    want = f"dense oracles are capped at n <= 10, got {n}"
+    with pytest.raises(DomainError, match=want):
+        verify.stabilizer_anomalies(psi)
+    with pytest.raises(DomainError, match=want):
+        verify.lu_equivalent_pure_bruteforce(psi, psi)
+    assert cli.main(["verify", str(path), "--class-check"]) == 3
+    assert json.loads(capsys.readouterr().out) == {"error": want}
 
 
 # ---------------------------------------------------------------------------
