@@ -39,6 +39,8 @@ import math
 
 import numpy as np
 
+from . import states
+
 __all__ = [
     "euler_su2",
     "euler_su2_batch",
@@ -209,7 +211,7 @@ def _conj_distance(angles, factor, target_factor, n: int) -> np.ndarray:
     alphas, alpha_of = np.unique(angles[:, 0], return_inverse=True)
     # (beta, gamma) read as one complex number: a 1-D unique, exact in every bit
     pairs, pair_of = np.unique(np.ascontiguousarray(angles[:, 1:]).view(np.complex128)[:, 0], return_inverse=True)
-    weight = _hamming_weight(n)
+    weight = states.basis_table(n)[1]
     classes = np.exp(-1j * alphas[:, None] * (0.5 * n - np.arange(n + 1)))  # (distinct alpha, n + 1)
     split = (np.conj(target.T) * (weight == np.arange(n + 1)[:, None, None])).reshape((n + 1) * cols, 1 << n)
     turns = euler_su2_batch(np.stack([np.zeros(len(pairs)), pairs.real, pairs.imag], axis=1))
@@ -273,28 +275,19 @@ def conj_distance_single(alpha, beta, gamma, factor, target_factor, n):
 def _bit_flips(n: int) -> tuple:
     """(flips, signs), each (n, 2^n), read-only: x with the bit of qubit k flipped, and 2 b_k(x) - 1.
 
-    Qubit k is bit n - 1 - k of the index, as in _on_every_qubit.
+    Qubit k is bit n - 1 - k of the index, as in _on_every_qubit; b_k(x) = states.basis_table(n)[0][x, k].
     """
-    index = np.arange(1 << n)
-    bits = (1 << (n - 1 - np.arange(n)))[:, None]
-    flips, signs = index ^ bits, np.where(index & bits, 1.0, -1.0)
+    flips = np.arange(1 << n) ^ (1 << (n - 1 - np.arange(n)))[:, None]
+    signs = np.where(states.basis_table(n)[0].T, 1.0, -1.0)
     flips.setflags(write=False)
     signs.setflags(write=False)
     return flips, signs
 
 
 @functools.lru_cache(maxsize=None)
-def _hamming_weight(n: int) -> np.ndarray:
-    """|x|, the number of set bits of each basis index x of n qubits, read-only."""
-    ones = np.count_nonzero(_bit_flips(n)[1] > 0, axis=0)
-    ones.setflags(write=False)
-    return ones
-
-
-@functools.lru_cache(maxsize=None)
 def _spin_z(n: int) -> np.ndarray:
     """Diagonal of J_z = sum_k sigma_z^(k) / 2 on n qubits, read-only: (n - 2|x|) / 2 at basis index x."""
-    jz = 0.5 * n - _hamming_weight(n)
+    jz = 0.5 * n - states.basis_table(n)[1]
     jz.setflags(write=False)
     return jz
 

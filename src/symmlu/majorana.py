@@ -234,11 +234,7 @@ def majorana_points(psi: states.SymmetricPureState, tol: float | None = None) ->
     """
     tol = checked(tol, DEFAULT_TOLERANCES.cluster)
     n = psi.n
-    c = psi.coeffs
-    a = np.array(
-        [(-1) ** k * math.sqrt(math.comb(n, k)) * c[k] for k in range(n + 1)],
-        dtype=np.complex128,
-    )
+    a = np.where(np.arange(n + 1) % 2, -1.0, 1.0) * states.binomial_roots(n) * psi.coeffs
     scale = np.linalg.norm(a)
     cut = DEFAULT_TOLERANCES.coeff_zero * scale
     lead = 0

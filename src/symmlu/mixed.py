@@ -149,14 +149,8 @@ def _dense_spectrum(rho: states.DensityMatrix) -> np.ndarray:
 
 
 def _reduced_spectrum(rho: states.DensityMatrix, qubits: tuple) -> np.ndarray:
-    """Spectrum of the reduced state of the given qubits, in descending order, traced down from the (2,)*2n tensor."""
-    n, kept = rho.n, range(rho.n, rho.n + len(qubits))
-    cols = list(range(n))
-    for k, c in zip(qubits, kept):
-        cols[k] = c
-    red = np.einsum(rho.mat.reshape((2,) * (2 * n)), list(range(n)) + cols, [*qubits, *kept])
-    d = 1 << len(qubits)
-    return np.sort(np.linalg.eigvalsh(red.reshape(d, d)))[::-1]
+    """Spectrum of the reduced state of the given qubits (states.reduced_density), in descending order."""
+    return np.sort(np.linalg.eigvalsh(states.reduced_density(rho, qubits)))[::-1]
 
 
 def _spectrum_mismatch(rho, sigma, global_rho: np.ndarray, global_sigma: np.ndarray) -> str | None:

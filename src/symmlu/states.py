@@ -35,6 +35,8 @@ __all__ = [
     "PAULI_Z",
     "POLE_FLIP",
     "weight",
+    "basis_table",
+    "binomial_roots",
     "complement",
     "phase_normalize",
     "phase_distance",
@@ -61,7 +63,7 @@ __all__ = [
     "SpinBlocks",
     "spin_blocks",
     "pure_blocks",
-    "reduced_1qubit",
+    "reduced_density",
     "random_su2",
     "random_local_unitary",
     "random_symmetric",
@@ -79,6 +81,26 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 def weight(index: int) -> int:
     """Number of 1 bits in a basis-string index."""
     return int(index).bit_count()
+
+
+@functools.lru_cache(maxsize=None)
+def basis_table(n: int) -> tuple:
+    """(bits, weights) of the 2^n basis strings of n qubits, read-only, built once per n.
+
+    bits[x, k] (int8) is qubit k's value in string x, qubit 0 the most
+    significant bit, and weights[x] = |x| is the Hamming weight of x.  Dense
+    like the 2^n vectors it indexes: n above DENSE_QUBIT_CAP raises DomainError.
+    """
+    if not 0 <= n <= DENSE_QUBIT_CAP:
+        raise DomainError(f"basis table blocked for n={n} outside 0..{DENSE_QUBIT_CAP}")
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return _freeze(bits.astype(np.int8)), _freeze(bits.sum(axis=1))
+
+
+@functools.lru_cache(maxsize=None)
+def binomial_roots(n: int) -> np.ndarray:
+    """sqrt(C(n, k)) for k = 0..n, read-only: the weight-k amplitudes of basis vector k are 1 / sqrt(C(n, k))."""
+    return _freeze([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
 
 
 def complement(index: int, n: int) -> int:
@@ -370,7 +392,7 @@ def symmetrize(vectors) -> SymmetricPureState:
         if nv == 0:
             raise DomainError("zero single-qubit vector")
         poly = np.convolve(poly, v / nv)
-    c = poly / np.sqrt([math.comb(n, k) for k in range(n + 1)])
+    c = poly / binomial_roots(n)
     return SymmetricPureState.from_unnormalized(c)
 
 
@@ -384,12 +406,7 @@ def expand(state: SymmetricPureState) -> PureState:
     n = state.n
     if n > DENSE_QUBIT_CAP:
         raise DomainError(f"dense expansion blocked for n={n} > cap={DENSE_QUBIT_CAP}")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    scale = np.array([1.0 / math.sqrt(math.comb(n, k)) for k in range(n + 1)])
-    for idx in range(1 << n):
-        k = weight(idx)
-        amps[idx] = state.coeffs[k] * scale[k]
-    return PureState(n, amps)
+    return PureState(n, (state.coeffs * (1.0 / binomial_roots(n)))[basis_table(n)[1]])
 
 
 def to_density(state) -> DensityMatrix:
@@ -412,9 +429,10 @@ def symmetric_power(g: np.ndarray, n: int) -> np.ndarray:
     with m = n/2 - k on basis vector k.  d(beta) = exp(-i beta J_y) is formed
     in the eigenbasis of J_y, diagonalised once per n (Feng, Wang, Yang and
     Jin, PRE 92, 043307 (2015)), which keeps every entry accurate to roundoff
-    at any n.  A g that is not unitary raises DomainError.
+    at any n.  A g that is not unitary raises DomainError.  The matrix is
+    pure_blocks(n).rep(g), which builds every D^j(g) of the spin blocks.
     """
-    return _wigner_d(g, n, *_jy_eigenbasis(n))
+    return pure_blocks(n).rep(g)
 
 
 def _euler_angles(g: np.ndarray) -> list:
@@ -447,13 +465,6 @@ def _euler_phases(g: np.ndarray, n: int, m: np.ndarray) -> tuple:
     factors = np.array([(root**n, *slopes) for root, *slopes in _euler_angles(g)], dtype=np.complex128).reshape(-1, 4)
     turns = np.exp(factors[:, 1:, None] * m)
     return factors[:, :1] * turns[:, 0], turns[:, 1], turns[:, 2]
-
-
-def _wigner_d(g: np.ndarray, n: int, vecs: np.ndarray, vecs_h: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """g^{(x)n} of n qubits on the columns of a J_y eigenbasis (V, V^+, m): one matrix, or a (K, d, d) stack."""
-    left, mid, right = _euler_phases(g, n, m)
-    out = (left[:, :, None] * vecs * mid[:, None, :]) @ (vecs_h * right[:, None, :])
-    return out.reshape(np.shape(g)[:-2] + vecs.shape)
 
 
 def symmetric_power_apply(g: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -676,10 +687,14 @@ class SpinBlocks:
         """g^{(x)n} on the blocks, the direct sum of the D^j(g), for any 2x2 unitary g or a (K, 2, 2) stack.
 
         One product s^n diag(e^{-i alpha m}) V diag(e^{i beta m}) V^+
-        diag(e^{-i gamma m}) on eigenbasis (V, V^+, m), the body of
-        symmetric_power, which it equals bit for bit on one block.
+        diag(e^{-i gamma m}) on eigenbasis (V, V^+, m): symmetric_power's
+        form, and on pure_blocks(n) its one body.  One matrix, or a (K, d, d)
+        stack.
         """
-        return _wigner_d(g, self.n, *self.eigenbasis)
+        vecs, vecs_h, m = self.eigenbasis
+        left, mid, right = _euler_phases(g, self.n, m)
+        out = (left[:, :, None] * vecs * mid[:, None, :]) @ (vecs_h * right[:, None, :])
+        return out.reshape(np.shape(g)[:-2] + vecs.shape)
 
     def rotate(self, g: np.ndarray, form: np.ndarray) -> np.ndarray:
         """The block form of g^{(x)n} rho g^{(x)n +} from that of rho."""
@@ -758,11 +773,11 @@ def spin_blocks(n: int) -> SpinBlocks:
     cols, sizes = [], list(range(n + 1, 0, -2))
     for k, size in enumerate(sizes):
         pairs = functools.reduce(np.kron, [singlet().amps.real] * k, np.ones(1))
-        ones = np.array([weight(x) for x in range(1 << (size - 1))])
-        cols += [np.kron(pairs, (ones == i) / math.sqrt(math.comb(size - 1, i))) for i in range(size)]
+        dicke = (basis_table(size - 1)[1][:, None] == np.arange(size)) / binomial_roots(size - 1)
+        cols.append(np.kron(pairs[:, None], dicke))
     spins = tuple((size - 1) / 2 for size in sizes)
     mults = tuple(math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(len(sizes)))
-    return SpinBlocks(n, spins, mults, _freeze(np.column_stack(cols)))
+    return SpinBlocks(n, spins, mults, _freeze(np.hstack(cols)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -771,16 +786,21 @@ def pure_blocks(n: int) -> SpinBlocks:
     return SpinBlocks(n, (n / 2,), (1,))
 
 
-def reduced_1qubit(rho: DensityMatrix, k: int) -> np.ndarray:
-    """2x2 reduced density matrix of qubit k (0-based)."""
+def reduced_density(rho: DensityMatrix, qubits: tuple) -> np.ndarray:
+    """The partial trace of rho over every qubit but the given ones: their 2^q x 2^q reduced density matrix.
+
+    The rows and columns run over the given qubits in the order given, the
+    first most significant.  Repeated or out-of-range qubits raise DomainError.
+    """
     n = rho.n
-    if not 0 <= k < n:
-        raise DomainError(f"qubit index {k} out of range for n={n}")
-    t = rho.mat.reshape((2,) * (2 * n))
-    row = list(range(n))
-    col = list(range(n))
-    col[k] = n
-    return np.einsum(t, row + col, [k, n])
+    if len(set(qubits).intersection(range(n))) != len(qubits):
+        raise DomainError(f"qubits {qubits} are not distinct indices in 0..{n - 1}")
+    kept = range(n, n + len(qubits))
+    cols = list(range(n))
+    for k, c in zip(qubits, kept):
+        cols[k] = c
+    d = 1 << len(qubits)
+    return np.einsum(rho.mat.reshape((2,) * (2 * n)), list(range(n)) + cols, [*qubits, *kept]).reshape(d, d)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,10 @@ class_membership_distance needs no search: it finds the nearest element of
 a classified family exactly (per-qubit phase fits with a bisection on the
 common overlap for the constrained diagonal classes, a geodesic midpoint for
 class iii, enumeration for a finite group).  stabilizer_anomalies and
-witness_anomalies check the sampled witnesses against it.
+witness_anomalies check the sampled witnesses against it: all of them as one
+(W, n, 2, 2) stack, moved into the class frame in one product and scored in
+one pass (_membership_distances), of which class_membership_distance is the
+one-tuple case.
 """
 from __future__ import annotations
 
@@ -193,13 +196,10 @@ def _identical_witnesses(factor, n: int, cfg) -> np.ndarray:
 
 def _entry_table(rho):
     """Significant entries as (squared moduli, per-qubit bit differences)."""
-    n = rho.n
-    d = 1 << n
     rows, cols = np.nonzero(np.abs(rho.mat) > 1e-14)
     vals = np.abs(rho.mat[rows, cols]) ** 2
-    bits = ((np.arange(d)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
-    diffs = bits[rows] - bits[cols]
-    return vals, diffs
+    bits = states.basis_table(rho.n)[0]
+    return vals, (bits[rows] - bits[cols]).astype(np.float64)
 
 
 def _difference_classes(vals, diffs):
@@ -342,10 +342,6 @@ def sample_stabilizer(
 # ---------------------------------------------------------------------------
 
 
-def _conjugated(u: states.LocalUnitary, g: np.ndarray) -> states.LocalUnitary:
-    return states.LocalUnitary(tuple(g @ f @ g.conj().T for f in u.factors))
-
-
 def _wrap(t):
     """Angles taken into [-pi, pi)."""
     return (t + math.pi) % (2 * math.pi) - math.pi
@@ -442,22 +438,39 @@ def _pair_midpoint(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     return a0 @ root
 
 
-def _nearest_group_element(factors: np.ndarray, rotations) -> float:
-    """min over the group of u.projective_distance(g^{(x)n}), in one array pass.
+def _membership_distances(sampler: classify.StabilizerSampler, stack: np.ndarray) -> np.ndarray:
+    """class_membership_distance of each tuple of a (W, n, 2, 2) stack of factors.
 
-    factors (n, 2, 2) are u's and rotations the group's SO(3) elements, taken
-    to SU(2) by rotmatch.so3_to_su2 as StabilizerSampler.unit does.
+    Each tuple is scored against candidate members of the family: every
+    element of a finite group (its rotations taken to SU(2) by
+    rotmatch.so3_to_su2, as StabilizerSampler.unit takes them), the geodesic
+    midpoint of its two factors for class iii, and for the diagonal classes
+    the phases fitted to it on each flip layer (_fit_phases).  The distance
+    to the nearest candidate, the max over qubits of the phase distances, is
+    taken for the whole stack in one states.phase_distances pass over
+    (tuple, candidate, qubit).
     """
-    group = rotmatch.so3_to_su2(rotations).reshape(-1, 1, 4)
-    dist = states.phase_distances(factors.reshape(1, -1, 4), group)  # (group, qubit)
-    return float(np.min(np.max(dist, axis=1)))
+    tag, n, count = sampler.sclass.tag, sampler.n, len(stack)
+    if tag == "finite":
+        members = rotmatch.so3_to_su2(sampler.sclass.group.elements).reshape(1, -1, 1, 4)
+    elif tag == "iii":
+        members = np.array([sampler.unit((_pair_midpoint(f[0], f[1]),)).factors for f in stack]).reshape(count, 1, n, 4)
+    else:
+        layers = {False: stack, True: stack @ states.PAULI_X} if sampler.has_flip else {False: stack}
+        fits = [
+            [sampler.unit(tuple(_fit_phases(tag, layer[w])), flip).factors for flip, layer in layers.items()]
+            for w in range(count)
+        ]
+        members = np.array(fits).reshape(count, len(layers), n, 4)
+    dist = states.phase_distances(stack.reshape(count, 1, n, 4), members)
+    return dist.max(axis=2).min(axis=1)
 
 
 def class_membership_distance(
     sampler: classify.StabilizerSampler,
     u: states.LocalUnitary,
 ) -> float:
-    """Projective distance from u to the sampled class family.
+    """Projective distance from u to the sampled class family: _membership_distances of a one-tuple stack.
 
     Exact for every class: the finite group is enumerated, class iii takes
     the geodesic midpoint of its two factors, and the diagonal classes fit
@@ -467,35 +480,25 @@ def class_membership_distance(
     """
     if u.n != sampler.n:
         raise DomainError(f"arity mismatch: unitary on {u.n} qubits, family on {sampler.n}")
-    tag = sampler.sclass.tag
-    factors = np.array(u.factors)
-    if tag == "finite":
-        return _nearest_group_element(factors, sampler.sclass.group.elements)
-    if tag == "iii":
-        return u.projective_distance(sampler.unit((_pair_midpoint(factors[0], factors[1]),)))
-    flips = (False, True) if sampler.has_flip else (False,)
-    return min(
-        u.projective_distance(
-            sampler.unit(tuple(_fit_phases(tag, factors @ states.PAULI_X if flip else factors)), flip)
-        )
-        for flip in flips
-    )
+    return float(_membership_distances(sampler, np.array(u.factors)[None])[0])
 
 
 def witness_anomalies(witnesses, result: classify.ClassificationResult) -> tuple:
     """The witnesses lying outside the classified family, as (witness, membership distance).
 
-    Each witness is moved into the frame of the class sampler by the
-    classification's transform before its distance is taken, and lies
-    outside when that distance passes StabilizerSearchConfig.membership_tol.
+    The witnesses' factors form one (W, n, 2, 2) stack, moved into the frame
+    of the class sampler by the classification's transform g as g f g^+ in
+    one product, and scored by one _membership_distances call.  A witness
+    lies outside when its distance passes
+    StabilizerSearchConfig.membership_tol.
     """
-    anomalies = []
+    witnesses, n, g = tuple(witnesses), result.sampler.n, result.transform
     for w in witnesses:
-        moved = _conjugated(w.unitary, result.transform)
-        d = class_membership_distance(result.sampler, moved)
-        if d > StabilizerSearchConfig.membership_tol:
-            anomalies.append((w, d))
-    return tuple(anomalies)
+        if w.unitary.n != n:
+            raise DomainError(f"arity mismatch: unitary on {w.unitary.n} qubits, family on {n}")
+    stack = np.array([w.unitary.factors for w in witnesses]).reshape(-1, n, 2, 2)
+    dists = _membership_distances(result.sampler, g @ stack @ g.conj().T).tolist()
+    return tuple((w, d) for w, d in zip(witnesses, dists) if d > StabilizerSearchConfig.membership_tol)
 
 
 def stabilizer_anomalies(

@@ -236,3 +236,37 @@ def test_antipodal_pair_with_phases():
     assert int(cfg.multiplicities.sum()) == 5
     back = majorana.points_to_state(cfg)
     assert psi.distance(back) < 1e-10
+
+
+def _polynomial_loop(psi):
+    """a_k = (-1)^k sqrt(C(n, k)) c_k, coefficient by coefficient, as complex scalars."""
+    n, c = psi.n, psi.coeffs
+    return np.array([(-1) ** k * math.sqrt(math.comb(n, k)) * c[k] for k in range(n + 1)], dtype=np.complex128)
+
+
+def _majorana_cases():
+    """Random states, pole-heavy Dicke and GHZ states, and degenerate multisets of 2 to 4 points."""
+    rng = np.random.default_rng(2026)
+    cases = [states.random_symmetric(n, rng) for n in list(range(1, 25)) + [48]]
+    cases += [states.dicke(7, 3), states.dicke(6, 0), states.ghz(5, 0.6, 0.8)]
+    for _ in range(30):
+        n = int(rng.integers(3, 13))
+        parts = min(int(rng.integers(2, 5)), n)
+        mults = np.diff(np.concatenate([[0], np.sort(rng.choice(np.arange(1, n), parts - 1, replace=False)), [n]]))
+        pts = rng.normal(size=(parts, 3))
+        pts[0] = [0.0, 0.0, rng.choice([-1.0, 1.0])]  # a pole, trimmed into its multiplicity
+        cases.append(majorana.points_to_state(pts / np.linalg.norm(pts, axis=1, keepdims=True), mults))
+    return cases
+
+
+def test_majorana_polynomial_is_the_coefficient_loop_bit_for_bit(monkeypatch):
+    # the polynomial past the trimmed poles is what find_roots receives
+    seen, find_roots = [], majorana.find_roots
+    monkeypatch.setattr(majorana, "find_roots", lambda a: seen.append(a.copy()) or find_roots(a))
+    for psi in _majorana_cases():
+        seen.clear()
+        majorana.majorana_points(psi)
+        a = _polynomial_loop(psi)
+        kept = np.flatnonzero(np.abs(a) > majorana.DEFAULT_TOLERANCES.coeff_zero * np.linalg.norm(a))
+        mid = a[kept[0] : kept[-1] + 1]
+        assert [s.tobytes() for s in seen] == ([mid.tobytes()] if mid.size >= 2 else [])

@@ -471,7 +471,7 @@ def test_reduced_spectra_are_the_partial_traces(n):
     u = states.LocalUnitary(tuple(states.random_su2(rng) for _ in range(n)))
     rho = states.apply_lu(u, states.random_symmetric_mixed(n, rng, rank=3))
     for k in range(n):
-        want = np.sort(np.linalg.eigvalsh(states.reduced_1qubit(rho, k)))[::-1]
+        want = np.sort(np.linalg.eigvalsh(states.reduced_density(rho, (k,))))[::-1]
         assert np.array_equal(mixed._reduced_spectrum(rho, (k,)), want)  # bit for bit
     # qubits 0 and 1 by an index sum over the rest
     t = rho.mat.reshape(4, 1 << (n - 2), 4, 1 << (n - 2))

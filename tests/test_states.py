@@ -51,6 +51,44 @@ def test_weight_and_complement():
     assert states.complement(0b101, 3) == 0b010
 
 
+def _expand_loop(state):
+    """The 2^n vector string by string: c_k / sqrt(C(n, k)) at each weight-k string."""
+    n = state.n
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    scale = np.array([1.0 / math.sqrt(math.comb(n, k)) for k in range(n + 1)])
+    for idx in range(1 << n):
+        k = states.weight(idx)
+        amps[idx] = state.coeffs[k] * scale[k]
+    return states.PureState(n, amps).amps
+
+
+def _spin_basis_loop(n):
+    """spin_blocks(n).basis column by column, each string's weight counted on its own."""
+    cols = []
+    for k, size in enumerate(range(n + 1, 0, -2)):
+        pairs = functools.reduce(np.kron, [states.singlet().amps.real] * k, np.ones(1))
+        ones = np.array([states.weight(x) for x in range(1 << (size - 1))])
+        cols += [np.kron(pairs, (ones == i) / math.sqrt(math.comb(size - 1, i))) for i in range(size)]
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_basis_table_gives_the_string_loops_bit_for_bit(n):
+    bits, weights = states.basis_table(n)
+    assert bits is states.basis_table(n)[0] and not bits.flags.writeable and not weights.flags.writeable
+    assert bits.tolist() == [[int(b) for b in format(x, f"0{n}b")] for x in range(1 << n)]  # qubit 0 leads
+    assert weights.tolist() == [states.weight(x) for x in range(1 << n)]
+    assert states.binomial_roots(n).tolist() == [math.sqrt(math.comb(n, k)) for k in range(n + 1)]
+    rng = np.random.default_rng(640 + n)
+    sparse = rng.normal(size=n + 1) * (np.arange(n + 1) % 2) + 0j
+    sparse[0] = -1.0
+    signed_zeros = np.array([complex(-0.0, x) if k % 3 else complex(x, -0.0) for k, x in enumerate(rng.normal(size=n + 1))])
+    for c in (rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1), sparse, signed_zeros):
+        psi = states.SymmetricPureState.from_unnormalized(c)
+        assert states.expand(psi).amps.tobytes() == _expand_loop(psi).tobytes()
+    assert states.spin_blocks(n).basis.tobytes() == _spin_basis_loop(n).tobytes()
+
+
 def test_dicke_expansion_matches_bitstring_oracle():
     for n in range(1, 7):
         for k in range(n + 1):
@@ -88,6 +126,31 @@ def test_symmetrize_matches_permutation_sum():
         got = states.expand(states.symmetrize(vecs)).amps
         want = brute_symmetrize(vecs)
         assert states.phase_distance(got, want) < 1e-12
+
+
+def _symmetrize_loop(vectors):
+    """symmetrize with the norms sqrt(C(n, k)) taken from one list of integers."""
+    vs = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
+    poly = np.ones(1, dtype=np.complex128)
+    for v in vs:
+        poly = np.convolve(poly, v / np.linalg.norm(v))
+    return states.SymmetricPureState.from_unnormalized(poly / np.sqrt([math.comb(len(vs), k) for k in range(len(vs) + 1)]))
+
+
+def test_symmetrize_is_the_integer_list_form_bit_for_bit():
+    rng = np.random.default_rng(86)
+    for n in list(range(1, 31)) + [48, 66]:
+        spread = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        repeated = np.repeat(spread[: 1 + n // 3], 3, axis=0)[:n]  # points of multiplicity 3
+        poles = np.array([[1.0, 0.0]] * (n // 2) + [[0.0, 1.0]] * (n - n // 2))
+        for vecs in (spread, repeated, poles):
+            assert states.symmetrize(vecs).coeffs.tobytes() == _symmetrize_loop(vecs).coeffs.tobytes()
+
+
+def test_symmetrize_holds_binomials_past_int64():
+    # C(100, 50) ~ 1e29 is no int64: np.sqrt of the list of integers raised TypeError from n = 67
+    psi = states.symmetrize([[1.0, 0.0]] * 50 + [[0.0, 1.0]] * 50)
+    assert np.array_equal(psi.coeffs, states.dicke(100, 50).coeffs)
 
 
 def test_symmetrize_rejects_zero_vector():
@@ -418,10 +481,17 @@ def test_reduced_1qubit_matches_index_sum_oracle():
     rng = np.random.default_rng(17)
     rho = states.random_symmetric_mixed(3, rng)
     for k in range(3):
-        got = states.reduced_1qubit(rho, k)
+        got = states.reduced_density(rho, (k,))
         want = brute_partial_trace_single(rho.mat, 3, k)
         assert np.max(np.abs(got - want)) < 1e-12
-    assert abs(np.trace(states.reduced_1qubit(rho, 0)) - 1.0) < 1e-12
+    assert abs(np.trace(states.reduced_density(rho, (0,))) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("qubits", [(3,), (-1,), (0, 0), (1, 3), (0, 1, 2, 0)])
+def test_reduced_density_refuses_qubits_outside_or_repeated(qubits):
+    rho = states.random_symmetric_mixed(3, np.random.default_rng(18))
+    with pytest.raises(DomainError, match="qubits"):
+        states.reduced_density(rho, qubits)
 
 
 def test_density_matrix_validation():

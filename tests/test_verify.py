@@ -1,5 +1,6 @@
 """Brute-force dense oracles: stabilizer residuals, sampling, spectra."""
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from symmlu import _kernels, classify, cli, io, majorana, mixed, search, states, verify
+from symmlu import _kernels, classify, cli, io, majorana, mixed, rotmatch, search, states, verify
 from symmlu.classify import StabilizerClass
 from symmlu.errors import DomainError
 
@@ -172,6 +173,22 @@ def test_difference_classes_are_the_row_unique_classes():
         moving = np.any(classes != 0, axis=1)
         got_sums, got_classes = verify._difference_classes(vals, diffs)
         assert np.array_equal(got_sums, sums[moving]) and np.array_equal(got_classes, classes[moving])
+
+
+def _entry_table_loop(rho):
+    """_entry_table with the bits of every string shifted out of its index."""
+    n = rho.n
+    rows, cols = np.nonzero(np.abs(rho.mat) > 1e-14)
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
+    return np.abs(rho.mat[rows, cols]) ** 2, bits[rows] - bits[cols]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_entry_table_is_the_shifted_bits_bit_for_bit(n):
+    rng = np.random.default_rng(71 + n)
+    for rho in (states.random_symmetric_mixed(n, rng), states.to_density(states.dicke(n, n // 2))):
+        got, want = verify._entry_table(rho), _entry_table_loop(rho)
+        assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [(a.dtype, a.shape, a.tobytes()) for a in want]
 
 
 def _in_diag_subgroup(phi, finite, directions) -> bool:
@@ -371,6 +388,111 @@ def test_finite_membership_equals_the_element_by_element_loop(make, order):
     for u in candidates:
         loop = min(u.projective_distance(sampler.unit((idx,))) for idx in range(order))
         assert abs(verify.class_membership_distance(sampler, u) - loop) <= 1e-15
+
+
+def _loop_distance(sampler, u):
+    """class_membership_distance of one LocalUnitary on its own: each class's nearest member scored alone."""
+    tag = sampler.sclass.tag
+    factors = np.array(u.factors)
+    if tag == "finite":
+        group = rotmatch.so3_to_su2(sampler.sclass.group.elements).reshape(-1, 1, 4)
+        return float(np.min(np.max(states.phase_distances(factors.reshape(1, -1, 4), group), axis=1)))
+    if tag == "iii":
+        return u.projective_distance(sampler.unit((verify._pair_midpoint(factors[0], factors[1]),)))
+    flips = (False, True) if sampler.has_flip else (False,)
+    return min(
+        u.projective_distance(
+            sampler.unit(tuple(verify._fit_phases(tag, factors @ states.PAULI_X if flip else factors)), flip)
+        )
+        for flip in flips
+    )
+
+
+def _loop_moved(w, result):
+    g = result.transform
+    return states.LocalUnitary(tuple(g @ f @ g.conj().T for f in w.unitary.factors))
+
+
+def _loop_anomalies(witnesses, result):
+    """witness_anomalies witness by witness: each moved into a LocalUnitary of its own and scored alone."""
+    out = []
+    for w in witnesses:
+        d = _loop_distance(result.sampler, _loop_moved(w, result))
+        if d > verify.StabilizerSearchConfig.membership_tol:
+            out.append((w, d))
+    return tuple(out)
+
+
+def _ring(m, z):
+    t = 2 * math.pi * np.arange(m) / m
+    return np.column_stack([math.sqrt(1 - z * z) * np.cos(t), math.sqrt(1 - z * z) * np.sin(t), np.full(m, z)])
+
+
+_MEMBERSHIP_STATES = {
+    "tetrahedron": tetrahedron_state,
+    "octahedron": octahedron_state,
+    "c4": lambda: majorana.points_to_state(np.vstack([_ring(4, 0.0), [[0.0, 0.0, 1.0]]])),
+    "d3": lambda: majorana.points_to_state(np.vstack([_ring(3, 0.5), _ring(3, -0.5)])),
+    "ghz3": lambda: states.ghz(3),
+    "ghz4-unbalanced": lambda: states.ghz(4, 0.6, 0.8),
+    "dicke42": lambda: states.dicke(4, 2),
+    "dicke41": lambda: states.dicke(4, 1),
+    "product": lambda: states.symmetrize([[0.6, 0.8j]] * 3),
+}
+_MEMBERSHIP_TAGS = {"ghz3": "iia", "ghz4-unbalanced": "iib", "dicke42": "iva", "dicke41": "ivb", "product": "i"}
+
+
+@functools.lru_cache(maxsize=None)
+def _membership_case(name, turned):
+    """(classification, own witnesses) of a state, turned by a fixed SU(2) element or not; class iii from its family."""
+    rng = np.random.default_rng(73)
+    if name == "iii":
+        sampler = classify.stabilizer_generators(StabilizerClass("iii"), 2)
+        g = states.random_su2(rng) if turned else np.eye(2, dtype=np.complex128)
+        result = classify.ClassificationResult(sampler.sclass, states.dicke(2, 0), g, sampler)
+        return result, tuple(verify.StabilizerWitness(sampler.random(rng), 0.0) for _ in range(6))
+    psi = _MEMBERSHIP_STATES[name]()
+    if turned:
+        psi = states.apply_diag_symmetric(states.random_su2(rng), psi)
+    result = classify.classify_state(psi)
+    assert result.sclass.tag == _MEMBERSHIP_TAGS.get(name, "finite")
+    return result, verify.sample_stabilizer(states.to_density(psi))
+
+
+@pytest.mark.parametrize("turned", [False, True], ids=["canonical", "turned"])
+@pytest.mark.parametrize("name", sorted(_MEMBERSHIP_STATES) + ["iii"])
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 2**16), max_size=8),
+    outsiders=st.integers(0, 3),
+    lazy=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_membership_is_the_one_by_one_loop_bit_for_bit(name, turned, picks, outsiders, lazy, seed):
+    result, own = _membership_case(name, turned)
+    n, rng = result.sampler.n, np.random.default_rng(seed)
+    witnesses = [own[p % len(own)] for p in picks if own]
+    for _ in range(outsiders):  # random local unitaries, each factor with its own global phase
+        factors = tuple(np.exp(1j * rng.uniform(0, 2 * math.pi)) * states.random_su2(rng) for _ in range(n))
+        witnesses.insert(int(rng.integers(len(witnesses) + 1)), verify.StabilizerWitness(states.LocalUnitary(factors), 0.0))
+    got = verify.witness_anomalies(iter(witnesses) if lazy else tuple(witnesses), result)
+    want = _loop_anomalies(witnesses, result)
+    assert len(got) == len(want) >= outsiders
+    assert all(gw is ww and type(gd) is float and gd == wd for (gw, gd), (ww, wd) in zip(got, want))
+    for w in witnesses:
+        moved = _loop_moved(w, result)
+        assert verify.class_membership_distance(result.sampler, moved) == _loop_distance(result.sampler, moved)
+    assert verify.witness_anomalies((), result) == verify.witness_anomalies(iter(()), result) == ()
+
+
+def test_witness_anomalies_refuse_a_witness_of_the_wrong_arity():
+    pair = verify.StabilizerWitness(states.LocalUnitary.uniform(np.eye(2), 2), 0.0)
+    for result in (classify.classify_state(tetrahedron_state()), classify.classify_state(states.dicke(4, 1))):
+        good = verify.StabilizerWitness(states.LocalUnitary.uniform(np.eye(2), 4), 0.0)
+        # two 2-qubit witnesses hold the factors of one 4-qubit witness
+        for witnesses in ([good, pair], [pair, pair], [pair]):
+            with pytest.raises(DomainError, match="arity"):
+                verify.witness_anomalies(witnesses, result)
 
 
 # every continuous class with its allowed qubit counts
